@@ -62,7 +62,7 @@ void run_variant(const Variant& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header(
       "Engineering ablation: Algorithm 1 additions (Fig. 8 scenario)",

@@ -20,6 +20,7 @@
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "scenario/scenario.hpp"
+#include "stats/csv_export.hpp"
 #include "stats/percentile.hpp"
 
 namespace paraleon::bench {
@@ -110,14 +111,6 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// write the sweep's `paraleon.fleet.v1` report (per-seed digest table,
 /// cross-run aggregates, worker utilization) to FILE plus the merged
 /// Perfetto timeline to FILE with a `.timeline.json` suffix.
-///
-/// Scenario-engine flags: `--legacy` makes a migrated bench (fig8/fig13)
-/// run its pre-scenario hand-wired setup instead of the committed
-/// scenarios/ file (one-PR escape hatch while the parity check beds in),
-/// `--grid-out FILE` writes the grid run's `paraleon.grid.v1` document,
-/// and `--grid-check` re-runs the grid serially and byte-compares the
-/// deterministic half against the parallel run (exit nonzero on any
-/// difference).
 struct ObsCli {
   bool trace = false;
   bool tiny = false;
@@ -131,9 +124,6 @@ struct ObsCli {
   int sweep = 0;         // 0 = no sweep mode requested
   std::string sweep_out; // empty = print only, no JSON artifact
   std::string fleet_out; // empty = no fleet report artifact
-  bool legacy = false;   // migrated benches: run the pre-scenario setup
-  std::string grid_out;  // empty = no paraleon.grid.v1 artifact
-  bool grid_check = false;  // re-run serially, byte-compare det half
 };
 
 /// The merged-timeline path derived from a `--fleet-out` path: strip one
@@ -189,12 +179,6 @@ inline ObsCli parse_obs_cli(int argc, char** argv) {
       cli.sweep_out = argv[++i];
     } else if (std::strcmp(argv[i], "--fleet-out") == 0 && i + 1 < argc) {
       cli.fleet_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--legacy") == 0) {
-      cli.legacy = true;
-    } else if (std::strcmp(argv[i], "--grid-out") == 0 && i + 1 < argc) {
-      cli.grid_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--grid-check") == 0) {
-      cli.grid_check = true;
     }
   }
   return cli;
@@ -202,7 +186,8 @@ inline ObsCli parse_obs_cli(int argc, char** argv) {
 
 /// Removes the ObsCli flags from argv (in place) so they can coexist with
 /// another flag parser — google-benchmark aborts on flags it does not
-/// know. Returns the new argc.
+/// know. A value flag without its value is left in place, like any other
+/// argument the shared parser did not consume. Returns the new argc.
 inline int strip_obs_cli(int argc, char** argv) {
   const auto takes_value = [](const char* a) {
     return std::strcmp(a, "--obs-out") == 0 ||
@@ -210,28 +195,45 @@ inline int strip_obs_cli(int argc, char** argv) {
            std::strcmp(a, "--perf-out") == 0 ||
            std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "--sweep") == 0 ||
            std::strcmp(a, "--sweep-out") == 0 ||
-           std::strcmp(a, "--fleet-out") == 0 ||
-           std::strcmp(a, "--grid-out") == 0;
+           std::strcmp(a, "--fleet-out") == 0;
   };
   const auto is_flag = [](const char* a) {
     return std::strcmp(a, "--trace") == 0 || std::strcmp(a, "--tiny") == 0 ||
            std::strcmp(a, "--flight") == 0 ||
            std::strcmp(a, "--flight-fault") == 0 ||
-           std::strcmp(a, "--perf") == 0 ||
-           std::strcmp(a, "--legacy") == 0 ||
-           std::strcmp(a, "--grid-check") == 0;
+           std::strcmp(a, "--perf") == 0;
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (is_flag(argv[i])) continue;
-    if (takes_value(argv[i])) {
-      if (i + 1 < argc) ++i;
+    if (takes_value(argv[i]) && i + 1 < argc) {
+      ++i;
       continue;
     }
     argv[out++] = argv[i];
   }
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
+}
+
+/// parse_obs_cli for a bench that takes no other arguments: anything the
+/// shared parser leaves behind (a typo, a deleted flag, a value flag
+/// missing its value) exits 2 with a usage line instead of running the
+/// default configuration the caller did not ask for.
+inline ObsCli parse_bench_cli(int argc, char** argv) {
+  const ObsCli cli = parse_obs_cli(argc, argv);
+  if (strip_obs_cli(argc, argv) > 1) {
+    std::fprintf(
+        stderr,
+        "%s: unexpected argument '%s'\n"
+        "usage: %s [--tiny] [--jobs N] [--trace] [--obs-out DIR] [--perf]\n"
+        "       [--perf-out FILE] [--flight] [--flight-fault]\n"
+        "       [--replay-flight DIR] [--sweep N] [--sweep-out FILE]\n"
+        "       [--fleet-out FILE]\n",
+        argv[0], argv[1], argv[0]);
+    std::exit(2);
+  }
+  return cli;
 }
 
 /// Applies the CLI to an experiment config: all trace categories on and
@@ -258,22 +260,39 @@ inline void apply_obs_cli(const ObsCli& cli, ExperimentConfig& cfg) {
 }
 
 /// Writes `<name>.trace.json` (Chrome trace-event format, Perfetto-
-/// loadable) and `<name>.obs.json` (counter registry + episode timelines)
-/// for a finished run. No-op unless --trace was given.
-inline void dump_obs(const ObsCli& cli, const Experiment& exp,
+/// loadable), `<name>.obs.json` (counter registry + episode timelines)
+/// and, for offline plotting, `<name>.throughput.csv`, `<name>.rtt.csv`
+/// (per-MI `t_ms,value`) and `<name>.flows.csv` (completed flows) for a
+/// finished run. No-op unless --trace was given. Returns false (after
+/// naming the files on stderr) when any of them could not be written.
+inline bool dump_obs(const ObsCli& cli, const Experiment& exp,
                      const std::string& name) {
-  if (!cli.trace) return;
+  if (!cli.trace) return true;
   const std::string base = cli.out_dir + "/" + name;
-  {
-    std::ofstream f(base + ".trace.json");
-    f << exp.simulator().obs().trace().to_json();
-  }
-  {
-    std::ofstream f(base + ".obs.json");
-    f << runner::obs_report_json(exp);
+  std::ofstream trace(base + ".trace.json");
+  trace << exp.simulator().obs().trace().to_json();
+  trace.close();
+  std::ofstream report(base + ".obs.json");
+  report << runner::obs_report_json(exp);
+  report.close();
+  if (!trace || !report) {
+    std::fprintf(stderr, "# obs: FAILED to write %s.{trace,obs}.json\n",
+                 base.c_str());
+    return false;
   }
   std::printf("# obs: wrote %s.trace.json and %s.obs.json\n", base.c_str(),
               base.c_str());
+  const bool csv_ok =
+      stats::write_timeseries_csv(base + ".throughput.csv",
+                                  exp.throughput_series()) &&
+      stats::write_timeseries_csv(base + ".rtt.csv", exp.rtt_series()) &&
+      stats::write_flows_csv(base + ".flows.csv", exp.fct().completed());
+  if (!csv_ok) {
+    std::fprintf(stderr, "# obs: FAILED to write %s.*.csv\n", base.c_str());
+    return false;
+  }
+  std::printf("# obs: wrote %s.{throughput,rtt,flows}.csv\n", base.c_str());
+  return true;
 }
 
 /// One `paraleon.bench.v1` document: the bench's headline metrics as
@@ -379,9 +398,8 @@ class WallTimer {
 /// (64 hosts), 10 Gbps host links, 5 Gbps fabric links — per ToR 80G down
 /// vs 20G up = the paper's 4:1 oversubscription. The controller/agent
 /// block comes from scenario::apply_paper_defaults — the SAME function
-/// every scenario file routes through, which is what makes a scenario
-/// spelling out this fabric byte-identical to the hand-built config (the
-/// run_digest parity the migrated benches assert).
+/// every scenario file routes through, so a scenario spelling out this
+/// fabric is byte-identical to the hand-built config.
 inline ExperimentConfig paper_fabric(Scheme scheme, std::uint64_t seed) {
   ExperimentConfig cfg;
   cfg.clos.n_tor = 8;

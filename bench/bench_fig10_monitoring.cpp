@@ -40,7 +40,7 @@ Result run_scheme(Scheme s, double load, Time duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 10: monitoring designs — FSD accuracy and FCT",
                scaling_note(paper_fabric(Scheme::kParaleon, 31),

@@ -35,7 +35,7 @@ Result run_one(Scheme s, Time mi) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 11: monitor interval vs FSD accuracy and FCT",
                scaling_note(paper_fabric(Scheme::kParaleon, 37),

@@ -122,7 +122,7 @@ void shadow_fleet_section(TrendReport* trend) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
+  g_cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 12: SA ablation — utility convergence, naive vs guided",
                scaling_note(paper_fabric(Scheme::kParaleon, 53),

@@ -8,19 +8,13 @@
 //
 // The scheme x scale grid comes from scenarios/fig13_alltoall.json: the
 // scenario engine's GridRunner expands the two sweep axes (scheme outer,
-// scale inner — the same cell order the hand-wired loops used) and fans
+// scale inner — the order print_grid reads the slots in) and fans
 // the cells through exec::parallel_map (`--jobs N`). The printed table is
-// identical at any worker count because results come back in cell order;
-// every run digest-checks one cell against the legacy hand-wired setup,
-// and `--legacy` runs the pre-scenario grid directly
-// (bench/legacy_setups.hpp).
+// identical at any worker count because results come back in cell order.
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/parallel_map.hpp"
-#include "legacy_setups.hpp"
 #include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
@@ -36,29 +30,12 @@ struct CellSlot {
   std::uint64_t events = 0;  // 0 unless --perf enabled the PerfMonitor
 };
 
-CellSlot legacy_cell(Scheme s, int workers) {
-  ExperimentConfig cfg = legacy_fig13_config(s, g_cli.tiny);
-  // Only the perf knob: trace/flight stay per-run flags for the benches
-  // that dump those artifacts (cells here run on pool threads).
-  if (g_cli.perf) cfg.obs.perf_counters = true;
-  Experiment exp(cfg);
-  legacy_fig13_workloads(exp, workers);
-  if (exp.controller() != nullptr) exp.controller()->force_trigger();
-  exp.run();
-  const Time tail_from = g_cli.tiny ? milliseconds(20) : milliseconds(100);
-  CellSlot r;
-  r.bw_gbps =
-      exp.throughput_series().mean_in(tail_from, exp.config().duration);
-  r.events = exp.simulator().obs().perf().events_executed();
-  return r;
-}
-
 constexpr int kScales[] = {8, 16, 32};
 constexpr const char* kSchemes[] = {"default", "expert", "paraleon"};
 
-void print_grid_header() {
+void print_grid_header(const scenario::Scenario& sc) {
   print_header("Fig. 13: alltoall bandwidth vs collective scale",
-               scaling_note(legacy_fig13_config(Scheme::kParaleon, g_cli.tiny),
+               scaling_note(scenario::to_experiment_config(sc),
                             "8..32 workers, 512KB flows (paper: 8..32 H100 "
                             "nodes @400G testbed)"));
   std::printf("%-10s", "scheme");
@@ -95,42 +72,11 @@ void print_footer() {
       "scale, by up to 19.5%%.\n");
 }
 
-/// --legacy: the pre-scenario grid, hand-wired cells through parallel_map.
-int run_legacy_grid() {
-  print_grid_header();
-  std::vector<std::pair<Scheme, int>> cells;
-  for (const char* s : kSchemes) {
-    for (int n : kScales) {
-      cells.emplace_back(scenario::scheme_from_name(s), n);
-    }
-  }
-  const WallTimer wall;
-  const std::vector<CellSlot> bw = exec::parallel_map(
-      cells,
-      [](const std::pair<Scheme, int>& cell) {
-        return legacy_cell(cell.first, cell.second);
-      },
-      g_cli.jobs);
-  const double grid_seconds = wall.seconds();
-
-  TrendReport trend("fig13_alltoall_scale");
-  const std::uint64_t total_events = print_grid(bw, trend);
-  if (total_events > 0) {
-    trend.add("events_executed", static_cast<double>(total_events), "events");
-  }
-  trend.add("wall_seconds", grid_seconds, "s");
-  print_footer();
-  write_trend(g_cli, trend);
-  return 0;
-}
-
-/// Default mode: the same grid from scenarios/fig13_alltoall.json, with a
-/// digest parity check of the PARALEON x 8-worker cell against the legacy
-/// setup and the --grid-out / --grid-check paraleon.grid.v1 surface.
+/// The scheme x scale grid from scenarios/fig13_alltoall.json.
 int run_scenario_grid() {
   const scenario::Scenario sc = scenario::load_scenario_file(
       scenario_path("fig13_alltoall.json"), g_cli.tiny);
-  print_grid_header();
+  print_grid_header(sc);
 
   std::size_t n_cells = 1;
   for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
@@ -143,12 +89,9 @@ int run_scenario_grid() {
     slots[cell.index].events =
         exp.simulator().obs().perf().events_executed();
   };
-  obs::PoolTelemetry pool;
-  opts.telemetry = &pool;
   const WallTimer wall;
-  scenario::GridOutcome grid = scenario::run_grid(sc, opts);
+  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
   const double grid_seconds = wall.seconds();
-  grid.set_wall_seconds(grid_seconds);
   // The scenario metric IS the table value: steady-tail mean goodput.
   for (std::size_t i = 0; i < grid.results().size(); ++i) {
     slots[i].bw_gbps = grid.results()[i].value;
@@ -163,76 +106,14 @@ int run_scenario_grid() {
   trend.add("grid_wall_seconds", grid_seconds, "s");
   print_footer();
 
-  // Parity oracle: the PARALEON x 8-worker cell must reproduce the legacy
-  // hand-wired setup bit for bit.
-  {
-    ExperimentConfig cfg = legacy_fig13_config(Scheme::kParaleon, g_cli.tiny);
-    if (g_cli.perf) cfg.obs.perf_counters = true;
-    Experiment exp(cfg);
-    legacy_fig13_workloads(exp, 8);
-    if (exp.controller() != nullptr) exp.controller()->force_trigger();
-    exp.run();
-    const std::uint64_t legacy = run_digest(exp);
-    const Time tail_from = g_cli.tiny ? milliseconds(20) : milliseconds(100);
-    const double legacy_bw =
-        exp.throughput_series().mean_in(tail_from, exp.config().duration);
-    bool checked = false;
-    for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-      const scenario::Scenario& cell = grid.cells()[i].scenario;
-      if (cell.scheme.name != "paraleon") continue;
-      if (cell.workload.front().workers != 8) continue;
-      checked = true;
-      if (grid.results()[i].digest != legacy ||
-          grid.results()[i].value != legacy_bw) {
-        std::fprintf(stderr,
-                     "parity: scenario PARALEON/8 cell (digest %016llx, "
-                     "%.4f Gbps) != legacy (digest %016llx, %.4f Gbps) — "
-                     "scenarios/fig13_alltoall.json drifted from "
-                     "bench/legacy_setups.hpp\n",
-                     static_cast<unsigned long long>(grid.results()[i].digest),
-                     grid.results()[i].value,
-                     static_cast<unsigned long long>(legacy), legacy_bw);
-        return 1;
-      }
-    }
-    if (!checked) {
-      std::fprintf(stderr, "parity: no paraleon/8 cell in the grid\n");
-      return 1;
-    }
-    std::printf("# parity: scenario PARALEON/8 cell matches the legacy "
-                "setup (digest %016llx)\n",
-                static_cast<unsigned long long>(legacy));
-  }
-
   write_trend(g_cli, trend);
-  if (!g_cli.grid_out.empty()) {
-    grid.write(g_cli.grid_out);
-    std::printf("# grid: wrote %s\n", g_cli.grid_out.c_str());
-  }
-  if (g_cli.grid_check) {
-    scenario::GridOptions serial = opts;
-    serial.jobs = 1;
-    serial.telemetry = nullptr;
-    const scenario::GridOutcome again = scenario::run_grid(sc, serial);
-    if (again.to_json(false) != grid.to_json(false)) {
-      std::fprintf(stderr,
-                   "grid-check: deterministic half differs between jobs=%d "
-                   "and jobs=1\n",
-                   g_cli.jobs);
-      return 1;
-    }
-    std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-                "and jobs=1\n",
-                g_cli.jobs);
-  }
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
-  if (g_cli.legacy) return run_legacy_grid();
+  g_cli = parse_bench_cli(argc, argv);
   try {
     return run_scenario_grid();
   } catch (const scenario::ScenarioError& e) {

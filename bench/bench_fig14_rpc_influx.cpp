@@ -65,7 +65,7 @@ void run_scheme(Scheme s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 14: runtime bandwidth & latency with SolarRPC influx",
                scaling_note(paper_fabric(Scheme::kParaleon, 77),

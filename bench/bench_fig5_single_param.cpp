@@ -102,7 +102,7 @@ void hai_recovery_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 5: single-parameter impacts on throughput & RTT",
                scaling_note(small_fabric(Scheme::kCustomStatic, 7),

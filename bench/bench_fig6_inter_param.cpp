@@ -49,7 +49,7 @@ Point run_cell(Time rpg_time_reset, std::int64_t kmax) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
                scaling_note(small_fabric(Scheme::kCustomStatic, 13),

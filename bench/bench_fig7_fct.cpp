@@ -105,7 +105,7 @@ void llm_part(int workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
+  g_cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 7: FCT of 5 tuning schemes (FB_Hadoop + LLM alltoall)",
                scaling_note(paper_fabric(Scheme::kParaleon, 3),

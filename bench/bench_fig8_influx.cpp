@@ -6,24 +6,21 @@
 // FSD -> delay-friendly setting) below the other schemes, then restores
 // throughput for the remaining elephants after the burst.
 //
-// The scheme table is now driven by scenarios/fig8_influx.json through
+// Every mode runs scenarios/fig8_influx.json: the scheme table through
 // the scenario engine's GridRunner (`--jobs N` fans the scheme cells
-// out); every run asserts the scenario's PARALEON cell reproduces the
-// legacy hand-wired setup's run_digest bit for bit, and `--legacy` runs
-// the pre-scenario table directly (one-PR escape hatch, see
-// bench/legacy_setups.hpp). The sweep / flight-fault / replay modes keep
-// the legacy setup: they exercise exec and obs machinery, not the
-// scenario mapping.
+// out), and the sweep / flight-fault / replay modes from the scenario's
+// `paraleon` cell.
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exec/parallel_sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "legacy_setups.hpp"
 #include "runner/flight.hpp"
+#include "scenario/flow_scheduler.hpp"
 #include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
@@ -33,18 +30,35 @@ using namespace paraleon::runner;
 namespace {
 
 ObsCli g_cli;
+scenario::Scenario g_paraleon;  // the scenario's paraleon cell
 
-ExperimentConfig fig8_config(Scheme s) {
-  ExperimentConfig cfg = legacy_fig8_config(s, g_cli.tiny);
+/// The `paraleon` cell of the (full or --tiny) fig8 scenario.
+scenario::Scenario paraleon_cell(const scenario::Scenario& pack) {
+  for (scenario::GridCell& cell : scenario::expand_grid(pack)) {
+    if (cell.scenario.scheme.name == "paraleon") {
+      return std::move(cell.scenario);
+    }
+  }
+  throw scenario::ScenarioError(pack.name + ": no paraleon cell in the sweep");
+}
+
+ExperimentConfig paraleon_config() {
+  ExperimentConfig cfg = scenario::to_experiment_config(g_paraleon);
   apply_obs_cli(g_cli, cfg);
   return cfg;
 }
 
-/// The fig8 workload mix, shared by the legacy table, the fault-injection
-/// run and --replay-flight (a replay MUST install the identical workloads:
-/// the bundle stores only seed + horizon, determinism does the rest).
-void setup_workloads(Experiment& exp) {
-  legacy_fig8_workloads(exp, g_cli.tiny);
+/// Builds the PARALEON experiment and installs the cell's workloads, as
+/// scenario::run_cell does for the table. A replay MUST install the
+/// identical workloads: the bundle stores only seed + horizon,
+/// determinism does the rest.
+std::unique_ptr<Experiment> make_paraleon(ExperimentConfig cfg) {
+  auto exp = std::make_unique<Experiment>(std::move(cfg));
+  scenario::FlowScheduler(g_paraleon, exp.get()).install_all();
+  if (g_paraleon.scheme.force_trigger && exp->controller() != nullptr) {
+    exp->controller()->force_trigger();
+  }
+  return exp;
 }
 
 /// --flight-fault: trip the flight recorder on demand by corrupting ToR 0's
@@ -52,24 +66,23 @@ void setup_workloads(Experiment& exp) {
 /// and the armed recorder dumps a "check_failure" bundle. Exit 0 iff the
 /// bundle landed (CI validates and replays it afterwards).
 int run_flight_fault() {
-  ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+  ExperimentConfig cfg = paraleon_config();
   cfg.invariants.level = check::CheckLevel::kFull;
-  Experiment exp(cfg);
-  setup_workloads(exp);
+  const std::unique_ptr<Experiment> exp = make_paraleon(std::move(cfg));
   const Time fault_at = g_cli.tiny ? milliseconds(10) : milliseconds(80);
-  exp.simulator().schedule_at(fault_at, [&exp] {
-    exp.topology().tor(0).inject_buffer_accounting_fault(4096);
+  exp->simulator().schedule_at(fault_at, [e = exp.get()] {
+    e->topology().tor(0).inject_buffer_accounting_fault(4096);
   });
   try {
-    exp.run();
+    exp->run();
     std::fprintf(stderr, "flight-fault: injected fault was not detected\n");
     return 1;
   } catch (const check::CheckFailure&) {
-    if (exp.flight_bundle_dir().empty()) {
+    if (exp->flight_bundle_dir().empty()) {
       std::fprintf(stderr, "flight-fault: CheckFailure but no bundle\n");
       return 1;
     }
-    std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
+    std::printf("# flight bundle: %s\n", exp->flight_bundle_dir().c_str());
   }
   return 0;
 }
@@ -85,12 +98,11 @@ int run_replay(const std::string& bundle) {
                  bundle.c_str());
     return 1;
   }
-  ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+  ExperimentConfig cfg = paraleon_config();
   apply_replay(cfg, req);
-  Experiment exp(cfg);
-  setup_workloads(exp);
-  exp.run();
-  if (!write_replay_outputs(exp, bundle)) {
+  const std::unique_ptr<Experiment> exp = make_paraleon(std::move(cfg));
+  exp->run();
+  if (!write_replay_outputs(*exp, bundle)) {
     std::fprintf(stderr, "replay-flight: cannot write replay outputs\n");
     return 1;
   }
@@ -102,7 +114,7 @@ int run_replay(const std::string& bundle) {
   return 0;
 }
 
-/// --sweep N: run the fig8 PARALEON configuration over N seeds twice —
+/// --sweep N: run the fig8 PARALEON cell over N seeds twice —
 /// once serial (jobs=1), once on the thread pool (--jobs, <=1 meaning one
 /// worker per hardware thread) — verify the per-seed run_digests are
 /// byte-identical, and report both wall-clocks. With --sweep-out FILE the
@@ -117,11 +129,9 @@ int run_sweep(int n) {
   std::vector<std::uint64_t> seeds;
   for (int i = 0; i < n; ++i) seeds.push_back(100 + static_cast<unsigned>(i));
   const auto make = [](std::uint64_t seed) {
-    ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+    ExperimentConfig cfg = paraleon_config();
     cfg.seed = seed;
-    auto exp = std::make_unique<Experiment>(std::move(cfg));
-    setup_workloads(*exp);
-    return exp;
+    return make_paraleon(std::move(cfg));
   };
   const auto metric = [](Experiment& exp) {
     return exp.throughput_series().mean_in(0, exp.config().duration);
@@ -225,7 +235,7 @@ int run_sweep(int n) {
   return 0;
 }
 
-/// The fig8 reporting phases, shared by the legacy and scenario tables.
+/// The fig8 reporting phases.
 struct Fig8Phases {
   Time before_start, influx_start, influx_end, tail_start, end;
 };
@@ -251,65 +261,6 @@ void print_table_header(const ExperimentConfig& cfg) {
               "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us");
 }
 
-void run_scheme(Scheme s, TrendReport* trend) {
-  ExperimentConfig cfg = fig8_config(s);
-  const Fig8Phases ph = fig8_phases(cfg.duration);
-  Experiment exp(cfg);
-  setup_workloads(exp);
-  exp.run();
-  if (s == Scheme::kParaleon) dump_obs(g_cli, exp, "fig8_paraleon");
-
-  const auto& tput = exp.throughput_series();
-  const auto& rtt = exp.rtt_series();
-  std::printf("%-10s", scheme_name(s).c_str());
-  const auto phase = [&](Time a, Time b) {
-    std::printf(" | %8.2f %8.2f", tput.mean_in(a, b), rtt.mean_in(a, b));
-  };
-  phase(ph.before_start, ph.influx_start);                   // before
-  phase(ph.influx_start + milliseconds(2), ph.influx_end);   // influx
-  phase(ph.tail_start, ph.end);  // after (converged tail)
-  if (exp.controller() != nullptr) {
-    std::printf("  (episodes=%llu)",
-                static_cast<unsigned long long>(exp.controller()->episodes()));
-  }
-  std::printf("\n");
-
-  // The PARALEON run is the one the committed BENCH_fig8.json baseline
-  // tracks: the three phase means, flow completions, and the event-loop
-  // economics from the PerfMonitor.
-  if (s == Scheme::kParaleon && trend != nullptr) {
-    trend->add("before_tput_gbps", tput.mean_in(ph.before_start,
-                                                ph.influx_start), "Gbps");
-    trend->add("influx_rtt_us",
-               rtt.mean_in(ph.influx_start + milliseconds(2), ph.influx_end),
-               "us");
-    trend->add("after_tput_gbps", tput.mean_in(ph.tail_start, ph.end),
-               "Gbps");
-    trend->add("fct_finished", static_cast<double>(exp.fct().finished()),
-               "flows");
-    if (exp.controller() != nullptr) {
-      trend->add("episodes", static_cast<double>(exp.controller()->episodes()),
-                 "episodes");
-    }
-    add_perf_metrics(*trend, exp);
-  }
-}
-
-/// --legacy: the pre-scenario table, scheme by scheme, serial.
-int run_legacy_table() {
-  print_table_header(fig8_config(Scheme::kParaleon));
-  TrendReport trend("fig8_influx");
-  for (Scheme s : {Scheme::kDefaultStatic, Scheme::kExpertStatic,
-                   Scheme::kAcc, Scheme::kDcqcnPlus, Scheme::kParaleon}) {
-    run_scheme(s, &trend);
-  }
-  std::printf(
-      "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
-      "influx window and the highest throughput after it.\n");
-  write_trend(g_cli, trend);
-  return 0;
-}
-
 /// Per-cell phase means harvested by the grid's on_cell hook (slots are
 /// preallocated and indexed by cell, so pool threads never contend).
 struct Fig8Slot {
@@ -320,14 +271,10 @@ struct Fig8Slot {
   std::uint64_t fct_finished = 0;
 };
 
-/// Default mode: the scheme table from scenarios/fig8_influx.json. The
-/// scheme axis runs through the GridRunner (--jobs fans cells out), the
-/// PARALEON cell is digest-checked against the legacy hand-wired setup,
-/// and --grid-out / --grid-check expose the paraleon.grid.v1 surface.
-int run_scenario_table() {
-  const scenario::Scenario sc = scenario::load_scenario_file(
-      scenario_path("fig8_influx.json"), g_cli.tiny);
-  print_table_header(fig8_config(Scheme::kParaleon));
+/// Default mode: the scheme table. The scheme axis runs through the
+/// GridRunner (--jobs fans cells out).
+int run_scenario_table(const scenario::Scenario& sc) {
+  print_table_header(paraleon_config());
 
   std::size_t n_cells = 1;
   for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
@@ -336,9 +283,6 @@ int run_scenario_table() {
 
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  // The legacy oracle below applies the same CLI to its config: tracing
-  // schedules scrape events, so the digests only match when both sides
-  // see identical obs settings.
   opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
     apply_obs_cli(g_cli, cfg);
   };
@@ -366,12 +310,9 @@ int run_scenario_table() {
     }
   };
 
-  obs::PoolTelemetry pool;
-  opts.telemetry = &pool;
   const WallTimer wall;
-  scenario::GridOutcome grid = scenario::run_grid(sc, opts);
+  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
   const double grid_seconds = wall.seconds();
-  grid.set_wall_seconds(grid_seconds);
 
   for (std::size_t i = 0; i < grid.cells().size(); ++i) {
     const scenario::GridCell& cell = grid.cells()[i];
@@ -401,72 +342,23 @@ int run_scenario_table() {
       "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
       "influx window and the highest throughput after it.\n");
 
-  // Parity oracle: the PARALEON cell must reproduce the legacy hand-wired
-  // setup's run_digest bit for bit (bench/legacy_setups.hpp).
-  {
-    ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
-    Experiment exp(cfg);
-    setup_workloads(exp);
-    exp.run();
-    const std::uint64_t legacy = run_digest(exp);
-    bool found = false;
-    for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-      if (grid.cells()[i].scenario.scheme.name != "paraleon") continue;
-      found = true;
-      if (grid.results()[i].digest != legacy) {
-        std::fprintf(stderr,
-                     "parity: scenario PARALEON digest %016llx != legacy "
-                     "%016llx — scenarios/fig8_influx.json drifted from "
-                     "bench/legacy_setups.hpp\n",
-                     static_cast<unsigned long long>(grid.results()[i].digest),
-                     static_cast<unsigned long long>(legacy));
-        return 1;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "parity: no paraleon cell in the grid\n");
-      return 1;
-    }
-    std::printf("# parity: scenario PARALEON cell matches the legacy setup "
-                "(digest %016llx)\n",
-                static_cast<unsigned long long>(legacy));
-  }
-
   trend.add("grid_wall_seconds", grid_seconds, "s");
   write_trend(g_cli, trend);
-  if (!g_cli.grid_out.empty()) {
-    grid.write(g_cli.grid_out);
-    std::printf("# grid: wrote %s\n", g_cli.grid_out.c_str());
-  }
-  if (g_cli.grid_check) {
-    scenario::GridOptions serial = opts;
-    serial.jobs = 1;
-    serial.telemetry = nullptr;
-    const scenario::GridOutcome again = scenario::run_grid(sc, serial);
-    if (again.to_json(false) != grid.to_json(false)) {
-      std::fprintf(stderr,
-                   "grid-check: deterministic half differs between jobs=%d "
-                   "and jobs=1\n",
-                   g_cli.jobs);
-      return 1;
-    }
-    std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-                "and jobs=1\n",
-                g_cli.jobs);
-  }
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
-  if (!g_cli.replay_bundle.empty()) return run_replay(g_cli.replay_bundle);
-  if (g_cli.flight_fault) return run_flight_fault();
-  if (g_cli.sweep > 0) return run_sweep(g_cli.sweep);
-  if (g_cli.legacy) return run_legacy_table();
+  g_cli = parse_bench_cli(argc, argv);
   try {
-    return run_scenario_table();
+    const scenario::Scenario pack = scenario::load_scenario_file(
+        scenario_path("fig8_influx.json"), g_cli.tiny);
+    g_paraleon = paraleon_cell(pack);
+    if (!g_cli.replay_bundle.empty()) return run_replay(g_cli.replay_bundle);
+    if (g_cli.flight_fault) return run_flight_fault();
+    if (g_cli.sweep > 0) return run_sweep(g_cli.sweep);
+    return run_scenario_table(pack);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "scenario error: %s\n", e.what());
     return 2;

@@ -81,7 +81,7 @@ void run_influx(const std::string& name, ExperimentConfig cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
                scaling_note(paper_fabric(Scheme::kParaleon, 71),

@@ -35,7 +35,7 @@ double algbw_for(Scheme scheme, std::int64_t per_pair_bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header(
       "Table II: alltoall out-of-place algbw (GB/s), Default vs Expert",

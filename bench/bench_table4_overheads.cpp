@@ -14,7 +14,7 @@ using namespace paraleon::bench;
 using namespace paraleon::runner;
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
+  const ObsCli cli = parse_bench_cli(argc, argv);
   const WallTimer wall;
   print_header("Table IV: PARALEON system overheads",
                scaling_note(paper_fabric(Scheme::kParaleon, 91),

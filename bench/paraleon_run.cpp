@@ -14,7 +14,9 @@
 // merged Perfetto timeline, and --perf-out writes a paraleon.bench.v1
 // document with the grid's wall time and per-cell metric values.
 // Per-run artifacts (--trace/--flight) are rejected in grid mode: cells
-// run concurrently and would collide on the output files.
+// run concurrently and would collide on the output files. The grid
+// artifacts (--grid-out/--grid-check/--fleet-out) are rejected on a
+// sweep-less scenario: there is no grid to write or re-run.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,6 +32,26 @@ using namespace paraleon::runner;
 namespace {
 
 ObsCli g_cli;
+std::string g_grid_out;     // --grid-out FILE; empty = <obs-out>/<name>
+bool g_grid_check = false;  // --grid-check
+
+/// Consumes the grid-only flags, which no other bench takes, from argv
+/// (in place) before the shared ObsCli parser sees it. Returns the new
+/// argc; a `--grid-out` missing its value is left for the usage check.
+int take_grid_flags(int argc, char** argv) {
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--grid-check") == 0) {
+      g_grid_check = true;
+    } else if (std::strcmp(argv[i], "--grid-out") == 0 && i + 1 < argc) {
+      g_grid_out = argv[++i];
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  for (int i = out; i < argc; ++i) argv[i] = nullptr;
+  return out;
+}
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -54,6 +76,14 @@ std::string coords_label(const scenario::GridCell& cell) {
 }
 
 int run_single(const scenario::Scenario& sc) {
+  if (!g_grid_out.empty() || g_grid_check || !g_cli.fleet_out.empty()) {
+    std::fprintf(stderr,
+                 "paraleon_run: --grid-out/--grid-check/--fleet-out are grid "
+                 "artifacts, but %s has no sweep section. Add a sweep or drop "
+                 "the flag.\n",
+                 sc.name.c_str());
+    return 2;
+  }
   ExperimentConfig cfg = scenario::to_experiment_config(sc);
   apply_obs_cli(g_cli, cfg);
   Experiment exp(cfg);
@@ -78,7 +108,7 @@ int run_single(const scenario::Scenario& sc) {
   if (!exp.flight_bundle_dir().empty()) {
     std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
   }
-  dump_obs(g_cli, exp, sc.name);
+  if (!dump_obs(g_cli, exp, sc.name)) return 1;
   if (!g_cli.perf_out.empty()) {
     TrendReport trend(sc.name);
     trend.add("metric_" + sc.metric.name, value);
@@ -124,10 +154,10 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
 
-  const std::string grid_path = g_cli.grid_out.empty()
+  const std::string grid_path = g_grid_out.empty()
                                     ? g_cli.out_dir + "/" + sc.name +
                                           ".grid.json"
-                                    : g_cli.grid_out;
+                                    : g_grid_out;
   grid.write(grid_path);
   std::printf("# grid: wrote %s\n", grid_path.c_str());
 
@@ -159,7 +189,7 @@ int run_grid_mode(const scenario::Scenario& sc) {
     write_trend(g_cli, trend);
   }
 
-  if (g_cli.grid_check) {
+  if (g_grid_check) {
     scenario::GridOptions serial = opts;
     serial.jobs = 1;
     serial.telemetry = nullptr;
@@ -181,6 +211,7 @@ int run_grid_mode(const scenario::Scenario& sc) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  argc = take_grid_flags(argc, argv);
   g_cli = parse_obs_cli(argc, argv);
   const int rest = strip_obs_cli(argc, argv);
   if (rest != 2 || argv[1][0] == '-') return usage(argv[0]);

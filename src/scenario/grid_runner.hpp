@@ -10,8 +10,8 @@
 // only under the "wall" subtree, which to_json(false) omits entirely — the
 // form the grid determinism test byte-compares across worker counts.
 //
-// Cell enumeration is row-major with the FIRST axis slowest, matching the
-// legacy fig13 bench's scheme-outer / scale-inner loop order.
+// Cell enumeration is row-major with the FIRST axis slowest, giving fig13
+// its scheme-outer / scale-inner table order.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +58,7 @@ struct GridOptions {
   /// the perf_counters flag, before the Experiment is built — how the
   /// benches layer their --trace/--flight CLI onto every cell. Anything
   /// it changes that alters telemetry (tracing schedules scrape events)
-  /// changes the cells' digests, so a parity oracle must apply the SAME
-  /// hook to its legacy config.
+  /// changes the cells' digests.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;
   /// Per-cell hook, called on the WORKER thread after the cell's run
   /// completes. Must not touch shared mutable state except through

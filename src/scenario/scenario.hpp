@@ -12,8 +12,9 @@
 //
 // Parity contract: `to_experiment_config` routes through the same
 // `apply_paper_defaults` the benches' paper_fabric() uses, so a scenario
-// that spells out the fig8/fig13 setups produces a byte-identical
-// ExperimentConfig — the run_digest parity the migrated benches assert.
+// that spells out the paper fabric produces a byte-identical
+// ExperimentConfig (tests/scenario_parity_test pins the fig8/fig13
+// digests).
 #pragma once
 
 #include <cstdint>
@@ -183,7 +184,8 @@ const std::vector<std::string>& param_override_keys();
 /// The shared paper-default block (Table III controller, SA schedule,
 /// agent thresholds) applied on top of an already-shaped clos config —
 /// the single source both bench::paper_fabric and scenarios route
-/// through, which is what makes scenario/legacy configs byte-identical.
+/// through, which is what makes scenario and hand-built configs
+/// byte-identical.
 void apply_paper_defaults(runner::ExperimentConfig& cfg);
 
 runner::Scheme scheme_from_name(const std::string& name);

@@ -3,6 +3,8 @@
 // committed scenario pack staying parseable in both full and tiny form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -159,17 +161,24 @@ TEST(GridDoc, AggregatesSummarizeTheCells) {
 }
 
 TEST(ScenarioPack, EveryCommittedFileParsesInBothForms) {
-  const std::string dir = PARALEON_SCENARIO_DIR;
-  for (const char* file : {"fig8_influx.json", "fig13_alltoall.json",
-                           "mixed_multitenant.json"}) {
+  // Enumerates the directory, so a file added to scenarios/ is parsed and
+  // grid-expanded here, full and tiny, by the parser every front door
+  // uses. A sweep is not required: paraleon_run runs sweep-less files.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(PARALEON_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 3u) << "the fig8/fig13/multitenant pack is gone";
+  for (const auto& file : files) {
     for (const bool tiny : {false, true}) {
-      const Scenario sc =
-          load_scenario_file(dir + "/" + file, tiny);
-      EXPECT_FALSE(sc.name.empty()) << file;
-      EXPECT_FALSE(sc.sweep.empty()) << file;
+      SCOPED_TRACE(file.string() + (tiny ? " (tiny)" : " (full)"));
+      const Scenario sc = load_scenario_file(file.string(), tiny);
+      EXPECT_FALSE(sc.name.empty());
       // Expansion re-validates every cell; a drifting sweep key in a
       // committed file fails here, not at bench runtime.
-      EXPECT_FALSE(expand_grid(sc).empty()) << file;
+      EXPECT_FALSE(expand_grid(sc).empty());
     }
   }
 }

@@ -1,17 +1,23 @@
-// Migration parity: the committed fig8/fig13 scenario files must
-// reproduce the legacy hand-wired bench setups (bench/legacy_setups.hpp)
-// bit for bit — same run_digest, same metric. This is the gate that lets
-// the scenario files become the single source of truth; if one of these
-// fails, a scenario file and the legacy builder have drifted apart.
+// Parity pins: the committed fig8/fig13 scenario files must keep running
+// the experiments the original hand-wired benches ran, bit for bit. The
+// digests below are those setups' --tiny run_digests, recorded before the
+// hand-wired builders were deleted; the scenario files are now the only
+// definition of these experiments, and a drifting file fails here.
+//
+// run_digest hashes simulator, host and switch counters only; the metric
+// window (`metric.from_ms`/`to_ms`) is applied afterwards. So each pin also
+// carries the cell's metric value — the figure's table value — read at the
+// same commit as the digest, as an exact hex-float literal.
 //
 // Runs use the --tiny shapes (16-host fig8, 60 ms fig13) to stay in
-// unit-test budget; the benches assert the same parity at full scale.
+// unit-test budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "legacy_setups.hpp"
 #include "scenario/grid_runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -21,6 +27,19 @@
 
 namespace paraleon::scenario {
 namespace {
+
+struct Pin {
+  std::uint64_t digest;
+  double value;
+};
+
+constexpr Pin kFig8Paraleon = {0xd80b5525d90defafull,
+                               0x1.f69ebed32139p+3};  // 15.7068781...
+constexpr Pin kFig8Default = {0x604992f50220dfd2ull,
+                              0x1.9dcd5fe28f555p+2};  // 6.46566006...
+// Mean throughput over the steady tail [20 ms, 60 ms) of the tiny run.
+constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
+                                   0x1.54d1e96c3fc43p+5};  // 42.602496
 
 std::string pack_path(const std::string& file) {
   return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
@@ -42,22 +61,19 @@ TEST(Fig8Parity, ScenarioCellsMatchTheLegacySetup) {
       load_scenario_file(pack_path("fig8_influx.json"), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
 
-  for (const char* scheme : {"paraleon", "default"}) {
-    runner::ExperimentConfig cfg = bench::legacy_fig8_config(
-        scheme_from_name(scheme), /*tiny=*/true);
-    runner::Experiment exp(cfg);
-    bench::legacy_fig8_workloads(exp, /*tiny=*/true);
-    exp.run();
-    const std::uint64_t legacy = runner::run_digest(exp);
-
+  const std::pair<const char*, Pin> pins[] = {
+      {"paraleon", kFig8Paraleon}, {"default", kFig8Default}};
+  for (const auto& [scheme, pin] : pins) {
     const GridCell* cell = find_cell(cells, [&](const Scenario& s) {
       return s.scheme.name == scheme;
     });
     ASSERT_NE(cell, nullptr);
     const CellResult result = run_cell(*cell, {});
-    EXPECT_EQ(result.digest, legacy)
-        << scheme << ": scenarios/fig8_influx.json drifted from "
-        << "bench/legacy_setups.hpp";
+    EXPECT_EQ(result.digest, pin.digest)
+        << scheme << ": scenarios/fig8_influx.json drifted from the "
+        << "pinned fig8 setup";
+    EXPECT_DOUBLE_EQ(result.value, pin.value)
+        << scheme << ": the fig8 table value moved";
   }
 }
 
@@ -66,26 +82,18 @@ TEST(Fig13Parity, ParaleonAtEightWorkersMatchesTheLegacySetup) {
       load_scenario_file(pack_path("fig13_alltoall.json"), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
 
-  runner::ExperimentConfig cfg = bench::legacy_fig13_config(
-      runner::Scheme::kParaleon, /*tiny=*/true);
-  runner::Experiment exp(cfg);
-  bench::legacy_fig13_workloads(exp, /*workers=*/8);
-  if (exp.controller() != nullptr) exp.controller()->force_trigger();
-  exp.run();
-  const std::uint64_t legacy = runner::run_digest(exp);
-  const double legacy_bw = exp.throughput_series().mean_in(
-      milliseconds(20), exp.config().duration);
-
   const GridCell* cell = find_cell(cells, [](const Scenario& s) {
     return s.scheme.name == "paraleon" && s.workload.front().workers == 8;
   });
   ASSERT_NE(cell, nullptr);
+  // The table value is the steady-tail mean: the window starts at 20 ms.
+  EXPECT_EQ(cell->scenario.metric.name, "tput_mean_gbps");
+  EXPECT_EQ(cell->scenario.metric.from_ms, 20.0);
   const CellResult result = run_cell(*cell, {});
-  EXPECT_EQ(result.digest, legacy)
-      << "scenarios/fig13_alltoall.json drifted from "
-      << "bench/legacy_setups.hpp";
-  // The scenario metric (tiny tail, from 20 ms) is the legacy table value.
-  EXPECT_DOUBLE_EQ(result.value, legacy_bw);
+  EXPECT_EQ(result.digest, kFig13ParaleonAt8.digest)
+      << "scenarios/fig13_alltoall.json drifted from the pinned fig13 setup";
+  EXPECT_DOUBLE_EQ(result.value, kFig13ParaleonAt8.value)
+      << "the fig13 table value (metric window or tiny overlay) moved";
 }
 
 TEST(MixedMultitenant, ExpandsToTheThreeAxisCrossProduct) {

@@ -8,7 +8,6 @@ Usage:
   validate_obs_json.py --bench BENCH_JSON
   validate_obs_json.py --fleet FLEET_JSON [TIMELINE_JSON]
   validate_obs_json.py --grid GRID_JSON
-  validate_obs_json.py --scenario SCENARIO_JSON
 
 OBS_JSON is the per-run obs report (runner::obs_report_json): the full
 counter registry, trace-recorder totals, tuning-episode timelines, the
@@ -36,9 +35,9 @@ scenario sweep): row-major cell enumeration against the axes' cross
 product (every coordinate present exactly once, in order), per-cell digest
 format and fct shape, aggregate consistency over the cells, and the
 deterministic/wall split (jobs and wall seconds only ever under "wall").
---scenario lints a scenarios/*.json file against the schema's key sets —
-the same unknown-key strictness the C++ parser enforces, with difflib
-"did you mean" suggestions, usable without building the simulator.
+Scenario files themselves are not checked here: the C++ parser in
+src/scenario is the only definition of that schema (run any file through
+bench/paraleon_run, or the ScenarioPack tests, to lint it).
 
 Exits nonzero with a message on the first violation, so the CI smoke job
 fails loudly when an emitter drifts from the documented schema.
@@ -674,175 +673,6 @@ def check_grid(path):
     return doc
 
 
-# ---------------------------------------------------------------------
-# Scenario-file lint: the C++ parser's key sets, mirrored so a scenario
-# can be checked without building the simulator. Kept in lockstep with
-# src/scenario/scenario.cpp (tests/scenario_test.cpp guards the C++ side;
-# the CI scenario-pack job runs both against the same files).
-# ---------------------------------------------------------------------
-
-SCENARIO_TOP_KEYS = {"name", "description", "seed", "duration_ms",
-                     "topology", "scheme", "workload", "metric", "sweep",
-                     "tiny"}
-
-SCENARIO_TOPOLOGY_KEYS = {
-    "spine_leaf": {"kind", "tors", "spines", "hosts_per_tor", "host_gbps",
-                   "oversubscription", "fabric_gbps", "prop_delay_us",
-                   "buffer_mb"},
-    "fat_tree": {"kind", "k", "host_gbps", "oversubscription",
-                 "prop_delay_us", "buffer_mb"},
-    "dumbbell": {"kind", "hosts_per_side", "host_gbps", "bottleneck_gbps",
-                 "prop_delay_us", "buffer_mb"},
-}
-
-SCENARIO_COMPONENT_KEYS = {
-    "alltoall": {"name", "tenant", "kind", "start_ms", "stop_ms",
-                 "workers", "placement", "hosts", "flow_kb",
-                 "off_period_ms", "max_rounds"},
-    "permutation": {"name", "tenant", "kind", "start_ms", "stop_ms",
-                    "seed", "workers", "placement", "hosts", "flow_kb",
-                    "period_ms", "max_rounds"},
-    "incast": {"name", "tenant", "kind", "start_ms", "stop_ms", "workers",
-               "placement", "hosts", "receiver", "flow_kb", "period_ms",
-               "max_rounds"},
-    "poisson": {"name", "tenant", "kind", "start_ms", "stop_ms", "seed",
-                "hosts", "sizes", "load"},
-}
-
-SCENARIO_SCHEMES = {
-    "default", "expert", "custom", "paraleon", "paraleon_naive_sa",
-    "paraleon_no_fsd", "paraleon_netflow", "paraleon_naive_sketch",
-    "paraleon_rnic_counters", "paraleon_per_pod", "acc", "dcqcn_plus",
-}
-
-SCENARIO_METRICS = {"tput_mean_gbps", "rtt_mean_us", "fct_p99_slowdown",
-                    "fct_mean_slowdown", "flows_finished"}
-
-SCENARIO_PARAM_KEYS = {
-    "agent.evict_after_idle", "agent.tau_kb",
-    "controller.blind_retrigger_mi", "controller.episode_cooldown_mi",
-    "controller.eval_mi_per_candidate", "controller.fsd_available",
-    "controller.fsd_ema", "controller.kl_theta", "controller.mi_us",
-    "controller.post_check_window_mi", "controller.revert_margin",
-    "controller.sa.acceptance_temp_scale", "controller.sa.cooling_rate",
-    "controller.sa.eta", "controller.sa.final_temp",
-    "controller.sa.guided", "controller.sa.initial_temp",
-    "controller.sa.total_iter_num", "controller.steady_retrigger_mi",
-    "controller.trigger_kick_steps", "controller.weights",
-    "dcqcn.ai_rate_mbps", "dcqcn.alpha_update_period_us",
-    "dcqcn.clamp_tgt_rate", "dcqcn.g", "dcqcn.hai_rate_mbps",
-    "dcqcn.initial_alpha", "dcqcn.kmax_kb", "dcqcn.kmin_kb",
-    "dcqcn.min_rate_mbps", "dcqcn.min_time_between_cnps_us", "dcqcn.pmax",
-    "dcqcn.rate_reduce_monitor_period_us", "dcqcn.rpg_byte_reset",
-    "dcqcn.rpg_threshold", "dcqcn.rpg_time_reset_us", "invariants.level",
-    "track_fsd_accuracy",
-}
-
-
-def reject_unknown_keys(obj, known, where):
-    import difflib
-    for key in obj:
-        if key not in known:
-            hint = difflib.get_close_matches(key, sorted(known), n=1)
-            suffix = f' — did you mean "{hint[0]}"?' if hint else ""
-            fail(f"{where}: unknown key {key!r}{suffix}")
-
-
-def check_scenario(path):
-    """Lints a scenarios/*.json file; returns (name, components, cells)."""
-    doc = load(path)
-    require(isinstance(doc, dict), f"{path}: the root must be an object")
-    reject_unknown_keys(doc, SCENARIO_TOP_KEYS, path)
-    require(isinstance(doc.get("name"), str) and doc["name"],
-            f"{path}: a scenario needs a nonempty 'name'")
-
-    topo = doc.get("topology", {})
-    require(isinstance(topo, dict), f"{path}: topology must be an object")
-    kind = topo.get("kind", "spine_leaf")
-    require(kind in SCENARIO_TOPOLOGY_KEYS,
-            f"{path}: unknown topology kind {kind!r}")
-    reject_unknown_keys(topo, SCENARIO_TOPOLOGY_KEYS[kind],
-                        f"{path}: topology")
-    require(not (topo.get("oversubscription") and topo.get("fabric_gbps")),
-            f"{path}: topology sets both oversubscription and fabric_gbps")
-
-    scheme = doc.get("scheme", {})
-    require(isinstance(scheme, dict), f"{path}: scheme must be an object")
-    reject_unknown_keys(scheme, {"name", "force_trigger", "params"},
-                        f"{path}: scheme")
-    scheme_name = scheme.get("name", "paraleon")
-    if scheme_name not in SCENARIO_SCHEMES:
-        import difflib
-        hint = difflib.get_close_matches(scheme_name,
-                                         sorted(SCENARIO_SCHEMES), n=1)
-        suffix = f' — did you mean "{hint[0]}"?' if hint else ""
-        fail(f"{path}: unknown scheme {scheme_name!r}{suffix}")
-    params = scheme.get("params", {})
-    require(isinstance(params, dict),
-            f"{path}: scheme.params must be an object")
-    reject_unknown_keys(params, SCENARIO_PARAM_KEYS,
-                        f"{path}: scheme.params")
-    if scheme_name != "custom":
-        for key in params:
-            require(not key.startswith("dcqcn."),
-                    f"{path}: scheme.params.{key} requires scheme "
-                    f"'custom'")
-
-    workload = doc.get("workload")
-    require(isinstance(workload, list) and workload,
-            f"{path}: 'workload' must be a nonempty component array")
-    names = set()
-    for i, comp in enumerate(workload):
-        where = f"{path}: workload[{i}]"
-        require(isinstance(comp, dict), f"{where}: must be an object")
-        name = comp.get("name")
-        require(isinstance(name, str) and name,
-                f"{where}: every component needs a 'name'")
-        require(name not in names, f"{where}: duplicate component name "
-                f"{name!r}")
-        names.add(name)
-        comp_kind = comp.get("kind")
-        require(comp_kind in SCENARIO_COMPONENT_KEYS,
-                f"{where}: unknown component kind {comp_kind!r}")
-        reject_unknown_keys(comp, SCENARIO_COMPONENT_KEYS[comp_kind],
-                            f"{path}: workload.{name}")
-        if comp_kind == "poisson" and "load" in comp:
-            require(0 < comp["load"] <= 1,
-                    f"{path}: workload.{name}.load must be in (0, 1]")
-
-    metric = doc.get("metric", {})
-    require(isinstance(metric, dict), f"{path}: metric must be an object")
-    reject_unknown_keys(metric, {"name", "from_ms", "to_ms"},
-                        f"{path}: metric")
-    metric_name = metric.get("name", "tput_mean_gbps")
-    require(metric_name in SCENARIO_METRICS,
-            f"{path}: unknown metric {metric_name!r}")
-
-    n_cells = 1
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        require(isinstance(sweep, dict) and set(sweep) == {"axes"},
-                f"{path}: sweep must hold exactly 'axes'")
-        require(isinstance(sweep["axes"], list) and sweep["axes"],
-                f"{path}: sweep.axes must be a nonempty list")
-        for i, axis in enumerate(sweep["axes"]):
-            where = f"{path}: sweep.axes[{i}]"
-            require(isinstance(axis, dict)
-                    and set(axis) == {"key", "values"},
-                    f"{where}: an axis holds exactly key+values")
-            require(isinstance(axis["key"], str) and axis["key"],
-                    f"{where}: needs a dotted 'key'")
-            require(isinstance(axis["values"], list) and axis["values"],
-                    f"{where}: values must be a nonempty array")
-            n_cells *= len(axis["values"])
-
-    tiny = doc.get("tiny")
-    if tiny is not None:
-        require(isinstance(tiny, dict),
-                f"{path}: tiny must be an object of dotted patches")
-    return doc["name"], len(workload), n_cells
-
-
 def check_obs(path):
     doc = load(path)
     for key in ("registry", "trace", "episodes", "fct", "perf"):
@@ -1068,12 +898,6 @@ def main():
         wall = " + wall" if "wall" in doc else ""
         print(f"validate_obs_json: grid file OK: {doc['scenario']}, "
               f"{len(doc['axes'])} axes, {len(doc['cells'])} cells{wall}")
-        return
-    if sys.argv[1] == "--scenario":
-        require(len(sys.argv) == 3, "--scenario takes exactly one file")
-        name, n_components, n_cells = check_scenario(sys.argv[2])
-        print(f"validate_obs_json: scenario file OK: {name}, "
-              f"{n_components} components, {n_cells} sweep cells")
         return
     if sys.argv[1] == "--fleet":
         require(len(sys.argv) in (3, 4),
