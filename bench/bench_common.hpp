@@ -7,6 +7,7 @@
 // presets are rescaled with dcqcn::scaled_for_line_rate (see DESIGN.md).
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -14,12 +15,13 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
-#include "scenario/scenario.hpp"
+#include "scenario/grid_runner.hpp"
 #include "stats/csv_export.hpp"
 #include "stats/percentile.hpp"
 
@@ -97,20 +99,16 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 ///
 /// Parallel-execution flags: `--jobs N` sets the thread-pool worker count
 /// benches pass to exec::parallel_map (0 = one per hardware thread,
-/// default 1 = serial), `--sweep N` asks a sweep-capable bench (fig8) to
-/// run N seeds serial-then-parallel and verify the digests match, and
-/// `--sweep-out FILE` writes that comparison as a JSON artifact.
+/// default 1 = serial), and `--sweep N` asks a sweep-capable bench (fig8)
+/// to run N seeds as a `seed` grid axis serial-then-parallel and verify
+/// the grid documents match. Both take a non-negative integer; anything
+/// else is left unconsumed, so the bench exits 2 with its usage line.
 ///
 /// Perf-trend flags: `--perf` enables the event-loop PerfMonitor
 /// (obs::PerfMonitor counters in the run's "perf" report section), and
 /// `--perf-out FILE` additionally writes the bench's metrics as one
 /// `paraleon.bench.v1` JSON document — the shape the committed
 /// BENCH_*.json baselines use and tools/bench_trend.py compares.
-///
-/// Fleet-observatory flag: `--fleet-out FILE` makes a sweep-capable bench
-/// write the sweep's `paraleon.fleet.v1` report (per-seed digest table,
-/// cross-run aggregates, worker utilization) to FILE plus the merged
-/// Perfetto timeline to FILE with a `.timeline.json` suffix.
 struct ObsCli {
   bool trace = false;
   bool tiny = false;
@@ -122,21 +120,7 @@ struct ObsCli {
   std::string perf_out;  // empty = no bench-trend artifact
   int jobs = 1;          // parallel_map worker count (0 = hardware)
   int sweep = 0;         // 0 = no sweep mode requested
-  std::string sweep_out; // empty = print only, no JSON artifact
-  std::string fleet_out; // empty = no fleet report artifact
 };
-
-/// The merged-timeline path derived from a `--fleet-out` path: strip one
-/// trailing ".json" and append ".timeline.json".
-inline std::string fleet_timeline_path(const std::string& fleet_out) {
-  const std::string suffix = ".json";
-  std::string base = fleet_out;
-  if (base.size() > suffix.size() &&
-      base.compare(base.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    base.resize(base.size() - suffix.size());
-  }
-  return base + ".timeline.json";
-}
 
 /// Path of a committed scenarios/ file. The bench CMake bakes the repo's
 /// scenarios/ directory in as PARALEON_SCENARIO_DIR so the benches find
@@ -150,67 +134,74 @@ inline std::string scenario_path(const std::string& file) {
 #endif
 }
 
+/// Parses a non-negative decimal int (the whole string, nothing else).
+inline bool parse_count(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Consumes the ObsCli flag at argv[*i] (and its value) into `cli`,
+/// advancing *i past the value. Returns false, consuming nothing, for an
+/// argument the shared parser does not own: an unknown one, a value flag
+/// without its value, or a `--jobs`/`--sweep` value that is not a
+/// non-negative integer.
+inline bool consume_obs_flag(ObsCli& cli, int argc, char** argv, int* i) {
+  const char* a = argv[*i];
+  const char* value = *i + 1 < argc ? argv[*i + 1] : nullptr;
+  const auto is = [a](const char* flag) { return std::strcmp(a, flag) == 0; };
+  if (is("--trace")) {
+    cli.trace = true;
+  } else if (is("--tiny")) {
+    cli.tiny = true;
+  } else if (is("--flight")) {
+    cli.flight = true;
+  } else if (is("--flight-fault")) {
+    cli.flight = true;
+    cli.flight_fault = true;
+  } else if (is("--perf")) {
+    cli.perf = true;
+  } else if (value == nullptr) {
+    return false;
+  } else if (is("--replay-flight")) {
+    cli.replay_bundle = value;
+    ++*i;
+  } else if (is("--perf-out")) {
+    cli.perf = true;
+    cli.perf_out = value;
+    ++*i;
+  } else if (is("--obs-out")) {
+    cli.out_dir = value;
+    ++*i;
+  } else if ((is("--jobs") && parse_count(value, &cli.jobs)) ||
+             (is("--sweep") && parse_count(value, &cli.sweep))) {
+    ++*i;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 inline ObsCli parse_obs_cli(int argc, char** argv) {
   ObsCli cli;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      cli.trace = true;
-    } else if (std::strcmp(argv[i], "--tiny") == 0) {
-      cli.tiny = true;
-    } else if (std::strcmp(argv[i], "--flight") == 0) {
-      cli.flight = true;
-    } else if (std::strcmp(argv[i], "--flight-fault") == 0) {
-      cli.flight = true;
-      cli.flight_fault = true;
-    } else if (std::strcmp(argv[i], "--replay-flight") == 0 && i + 1 < argc) {
-      cli.replay_bundle = argv[++i];
-    } else if (std::strcmp(argv[i], "--perf") == 0) {
-      cli.perf = true;
-    } else if (std::strcmp(argv[i], "--perf-out") == 0 && i + 1 < argc) {
-      cli.perf = true;
-      cli.perf_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-      cli.out_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      cli.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      cli.sweep = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep-out") == 0 && i + 1 < argc) {
-      cli.sweep_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--fleet-out") == 0 && i + 1 < argc) {
-      cli.fleet_out = argv[++i];
-    }
-  }
+  for (int i = 1; i < argc; ++i) consume_obs_flag(cli, argc, argv, &i);
   return cli;
 }
 
 /// Removes the ObsCli flags from argv (in place) so they can coexist with
 /// another flag parser — google-benchmark aborts on flags it does not
-/// know. A value flag without its value is left in place, like any other
-/// argument the shared parser did not consume. Returns the new argc.
+/// know. An argument the shared parser does not consume (see
+/// consume_obs_flag) is left in place. Returns the new argc.
 inline int strip_obs_cli(int argc, char** argv) {
-  const auto takes_value = [](const char* a) {
-    return std::strcmp(a, "--obs-out") == 0 ||
-           std::strcmp(a, "--replay-flight") == 0 ||
-           std::strcmp(a, "--perf-out") == 0 ||
-           std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "--sweep") == 0 ||
-           std::strcmp(a, "--sweep-out") == 0 ||
-           std::strcmp(a, "--fleet-out") == 0;
-  };
-  const auto is_flag = [](const char* a) {
-    return std::strcmp(a, "--trace") == 0 || std::strcmp(a, "--tiny") == 0 ||
-           std::strcmp(a, "--flight") == 0 ||
-           std::strcmp(a, "--flight-fault") == 0 ||
-           std::strcmp(a, "--perf") == 0;
-  };
+  ObsCli ignored;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (is_flag(argv[i])) continue;
-    if (takes_value(argv[i]) && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    argv[out++] = argv[i];
+    if (!consume_obs_flag(ignored, argc, argv, &i)) argv[out++] = argv[i];
   }
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
@@ -218,8 +209,9 @@ inline int strip_obs_cli(int argc, char** argv) {
 
 /// parse_obs_cli for a bench that takes no other arguments: anything the
 /// shared parser leaves behind (a typo, a deleted flag, a value flag
-/// missing its value) exits 2 with a usage line instead of running the
-/// default configuration the caller did not ask for.
+/// missing its value, a malformed count) exits 2 with a usage line
+/// instead of running the default configuration the caller did not ask
+/// for.
 inline ObsCli parse_bench_cli(int argc, char** argv) {
   const ObsCli cli = parse_obs_cli(argc, argv);
   if (strip_obs_cli(argc, argv) > 1) {
@@ -228,8 +220,8 @@ inline ObsCli parse_bench_cli(int argc, char** argv) {
         "%s: unexpected argument '%s'\n"
         "usage: %s [--tiny] [--jobs N] [--trace] [--obs-out DIR] [--perf]\n"
         "       [--perf-out FILE] [--flight] [--flight-fault]\n"
-        "       [--replay-flight DIR] [--sweep N] [--sweep-out FILE]\n"
-        "       [--fleet-out FILE]\n",
+        "       [--replay-flight DIR] [--sweep N]\n"
+        "N is a non-negative integer.\n",
         argv[0], argv[1], argv[0]);
     std::exit(2);
   }
@@ -292,6 +284,28 @@ inline bool dump_obs(const ObsCli& cli, const Experiment& exp,
     return false;
   }
   std::printf("# obs: wrote %s.{throughput,rtt,flows}.csv\n", base.c_str());
+  return true;
+}
+
+/// Writes a grid document to `path` and its Chrome-trace timeline next to
+/// it (`x.grid.json` -> `x.grid.timeline.json`). Returns false (after
+/// naming the files on stderr) when either could not be written.
+inline bool write_grid(const scenario::GridOutcome& grid,
+                       const std::string& path) {
+  const std::string suffix = ".json";
+  std::string timeline = path;
+  if (timeline.size() > suffix.size() &&
+      timeline.compare(timeline.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+    timeline.resize(timeline.size() - suffix.size());
+  }
+  timeline += ".timeline.json";
+  if (!grid.write(path) || !grid.write_timeline(timeline)) {
+    std::fprintf(stderr, "# grid: FAILED to write %s and %s\n", path.c_str(),
+                 timeline.c_str());
+    return false;
+  }
+  std::printf("# grid: wrote %s and %s\n", path.c_str(), timeline.c_str());
   return true;
 }
 
@@ -434,24 +448,6 @@ inline workload::PoissonConfig fb_hadoop(const Experiment& exp, double load,
   w.stop = stop;
   w.seed = seed;
   return w;
-}
-
-struct FctSummary {
-  double mice_avg = 0, mice_p999 = 0, eleph_avg = 0, eleph_p999 = 0;
-  std::size_t finished = 0, started = 0;
-};
-
-inline FctSummary summarize_fct(const Experiment& exp) {
-  FctSummary s;
-  const auto mice = exp.fct().slowdowns(0, 1 << 20);
-  const auto eleph = exp.fct().slowdowns(1 << 20, 1ll << 40);
-  s.mice_avg = stats::mean(mice);
-  s.mice_p999 = stats::quantile(mice, 0.999);
-  s.eleph_avg = stats::mean(eleph);
-  s.eleph_p999 = stats::quantile(eleph, 0.999);
-  s.finished = exp.fct().finished();
-  s.started = exp.fct().started();
-  return s;
 }
 
 }  // namespace paraleon::bench

@@ -8,20 +8,16 @@
 //
 // Every mode runs scenarios/fig8_influx.json: the scheme table through
 // the scenario engine's GridRunner (`--jobs N` fans the scheme cells
-// out), and the sweep / flight-fault / replay modes from the scenario's
-// `paraleon` cell.
-#include <chrono>
+// out), the sweep as the scenario's `paraleon` cell over a `seed` grid
+// axis, and the flight-fault / replay modes from the `paraleon` cell.
 #include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/parallel_sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "runner/flight.hpp"
 #include "scenario/flow_scheduler.hpp"
-#include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -114,108 +110,84 @@ int run_replay(const std::string& bundle) {
   return 0;
 }
 
-/// --sweep N: run the fig8 PARALEON cell over N seeds twice —
-/// once serial (jobs=1), once on the thread pool (--jobs, <=1 meaning one
-/// worker per hardware thread) — verify the per-seed run_digests are
-/// byte-identical, and report both wall-clocks. With --sweep-out FILE the
-/// comparison lands as a JSON artifact (the CI bench job archives it);
-/// with --fleet-out FILE the parallel leg is additionally scraped into a
-/// paraleon.fleet.v1 report plus the merged Perfetto timeline, and with
-/// --perf-out FILE the sweep's wall economics land as a paraleon.bench.v1
-/// document (the ungated sweep_* rows of BENCH_fig8.json).
-/// Exit nonzero on any digest mismatch: the determinism contract of
-/// docs/PARALLELISM.md, checked on the real bench workload.
+/// The `paraleon` cell with a `seed` axis of n values 100..100+n-1: a seed
+/// sweep is a grid like any other.
+scenario::Scenario seed_sweep(int n) {
+  using scenario::Json;
+  Json seeds = Json::make_array();
+  for (int i = 0; i < n; ++i) seeds.push_back(Json::make_int(100 + i));
+  Json axis = Json::make_object();
+  axis.set("key", Json::make_string("seed"));
+  axis.set("values", std::move(seeds));
+  Json axes = Json::make_array();
+  axes.push_back(std::move(axis));
+  Json sweep = Json::make_object();
+  sweep.set("axes", std::move(axes));
+  Json doc = g_paraleon.doc;
+  doc.set("sweep", std::move(sweep));
+  return scenario::parse_scenario(doc, g_paraleon.name + " seed sweep");
+}
+
+/// --sweep N: run the fig8 PARALEON cell over N seeds as a `seed` grid
+/// twice — once serial (jobs=1), once on the thread pool (--jobs, <=1
+/// meaning one worker per hardware thread) — and byte-compare the
+/// deterministic halves of the two grid documents, as paraleon_run
+/// --grid-check does. The parallel leg is written as
+/// <obs-out>/fig8_sweep.grid.json plus its timeline; with --perf-out the
+/// sweep's wall economics land as a paraleon.bench.v1 document (the
+/// ungated sweep_* rows of BENCH_fig8.json). Exit nonzero on a mismatch
+/// or a failed write: the determinism contract of docs/PARALLELISM.md,
+/// checked on the real bench workload.
 int run_sweep(int n) {
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < n; ++i) seeds.push_back(100 + static_cast<unsigned>(i));
-  const auto make = [](std::uint64_t seed) {
-    ExperimentConfig cfg = paraleon_config();
-    cfg.seed = seed;
-    return make_paraleon(std::move(cfg));
-  };
-  const auto metric = [](Experiment& exp) {
-    return exp.throughput_series().mean_in(0, exp.config().duration);
-  };
-  const bool want_fleet = !g_cli.fleet_out.empty();
-  const bool instrument = want_fleet || !g_cli.perf_out.empty();
+  const scenario::Scenario sweep = seed_sweep(n);
   obs::PoolTelemetry pool;
-  const auto timed = [&](int jobs, bool observe) {
-    exec::ParallelSweepConfig scfg;
-    scfg.jobs = jobs;
-    scfg.collect_obs = observe && want_fleet;
-    scfg.telemetry = observe ? &pool : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
-    exec::SweepOutcome out = exec::sweep_experiments(seeds, make, metric, scfg);
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    return std::make_pair(std::move(out), dt.count());
+  const auto timed = [&sweep](int jobs, obs::PoolTelemetry* telemetry) {
+    scenario::GridOptions opts;
+    opts.jobs = jobs;
+    opts.telemetry = telemetry;
+    opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+      apply_obs_cli(g_cli, cfg);
+    };
+    const WallTimer wall;
+    scenario::GridOutcome grid = scenario::run_grid(sweep, opts);
+    grid.set_wall_seconds(wall.seconds());
+    return grid;
   };
 
   const int par_jobs = g_cli.jobs <= 1 ? 0 : g_cli.jobs;
   std::printf("# sweep: %d seeds, serial then jobs=%d (0 = hardware)\n", n,
               par_jobs);
-  const auto [serial, serial_s] = timed(1, false);
-  const auto [parallel, parallel_s] = timed(par_jobs, instrument);
-
-  bool match = serial.runs.size() == parallel.runs.size();
-  for (std::size_t i = 0; match && i < serial.runs.size(); ++i) {
-    match = serial.runs[i].seed == parallel.runs[i].seed &&
-            serial.runs[i].digest == parallel.runs[i].digest;
+  const scenario::GridOutcome serial = timed(1, nullptr);
+  const scenario::GridOutcome parallel = timed(par_jobs, &pool);
+  for (const scenario::CellResult& r : parallel.results()) {
+    std::printf("# sweep: seed %llu %s %.4f digest %016llx\n",
+                static_cast<unsigned long long>(r.seed),
+                sweep.metric.name.c_str(), r.value,
+                static_cast<unsigned long long>(r.digest));
   }
+
+  const bool match = serial.to_json(false) == parallel.to_json(false);
+  const double serial_s = serial.wall_seconds();
+  const double parallel_s = parallel.wall_seconds();
   const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
   std::printf("# sweep: serial %.2fs, parallel %.2fs (%.2fx), digests %s\n",
               serial_s, parallel_s, speedup, match ? "MATCH" : "MISMATCH");
 
-  if (!g_cli.sweep_out.empty()) {
-    std::ofstream f(g_cli.sweep_out);
-    f << "{\n  \"bench\": \"fig8_sweep\",\n";
-    f << "  \"seeds\": " << n << ",\n";
-    f << "  \"jobs\": " << par_jobs << ",\n";
-    f << "  \"hardware_workers\": " << exec::ThreadPool::hardware_workers()
-      << ",\n";
-    f << "  \"serial_seconds\": " << serial_s << ",\n";
-    f << "  \"parallel_seconds\": " << parallel_s << ",\n";
-    f << "  \"speedup\": " << speedup << ",\n";
-    f << "  \"digests_match\": " << (match ? "true" : "false") << ",\n";
-    f << "  \"runs\": [";
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      f << (i ? "," : "") << "\n    {\"seed\": " << serial.runs[i].seed
-        << ", \"value\": " << serial.runs[i].value << ", \"digest\": \""
-        << std::hex << serial.runs[i].digest << std::dec << "\"}";
-    }
-    f << "\n  ]\n}\n";
-    std::printf("# sweep: wrote %s\n", g_cli.sweep_out.c_str());
-  }
-
-  // Worker utilization of the instrumented parallel leg: busy time over
-  // workers x wall window (100% = every worker busy for the whole sweep).
+  // Worker utilization of the parallel leg: busy time over workers x wall
+  // window (100% = every worker busy for the whole sweep).
   double busy_s = 0.0;
-  double util_pct = 0.0;
-  if (instrument) {
-    for (const auto& w : pool.worker_stats()) {
-      busy_s += static_cast<double>(w.busy_ns) / 1e9;
-    }
-    const double denom =
-        static_cast<double>(pool.workers()) * pool.wall_seconds();
-    util_pct = denom > 0.0 ? busy_s / denom * 100.0 : 0.0;
-    std::printf("# sweep: %d workers, %.1f%% busy, %llu jobs\n",
-                pool.workers(), util_pct,
-                static_cast<unsigned long long>(pool.jobs_completed()));
+  for (const auto& w : pool.worker_stats()) {
+    busy_s += static_cast<double>(w.busy_ns) / 1e9;
   }
+  const double denom =
+      static_cast<double>(pool.workers()) * pool.wall_seconds();
+  const double util_pct = denom > 0.0 ? busy_s / denom * 100.0 : 0.0;
+  std::printf("# sweep: %d workers, %.1f%% busy, %llu jobs\n",
+              pool.workers(), util_pct,
+              static_cast<unsigned long long>(pool.jobs_completed()));
 
-  if (want_fleet) {
-    runner::FleetReport fleet("fig8_sweep");
-    fleet.set_sweep_shape(seeds.size(), par_jobs,
-                          exec::ThreadPool::hardware_workers());
-    for (const auto& r : parallel.runs) {
-      fleet.add_run(r.seed, r.digest, r.value, r.scrape);
-    }
-    fleet.set_pool(&pool);
-    fleet.write(g_cli.fleet_out);
-    fleet.write_timeline(fleet_timeline_path(g_cli.fleet_out));
-    std::printf("# fleet: wrote %s and %s\n", g_cli.fleet_out.c_str(),
-                fleet_timeline_path(g_cli.fleet_out).c_str());
-  }
+  const bool wrote =
+      write_grid(parallel, g_cli.out_dir + "/fig8_sweep.grid.json");
 
   if (!g_cli.perf_out.empty()) {
     TrendReport trend("fig8_influx");
@@ -228,11 +200,11 @@ int run_sweep(int n) {
 
   if (!match) {
     std::fprintf(stderr,
-                 "sweep: parallel digests diverged from serial — the "
+                 "sweep: parallel grid diverged from serial — the "
                  "determinism contract is broken\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 /// The fig8 reporting phases.

@@ -8,22 +8,20 @@
 // anomaly bundles, --perf event-loop economics). A scenario WITH a sweep
 // runs the whole cross-product through the GridRunner and writes one
 // paraleon.grid.v1 document (default <obs-out>/<name>.grid.json, override
-// with --grid-out); --grid-check re-runs the grid serially and
-// byte-compares the deterministic half, --fleet-out renders the cell
-// table as a paraleon.fleet.v1 report (rows keyed by cell index) plus the
-// merged Perfetto timeline, and --perf-out writes a paraleon.bench.v1
-// document with the grid's wall time and per-cell metric values.
+// with --grid-out) plus its Perfetto timeline next to it
+// (<grid>.timeline.json); --grid-check re-runs the grid serially and
+// byte-compares the deterministic half, and --perf-out writes a
+// paraleon.bench.v1 document with the grid's wall time and per-cell
+// metric values. A failed write exits 1.
 // Per-run artifacts (--trace/--flight) are rejected in grid mode: cells
 // run concurrently and would collide on the output files. The grid
-// artifacts (--grid-out/--grid-check/--fleet-out) are rejected on a
-// sweep-less scenario: there is no grid to write or re-run.
+// artifacts (--grid-out/--grid-check) are rejected on a sweep-less
+// scenario: there is no grid to write or re-run.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "bench_common.hpp"
-#include "exec/thread_pool.hpp"
-#include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -58,29 +56,19 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s SCENARIO.json [--tiny] [--jobs N] [--obs-out DIR]\n"
       "       [--trace] [--flight] [--perf] [--perf-out FILE]\n"
-      "       [--grid-out FILE] [--grid-check] [--fleet-out FILE]\n"
+      "       [--grid-out FILE] [--grid-check]\n"
+      "N is a non-negative integer.\n"
       "See docs/SCENARIOS.md for the scenario schema and grid semantics.\n",
       argv0);
   return 2;
 }
 
-/// Renders a cell's coordinates as "key=value key=value" for the console.
-std::string coords_label(const scenario::GridCell& cell) {
-  std::string out;
-  for (const auto& [key, value] : cell.coords) {
-    if (!out.empty()) out += " ";
-    out += key + "=";
-    out += value.is_string() ? value.as_string() : value.dump();
-  }
-  return out.empty() ? std::string("-") : out;
-}
-
 int run_single(const scenario::Scenario& sc) {
-  if (!g_grid_out.empty() || g_grid_check || !g_cli.fleet_out.empty()) {
+  if (!g_grid_out.empty() || g_grid_check) {
     std::fprintf(stderr,
-                 "paraleon_run: --grid-out/--grid-check/--fleet-out are grid "
-                 "artifacts, but %s has no sweep section. Add a sweep or drop "
-                 "the flag.\n",
+                 "paraleon_run: --grid-out/--grid-check are grid artifacts, "
+                 "but %s has no sweep section. Add a sweep or drop the "
+                 "flag.\n",
                  sc.name.c_str());
     return 2;
   }
@@ -148,7 +136,7 @@ int run_grid_mode(const scenario::Scenario& sc) {
   for (std::size_t i = 0; i < grid.results().size(); ++i) {
     const scenario::CellResult& r = grid.results()[i];
     std::printf("%-5zu %-44s %14.4f %18llx\n", r.index,
-                coords_label(grid.cells()[i]).c_str(), r.value,
+                scenario::coords_label(grid.cells()[i]).c_str(), r.value,
                 static_cast<unsigned long long>(r.digest));
   }
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
@@ -158,24 +146,7 @@ int run_grid_mode(const scenario::Scenario& sc) {
                                     ? g_cli.out_dir + "/" + sc.name +
                                           ".grid.json"
                                     : g_grid_out;
-  grid.write(grid_path);
-  std::printf("# grid: wrote %s\n", grid_path.c_str());
-
-  if (!g_cli.fleet_out.empty()) {
-    // Cell table as a fleet report: rows keyed by CELL INDEX (cells share
-    // the scenario seed, and fleet rows key on the seed column).
-    runner::FleetReport fleet(sc.name);
-    fleet.set_sweep_shape(grid.results().size(), g_cli.jobs,
-                          exec::ThreadPool::hardware_workers());
-    for (const auto& r : grid.results()) {
-      fleet.add_run(r.index, r.digest, r.value, r.scrape);
-    }
-    fleet.set_pool(&pool);
-    fleet.write(g_cli.fleet_out);
-    fleet.write_timeline(fleet_timeline_path(g_cli.fleet_out));
-    std::printf("# fleet: wrote %s and %s\n", g_cli.fleet_out.c_str(),
-                fleet_timeline_path(g_cli.fleet_out).c_str());
-  }
+  if (!write_grid(grid, grid_path)) return 1;
 
   if (!g_cli.perf_out.empty()) {
     TrendReport trend(sc.name);

@@ -9,9 +9,9 @@
 //
 // A pool can report into an obs::PoolTelemetry (the fleet observatory):
 // each worker has a stable index, each job a pool-wide submission id, and
-// the pool calls the telemetry hooks around every job so the fleet report
+// the pool calls the telemetry hooks around every job so the grid document
 // can reconstruct per-worker utilization, queue-wait latency, and a
-// merged sweep timeline. The hooks are out-of-line calls into
+// merged grid timeline. The hooks are out-of-line calls into
 // obs/fleet.cpp — this header performs no clock reads itself, keeping the
 // wall-clock lint waiver confined to that TU. A null telemetry pointer
 // costs one predictable branch per job.

@@ -4,8 +4,8 @@
 
 // lint:allow-file(wall-clock) PoolTelemetry *is* the wall-clock layer for
 // the exec pool: busy/idle accounting, queue-wait latency, and job spans
-// measure OS scheduling, feed the fleet report's "wall" section and the
-// merged sweep timeline, and never any digest. All steady_clock reads in
+// measure OS scheduling, feed the grid document's "wall" section and the
+// merged grid timeline, and never any digest. All steady_clock reads in
 // the fleet observatory live in this TU; exec/thread_pool.hpp only calls
 // the out-of-line hooks below.
 

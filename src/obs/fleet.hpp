@@ -8,13 +8,14 @@
 // JobSet used to silently drop all but the first-submitted exception).
 //
 // Everything here is wall-clock data about OS scheduling, so none of it
-// is deterministic and none of it may ever feed run_digest. The fleet
-// report (runner::FleetReport) segregates it under a "wall" section the
-// same way paraleon.perf.v1 and paraleon.bench.v1 do; the deterministic
-// sweep surfaces (per-seed digests, aggregated counters) never pass
-// through this class. All clock reads live in fleet.cpp — the hooks the
-// pool calls are out-of-line on purpose, keeping the wall-clock lint
-// waiver confined to one TU (same pattern as perf.cpp).
+// is deterministic and none of it may ever feed run_digest. The grid
+// document (scenario::GridOutcome) segregates it under a "wall" section
+// the same way paraleon.perf.v1 and paraleon.bench.v1 do; the
+// deterministic cross-run surfaces (per-cell digests, aggregated
+// counters) never pass through this class. All clock reads live in
+// fleet.cpp — the hooks the pool calls are out-of-line on purpose,
+// keeping the wall-clock lint waiver confined to one TU (same pattern as
+// perf.cpp).
 //
 // Concurrency: hooks are called from every worker plus the submitting
 // thread, so state is mutex-guarded (compiler-checked). The cost is one
@@ -57,8 +58,7 @@ struct JobFailure {
 
 /// Speculation accounting for exec::ShadowFleet: how much shadow work the
 /// batched SA episode bought and wasted versus the serial chain. Pure
-/// function of window + config (simulated-event totals, not wall time),
-/// so it lives in the deterministic half of the fleet report.
+/// function of window + config (simulated-event totals, not wall time).
 struct SpeculationStats {
   std::int64_t proposed = 0;   // candidates from propose_batch
   std::int64_t evaluated = 0;  // shadow experiments run (incl. the seed)

@@ -1,27 +1,7 @@
-// Cross-run aggregation for sweeps: the paraleon.fleet.v1 report and the
-// merged sweep timeline.
-//
-// A sweep produces N per-seed Experiments plus one exec pool that ran
-// them. FleetReport merges both sides into a single document:
-//
-//   * Deterministic half — one row per run (seed, digest, metric value,
-//     event count, FCT slowdown summary) scraped via scrape_run(), plus
-//     min/mean/p95/max aggregates over every scraped instrument, the
-//     JobSet failure records, and ShadowFleet speculation accounting.
-//     At a fixed seed list this half is byte-identical across runs and
-//     worker counts (only the declared sweep-shape header records the
-//     requested job count); `to_json(false)` emits exactly it (the
-//     determinism test byte-compares that form).
-//   * Wall half — per-worker utilization, queue-wait histogram, per-job
-//     spans, and z-score stragglers from the obs::PoolTelemetry. All of
-//     it is OS-scheduling noise, so it lives in one "wall" subtree that
-//     the deterministic surfaces never read (the paraleon.bench.v1
-//     segregation discipline).
-//
-// timeline_json() renders the same spans as one Chrome-trace document:
-// a track per worker, an 'X' span per experiment, and 's'/'f' flow
-// arrows from submission to execution — drop it on https://ui.perfetto.dev
-// next to the per-run traces.
+// Per-run facts for cross-run documents: the deterministic scrape of one
+// finished Experiment, the min/mean/p95/max aggregate shape, and z-score
+// straggler detection over pool job spans. scenario::GridOutcome (the
+// paraleon.grid.v1 document) is the one consumer.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +16,8 @@ namespace paraleon::runner {
 
 class Experiment;
 
-/// The per-run facts a fleet report keeps: a deterministic scrape of one
-/// finished Experiment, cheap enough to take for every sweep job.
+/// The per-run facts a cross-run document keeps: a deterministic scrape
+/// of one finished Experiment, cheap enough to take for every grid cell.
 struct RunScrape {
   /// Full counter-registry snapshot (sorted map: name -> value).
   std::map<std::string, double> instruments;
@@ -51,7 +31,7 @@ struct RunScrape {
 /// slowdown stats). Deterministic for a given seed.
 RunScrape scrape_run(const Experiment& exp);
 
-/// min/mean/p95/max over one scraped quantity across the sweep's runs.
+/// min/mean/p95/max over one scraped quantity across a set of runs.
 struct FleetAggregate {
   double min = 0.0;
   double mean = 0.0;
@@ -72,76 +52,5 @@ struct Straggler {
 /// order. Exposed free for unit testing on synthetic spans.
 std::vector<Straggler> find_stragglers(
     const std::vector<obs::JobSpan>& spans, double z_threshold);
-
-/// Builder for one paraleon.fleet.v1 document. Typical use:
-///
-///   obs::PoolTelemetry pool;
-///   auto rows = exec::sweep_experiments(cfg, make, {.jobs = 4,
-///       .collect_obs = true, .telemetry = &pool});
-///   runner::FleetReport fleet("fig8_sweep");
-///   fleet.set_sweep_shape(seeds.size(), 4, hw);
-///   for (...) fleet.add_run(seed, digest, value, row.scrape);
-///   fleet.set_pool(&pool);
-///   fleet.write("fleet.json");
-///   fleet.write_timeline("fleet.timeline.json");
-class FleetReport {
- public:
-  explicit FleetReport(std::string name) : name_(std::move(name)) {}
-
-  /// Sweep shape facts for the header (jobs as requested; 0 = hardware).
-  void set_sweep_shape(std::size_t seeds, int jobs, int hardware_workers);
-
-  /// Appends one run row. Call in seed order: row order is part of the
-  /// deterministic byte surface.
-  void add_run(std::uint64_t seed, std::uint64_t digest, double value,
-               RunScrape scrape);
-
-  /// Attaches the exec telemetry (wall half + failure records). The
-  /// pointer must stay valid until the report is rendered.
-  void set_pool(const obs::PoolTelemetry* pool) { pool_ = pool; }
-
-  /// ShadowFleet speculation accounting (deterministic; all-zero when
-  /// never set).
-  void set_speculation(const obs::SpeculationStats& spec) { spec_ = spec; }
-
-  /// min/mean/p95/max per scraped quantity: every registry instrument
-  /// plus the reserved names metric_value, events_executed, fct.finished,
-  /// fct.slowdown_mean / _p95 / _p999.
-  std::map<std::string, FleetAggregate> aggregates() const;
-
-  /// Stragglers among the pool's completed job spans (empty without a
-  /// pool). Nondeterministic — rendered under "wall".
-  std::vector<Straggler> stragglers(double z_threshold = 2.0) const;
-
-  /// The paraleon.fleet.v1 document. include_wall=false omits the "wall"
-  /// subtree entirely — that form is byte-deterministic at a fixed seed
-  /// list regardless of worker count or machine.
-  std::string to_json(bool include_wall = true) const;
-
-  /// One merged Chrome-trace JSON: a metadata-named track per worker plus
-  /// a "submit" track, an 'X' span per job (named by seed when the job
-  /// order matches the run rows), and an 's'->'f' flow arrow from each
-  /// submission to its execution.
-  std::string timeline_json() const;
-
-  void write(const std::string& path) const;
-  void write_timeline(const std::string& path) const;
-
- private:
-  struct RunRow {
-    std::uint64_t seed = 0;
-    std::uint64_t digest = 0;
-    double value = 0.0;
-    RunScrape scrape;
-  };
-
-  std::string name_;
-  std::size_t sweep_seeds_ = 0;
-  int sweep_jobs_ = 1;
-  int hardware_workers_ = 0;
-  std::vector<RunRow> runs_;
-  const obs::PoolTelemetry* pool_ = nullptr;
-  obs::SpeculationStats spec_;
-};
 
 }  // namespace paraleon::runner

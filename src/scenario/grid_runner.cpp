@@ -27,6 +27,19 @@ Json slowdown_json(const stats::FctTracker::SlowdownStats& s) {
   return j;
 }
 
+Json count_json(std::uint64_t v) {
+  return Json::make_int(static_cast<std::int64_t>(v));
+}
+
+/// Wall-clock nanoseconds as Chrome-trace microseconds.
+Json us_json(std::int64_t ns) {
+  return Json::make_number(static_cast<double>(ns < 0 ? 0 : ns) / 1e3);
+}
+
+Json seconds_json(std::int64_t ns) {
+  return Json::make_number(static_cast<double>(ns) / 1e9);
+}
+
 Json aggregate_json(const runner::FleetAggregate& a) {
   Json j = Json::make_object();
   j.set("min", Json::make_number(a.min));
@@ -37,7 +50,98 @@ Json aggregate_json(const runner::FleetAggregate& a) {
   return j;
 }
 
+bool write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  return static_cast<bool>(out);
+}
+
+/// A Chrome-trace event on the grid's single process track.
+Json trace_event(const std::string& name, const char* ph, std::int64_t tid) {
+  Json ev = Json::make_object();
+  ev.set("name", Json::make_string(name));
+  ev.set("ph", Json::make_string(ph));
+  ev.set("pid", Json::make_int(0));
+  ev.set("tid", Json::make_int(tid));
+  return ev;
+}
+
+Json thread_name_event(std::int64_t tid, const std::string& name) {
+  Json ev = trace_event("thread_name", "M", tid);
+  Json args = Json::make_object();
+  args.set("name", Json::make_string(name));
+  ev.set("args", std::move(args));
+  return ev;
+}
+
+/// The wall-side pool facts: per-worker busy/idle, queue-wait histogram,
+/// job spans and z-score stragglers, added to `wall`.
+void add_pool_json(const obs::PoolTelemetry& pool, Json& wall) {
+  const auto workers = pool.worker_stats();
+  std::int64_t busy_ns = 0;
+  std::int64_t idle_ns = 0;
+  Json rows = Json::make_array();
+  for (const auto& w : workers) {
+    busy_ns += w.busy_ns;
+    idle_ns += w.idle_ns;
+    Json row = Json::make_object();
+    row.set("jobs", count_json(w.jobs));
+    row.set("busy_seconds", seconds_json(w.busy_ns));
+    row.set("idle_seconds", seconds_json(w.idle_ns));
+    rows.push_back(std::move(row));
+  }
+  Json summary = Json::make_object();
+  summary.set("workers", count_json(workers.size()));
+  summary.set("pool_wall_seconds", Json::make_number(pool.wall_seconds()));
+  summary.set("busy_seconds", seconds_json(busy_ns));
+  summary.set("idle_seconds", seconds_json(idle_ns));
+  summary.set("jobs_completed", count_json(pool.jobs_completed()));
+  wall.set("pool", std::move(summary));
+  wall.set("workers", std::move(rows));
+
+  // Log2 buckets up to the last nonempty one.
+  const std::vector<std::uint64_t> buckets = pool.queue_wait_log2_us();
+  std::size_t used = buckets.size();
+  while (used > 0 && buckets[used - 1] == 0) --used;
+  Json hist = Json::make_array();
+  for (std::size_t i = 0; i < used; ++i) hist.push_back(count_json(buckets[i]));
+  wall.set("queue_wait_log2_us", std::move(hist));
+
+  const std::vector<obs::JobSpan> spans = pool.spans();
+  Json span_rows = Json::make_array();
+  for (const auto& sp : spans) {
+    Json row = Json::make_object();
+    row.set("job", count_json(sp.job));
+    row.set("worker", Json::make_int(sp.worker));
+    row.set("submit_us", us_json(sp.submit_ns));
+    row.set("start_us", us_json(sp.start_ns));
+    row.set("end_us", us_json(sp.end_ns));
+    span_rows.push_back(std::move(row));
+  }
+  wall.set("spans", std::move(span_rows));
+
+  Json stragglers = Json::make_array();
+  for (const auto& st : runner::find_stragglers(spans, 2.0)) {
+    Json row = Json::make_object();
+    row.set("job", count_json(st.job));
+    row.set("z", Json::make_number(st.z));
+    row.set("seconds", Json::make_number(st.seconds));
+    stragglers.push_back(std::move(row));
+  }
+  wall.set("stragglers", std::move(stragglers));
+}
+
 }  // namespace
+
+std::string coords_label(const GridCell& cell) {
+  std::string out;
+  for (const auto& [key, value] : cell.coords) {
+    if (!out.empty()) out += " ";
+    out += key + "=";
+    out += value.is_string() ? value.as_string() : value.dump();
+  }
+  return out.empty() ? std::string("-") : out;
+}
 
 std::vector<GridCell> expand_grid(const Scenario& base) {
   const auto& axes = base.sweep;
@@ -214,35 +318,81 @@ std::string GridOutcome::to_json(bool include_wall) const {
     wall.set("jobs", Json::make_int(jobs_));
     wall.set("hardware_workers", Json::make_int(hardware_workers_));
     wall.set("wall_seconds", Json::make_number(wall_seconds_));
-    if (pool_ != nullptr) {
-      const auto workers = pool_->worker_stats();
-      std::int64_t busy_ns = 0;
-      std::int64_t idle_ns = 0;
-      for (const auto& w : workers) {
-        busy_ns += w.busy_ns;
-        idle_ns += w.idle_ns;
-      }
-      Json pool = Json::make_object();
-      pool.set("workers",
-               Json::make_int(static_cast<std::int64_t>(workers.size())));
-      pool.set("pool_wall_seconds",
-               Json::make_number(pool_->wall_seconds()));
-      pool.set("busy_seconds",
-               Json::make_number(static_cast<double>(busy_ns) / 1e9));
-      pool.set("idle_seconds",
-               Json::make_number(static_cast<double>(idle_ns) / 1e9));
-      pool.set("jobs_completed", Json::make_int(static_cast<std::int64_t>(
-                                     pool_->jobs_completed())));
-      wall.set("pool", std::move(pool));
-    }
+    if (pool_ != nullptr) add_pool_json(*pool_, wall);
     doc.set("wall", std::move(wall));
   }
   return doc.dump() + "\n";
 }
 
-void GridOutcome::write(const std::string& path, bool include_wall) const {
-  std::ofstream out(path);
-  out << to_json(include_wall);
+std::string GridOutcome::timeline_json() const {
+  Json events = Json::make_array();
+  // Track naming: pid 0 is the grid, tid 0 the submitting thread, tid
+  // w+1 worker w.
+  Json process = trace_event("process_name", "M", 0);
+  Json process_args = Json::make_object();
+  process_args.set("name", Json::make_string("grid:" + name_));
+  process.set("args", std::move(process_args));
+  events.push_back(std::move(process));
+  events.push_back(thread_name_event(0, "submit"));
+  const int workers = pool_ == nullptr ? 0 : pool_->workers();
+  for (int w = 0; w < workers; ++w) {
+    events.push_back(thread_name_event(w + 1, "worker " + std::to_string(w)));
+  }
+
+  const std::vector<obs::JobSpan> spans =
+      pool_ == nullptr ? std::vector<obs::JobSpan>{} : pool_->spans();
+  // parallel_map submits the cells in order, so when the pool ran exactly
+  // this grid, job i is cell i: label the span with its coordinates.
+  const bool by_cell = spans.size() == cells_.size();
+  for (const auto& sp : spans) {
+    const std::string label =
+        by_cell && sp.job < cells_.size()
+            ? "cell " + std::to_string(sp.job) + " " +
+                  coords_label(cells_[sp.job])
+            : "job " + std::to_string(sp.job);
+    const std::int64_t tid = sp.worker < 0 ? 0 : sp.worker + 1;
+    if (sp.submit_ns >= 0 && sp.start_ns >= 0) {
+      // Flow arrow: submission ('s' on the submit track) to execution
+      // ('f' on the worker track, binding point "e" = enclosing slice).
+      Json start = trace_event("dispatch", "s", 0);
+      start.set("cat", Json::make_string("grid"));
+      start.set("id", count_json(sp.job));
+      start.set("ts", us_json(sp.submit_ns));
+      events.push_back(std::move(start));
+    }
+    if (sp.start_ns < 0 || sp.end_ns < sp.start_ns) continue;
+    Json span = trace_event(label, "X", tid);
+    span.set("cat", Json::make_string("grid"));
+    span.set("ts", us_json(sp.start_ns));
+    span.set("dur", us_json(sp.end_ns - sp.start_ns));
+    Json args = Json::make_object();
+    args.set("job", count_json(sp.job));
+    args.set("queue_wait_us",
+             us_json(sp.submit_ns >= 0 ? sp.start_ns - sp.submit_ns : 0));
+    span.set("args", std::move(args));
+    events.push_back(std::move(span));
+    if (sp.submit_ns >= 0) {
+      Json finish = trace_event("dispatch", "f", tid);
+      finish.set("cat", Json::make_string("grid"));
+      finish.set("bp", Json::make_string("e"));
+      finish.set("id", count_json(sp.job));
+      finish.set("ts", us_json(sp.start_ns));
+      events.push_back(std::move(finish));
+    }
+  }
+
+  Json doc = Json::make_object();
+  doc.set("displayTimeUnit", Json::make_string("ms"));
+  doc.set("traceEvents", std::move(events));
+  return doc.dump() + "\n";
+}
+
+bool GridOutcome::write(const std::string& path) const {
+  return write_text(path, to_json(true));
+}
+
+bool GridOutcome::write_timeline(const std::string& path) const {
+  return write_text(path, timeline_json());
 }
 
 }  // namespace paraleon::scenario

@@ -1,14 +1,17 @@
 // GridRunner: expands a scenario's sweep section into its cross-product
 // of cells and runs every cell through exec::parallel_map, producing one
-// paraleon.grid.v1 document.
+// paraleon.grid.v1 document — the only cross-run document. A seed sweep is
+// a grid with a `seed` axis.
 //
-// Determinism contract (the same split paraleon.bench.v1 / fleet.v1 use):
-// the deterministic half — per-cell seed, run_digest, metric value, scrape
+// Determinism contract (the same split paraleon.bench.v1 uses): the
+// deterministic half — per-cell seed, run_digest, metric value, scrape
 // and the aggregates over them — is byte-identical at any --jobs setting
 // (jobs<=1 is exec::parallel_map's exact serial path; cells never share
-// state). The requested job count, pool utilization and wall seconds live
-// only under the "wall" subtree, which to_json(false) omits entirely — the
-// form the grid determinism test byte-compares across worker counts.
+// state). The requested job count, pool utilization, per-worker busy/idle,
+// queue waits, job spans, stragglers and wall seconds live only under the
+// "wall" subtree, which to_json(false) omits entirely — the form the grid
+// determinism test byte-compares across worker counts. timeline_json()
+// renders the same pool spans as one Chrome-trace document.
 //
 // Cell enumeration is row-major with the FIRST axis slowest, giving fig13
 // its scheme-outer / scale-inner table order.
@@ -17,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,10 @@ struct GridCell {
   std::vector<Json::Member> coords;
   Scenario scenario;
 };
+
+/// Renders a cell's coordinates as "key=value key=value" ("-" for the
+/// single cell of a sweep-less scenario).
+std::string coords_label(const GridCell& cell);
 
 /// The deterministic facts of one finished cell.
 struct CellResult {
@@ -84,15 +92,26 @@ class GridOutcome {
   void set_wall_seconds(double s) { wall_seconds_ = s; }
   double wall_seconds() const { return wall_seconds_; }
 
-  /// min/mean/p95/max over every scraped instrument plus metric_value,
-  /// events_executed and the fct.* summary — same reserved names as the
-  /// fleet report.
+  /// min/mean/p95/max over every scraped instrument plus the reserved
+  /// names metric_value, events_executed, fct.finished and
+  /// fct.slowdown_mean / _p95 / _p999.
   std::map<std::string, runner::FleetAggregate> aggregates() const;
 
   /// The paraleon.grid.v1 document. include_wall=false omits the "wall"
   /// subtree — byte-deterministic at any job count.
   std::string to_json(bool include_wall = true) const;
-  void write(const std::string& path, bool include_wall = true) const;
+
+  /// One Chrome-trace document of the pool that ran the cells (drop it
+  /// on https://ui.perfetto.dev): a named track per worker plus a
+  /// "submit" track, an 'X' span per cell, and an 's'->'f' flow arrow
+  /// from each submission to its execution. Just the track header when
+  /// no pool ran (jobs <= 1, or no telemetry).
+  std::string timeline_json() const;
+
+  /// Write to_json(true) / timeline_json() to `path`; false when the
+  /// file could not be written.
+  bool write(const std::string& path) const;
+  bool write_timeline(const std::string& path) const;
 
  private:
   std::string name_;

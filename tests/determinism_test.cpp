@@ -11,10 +11,10 @@
 #include "check/invariant_checker.hpp"
 #include "core/param_space.hpp"
 #include "core/sa_tuner.hpp"
-#include "exec/parallel_sweep.hpp"
 #include "exec/shadow_fleet.hpp"
 #include "obs/episode_log.hpp"
 #include "runner/experiment.hpp"
+#include "scenario/grid_runner.hpp"
 
 namespace paraleon {
 namespace {
@@ -222,46 +222,38 @@ TEST(Determinism, TracingIsObservationOnly) {
 
 // ---- parallel execution determinism ----
 
-exec::SweepOutcome digest_sweep(int jobs) {
-  exec::ParallelSweepConfig scfg;
-  scfg.jobs = jobs;
-  return exec::sweep_experiments(
-      {101, 102, 103, 104},
-      [](std::uint64_t seed) {
-        ExperimentConfig cfg = base_config(Scheme::kParaleon, seed);
-        cfg.duration = milliseconds(10);
-        auto exp = std::make_unique<Experiment>(std::move(cfg));
-        workload::PoissonConfig w;
-        w.hosts = exp->all_hosts();
-        w.sizes = &workload::solar_rpc_distribution();
-        w.load = 0.4;
-        w.stop = milliseconds(8);
-        w.seed = seed;
-        exp->add_poisson(w);
-        return exp;
-      },
-      [](Experiment& exp) {
-        return static_cast<double>(exp.fct().finished());
-      },
-      scfg);
-}
-
-TEST(Determinism, ParallelSweepDigestsByteIdenticalAcrossWorkerCounts) {
-  // The tentpole contract: a sweep's per-seed run_digests are a pure
-  // function of the seeds, whatever the worker count. jobs=1 is the old
-  // serial for-loop; 2 and 8 exercise real pools (8 > seed count forces
-  // the more-workers-than-jobs path).
-  const auto serial = digest_sweep(1);
-  ASSERT_EQ(serial.runs.size(), 4u);
+TEST(Determinism, SeedAxisGridDigestsByteIdenticalAcrossWorkerCounts) {
+  // A seed sweep is a grid with a `seed` axis; its per-cell run_digests
+  // are a pure function of the seeds, whatever the worker count. jobs=1 is
+  // the serial for-loop; 2 and 8 exercise real pools (8 > cell count
+  // forces the more-workers-than-jobs path).
+  const scenario::Scenario sc = scenario::parse_scenario_text(R"({
+    "name": "seed_axis",
+    "duration_ms": 10,
+    "topology": {"kind": "spine_leaf", "tors": 2, "spines": 2,
+                 "hosts_per_tor": 4, "host_gbps": 10, "fabric_gbps": 10,
+                 "prop_delay_us": 2},
+    "scheme": {"name": "paraleon"},
+    "workload": [{"name": "rpc", "kind": "poisson", "sizes": "solar_rpc",
+                  "load": 0.4, "stop_ms": 8}],
+    "metric": {"name": "flows_finished"},
+    "sweep": {"axes": [{"key": "seed", "values": [101, 102, 103, 104]}]}
+  })");
+  scenario::GridOptions opts;
+  opts.jobs = 1;
+  const scenario::GridOutcome serial = scenario::run_grid(sc, opts);
+  ASSERT_EQ(serial.results().size(), 4u);
   for (const int jobs : {2, 8}) {
-    const auto parallel = digest_sweep(jobs);
-    ASSERT_EQ(parallel.runs.size(), serial.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      EXPECT_EQ(parallel.runs[i].seed, serial.runs[i].seed);
-      EXPECT_DOUBLE_EQ(parallel.runs[i].value, serial.runs[i].value);
-      EXPECT_EQ(parallel.runs[i].digest, serial.runs[i].digest)
-          << "jobs=" << jobs << " seed=" << serial.runs[i].seed;
+    opts.jobs = jobs;
+    const scenario::GridOutcome parallel = scenario::run_grid(sc, opts);
+    ASSERT_EQ(parallel.results().size(), serial.results().size());
+    for (std::size_t i = 0; i < serial.results().size(); ++i) {
+      EXPECT_EQ(parallel.results()[i].seed, 101u + i);
+      EXPECT_EQ(parallel.results()[i].digest, serial.results()[i].digest)
+          << "jobs=" << jobs << " seed=" << serial.results()[i].seed;
     }
+    EXPECT_EQ(parallel.to_json(false), serial.to_json(false))
+        << "jobs=" << jobs;
   }
 }
 

@@ -1,6 +1,6 @@
 // The parallel execution subsystem: pool/JobSet ordering and exception
 // semantics, the parallel_map serial-equivalence contract, per-job
-// Experiment isolation and the digest-capturing sweep driver.
+// Experiment isolation and the shadow fleet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "exec/parallel_map.hpp"
-#include "exec/parallel_sweep.hpp"
 #include "exec/shadow_fleet.hpp"
 #include "exec/thread_pool.hpp"
 #include "runner/experiment.hpp"
-#include "runner/sweep.hpp"
 
 namespace paraleon {
 namespace {
@@ -179,84 +177,6 @@ TEST(ExecIsolation, TwoExperimentsMayRunOnTwoThreads) {
   EXPECT_EQ(got_a, ref_a);
   EXPECT_EQ(got_b, ref_b);
   EXPECT_NE(got_a, got_b);
-}
-
-// ---- sweep_experiments ----
-
-exec::SweepOutcome sweep_with_jobs(int jobs) {
-  exec::ParallelSweepConfig cfg;
-  cfg.jobs = jobs;
-  return exec::sweep_experiments(
-      {21, 22, 23, 24, 25},
-      [](std::uint64_t seed) {
-        auto exp =
-            std::make_unique<Experiment>(tiny_config(Scheme::kParaleon, seed));
-        workload::PoissonConfig w;
-        w.hosts = exp->all_hosts();
-        w.sizes = &workload::solar_rpc_distribution();
-        w.load = 0.3;
-        w.stop = milliseconds(6);
-        w.seed = seed;
-        exp->add_poisson(w);
-        return exp;
-      },
-      [](Experiment& exp) {
-        return static_cast<double>(exp.fct().finished());
-      });
-}
-
-TEST(ParallelSweep, CapturesPerSeedValuesAndDigestsInSeedOrder) {
-  const auto out = sweep_with_jobs(1);
-  ASSERT_EQ(out.runs.size(), 5u);
-  EXPECT_EQ(out.stats.n, 5u);
-  for (std::size_t i = 0; i < out.runs.size(); ++i) {
-    EXPECT_EQ(out.runs[i].seed, 21u + i);
-    EXPECT_NE(out.runs[i].digest, 0u);
-  }
-  EXPECT_EQ(out.values().size(), 5u);
-}
-
-TEST(ParallelSweep, ParallelOutcomeIsByteIdenticalToSerial) {
-  const auto serial = sweep_with_jobs(1);
-  const auto parallel = sweep_with_jobs(4);
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(serial.runs[i].seed, parallel.runs[i].seed);
-    EXPECT_DOUBLE_EQ(serial.runs[i].value, parallel.runs[i].value);
-    EXPECT_EQ(serial.runs[i].digest, parallel.runs[i].digest) << "seed "
-        << serial.runs[i].seed;
-  }
-  EXPECT_DOUBLE_EQ(serial.stats.mean, parallel.stats.mean);
-}
-
-TEST(ParallelSweep, DigestCaptureCanBeDisabled) {
-  exec::ParallelSweepConfig cfg;
-  cfg.capture_digests = false;
-  const auto out = exec::sweep_experiments(
-      {31},
-      [](std::uint64_t seed) {
-        return std::make_unique<Experiment>(
-            tiny_config(Scheme::kDefaultStatic, seed));
-      },
-      [](Experiment&) { return 1.0; }, cfg);
-  ASSERT_EQ(out.runs.size(), 1u);
-  EXPECT_EQ(out.runs[0].digest, 0u);
-}
-
-// ---- sweep_seeds routing through the pool ----
-
-TEST(SweepSeeds, ParallelJobsMatchSerialValues) {
-  const auto metric = [](std::uint64_t seed) {
-    return static_cast<double>(run_one(Scheme::kDefaultStatic, seed) % 1000);
-  };
-  const std::vector<std::uint64_t> seeds{41, 42, 43, 44};
-  const auto serial_values = runner::sweep_values(seeds, metric, 1);
-  const auto parallel_values = runner::sweep_values(seeds, metric, 4);
-  EXPECT_EQ(serial_values, parallel_values);
-  const auto s1 = runner::sweep_seeds(seeds, metric, 1);
-  const auto s4 = runner::sweep_seeds(seeds, metric, 4);
-  EXPECT_DOUBLE_EQ(s1.mean, s4.mean);
-  EXPECT_DOUBLE_EQ(s1.stddev, s4.stddev);
 }
 
 // ---- ShadowFleet ----

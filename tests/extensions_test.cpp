@@ -1,15 +1,13 @@
 // Tests for the §V extensions and supporting utilities: scoped monitoring
 // and per-pod controllers, RNIC-counter monitoring, the clamp_tgt_rate
-// knob, per-channel RNIC counters, QP keys, CSV export, and seed sweeps.
+// knob, per-channel RNIC counters, QP keys, and CSV export.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "runner/experiment.hpp"
-#include "runner/sweep.hpp"
 #include "stats/csv_export.hpp"
-#include "stats/percentile.hpp"
 
 namespace paraleon {
 namespace {
@@ -232,42 +230,6 @@ TEST(CsvExport, FlowsSkipUnfinished) {
 TEST(CsvExport, FailsOnBadPath) {
   EXPECT_FALSE(
       stats::write_timeseries_csv("/nonexistent/dir/x.csv", {}));
-}
-
-TEST(SweepSeeds, Aggregates) {
-  const auto s = runner::sweep_seeds({1, 2, 3, 4}, [](std::uint64_t seed) {
-    return static_cast<double>(seed);
-  });
-  EXPECT_EQ(s.n, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, 1.2909944, 1e-6);
-}
-
-TEST(SweepSeeds, EmptyIsZero) {
-  const auto s = runner::sweep_seeds({}, [](std::uint64_t) { return 1.0; });
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(SweepSeeds, DeterministicExperimentGivesZeroVarianceOnSameSeed) {
-  const auto metric = [](std::uint64_t seed) {
-    ExperimentConfig cfg = pod_config(Scheme::kDefaultStatic);
-    cfg.seed = seed;
-    Experiment exp(cfg);
-    workload::PoissonConfig w;
-    w.hosts = exp.all_hosts();
-    w.sizes = &workload::solar_rpc_distribution();
-    w.load = 0.2;
-    w.stop = milliseconds(20);
-    w.seed = seed;
-    exp.add_poisson(w);
-    exp.run();
-    return stats::mean(exp.fct().slowdowns(0, 1ll << 40));
-  };
-  const auto s = runner::sweep_seeds({7, 7, 7}, metric);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
 
 }  // namespace

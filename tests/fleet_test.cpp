@@ -1,8 +1,8 @@
 // The fleet observatory: PoolTelemetry accounting through ThreadPool /
-// JobSet, all-failure recording, straggler flagging, FleetReport
-// aggregation math on synthetic scrapes, the deterministic byte surface
-// of paraleon.fleet.v1, the merged sweep timeline, and ShadowFleet
+// JobSet, all-failure recording, straggler flagging, and ShadowFleet
 // speculation accounting (K=1 wastes nothing, K>1 prices the surplus).
+// The grid document and timeline built from this telemetry are tested in
+// scenario_grid_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_sweep.hpp"
 #include "exec/shadow_fleet.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/fleet.hpp"
@@ -27,15 +26,6 @@ namespace {
 using runner::Experiment;
 using runner::ExperimentConfig;
 using runner::Scheme;
-
-std::size_t count_substr(const std::string& hay, const std::string& needle) {
-  std::size_t n = 0;
-  for (std::size_t pos = hay.find(needle); pos != std::string::npos;
-       pos = hay.find(needle, pos + needle.size())) {
-    ++n;
-  }
-  return n;
-}
 
 // ---- PoolTelemetry accounting ----
 
@@ -145,7 +135,7 @@ TEST(JobSet, RecordsEveryFailureNotJustTheFirst) {
   EXPECT_EQ(failures[0].message, "boom 1");
   EXPECT_EQ(failures[1].message, "boom 2");
   EXPECT_EQ(failures[2].message, "boom 3");
-  // Forwarded into the pool telemetry for the fleet report.
+  // Forwarded into the pool telemetry.
   EXPECT_EQ(tm.failure_count(), 3u);
   EXPECT_EQ(tm.failures().size(), 3u);
 }
@@ -172,7 +162,7 @@ TEST(JobSet, FailureRecordsAccumulateAcrossBatches) {
   EXPECT_THROW(set.wait_all(), std::runtime_error);
   EXPECT_EQ(set.failure_count(), 1u);
   // A clean follow-up batch succeeds; the record of the earlier failure
-  // survives for the fleet report.
+  // survives in the pool telemetry.
   set.submit([] { return 7; });
   EXPECT_EQ(set.wait_all(), std::vector<int>{7});
   EXPECT_EQ(set.failure_count(), 1u);
@@ -219,70 +209,7 @@ TEST(FindStragglers, NeedsAtLeastTwoCompletedSpans) {
       runner::find_stragglers({span(0, 0, 100), queued}, 0.0).empty());
 }
 
-// ---- FleetReport aggregation math on synthetic scrapes ----
-
-runner::RunScrape synthetic_scrape(double counter, std::uint64_t events,
-                                   double slow_mean) {
-  runner::RunScrape s;
-  s.instruments["pfc.pause_total"] = counter;
-  s.events_executed = events;
-  s.slowdown.count = 10;
-  s.slowdown.mean = slow_mean;
-  s.slowdown.p95 = slow_mean * 2;
-  s.slowdown.p999 = slow_mean * 3;
-  s.flows_finished = 10;
-  s.flows_started = 12;
-  return s;
-}
-
-TEST(FleetReport, AggregatesMinMeanP95MaxOverRuns) {
-  runner::FleetReport fleet("synthetic");
-  fleet.set_sweep_shape(4, 2, 8);
-  fleet.add_run(1, 0x1111, 10.0, synthetic_scrape(1.0, 100, 1.0));
-  fleet.add_run(2, 0x2222, 20.0, synthetic_scrape(2.0, 200, 1.5));
-  fleet.add_run(3, 0x3333, 30.0, synthetic_scrape(3.0, 300, 2.0));
-  fleet.add_run(4, 0x4444, 40.0, synthetic_scrape(4.0, 400, 2.5));
-  const auto aggs = fleet.aggregates();
-  // One row per instrument plus the six reserved quantities.
-  ASSERT_EQ(aggs.size(), 7u);
-  const auto& counter = aggs.at("pfc.pause_total");
-  EXPECT_DOUBLE_EQ(counter.min, 1.0);
-  EXPECT_DOUBLE_EQ(counter.mean, 2.5);
-  EXPECT_DOUBLE_EQ(counter.max, 4.0);
-  EXPECT_EQ(counter.n, 4u);
-  EXPECT_GE(counter.p95, counter.mean);
-  EXPECT_LE(counter.p95, counter.max);
-  const auto& value = aggs.at("metric_value");
-  EXPECT_DOUBLE_EQ(value.min, 10.0);
-  EXPECT_DOUBLE_EQ(value.mean, 25.0);
-  EXPECT_DOUBLE_EQ(value.max, 40.0);
-  EXPECT_DOUBLE_EQ(aggs.at("events_executed").mean, 250.0);
-  EXPECT_DOUBLE_EQ(aggs.at("fct.slowdown_mean").max, 2.5);
-  EXPECT_DOUBLE_EQ(aggs.at("fct.finished").min, 10.0);
-}
-
-TEST(FleetReport, JsonCarriesRunsFailuresAndAggregates) {
-  runner::FleetReport fleet("synthetic");
-  fleet.set_sweep_shape(2, 1, 4);
-  fleet.add_run(7, 0xabcdef, 1.0, synthetic_scrape(1.0, 100, 1.0));
-  fleet.add_run(8, 0x123456, 2.0, synthetic_scrape(2.0, 200, 1.5));
-  const std::string json = fleet.to_json(false);
-  EXPECT_NE(json.find("\"schema\": \"paraleon.fleet.v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"fleet\": \"synthetic\""), std::string::npos);
-  EXPECT_NE(json.find("\"digest\": \"0000000000abcdef\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"failures\": {\"count\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"speculation\": {\"proposed\": 0"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"pfc.pause_total\": {\"min\": 1"),
-            std::string::npos);
-  EXPECT_EQ(count_substr(json, "\"seed\": "), 2u);
-  // include_wall=false must omit the wall subtree entirely.
-  EXPECT_EQ(json.find("\"wall\""), std::string::npos);
-}
-
-// ---- the deterministic byte surface over a real sweep ----
+// ---- ShadowFleet speculation accounting ----
 
 ExperimentConfig tiny_config(std::uint64_t seed) {
   ExperimentConfig cfg;
@@ -297,85 +224,6 @@ ExperimentConfig tiny_config(std::uint64_t seed) {
   cfg.seed = seed;
   return cfg;
 }
-
-runner::FleetReport sweep_fleet(int jobs, obs::PoolTelemetry* tm) {
-  exec::ParallelSweepConfig cfg;
-  cfg.jobs = jobs;
-  cfg.collect_obs = true;
-  cfg.telemetry = tm;
-  const auto out = exec::sweep_experiments(
-      {61, 62, 63},
-      [](std::uint64_t seed) {
-        auto exp = std::make_unique<Experiment>(tiny_config(seed));
-        workload::PoissonConfig w;
-        w.hosts = exp->all_hosts();
-        w.sizes = &workload::solar_rpc_distribution();
-        w.load = 0.3;
-        w.stop = milliseconds(6);
-        w.seed = seed;
-        exp->add_poisson(w);
-        return exp;
-      },
-      [](Experiment& exp) {
-        return static_cast<double>(exp.fct().finished());
-      },
-      cfg);
-  runner::FleetReport fleet("fleet_test");
-  fleet.set_sweep_shape(3, jobs, 8);
-  for (const auto& run : out.runs) {
-    fleet.add_run(run.seed, run.digest, run.value, run.scrape);
-  }
-  if (tm != nullptr) fleet.set_pool(tm);
-  return fleet;
-}
-
-TEST(FleetReport, DeterministicHalfIsByteIdenticalAcrossWorkerCounts) {
-  obs::PoolTelemetry tm1, tm4;
-  const runner::FleetReport serial = sweep_fleet(1, &tm1);
-  const runner::FleetReport parallel = sweep_fleet(4, &tm4);
-  const std::string a = serial.to_json(false);
-  std::string b = parallel.to_json(false);
-  // The declared sweep shape honestly records the requested job count;
-  // everything else — runs, digests, aggregates — must match to the byte.
-  const std::string::size_type at = b.find("\"jobs\": 4");
-  ASSERT_NE(at, std::string::npos);
-  b.replace(at, 9, "\"jobs\": 1");
-  EXPECT_EQ(a, b);  // the whole point of the wall segregation
-  EXPECT_EQ(a.find("\"wall\""), std::string::npos);
-  // The wall-full forms carry the pool subtree but share the prefix up
-  // to the wall key (same deterministic half).
-  const std::string wall = parallel.to_json(true);
-  EXPECT_NE(wall.find("\"wall\""), std::string::npos);
-  EXPECT_NE(wall.find("\"busy_seconds\""), std::string::npos);
-}
-
-// ---- the merged sweep timeline ----
-
-TEST(FleetReport, TimelineHasOneTrackPerWorkerAndOneSpanPerJob) {
-  obs::PoolTelemetry tm;
-  const runner::FleetReport fleet = sweep_fleet(2, &tm);
-  const std::string trace = fleet.timeline_json();
-  // One process_name, a submit track, and one thread_name per worker.
-  EXPECT_EQ(count_substr(trace, "\"process_name\""), 1u);
-  EXPECT_EQ(count_substr(trace, "\"thread_name\""),
-            1u + static_cast<std::size_t>(tm.workers()));
-  // One 'X' span per job, labelled by seed, each with a flow arrow pair.
-  EXPECT_EQ(count_substr(trace, "\"ph\": \"X\""), 3u);
-  EXPECT_EQ(count_substr(trace, "\"ph\": \"s\""), 3u);
-  EXPECT_EQ(count_substr(trace, "\"ph\": \"f\""), 3u);
-  EXPECT_EQ(count_substr(trace, "\"bp\": \"e\""), 3u);
-  EXPECT_NE(trace.find("\"name\": \"seed 61\""), std::string::npos);
-  EXPECT_NE(trace.find("\"name\": \"seed 63\""), std::string::npos);
-}
-
-TEST(FleetReport, TimelineWithoutPoolIsJustTheHeader) {
-  runner::FleetReport fleet("empty");
-  const std::string trace = fleet.timeline_json();
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_EQ(count_substr(trace, "\"ph\": \"X\""), 0u);
-}
-
-// ---- ShadowFleet speculation accounting ----
 
 exec::ShadowWindow tiny_window() {
   exec::ShadowWindow w;

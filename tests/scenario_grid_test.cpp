@@ -1,6 +1,7 @@
 // GridRunner: sweep expansion (row-major, first axis slowest), the
-// jobs-invariant deterministic half of paraleon.grid.v1, and the
-// committed scenario pack staying parseable in both full and tiny form.
+// jobs-invariant deterministic half of paraleon.grid.v1, a seed sweep as a
+// `seed` axis, the wall subtree and pool timeline, and the committed
+// scenario pack staying parseable in both full and tiny form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/fleet.hpp"
 #include "scenario/grid_runner.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
@@ -36,6 +38,31 @@ Scenario grid_scenario() {
       {"key": "workload.rpc.load", "values": [0.1, 0.3]}
     ]}
   })");
+}
+
+/// The same tiny dumbbell as a seed sweep: one `seed` axis of 3 values.
+Scenario seed_scenario() {
+  return parse_scenario_text(R"({
+    "name": "s",
+    "duration_ms": 5,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+    "scheme": {"name": "default"},
+    "workload": [{"name": "rpc", "kind": "poisson", "load": 0.3}],
+    "metric": {"name": "flows_finished"},
+    "sweep": {"axes": [{"key": "seed", "values": [21, 22, 23]}]}
+  })");
+}
+
+/// Counts the trace events of one phase ("M", "X", "s", "f"), optionally
+/// only those with the given name.
+std::size_t count_events(const Json& timeline, const std::string& ph,
+                         const std::string& name = "") {
+  std::size_t n = 0;
+  for (const Json& ev : timeline.find("traceEvents")->items()) {
+    if (ev.find("ph")->as_string() != ph) continue;
+    if (name.empty() || ev.find("name")->as_string() == name) ++n;
+  }
+  return n;
 }
 
 TEST(ExpandGrid, RowMajorWithFirstAxisSlowest) {
@@ -158,6 +185,167 @@ TEST(GridDoc, AggregatesSummarizeTheCells) {
   EXPECT_LE(agg.at("metric_value").mean, agg.at("metric_value").max);
   ASSERT_TRUE(agg.count("events_executed"));
   EXPECT_GT(agg.at("events_executed").min, 0.0);
+}
+
+TEST(RunGrid, SeedAxisCellsAreDistinctAndMatchRunCell) {
+  const Scenario sc = seed_scenario();
+  const std::vector<GridCell> cells = expand_grid(sc);
+  const GridOutcome grid = run_grid(sc, {});
+  ASSERT_EQ(grid.results().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const CellResult& r = grid.results()[i];
+    EXPECT_EQ(r.seed, 21u + i);  // the axis value is the cell's seed
+    const CellResult lone = run_cell(cells[i], {});
+    EXPECT_EQ(lone.digest, r.digest) << "seed " << r.seed;
+    EXPECT_DOUBLE_EQ(lone.value, r.value);
+  }
+  // The seed reaches the workload streams: every seed is its own run.
+  EXPECT_NE(grid.results()[0].digest, grid.results()[1].digest);
+  EXPECT_NE(grid.results()[1].digest, grid.results()[2].digest);
+  EXPECT_NE(grid.results()[0].digest, grid.results()[2].digest);
+}
+
+TEST(RunGrid, SeedAxisDeterministicHalfIsJobsInvariant) {
+  const Scenario sc = seed_scenario();
+  GridOptions fanned;
+  fanned.jobs = 4;
+  obs::PoolTelemetry pool;
+  fanned.telemetry = &pool;
+  const GridOutcome one = run_grid(sc, {});
+  const GridOutcome four = run_grid(sc, fanned);
+  EXPECT_EQ(one.to_json(false), four.to_json(false));
+  EXPECT_EQ(pool.jobs_completed(), 3u);  // the fan-out really ran
+}
+
+/// A seed sweep on a real pool of 2 workers, with telemetry.
+struct PooledGrid {
+  obs::PoolTelemetry pool;
+  GridOutcome grid;
+  PooledGrid() : grid(run(&pool)) {}
+  static GridOutcome run(obs::PoolTelemetry* pool) {
+    GridOptions opts;
+    opts.jobs = 2;
+    opts.telemetry = pool;
+    return run_grid(seed_scenario(), opts);
+  }
+};
+
+TEST(GridDoc, WallCarriesPerWorkerStatsAndSpans) {
+  const PooledGrid pooled;
+  EXPECT_FALSE(Json::parse(pooled.grid.to_json(false)).has("wall"));
+
+  const Json doc = Json::parse(pooled.grid.to_json(true));
+  const Json* wall = doc.find("wall");
+  ASSERT_NE(wall, nullptr);
+  ASSERT_EQ(wall->find("pool")->find("workers")->as_int64(), 2);
+  EXPECT_EQ(wall->find("pool")->find("jobs_completed")->as_int64(), 3);
+
+  const auto& workers = wall->find("workers")->items();
+  ASSERT_EQ(workers.size(), 2u);
+  std::int64_t jobs = 0;
+  for (const Json& w : workers) {
+    jobs += w.find("jobs")->as_int64();
+    EXPECT_GE(w.find("busy_seconds")->as_double(), 0.0);
+    EXPECT_GE(w.find("idle_seconds")->as_double(), 0.0);
+  }
+  EXPECT_EQ(jobs, 3);
+
+  std::int64_t waits = 0;
+  for (const Json& b : wall->find("queue_wait_log2_us")->items()) {
+    waits += b.as_int64();
+  }
+  EXPECT_EQ(waits, 3);
+
+  const auto& spans = wall->find("spans")->items();
+  ASSERT_EQ(spans.size(), 3u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Json& sp = spans[i];
+    EXPECT_EQ(sp.find("job")->as_int64(), static_cast<std::int64_t>(i));
+    const std::int64_t worker = sp.find("worker")->as_int64();
+    EXPECT_TRUE(worker == 0 || worker == 1) << worker;
+    EXPECT_LE(sp.find("submit_us")->as_double(),
+              sp.find("start_us")->as_double());
+    EXPECT_LE(sp.find("start_us")->as_double(),
+              sp.find("end_us")->as_double());
+  }
+  EXPECT_TRUE(wall->find("stragglers")->is_array());
+}
+
+TEST(GridDoc, TimelineHasOneTrackPerWorkerAndOneSpanPerCell) {
+  const PooledGrid pooled;
+  const Json trace = Json::parse(pooled.grid.timeline_json());
+  // One process_name, a submit track, and one thread_name per worker.
+  EXPECT_EQ(count_events(trace, "M", "process_name"), 1u);
+  EXPECT_EQ(count_events(trace, "M", "thread_name"), 1u + 2u);
+  // One 'X' span per cell, labelled by its coordinates, each with a flow
+  // arrow from its submission.
+  EXPECT_EQ(count_events(trace, "X"), 3u);
+  EXPECT_EQ(count_events(trace, "s"), 3u);
+  EXPECT_EQ(count_events(trace, "f"), 3u);
+  EXPECT_EQ(count_events(trace, "X", "cell 0 seed=21"), 1u);
+  EXPECT_EQ(count_events(trace, "X", "cell 2 seed=23"), 1u);
+  for (const Json& ev : trace.find("traceEvents")->items()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    EXPECT_GE(ev.find("tid")->as_int64(), 1);  // on a worker track
+    EXPECT_GE(ev.find("dur")->as_double(), 0.0);
+  }
+}
+
+TEST(GridDoc, TimelineWithoutPoolIsJustTheHeader) {
+  const GridOutcome grid = run_grid(seed_scenario(), {});
+  const Json trace = Json::parse(grid.timeline_json());
+  EXPECT_EQ(trace.find("traceEvents")->items().size(), 2u);
+  EXPECT_EQ(count_events(trace, "X"), 0u);
+}
+
+runner::RunScrape synthetic_scrape(double counter, std::uint64_t events,
+                                   double slow_mean) {
+  runner::RunScrape s;
+  s.instruments["pfc.pause_total"] = counter;
+  s.events_executed = events;
+  s.slowdown.count = 10;
+  s.slowdown.mean = slow_mean;
+  s.slowdown.p95 = slow_mean * 2;
+  s.slowdown.p999 = slow_mean * 3;
+  s.flows_finished = 10;
+  s.flows_started = 12;
+  return s;
+}
+
+TEST(GridDoc, AggregatesMinMeanP95MaxOverCells) {
+  const Scenario sc = seed_scenario();
+  std::vector<CellResult> results;
+  for (std::size_t i = 0; i < 3; ++i) {
+    CellResult r;
+    r.index = i;
+    r.seed = 21 + i;
+    r.value = 10.0 * static_cast<double>(i + 1);
+    r.scrape = synthetic_scrape(static_cast<double>(i + 1), 100 * (i + 1),
+                                1.0 + 0.5 * static_cast<double>(i));
+    results.push_back(r);
+  }
+  const GridOutcome grid(sc, expand_grid(sc), std::move(results));
+  const auto aggs = grid.aggregates();
+  // One row per instrument plus the six reserved quantities.
+  ASSERT_EQ(aggs.size(), 7u);
+  const auto& counter = aggs.at("pfc.pause_total");
+  EXPECT_DOUBLE_EQ(counter.min, 1.0);
+  EXPECT_DOUBLE_EQ(counter.mean, 2.0);
+  EXPECT_DOUBLE_EQ(counter.max, 3.0);
+  EXPECT_EQ(counter.n, 3u);
+  EXPECT_GE(counter.p95, counter.mean);
+  EXPECT_LE(counter.p95, counter.max);
+  EXPECT_DOUBLE_EQ(aggs.at("metric_value").mean, 20.0);
+  EXPECT_DOUBLE_EQ(aggs.at("events_executed").max, 300.0);
+  EXPECT_DOUBLE_EQ(aggs.at("fct.slowdown_mean").max, 2.0);
+  EXPECT_DOUBLE_EQ(aggs.at("fct.slowdown_p999").min, 3.0);
+  EXPECT_DOUBLE_EQ(aggs.at("fct.finished").min, 10.0);
+}
+
+TEST(GridDoc, WritesReportFailure) {
+  const GridOutcome grid = run_grid(seed_scenario(), {});
+  EXPECT_FALSE(grid.write("/nonexistent/dir/x.grid.json"));
+  EXPECT_FALSE(grid.write_timeline("/nonexistent/dir/x.grid.timeline.json"));
 }
 
 TEST(ScenarioPack, EveryCommittedFileParsesInBothForms) {

@@ -6,8 +6,7 @@ Usage:
   validate_obs_json.py --bundle BUNDLE_DIR
   validate_obs_json.py --trace-only TRACE_JSON
   validate_obs_json.py --bench BENCH_JSON
-  validate_obs_json.py --fleet FLEET_JSON [TIMELINE_JSON]
-  validate_obs_json.py --grid GRID_JSON
+  validate_obs_json.py --grid GRID_JSON [TIMELINE_JSON]
 
 OBS_JSON is the per-run obs report (runner::obs_report_json): the full
 counter registry, trace-recorder totals, tuning-episode timelines, the
@@ -23,18 +22,16 @@ file (e.g. the replay.trace.json a --replay-flight run writes back).
 --bench checks a paraleon.bench.v1 document: the --perf-out artifact the
 bench binaries emit and the committed BENCH_*.json baselines that
 tools/bench_trend.py compares them against.
---fleet checks a paraleon.fleet.v1 document (the --fleet-out artifact of a
-sweep-capable bench): per-run row shape, aggregate consistency (rows bound
-and average into the aggregates), failure/speculation accounting, and the
-wall section's internal bookkeeping (per-worker busy+idle vs the pool wall
-window, queue-wait histogram vs job count). With TIMELINE_JSON it also
-checks the merged Perfetto timeline: metadata-named tracks, one 'X' span
-per executed job on a worker track, and paired 's'/'f' flow arrows.
 --grid checks a paraleon.grid.v1 document (the GridRunner artifact of a
 scenario sweep): row-major cell enumeration against the axes' cross
 product (every coordinate present exactly once, in order), per-cell digest
-format and fct shape, aggregate consistency over the cells, and the
-deterministic/wall split (jobs and wall seconds only ever under "wall").
+format and fct shape, aggregate consistency over the cells, the
+deterministic/wall split (jobs and wall seconds only ever under "wall"),
+and the wall section's pool bookkeeping (per-worker busy+idle vs the pool
+wall window, queue-wait histogram and job spans vs the job count). With
+TIMELINE_JSON it also checks the grid's Perfetto timeline: metadata-named
+tracks, one 'X' span per executed job on a worker track, and paired
+'s'/'f' flow arrows.
 Scenario files themselves are not checked here: the C++ parser in
 src/scenario is the only definition of that schema (run any file through
 bench/paraleon_run, or the ScenarioPack tests, to lint it).
@@ -274,182 +271,12 @@ def check_bench(path):
     return doc["bench"], len(metrics)
 
 
-# Aggregate names the fleet report reserves beside the registry
-# instruments; their per-run values sit in the run rows, so aggregate
-# consistency is checkable for them.
-FLEET_ROW_AGGREGATES = {
-    "metric_value": lambda run: run["value"],
-    "events_executed": lambda run: run["events"],
-    "fct.finished": lambda run: run["finished"],
-    "fct.slowdown_mean": lambda run: run["fct"]["mean"],
-    "fct.slowdown_p95": lambda run: run["fct"]["p95"],
-    "fct.slowdown_p999": lambda run: run["fct"]["p999"],
-}
-
-# JobSet/PoolTelemetry retain at most this many failure messages
-# (obs::PoolTelemetry::kMaxFailureMessages).
-FLEET_MAX_FAILURE_MESSAGES = 8
-
-
 def approx(a, b, rel=1e-9, abs_tol=1e-12):
     return abs(a - b) <= max(abs_tol, rel * max(abs(a), abs(b)))
 
 
-def check_fleet(path):
-    """Validates a paraleon.fleet.v1 document; returns the parsed doc."""
-    doc = load(path)
-    require(doc.get("schema") == "paraleon.fleet.v1",
-            f"{path}: bad schema {doc.get('schema')!r}")
-    require(isinstance(doc.get("fleet"), str) and doc["fleet"],
-            f"{path}: 'fleet' must be a nonempty string")
-
-    sweep = doc.get("sweep")
-    require(isinstance(sweep, dict), f"{path}: missing 'sweep'")
-    for key in ("seeds", "jobs", "hardware_workers"):
-        require(isinstance(sweep.get(key), int) and sweep[key] >= 0,
-                f"{path}: sweep.{key} must be a nonnegative int")
-
-    runs = doc.get("runs")
-    require(isinstance(runs, list), f"{path}: 'runs' must be a list")
-    require(len(runs) == sweep["seeds"],
-            f"{path}: {len(runs)} run rows but sweep.seeds says "
-            f"{sweep['seeds']}")
-    seeds = set()
-    for i, run in enumerate(runs):
-        where = f"{path}: runs[{i}]"
-        for key in ("seed", "digest", "value", "events", "fct", "finished",
-                    "started"):
-            require(key in run, f"{where} missing '{key}'")
-        require(re.fullmatch(r"[0-9a-f]{16}", run["digest"]),
-                f"{where}: digest must be 16 lowercase hex chars, got "
-                f"{run['digest']!r}")
-        require(run["seed"] not in seeds,
-                f"{where}: duplicate seed {run['seed']}")
-        seeds.add(run["seed"])
-        require(isinstance(run["events"], int) and run["events"] > 0,
-                f"{where}: events must be a positive int")
-        check_slowdown_stats(run["fct"], f"{where}.fct")
-        require(run["finished"] <= run["started"],
-                f"{where}: finished more flows than started")
-
-    failures = doc.get("failures")
-    require(isinstance(failures, dict), f"{path}: missing 'failures'")
-    require(isinstance(failures.get("count"), int) and failures["count"] >= 0,
-            f"{path}: failures.count must be a nonnegative int")
-    messages = failures.get("messages")
-    require(isinstance(messages, list),
-            f"{path}: failures.messages must be a list")
-    require(len(messages) <= FLEET_MAX_FAILURE_MESSAGES,
-            f"{path}: more than {FLEET_MAX_FAILURE_MESSAGES} retained "
-            f"failure messages")
-    require(len(messages) <= failures["count"],
-            f"{path}: more failure messages than failures.count")
-    for m in messages:
-        require(isinstance(m, dict) and "job" in m and "message" in m,
-                f"{path}: failure record must carry job + message: {m}")
-
-    spec = doc.get("speculation")
-    require(isinstance(spec, dict), f"{path}: missing 'speculation'")
-    for key in ("proposed", "evaluated", "accepted", "wasted",
-                "events_total", "events_wasted"):
-        require(isinstance(spec.get(key), int) and spec[key] >= 0,
-                f"{path}: speculation.{key} must be a nonnegative int")
-    require(spec["wasted"] <= spec["proposed"],
-            f"{path}: speculation wasted more work than it proposed")
-    require(spec["accepted"] <= spec["evaluated"],
-            f"{path}: speculation accepted more than it evaluated")
-    require(spec["events_wasted"] <= spec["events_total"],
-            f"{path}: speculation wasted more events than it ran")
-
-    aggregates = doc.get("aggregates")
-    require(isinstance(aggregates, dict), f"{path}: missing 'aggregates'")
-    for name, agg in aggregates.items():
-        where = f"{path}: aggregates[{name}]"
-        require(set(agg) == {"min", "mean", "p95", "max", "n"},
-                f"{where}: aggregate keys drifted, got {sorted(agg)}")
-        require(isinstance(agg["n"], int) and agg["n"] == len(runs),
-                f"{where}: n must equal the run count {len(runs)}")
-        require(agg["min"] <= agg["mean"] <= agg["max"],
-                f"{where}: min <= mean <= max violated")
-        require(agg["min"] <= agg["p95"] <= agg["max"],
-                f"{where}: min <= p95 <= max violated")
-    # Per-seed rows must sum/bound the aggregates for every quantity whose
-    # per-run values the rows carry.
-    if runs:
-        for name, row_value in FLEET_ROW_AGGREGATES.items():
-            require(name in aggregates,
-                    f"{path}: aggregates missing reserved name '{name}'")
-            values = [row_value(run) for run in runs]
-            agg = aggregates[name]
-            require(approx(agg["min"], min(values)),
-                    f"{path}: aggregates[{name}].min != min over rows")
-            require(approx(agg["max"], max(values)),
-                    f"{path}: aggregates[{name}].max != max over rows")
-            require(approx(agg["mean"], sum(values) / len(values), rel=1e-6),
-                    f"{path}: aggregates[{name}].mean != mean over rows")
-
-    wall = doc.get("wall")
-    n_workers = 0
-    if wall is not None:
-        require(isinstance(wall, dict), f"{path}: 'wall' must be a dict")
-        pool = wall.get("pool")
-        require(isinstance(pool, dict), f"{path}: wall missing 'pool'")
-        for key in ("workers", "jobs"):
-            require(isinstance(pool.get(key), int) and pool[key] >= 0,
-                    f"{path}: wall.pool.{key} must be a nonnegative int")
-        for key in ("wall_seconds", "busy_seconds", "idle_seconds"):
-            require(isinstance(pool.get(key), (int, float))
-                    and pool[key] >= 0,
-                    f"{path}: wall.pool.{key} must be nonnegative")
-        n_workers = pool["workers"]
-        workers = wall.get("workers")
-        require(isinstance(workers, list) and len(workers) == n_workers,
-                f"{path}: wall.workers must list {n_workers} workers")
-        jobs_sum = 0
-        for w in workers:
-            for key in ("jobs", "busy_seconds", "idle_seconds"):
-                require(key in w, f"{path}: wall worker missing '{key}'")
-            jobs_sum += w["jobs"]
-        require(jobs_sum == pool["jobs"],
-                f"{path}: per-worker job counts sum to {jobs_sum}, pool "
-                f"says {pool['jobs']}")
-        # Each worker's busy+idle is accounted against the pool wall
-        # window; allow slack for attach/join edges and clock granularity.
-        if n_workers > 0 and pool["wall_seconds"] > 0:
-            accounted = pool["busy_seconds"] + pool["idle_seconds"]
-            window = n_workers * pool["wall_seconds"]
-            require(accounted <= window * 1.15 + 0.05,
-                    f"{path}: busy+idle {accounted:.3f}s exceeds "
-                    f"workers x wall window {window:.3f}s")
-            require(accounted >= window * 0.5 - 0.05,
-                    f"{path}: busy+idle {accounted:.3f}s accounts for "
-                    f"under half the workers x wall window {window:.3f}s")
-        hist = wall.get("queue_wait_log2_us")
-        require(isinstance(hist, list),
-                f"{path}: wall.queue_wait_log2_us must be a list")
-        require(sum(hist) == pool["jobs"],
-                f"{path}: queue-wait histogram sums to {sum(hist)}, pool "
-                f"ran {pool['jobs']} jobs")
-        spans = wall.get("jobs")
-        require(isinstance(spans, list), f"{path}: wall.jobs must be a list")
-        for s in spans:
-            for key in ("job", "worker", "submit_us", "start_us", "end_us"):
-                require(key in s, f"{path}: wall job span missing '{key}'")
-            require(s["submit_us"] <= s["start_us"] <= s["end_us"],
-                    f"{path}: job {s['job']} span is not ordered "
-                    f"submit <= start <= end")
-            require(0 <= s["worker"] < n_workers,
-                    f"{path}: job {s['job']} ran on unknown worker "
-                    f"{s['worker']}")
-        for s in wall.get("stragglers", []):
-            for key in ("job", "z", "seconds"):
-                require(key in s, f"{path}: straggler missing '{key}'")
-            require(s["z"] > 0, f"{path}: straggler z must be positive")
-    return doc
-
-
-def check_fleet_timeline(path, fleet_doc):
-    """Validates the merged sweep timeline against its fleet document."""
+def check_grid_timeline(path, grid_doc):
+    """Validates a grid's pool timeline against its grid document."""
     doc = load(path)
     require("traceEvents" in doc, f"{path}: missing 'traceEvents'")
     events = doc["traceEvents"]
@@ -471,8 +298,8 @@ def check_fleet_timeline(path, fleet_doc):
             if ev["name"] == "thread_name":
                 thread_names[ev["tid"]] = ev["args"]["name"]
             continue
-        require(ev.get("cat") == "fleet",
-                f"{path}: timeline category must be 'fleet'")
+        require(ev.get("cat") == "grid",
+                f"{path}: timeline category must be 'grid'")
         require(isinstance(ev["ts"], (int, float)) and ev["ts"] >= 0,
                 f"{path}: bad ts {ev.get('ts')!r}")
         if ph == "X":
@@ -497,15 +324,15 @@ def check_fleet_timeline(path, fleet_doc):
     for tid in used_tids:
         require(tid in thread_names,
                 f"{path}: track tid {tid} has no thread_name metadata")
-    wall = fleet_doc.get("wall")
-    if wall is not None:
-        n_workers = wall["pool"]["workers"]
+    pool = grid_doc.get("wall", {}).get("pool")
+    if pool is not None:
+        n_workers = pool["workers"]
         require(len(thread_names) == n_workers + 1,
                 f"{path}: {len(thread_names)} named tracks, expected "
                 f"{n_workers} workers + submit")
-        require(n_spans == wall["pool"]["jobs"],
+        require(n_spans == pool["jobs_completed"],
                 f"{path}: {n_spans} job spans, pool ran "
-                f"{wall['pool']['jobs']} jobs")
+                f"{pool['jobs_completed']} jobs")
     return len(events), n_spans
 
 
@@ -521,6 +348,71 @@ GRID_ROW_AGGREGATES = {
 }
 
 GRID_SLOWDOWN_KEYS = {"mean", "p50", "p95", "p99", "p999"}
+
+
+def check_grid_pool(path, wall, pool):
+    """Validates the pool facts under a grid document's "wall": the pool
+    summary, per-worker busy/idle against the pool wall window, the
+    queue-wait histogram and job spans against the job count, and the
+    stragglers."""
+    require(isinstance(pool, dict), f"{path}: wall.pool must be a dict")
+    for key in ("workers", "jobs_completed"):
+        require(isinstance(pool.get(key), int) and pool[key] >= 0,
+                f"{path}: wall.pool.{key} must be a nonnegative int")
+    for key in ("pool_wall_seconds", "busy_seconds", "idle_seconds"):
+        require(isinstance(pool.get(key), (int, float)) and pool[key] >= 0,
+                f"{path}: wall.pool.{key} must be nonnegative")
+    n_workers = pool["workers"]
+    n_jobs = pool["jobs_completed"]
+
+    workers = wall.get("workers")
+    require(isinstance(workers, list) and len(workers) == n_workers,
+            f"{path}: wall.workers must list {n_workers} workers")
+    jobs_sum = 0
+    for w in workers:
+        for key in ("jobs", "busy_seconds", "idle_seconds"):
+            require(key in w, f"{path}: wall worker missing '{key}'")
+        jobs_sum += w["jobs"]
+    require(jobs_sum == n_jobs,
+            f"{path}: per-worker job counts sum to {jobs_sum}, pool says "
+            f"{n_jobs}")
+    # Each worker's busy+idle is accounted against the pool wall window;
+    # allow slack for attach/join edges and clock granularity.
+    if n_workers > 0 and pool["pool_wall_seconds"] > 0:
+        accounted = pool["busy_seconds"] + pool["idle_seconds"]
+        window = n_workers * pool["pool_wall_seconds"]
+        require(accounted <= window * 1.15 + 0.05,
+                f"{path}: busy+idle {accounted:.3f}s exceeds workers x "
+                f"wall window {window:.3f}s")
+        require(accounted >= window * 0.5 - 0.05,
+                f"{path}: busy+idle {accounted:.3f}s accounts for under "
+                f"half the workers x wall window {window:.3f}s")
+
+    hist = wall.get("queue_wait_log2_us")
+    require(isinstance(hist, list),
+            f"{path}: wall.queue_wait_log2_us must be a list")
+    require(sum(hist) == n_jobs,
+            f"{path}: queue-wait histogram sums to {sum(hist)}, pool ran "
+            f"{n_jobs} jobs")
+    spans = wall.get("spans")
+    require(isinstance(spans, list) and len(spans) == n_jobs,
+            f"{path}: wall.spans must list the {n_jobs} jobs")
+    for s in spans:
+        for key in ("job", "worker", "submit_us", "start_us", "end_us"):
+            require(key in s, f"{path}: wall job span missing '{key}'")
+        require(s["submit_us"] <= s["start_us"] <= s["end_us"],
+                f"{path}: job {s['job']} span is not ordered "
+                f"submit <= start <= end")
+        require(0 <= s["worker"] < n_workers,
+                f"{path}: job {s['job']} ran on unknown worker "
+                f"{s['worker']}")
+    stragglers = wall.get("stragglers")
+    require(isinstance(stragglers, list),
+            f"{path}: wall.stragglers must be a list")
+    for s in stragglers:
+        for key in ("job", "z", "seconds"):
+            require(key in s, f"{path}: straggler missing '{key}'")
+        require(s["z"] > 0, f"{path}: straggler z must be positive")
 
 
 def check_grid(path):
@@ -659,17 +551,7 @@ def check_grid(path):
                 f"{path}: wall.wall_seconds must be nonnegative")
         pool = wall.get("pool")
         if pool is not None:
-            require(isinstance(pool, dict),
-                    f"{path}: wall.pool must be a dict")
-            for key in ("workers", "jobs_completed"):
-                require(isinstance(pool.get(key), int) and pool[key] >= 0,
-                        f"{path}: wall.pool.{key} must be a nonnegative "
-                        f"int")
-            for key in ("pool_wall_seconds", "busy_seconds",
-                        "idle_seconds"):
-                require(isinstance(pool.get(key), (int, float))
-                        and pool[key] >= 0,
-                        f"{path}: wall.pool.{key} must be nonnegative")
+            check_grid_pool(path, wall, pool)
     return doc
 
 
@@ -893,20 +775,14 @@ def main():
               f"{n_metrics} metrics")
         return
     if sys.argv[1] == "--grid":
-        require(len(sys.argv) == 3, "--grid takes exactly one file")
+        require(len(sys.argv) in (3, 4),
+                "--grid takes GRID_JSON [TIMELINE_JSON]")
         doc = check_grid(sys.argv[2])
         wall = " + wall" if "wall" in doc else ""
-        print(f"validate_obs_json: grid file OK: {doc['scenario']}, "
-              f"{len(doc['axes'])} axes, {len(doc['cells'])} cells{wall}")
-        return
-    if sys.argv[1] == "--fleet":
-        require(len(sys.argv) in (3, 4),
-                "--fleet takes FLEET_JSON [TIMELINE_JSON]")
-        doc = check_fleet(sys.argv[2])
-        msg = (f"fleet file OK: {doc['fleet']}, {len(doc['runs'])} runs, "
-               f"{len(doc['aggregates'])} aggregates")
+        msg = (f"grid file OK: {doc['scenario']}, {len(doc['axes'])} axes, "
+               f"{len(doc['cells'])} cells{wall}")
         if len(sys.argv) == 4:
-            n_events, n_spans = check_fleet_timeline(sys.argv[3], doc)
+            n_events, n_spans = check_grid_timeline(sys.argv[3], doc)
             msg += f"; timeline OK: {n_events} events, {n_spans} job spans"
         print(f"validate_obs_json: {msg}")
         return
