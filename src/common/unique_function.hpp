@@ -1,11 +1,13 @@
 // Move-only type-erased callable for the event engine's pooled nodes.
 //
-// std::function cost the hot path one heap allocation per event: the
-// NetDevice closures capture a ~80-byte Queued/Packet, far past
-// libstdc++'s 16-byte small-object buffer. UniqueFunction sizes its
-// inline buffer for exactly those closures (kInlineBytes, asserted at
-// the schedule sites), is move-only (no copyability tax — an event fires
-// once), and stores two raw function pointers instead of a vtable.
+// std::function cost the hot path one heap allocation per event once a
+// closure outgrew libstdc++'s 16-byte small-object buffer. UniqueFunction
+// keeps a 96-byte inline buffer (kInlineBytes, asserted at the hot
+// schedule sites), is move-only (no copyability tax — an event fires
+// once), and stores two raw function pointers instead of a vtable. The
+// NetDevice closures now capture `this` plus a 32-bit packet handle (16
+// bytes); the buffer's size is what keeps an EventNode at two cache
+// lines and every closure the simulator schedules off the heap.
 //
 // Layout is tuned for the pop path over a large pooled working set: the
 // handler pointers come BEFORE the inline storage, so invoking a small
@@ -30,10 +32,9 @@ namespace paraleon::common {
 
 class UniqueFunction {
  public:
-  /// Inline capacity. Sized so the largest hot-path closure (NetDevice's
-  /// serialize/propagate lambdas: a 64-byte Packet plus port/this
-  /// pointers, ~80 bytes) stays inline, and so an EventNode totals
-  /// exactly 128 bytes.
+  /// Inline capacity: an EventNode totals exactly 128 bytes, and every
+  /// closure the simulator schedules (the largest capture a few pointers
+  /// and ids) stays inline.
   static constexpr std::size_t kInlineBytes = 96;
 
   /// True when a callable of decayed type D is stored inline (no heap).

@@ -63,11 +63,15 @@ void PerfMonitor::run_end() {
 
 std::map<std::string, std::uint64_t> PerfMonitor::tags_by_name() const {
   std::map<std::string, std::uint64_t> out;
+  const auto add = [&out](const char* tag, std::uint64_t count) {
+    out[*tag == '\0' ? "(untagged)" : tag] += count;
+  };
+  for (const TagSlot& s : tag_slots_) {
+    if (s.tag != nullptr) add(s.tag, s.count);
+  }
   // lint:allow(unordered-iteration) pointer-keyed for hot-path speed;
   // merged into a sorted map here before any serialization.
-  for (const auto& [tag, count] : tag_counts_) {
-    out[tag == nullptr || *tag == '\0' ? "(untagged)" : tag] += count;
-  }
+  for (const auto& [tag, count] : tag_overflow_) add(tag, count);
   return out;
 }
 
@@ -91,7 +95,8 @@ void PerfMonitor::reset() {
     depth_log2_[i] = 0;
     horizon_log2_[i] = 0;
   }
-  tag_counts_.clear();
+  for (TagSlot& s : tag_slots_) s = TagSlot{};
+  tag_overflow_.clear();
   wall_ns_ = 0;
   run_start_ns_ = -1;
 }

@@ -5,10 +5,10 @@
 //
 //   * Deterministic counters — events scheduled/executed, log2 histograms
 //     of event-queue depth and schedule horizon, per-event-type (tag)
-//     event counts, and allocation counters for the event-closure and
-//     per-hop packet-queue traffic the planned arena/freelist overhaul
-//     will remove. These are pure functions of the seed: enabling them
-//     changes no simulated behavior and never perturbs run_digest.
+//     event counts, the event-closure allocation counters, and the
+//     packet-hop count (egress-queue enqueues). These are pure functions
+//     of the seed: enabling them changes no simulated behavior and never
+//     perturbs run_digest.
 //   * Wall-clock totals — run wall seconds stamped once per run_until
 //     call (never per event), giving events/sec. Wall data feeds the
 //     "wall" subsection of the perf report and runner::RunMeta only; it
@@ -72,15 +72,32 @@ class PerfMonitor {
   }
 
   /// Per-event-type attribution: `tag` is the profiling-tag literal the
-  /// schedule site attached (the Simulator's side map). Pointer-keyed for
-  /// speed, merged by text at report time.
+  /// schedule site attached. Pointer-keyed for speed, merged by text at
+  /// report time: a run uses a dozen or so literals, so they fit a small
+  /// open-addressed slot array hashed on the pointer, and the hot tags
+  /// land on their first probe. Tags past the slot array (never seen in
+  /// practice) fall back to a map.
   void count_tag(const char* tag) {
     if (!enabled_ || tag == nullptr) return;
-    ++tag_counts_[tag];
+    const std::size_t home = static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(tag) * 0x9E3779B97F4A7C15ull) >>
+        (64 - kTagSlotBits));
+    for (std::size_t probe = 0; probe < kTagSlots; ++probe) {
+      TagSlot& s = tag_slots_[(home + probe) & (kTagSlots - 1)];
+      if (s.tag == tag) {
+        ++s.count;
+        return;
+      }
+      if (s.tag == nullptr) {
+        s.tag = tag;
+        s.count = 1;
+        return;
+      }
+    }
+    ++tag_overflow_[tag];
   }
 
-  /// A packet entered a NetDevice egress queue (the per-hop value-copy
-  /// traffic a pooled packet representation would eliminate).
+  /// A packet entered a NetDevice egress queue: one packet-hop.
   void on_packet_enqueue(std::uint32_t bytes) {
     if (!enabled_) return;
     ++packet_enqueues_;
@@ -140,7 +157,14 @@ class PerfMonitor {
   std::uint64_t packet_bytes_ = 0;
   std::uint64_t depth_log2_[kBuckets] = {};
   std::uint64_t horizon_log2_[kBuckets] = {};
-  std::unordered_map<const char*, std::uint64_t> tag_counts_;
+  static constexpr int kTagSlotBits = 5;
+  static constexpr std::size_t kTagSlots = std::size_t{1} << kTagSlotBits;
+  struct TagSlot {
+    const char* tag = nullptr;
+    std::uint64_t count = 0;
+  };
+  TagSlot tag_slots_[kTagSlots] = {};
+  std::unordered_map<const char*, std::uint64_t> tag_overflow_;
   // Wall window state (run_begin/run_end in perf.cpp keep the clock reads
   // out of this header).
   std::int64_t wall_ns_ = 0;

@@ -170,7 +170,9 @@ void Experiment::wire_scheme() {
           // the per-QP counters of its rack's RNICs (exact, TOS-free).
           std::vector<int> rack_hosts;
           for (int h = 0; h < topo_->host_count(); ++h) {
-            if (topo_->tor_of_host(h) == t) rack_hosts.push_back(h);
+            if (topo_->tor_of_host(h) != t) continue;
+            rack_hosts.push_back(h);
+            topo_->host(h).enable_tx_counters(/*channel=*/0);
           }
           drain = [this, rack_hosts] {
             std::vector<sketch::HeavyRecord> out;
@@ -325,6 +327,9 @@ void Experiment::schedule_probe() {
     // estimate is its likelihood (TOS dedup means at most one agent saw
     // the flow; without dedup every agent saw all of its bytes, so the
     // max across agents is the scheme's belief either way).
+    for (int h = 0; h < topo_->host_count(); ++h) {
+      topo_->host(h).enable_tx_counters(/*channel=*/1);
+    }
     probe_ticks_.push_back(std::make_unique<std::function<void()>>());
     auto* tick = probe_ticks_.back().get();
     *tick = [this, mi, tick] {

@@ -1,14 +1,22 @@
 #include "sim/event_queue.hpp"
 
+#include <utility>
+
 namespace paraleon::sim {
 
 void CalendarQueue::insert_into_current(EventEntry e) {
   // current_ is sorted descending by (t, seq); the new entry carries the
   // largest seq so far, so among equal timestamps it lands closest to the
-  // front — popped last, preserving FIFO.
-  const auto it = std::upper_bound(current_.begin(), current_.end(), e,
-                                   DescByTimeSeq{});
-  current_.insert(it, e);
+  // front — popped last, preserving FIFO. A mid-drain arrival is usually
+  // due soon (a serialization tick), i.e. near the back: scan from there,
+  // and shift only the entries that fire before it.
+  std::size_t i = current_.size();
+  current_.push_back(e);
+  while (i > 0 && current_[i - 1].t <= e.t) {
+    current_[i] = current_[i - 1];
+    --i;
+  }
+  current_[i] = e;
 }
 
 void CalendarQueue::drain_bucket(int idx) {
@@ -17,7 +25,7 @@ void CalendarQueue::drain_bucket(int idx) {
   // its capacity to the bucket, so steady state reallocates nothing.
   current_.swap(bucket);
   bucket.clear();
-  std::sort(current_.begin(), current_.end(), DescByTimeSeq{});
+  sort_current();
   // Warm the first pops of the fresh run; steady-state pops prefetch
   // their own lookahead.
   const std::size_t warm =
@@ -29,6 +37,40 @@ void CalendarQueue::drain_bucket(int idx) {
       ~(std::uint64_t{1} << (idx & 63));
   cur_begin_ = base_ + (static_cast<Time>(idx) << kWidthShift);
   cur_end_ = cur_begin_ + (Time{1} << kWidthShift);
+}
+
+void CalendarQueue::sort_current() {
+  // A stable two-pass LSD radix sort on each entry's 9-bit offset inside
+  // the bucket (t & 511: the wheel base is always bucket-aligned). Stable
+  // in t is enough for (t, seq): within a bucket, entries of equal t sit
+  // in seq order. Direct pushes carry ever-larger seqs, and a rotation
+  // spills the far heap in (t, seq) order into a wheel that is empty then.
+  // The second pass writes back to front, giving the descending run that
+  // pops take from the back.
+  constexpr int kLoBits = 5;
+  constexpr std::uint32_t kLoMask = (1u << kLoBits) - 1;
+  constexpr std::uint32_t kOffsetMask = (1u << kWidthShift) - 1;
+  const std::size_t n = current_.size();
+  if (n < 2) return;
+  std::uint32_t lo[1u << kLoBits] = {};
+  std::uint32_t hi[1u << (kWidthShift - kLoBits)] = {};
+  for (const EventEntry& e : current_) {
+    const auto off = static_cast<std::uint32_t>(e.t) & kOffsetMask;
+    ++lo[off & kLoMask];
+    ++hi[off >> kLoBits];
+  }
+  std::uint32_t sum = 0;
+  for (std::uint32_t& c : lo) sum += std::exchange(c, sum);
+  sum = 0;
+  for (std::uint32_t& c : hi) sum += std::exchange(c, sum);
+  radix_tmp_.resize(n);
+  for (const EventEntry& e : current_) {
+    radix_tmp_[lo[static_cast<std::uint32_t>(e.t) & kLoMask]++] = e;
+  }
+  for (const EventEntry& e : radix_tmp_) {
+    const auto off = static_cast<std::uint32_t>(e.t) & kOffsetMask;
+    current_[n - 1 - hi[off >> kLoBits]++] = e;
+  }
 }
 
 void CalendarQueue::rotate() {

@@ -11,9 +11,11 @@
 //     1 ms monitor cadence — the two modes of the schedule-horizon
 //     histogram — stay in-window), an occupancy bitmap for empty-bucket
 //     skip, and a far min-heap for beyond-window events that is spilled
-//     into the wheel when the window rotates. Fire order is exactly
-//     (t, seq) lexicographic — identical to the reference heap, so the
-//     engine swap is digest-invisible.
+//     into the wheel when the window rotates. A bucket is ordered when
+//     its drain starts, by a stable radix sort on the entry's offset in
+//     the bucket. Fire order is exactly (t, seq) lexicographic —
+//     identical to the reference heap, so the engine swap is
+//     digest-invisible.
 //   * ReferenceHeapQueue — the old binary-heap ordering behind the same
 //     interface; the in-process oracle the equivalence tests (and the
 //     Simulator's kReferenceHeap backend) compare against.
@@ -227,11 +229,6 @@ class CalendarQueue {
   static constexpr std::size_t kPrefetchAhead = 6;
 
  private:
-  struct DescByTimeSeq {
-    bool operator()(const EventEntry& a, const EventEntry& b) const {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    }
-  };
   // Min-heap comparator for the far vector (front() == earliest).
   struct FarLater {
     bool operator()(const EventEntry& a, const EventEntry& b) const {
@@ -241,6 +238,7 @@ class CalendarQueue {
 
   void insert_into_current(EventEntry e);
   void drain_bucket(int idx);
+  void sort_current();
   void rotate();
 
   /// First occupied bucket index >= from, or -1.
@@ -265,6 +263,8 @@ class CalendarQueue {
   // The bucket being drained, sorted descending by (t, seq) so pops come
   // off the back in ascending order.
   std::vector<EventEntry> current_;
+  // Scratch run for the radix sort's first pass (capacity reused).
+  std::vector<EventEntry> radix_tmp_;
   Time cur_begin_ = 0;
   Time cur_end_ = 0;
   // Beyond-window events, min-heaped on (t, seq).

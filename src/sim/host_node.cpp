@@ -15,7 +15,7 @@ constexpr int kMaxPerQpNicBacklog = 2;
 }  // namespace
 
 HostNode::HostNode(Simulator* sim, NodeId id, dcqcn::DcqcnParams rnic_params)
-    : Node(id, /*is_switch=*/false), sim_(sim), params_(rnic_params) {
+    : Node(id, NodeKind::kHost), sim_(sim), params_(rnic_params) {
   obs::Registry& reg = sim_->obs().registry();
   const std::string prefix = "host." + std::to_string(id);
   cnps_sent_ = reg.counter(prefix + ".cnp.sent");
@@ -43,10 +43,8 @@ HostNode::HostNode(Simulator* sim, NodeId id, dcqcn::DcqcnParams rnic_params)
 void HostNode::attach_uplink(Node* tor, int tor_port, Rate rate,
                              Time prop_delay) {
   PARALEON_CHECK(!uplink_, "host ", id(), ": uplink already attached");
-  uplink_ = std::make_unique<NetDevice>(sim_, tor, tor_port, rate, prop_delay);
-  uplink_->on_dequeue = [this](const NetDevice::Queued& item) {
-    on_nic_dequeue(item);
-  };
+  uplink_ = std::make_unique<NetDevice>(sim_, this, tor, tor_port, rate,
+                                        prop_delay);
   sim_->obs().attribution().register_link(id(), 0, tor->id(), tor_port,
                                           tor->is_switch());
   obs::Registry& reg = sim_->obs().registry();
@@ -72,6 +70,7 @@ void HostNode::start_flow(std::uint64_t flow_id, NodeId dst,
       flow_id, &params_, uplink_->rate(), sim_->now(), &rp_counters_);
   PARALEON_CHECK(inserted, "host ", id(), ": flow_id ", flow_id, " reused");
   FlowTx& f = it->second;
+  tx_index_[flow_id] = &f;
   f.dst = dst;
   f.qp_key = qp_key == 0 ? flow_id : qp_key;
   f.size = size_bytes;
@@ -81,9 +80,9 @@ void HostNode::start_flow(std::uint64_t flow_id, NodeId dst,
 }
 
 void HostNode::try_send(std::uint64_t flow_id) {
-  auto it = tx_flows_.find(flow_id);
-  if (it == tx_flows_.end()) return;
-  FlowTx& f = it->second;
+  FlowTx* fp = find_tx(flow_id);
+  if (fp == nullptr) return;
+  FlowTx& f = *fp;
 
   while (f.sent < f.size) {
     if (f.in_nic >= kMaxPerQpNicBacklog) {
@@ -97,9 +96,9 @@ void HostNode::try_send(std::uint64_t flow_id) {
         sim_->schedule_at(
             f.next_time,
             [this, flow_id] {
-              auto it2 = tx_flows_.find(flow_id);
-              if (it2 == tx_flows_.end()) return;
-              it2->second.wait_scheduled = false;
+              FlowTx* waiting = find_tx(flow_id);
+              if (waiting == nullptr) return;
+              waiting->wait_scheduled = false;
               try_send(flow_id);
             },
             "host.pacing");
@@ -138,10 +137,10 @@ void HostNode::schedule_rp_timer(std::uint64_t flow_id, FlowTx& f) {
   sim_->schedule_at(
       t,
       [this, flow_id, gen] {
-        auto it = tx_flows_.find(flow_id);
-        if (it == tx_flows_.end() || it->second.rp_gen != gen) return;
-        it->second.rp.advance_to(sim_->now());
-        schedule_rp_timer(flow_id, it->second);
+        FlowTx* timed = find_tx(flow_id);
+        if (timed == nullptr || timed->rp_gen != gen) return;
+        timed->rp.advance_to(sim_->now());
+        schedule_rp_timer(flow_id, *timed);
         // A rate increase may allow an earlier injection than the gap
         // computed with the old rate; keep it simple and let the existing
         // pacing stand — the new rate applies from the next packet.
@@ -149,37 +148,38 @@ void HostNode::schedule_rp_timer(std::uint64_t flow_id, FlowTx& f) {
       "host.rp_timer");
 }
 
-void HostNode::on_nic_dequeue(const NetDevice::Queued& item) {
-  if (item.pkt.type != PacketType::kData) return;
+void HostNode::on_nic_dequeue(const Packet& pkt) {
+  if (pkt.type != PacketType::kData) return;
   // Channel 0 models the RNIC's per-QP counters (keyed by QP); channel 1
   // serves the ground-truth probe (keyed by individual flow).
-  mi_tx_bytes_[0][item.pkt.qp_key] += item.pkt.size_bytes;
-  mi_tx_bytes_[1][item.pkt.flow_id] += item.pkt.size_bytes;
-  auto it = tx_flows_.find(item.pkt.flow_id);
-  if (it == tx_flows_.end()) return;
-  FlowTx& f = it->second;
+  if (tx_counters_on_[0]) mi_tx_bytes_[0][pkt.qp_key] += pkt.size_bytes;
+  if (tx_counters_on_[1]) mi_tx_bytes_[1][pkt.flow_id] += pkt.size_bytes;
+  FlowTx* fp = find_tx(pkt.flow_id);
+  if (fp == nullptr) return;
+  FlowTx& f = *fp;
   --f.in_nic;
   if (f.sent >= f.size) {
-    maybe_finish_tx(item.pkt.flow_id);
+    maybe_finish_tx(pkt.flow_id);
     return;
   }
   if (f.blocked) {
     f.blocked = false;
-    try_send(item.pkt.flow_id);
+    try_send(pkt.flow_id);
   }
 }
 
 void HostNode::maybe_finish_tx(std::uint64_t flow_id) {
-  auto it = tx_flows_.find(flow_id);
-  if (it == tx_flows_.end()) return;
-  FlowTx& f = it->second;
+  FlowTx* fp = find_tx(flow_id);
+  if (fp == nullptr) return;
+  FlowTx& f = *fp;
   if (f.sent >= f.size && f.in_nic == 0) {
     // Harvest the QP's attribution accumulator before the state vanishes.
     obs::AttributionEngine& attr = sim_->obs().attribution();
     if (attr.enabled()) {
       attr.on_flow_rate_limited(flow_id, f.rp.take_rate_limited());
     }
-    tx_flows_.erase(it);
+    tx_index_.erase(flow_id);
+    tx_flows_.erase(flow_id);
   }
 }
 
@@ -191,8 +191,11 @@ void HostNode::flush_attribution() {
   }
 }
 
-void HostNode::receive(const Packet& pkt, int in_port) {
+void HostNode::receive(PacketHandle h, int in_port) {
   (void)in_port;  // hosts have a single port
+  // The packet ends here: copy it out and recycle its slot, which the ACK
+  // this arrival triggers then reuses.
+  const Packet pkt = sim_->packets().take(h);
   switch (pkt.type) {
     case PacketType::kPfcPause:
       uplink_->pause_data(pkt.aux);
@@ -214,6 +217,7 @@ void HostNode::receive(const Packet& pkt, int in_port) {
 
 void HostNode::handle_data(const Packet& pkt) {
   rx_data_bytes_.add(pkt.size_bytes);
+  // Stays valid below: nothing inserts into rx_flows_ until we return.
   FlowRx& rx = rx_flows_[pkt.flow_id];
   if (rx.total == 0) rx.total = pkt.aux;
   rx.received += pkt.size_bytes;
@@ -289,21 +293,20 @@ void HostNode::handle_cnp(const Packet& pkt) {
             factor));
     params_.ai_rate = std::max(mbps(1), dcqcnp_base_params_.ai_rate / factor);
   }
-  auto it = tx_flows_.find(pkt.flow_id);
-  if (it == tx_flows_.end()) return;  // flow already fully injected
-  if (it->second.rp.on_cnp(sim_->now())) {
+  FlowTx* fp = find_tx(pkt.flow_id);
+  if (fp == nullptr) return;  // flow already fully injected
+  if (fp->rp.on_cnp(sim_->now())) {
     obs::TraceRecorder& tr = sim_->obs().trace();
     if (tr.enabled(obs::TraceCategory::kRp)) {
-      tr.instant(
-          obs::TraceCategory::kRp, "rp.cut", sim_->now(), id(), 0,
-          {{"flow", static_cast<std::int64_t>(pkt.flow_id)},
-           {"rate_mbps",
-            static_cast<std::int64_t>(it->second.rp.current_rate() / 1e6)},
-           {"alpha_milli",
-            static_cast<std::int64_t>(it->second.rp.alpha() * 1000.0)}});
+      tr.instant(obs::TraceCategory::kRp, "rp.cut", sim_->now(), id(), 0,
+                 {{"flow", static_cast<std::int64_t>(pkt.flow_id)},
+                  {"rate_mbps",
+                   static_cast<std::int64_t>(fp->rp.current_rate() / 1e6)},
+                  {"alpha_milli",
+                   static_cast<std::int64_t>(fp->rp.alpha() * 1000.0)}});
     }
     // Deadlines moved; re-arm the timer event.
-    schedule_rp_timer(pkt.flow_id, it->second);
+    schedule_rp_timer(pkt.flow_id, *fp);
   }
 }
 
@@ -323,12 +326,25 @@ void HostNode::set_dcqcn_params(const dcqcn::DcqcnParams& p) {
   }
 }
 
-std::unordered_map<std::uint64_t, std::int64_t>
-HostNode::drain_tx_bytes_per_flow(int channel) {
+void HostNode::enable_tx_counters(int channel) {
   PARALEON_CHECK(channel >= 0 && channel < kTxCounterChannels,
                  "host ", id(), ": bad tx counter channel ", channel);
-  auto out = std::move(mi_tx_bytes_[channel]);
-  mi_tx_bytes_[channel].clear();
+  tx_counters_on_[channel] = true;
+}
+
+HostNode::TxBytes HostNode::drain_tx_bytes_per_flow(int channel) {
+  PARALEON_CHECK(channel >= 0 && channel < kTxCounterChannels,
+                 "host ", id(), ": bad tx counter channel ", channel);
+  common::FlatTable<std::int64_t>& counters = mi_tx_bytes_[channel];
+  TxBytes out;
+  out.reserve(counters.size());
+  counters.for_each([&out](std::uint64_t key, std::int64_t bytes) {
+    out.emplace_back(key, bytes);
+  });
+  counters.clear();
+  // Slot order follows the table's capacity history; callers sum doubles
+  // and build records from this, so hand it over in key order.
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -13,7 +13,10 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "common/flat_table.hpp"
 #include "common/time.hpp"
 #include "dcqcn/params.hpp"
 #include "dcqcn/rp.hpp"
@@ -24,7 +27,7 @@
 
 namespace paraleon::sim {
 
-class HostNode : public Node {
+class HostNode final : public Node {
  public:
   /// (flow_id, finish_time) when the last byte of a flow arrives here.
   using FlowCompleteFn = std::function<void(std::uint64_t, Time)>;
@@ -36,7 +39,8 @@ class HostNode : public Node {
   /// Wires the uplink towards the ToR. Must be called exactly once.
   void attach_uplink(Node* tor, int tor_port, Rate rate, Time prop_delay);
 
-  void receive(const Packet& pkt, int in_port) override;
+  /// A packet fully arrived on the uplink; consumes the handle.
+  void receive(PacketHandle pkt, int in_port);
 
   /// Starts sending `size_bytes` to `dst` now. `qp_key` identifies the QP
   /// carrying the flow for data-plane measurement (0 = flow_id, i.e. a
@@ -63,14 +67,18 @@ class HostNode : public Node {
   const NetDevice& uplink() const { return *uplink_; }
   bool has_active_tx() const { return !tx_flows_.empty(); }
   std::size_t active_tx_flows() const { return tx_flows_.size(); }
-  /// Per-QP bytes put on the wire since the last call on this channel;
-  /// clears the channel's counters. Models reading+resetting RNIC per-QP
-  /// counters. Independent channels let the ground-truth probe and an
-  /// RNIC-based monitor (§V "Relaxation of programmable switches") read
-  /// concurrently without stealing each other's samples.
+  /// Per-QP bytes put on the wire since the last call on this channel,
+  /// sorted by key; clears the channel's counters. Models reading+resetting
+  /// RNIC per-QP counters. Independent channels let the ground-truth probe
+  /// and an RNIC-based monitor (§V "Relaxation of programmable switches")
+  /// read concurrently without stealing each other's samples. Channel 0
+  /// is keyed by QP, channel 1 by individual flow. A channel counts
+  /// nothing until its consumer enables it, so a run without one holds no
+  /// per-flow state.
   static constexpr int kTxCounterChannels = 2;
-  std::unordered_map<std::uint64_t, std::int64_t> drain_tx_bytes_per_flow(
-      int channel = 0);
+  using TxBytes = std::vector<std::pair<std::uint64_t, std::int64_t>>;
+  void enable_tx_counters(int channel);
+  TxBytes drain_tx_bytes_per_flow(int channel = 0);
   /// (sum of base/rtt samples, count) since last drain.
   std::pair<double, std::uint64_t> drain_rtt_norm_samples();
   /// (sum of raw rtt in ns, count) since last drain.
@@ -107,6 +115,9 @@ class HostNode : public Node {
   }
 
  private:
+  // Delivers arrivals and reports uplink dequeues by direct call.
+  friend class NetDevice;
+
   struct FlowTx {
     NodeId dst = 0;
     std::uint64_t qp_key = 0;
@@ -131,7 +142,7 @@ class HostNode : public Node {
 
   void try_send(std::uint64_t flow_id);
   void schedule_rp_timer(std::uint64_t flow_id, FlowTx& f);
-  void on_nic_dequeue(const NetDevice::Queued& item);
+  void on_nic_dequeue(const Packet& pkt);
   void handle_data(const Packet& pkt);
   void handle_ack(const Packet& pkt);
   void handle_cnp(const Packet& pkt);
@@ -142,13 +153,25 @@ class HostNode : public Node {
   std::unique_ptr<NetDevice> uplink_;
   std::int64_t mtu_bytes_ = 1024;
 
+  /// The active sender QP of `flow_id`, or nullptr.
+  FlowTx* find_tx(std::uint64_t flow_id) {
+    FlowTx** f = tx_index_.find(flow_id);
+    return f == nullptr ? nullptr : *f;
+  }
+
+  // Sender state. set_dcqcn_params walks tx_flows_ to re-arm RP timers, so
+  // its iteration order feeds scheduling and the container stays; the
+  // per-packet lookups go through tx_index_ (unordered_map nodes never
+  // move, so each pointer holds until its flow is erased from both).
   std::unordered_map<std::uint64_t, FlowTx> tx_flows_;
+  common::FlatTable<FlowTx*> tx_index_;
   // Receive state is kept for the run's lifetime (a completed entry is a
   // few dozen bytes; experiments run tens of thousands of flows at most).
-  std::unordered_map<std::uint64_t, FlowRx> rx_flows_;
+  // Only ever looked up, never iterated.
+  common::FlatTable<FlowRx> rx_flows_;
 
-  std::unordered_map<std::uint64_t, std::int64_t>
-      mi_tx_bytes_[kTxCounterChannels];
+  bool tx_counters_on_[kTxCounterChannels] = {};
+  common::FlatTable<std::int64_t> mi_tx_bytes_[kTxCounterChannels];
   double mi_rtt_norm_sum_ = 0.0;
   std::uint64_t mi_rtt_norm_count_ = 0;
   double mi_rtt_raw_sum_ = 0.0;

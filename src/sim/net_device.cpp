@@ -5,28 +5,30 @@
 #include <utility>
 
 #include "common/unique_function.hpp"
+#include "sim/host_node.hpp"
 #include "sim/node.hpp"
+#include "sim/switch_node.hpp"
 
 namespace paraleon::sim {
 
-NetDevice::NetDevice(Simulator* sim, Node* peer, int peer_port, Rate rate,
-                     Time propagation_delay)
+NetDevice::NetDevice(Simulator* sim, Node* owner, Node* peer, int peer_port,
+                     Rate rate, Time propagation_delay)
     : sim_(sim),
+      owner_(owner),
       peer_(peer),
       peer_port_(peer_port),
       rate_(rate),
       prop_delay_(propagation_delay) {}
 
-void NetDevice::enqueue(const Packet& pkt, int in_port) {
-  // Each enqueue value-copies the Packet into the ring — one contiguous
-  // array per class, no per-hop allocation.
+void NetDevice::enqueue(PacketHandle h, int in_port) {
+  const Packet& pkt = sim_->packets()[h];
   sim_->obs().perf().on_packet_enqueue(pkt.size_bytes);
   if (pkt.is_control()) {
-    ctrl_q_.push_back({pkt, in_port});
     ctrl_bytes_ += pkt.size_bytes;
+    ctrl_q_.push_back({h, in_port});
   } else {
-    data_q_.push_back({pkt, in_port});
     data_bytes_ += pkt.size_bytes;
+    data_q_.push_back({h, in_port});
   }
   try_transmit();
 }
@@ -115,9 +117,9 @@ void NetDevice::charge_blocked_flows(Time span_ns) {
   // packets only, so no control filter is needed here.
   std::set<std::uint64_t> seen;
   for (std::size_t i = 0; i < data_q_.size(); ++i) {
-    const Queued& q = data_q_[i];
-    if (!seen.insert(q.pkt.flow_id).second) continue;
-    attr.on_flow_blocked(peer_->id(), peer_port_, q.pkt.flow_id, span_ns);
+    const std::uint64_t flow = sim_->packets()[data_q_[i].pkt].flow_id;
+    if (!seen.insert(flow).second) continue;
+    attr.on_flow_blocked(peer_->id(), peer_port_, flow, span_ns);
   }
 }
 
@@ -130,22 +132,23 @@ Time NetDevice::paused_time() const {
 void NetDevice::try_transmit() {
   if (busy_) return;
   Queued item;
+  std::uint32_t bytes = 0;
   if (!ctrl_q_.empty()) {
-    item = std::move(ctrl_q_.front());
+    item = ctrl_q_.front();
     ctrl_q_.pop_front();
-    ctrl_bytes_ -= item.pkt.size_bytes;
+    bytes = sim_->packets()[item.pkt].size_bytes;
+    ctrl_bytes_ -= bytes;
   } else if (!data_q_.empty() && !data_paused()) {
-    item = std::move(data_q_.front());
+    item = data_q_.front();
     data_q_.pop_front();
-    data_bytes_ -= item.pkt.size_bytes;
+    bytes = sim_->packets()[item.pkt].size_bytes;
+    data_bytes_ -= bytes;
   } else {
     return;
   }
   busy_ = true;
-  const Time ser = serialization_time(item.pkt.size_bytes, rate_);
-  auto cb = [this, item = std::move(item)]() mutable {
-    finish_transmit(std::move(item));
-  };
+  const Time ser = serialization_time(bytes, rate_);
+  auto cb = [this, item] { finish_transmit(item); };
   static_assert(common::UniqueFunction::fits_inline<decltype(cb)>(),
                 "hot-path serialize closure must stay inline");
   sim_->schedule_in(ser, std::move(cb), "net.serialize");
@@ -153,38 +156,73 @@ void NetDevice::try_transmit() {
 
 void NetDevice::finish_transmit(Queued item) {
   busy_ = false;
-  if (item.pkt.is_control()) {
-    tx_ctrl_bytes_ += item.pkt.size_bytes;
+  // Pool slots never move, so this reference survives the packets the
+  // owner's dequeue hook may create.
+  Packet& pkt = sim_->packets()[item.pkt];
+  if (pkt.is_control()) {
+    tx_ctrl_bytes_ += pkt.size_bytes;
   } else {
-    tx_data_bytes_ += item.pkt.size_bytes;
+    tx_data_bytes_ += pkt.size_bytes;
     ++tx_data_packets_;
     obs::TraceRecorder& tr = sim_->obs().trace();
     if (tr.enabled(obs::TraceCategory::kPacket)) {
       tr.instant(obs::TraceCategory::kPacket, "pkt.tx", sim_->now(),
                  peer_->id(), peer_port_,
-                 {{"flow", static_cast<std::int64_t>(item.pkt.flow_id)},
-                  {"bytes", static_cast<std::int64_t>(item.pkt.size_bytes)},
-                  {"ecn", item.pkt.ecn_ce ? 1 : 0}});
+                 {{"flow", static_cast<std::int64_t>(pkt.flow_id)},
+                  {"bytes", static_cast<std::int64_t>(pkt.size_bytes)},
+                  {"ecn", pkt.ecn_ce ? 1 : 0}});
     }
   }
-  if (on_dequeue) on_dequeue(item);
-  Packet pkt = item.pkt;
+  notify_owner(pkt, item.in_port);
   // ttl == 0 on arrival means "not tracked" (default Packet) and is
   // forwarded untouched; a tracked packet whose budget hits zero here
   // has looped. The pre-fix path forwarded it forever at TTL 0 with no
   // signal (the TTL black hole); drop it loudly instead.
   if (pkt.ttl > 0 && --pkt.ttl == 0) {
     drop_expired(pkt);
+    sim_->packets().free(item.pkt);
     try_transmit();
     return;
   }
-  Node* peer = peer_;
-  const int port = peer_port_;
-  auto cb = [peer, port, pkt] { peer->receive(pkt, port); };
+  auto cb = [this, h = item.pkt] { deliver(h); };
   static_assert(common::UniqueFunction::fits_inline<decltype(cb)>(),
                 "hot-path propagate closure must stay inline");
   sim_->schedule_in(prop_delay_, std::move(cb), "net.propagate");
   try_transmit();
+}
+
+void NetDevice::notify_owner(const Packet& pkt, int in_port) {
+  if (owner_ == nullptr) return;
+  switch (owner_->kind()) {
+    case NodeKind::kHost:
+      static_cast<HostNode*>(owner_)->on_nic_dequeue(pkt);
+      return;
+    case NodeKind::kSwitch:
+      static_cast<SwitchNode*>(owner_)->account_dequeue(pkt, in_port);
+      return;
+    case NodeKind::kTap: {
+      const auto* tap = static_cast<const TapNode*>(owner_);
+      if (tap->on_dequeue) tap->on_dequeue(pkt, in_port);
+      return;
+    }
+  }
+}
+
+void NetDevice::deliver(PacketHandle h) {
+  switch (peer_->kind()) {
+    case NodeKind::kHost:
+      static_cast<HostNode*>(peer_)->receive(h, peer_port_);
+      return;
+    case NodeKind::kSwitch:
+      static_cast<SwitchNode*>(peer_)->receive(h, peer_port_);
+      return;
+    case NodeKind::kTap: {
+      const Packet pkt = sim_->packets().take(h);
+      const auto* tap = static_cast<const TapNode*>(peer_);
+      if (tap->on_receive) tap->on_receive(pkt, peer_port_);
+      return;
+    }
+  }
 }
 
 void NetDevice::drop_expired(const Packet& pkt) {

@@ -2,15 +2,16 @@
 // control queue and a PFC-pausable data FIFO, feeding a fixed-rate link
 // with propagation delay.
 //
-// The owning node installs an `on_dequeue` hook for MMU accounting (switch)
-// or QP backpressure (host). Counters feed the Runtime Metric Monitor:
-// transmitted data bytes (throughput / utilisation) and accumulated paused
-// time (the O_PFC term of the utility function). Queue storage is a flat
-// common::Ring per class — contiguous, allocation-free at steady state.
+// Each packet leaving the queue is reported to the owning node by direct
+// call: MMU accounting on a switch, QP backpressure on a host. Counters
+// feed the Runtime Metric Monitor: transmitted data bytes (throughput /
+// utilisation) and accumulated paused time (the O_PFC term of the utility
+// function). Queue storage is a flat common::Ring of 8-byte (handle,
+// ingress port) items per class — contiguous, allocation-free at steady
+// state; the packet bodies stay in the Simulator's PacketPool.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/ring.hpp"
 #include "common/time.hpp"
@@ -24,17 +25,18 @@ class Node;
 
 class NetDevice {
  public:
-  struct Queued {
-    Packet pkt;
-    int in_port = -1;  // ingress port at the owning node; -1 = locally born
-  };
+  /// `owner` is told of every dequeue (nullptr: nobody); `peer` receives
+  /// every packet that crosses the link.
+  NetDevice(Simulator* sim, Node* owner, Node* peer, int peer_port,
+            Rate rate, Time propagation_delay);
 
-  NetDevice(Simulator* sim, Node* peer, int peer_port, Rate rate,
-            Time propagation_delay);
-
-  /// Queues a packet for transmission; control priority preempts data at
-  /// packet boundaries.
-  void enqueue(const Packet& pkt, int in_port);
+  /// Queues a pooled packet for transmission, taking ownership of the
+  /// handle; control priority preempts data at packet boundaries.
+  void enqueue(PacketHandle pkt, int in_port);
+  /// Queues a copy of `pkt` (a newly born packet) in a fresh pool slot.
+  void enqueue(const Packet& pkt, int in_port) {
+    enqueue(sim_->packets().alloc(pkt), in_port);
+  }
 
   /// PFC XOFF: pause the data class for `duration` (extends any current
   /// pause). Control traffic keeps flowing.
@@ -84,12 +86,18 @@ class NetDevice {
   std::uint64_t ttl_drops() const { return ttl_drops_; }
   std::uint64_t last_ttl_expired_flow() const { return last_ttl_flow_; }
 
-  /// Invoked when a packet finishes serialising (leaves the buffer).
-  std::function<void(const Queued&)> on_dequeue;
-
  private:
+  struct Queued {
+    PacketHandle pkt{};
+    int in_port = -1;  // ingress port at the owning node; -1 = locally born
+  };
+
   void try_transmit();
   void finish_transmit(Queued item);
+  /// Tells the owner that `pkt` finished serialising (left the buffer).
+  void notify_owner(const Packet& pkt, int in_port);
+  /// Hands a packet that crossed the link to the peer.
+  void deliver(PacketHandle pkt);
   /// Schedules the pause-end wake-up at the current pause_until_.
   void schedule_kick(std::uint64_t gen);
   /// The scheduled wake-up: voided by generation on early resume,
@@ -101,6 +109,7 @@ class NetDevice {
   void charge_blocked_flows(Time span_ns);
 
   Simulator* sim_;
+  Node* owner_;
   Node* peer_;
   int peer_port_;
   Rate rate_;

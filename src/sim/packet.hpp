@@ -1,13 +1,18 @@
 // The packet model for the RoCEv2 simulator.
 //
 // One struct covers data segments, per-packet ACKs, CNPs and PFC
-// pause/resume frames; value semantics keep the event queue allocation-free
-// for the packet itself. Control traffic (ACK/CNP/PFC) rides the
-// strict-priority class and is exempt from data-class PFC pause, modelling
-// the priority separation RoCE deployments use for CNPs.
+// pause/resume frames. A packet in flight lives in its Simulator's
+// PacketPool and moves through egress queues and events as a 32-bit
+// PacketHandle, so a hop copies 4 bytes, not the 64-byte body. Control
+// traffic (ACK/CNP/PFC) rides the strict-priority class and is exempt from
+// data-class PFC pause, modelling the priority separation RoCE deployments
+// use for CNPs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/time.hpp"
 
@@ -62,6 +67,75 @@ struct Packet {
   std::uint8_t ttl = 64;
 
   bool is_control() const { return priority == kPriorityControl; }
+};
+
+/// A packet's slot in its Simulator's PacketPool.
+enum class PacketHandle : std::uint32_t {};
+
+/// Every in-flight packet of one simulation. Whoever holds a handle owns
+/// the packet: a NetDevice while it is queued or on the wire, the
+/// receiving node on arrival, which forwards the handle (a switch) or
+/// frees it (a host, a drop). Slots live in fixed-size blocks carved on
+/// first need — nothing is preallocated, and a block never moves, so a
+/// Packet& stays valid across alloc(). Freed slots recycle LIFO through an
+/// intrusive list threaded through flow_id, so the next packet reuses the
+/// hottest slot.
+class PacketPool {
+ public:
+  PacketHandle alloc(const Packet& p) {
+    std::uint32_t i = free_head_;
+    if (i != kNone) {
+      free_head_ = static_cast<std::uint32_t>(slot(i).flow_id);
+    } else {
+      if ((carved_ & kBlockMask) == 0) {
+        // lint:allow(hot-alloc) the pool's own block carve, once per
+        // kBlockSize packets at the high-water mark, never per hop.
+        blocks_.push_back(std::make_unique<Packet[]>(kBlockSize));
+      }
+      i = carved_++;
+    }
+    ++live_;
+    slot(i) = p;
+    return PacketHandle{i};
+  }
+
+  Packet& operator[](PacketHandle h) {
+    return slot(static_cast<std::uint32_t>(h));
+  }
+
+  void free(PacketHandle h) {
+    const auto i = static_cast<std::uint32_t>(h);
+    slot(i).flow_id = free_head_;
+    free_head_ = i;
+    --live_;
+  }
+
+  /// Copies the packet out and frees its slot: a receiver's consume.
+  Packet take(PacketHandle h) {
+    const Packet p = (*this)[h];
+    free(h);
+    return p;
+  }
+
+  /// Packets allocated and not yet freed.
+  std::size_t live() const { return live_; }
+  /// Slots ever carved (the high-water mark of live packets).
+  std::size_t capacity() const { return carved_; }
+
+ private:
+  static constexpr int kBlockShift = 10;
+  static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
+  static constexpr std::uint32_t kBlockMask = kBlockSize - 1;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  Packet& slot(std::uint32_t i) {
+    return blocks_[i >> kBlockShift][i & kBlockMask];
+  }
+
+  std::vector<std::unique_ptr<Packet[]>> blocks_;
+  std::uint32_t carved_ = 0;
+  std::uint32_t free_head_ = kNone;
+  std::size_t live_ = 0;
 };
 
 inline Packet make_ack(const Packet& data, Time now, std::int64_t acked) {

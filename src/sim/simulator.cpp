@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <chrono>
+#include <cstdlib>
 
 // lint:allow-file(wall-clock) this TU is the LoopProfiler's measuring
 // site: callback wall times feed runner::RunMeta, never any digest.
@@ -21,24 +22,11 @@ Simulator::Simulator(QueueBackend backend)
   reg.gauge("sim.now_ms", [this] { return to_ms(now_); });
 }
 
-EventNode* Simulator::alloc_event(Time t) {
+void Simulator::fail_past_schedule(Time t) const {
   PARALEON_CHECK(t >= now_, "cannot schedule into the past: t=", t,
                  " now=", now_);
-  return pool_.acquire();
-}
-
-void Simulator::enqueue_event(Time t, EventNode* n) {
-  const std::uint64_t seq = next_seq_++;
-  if (backend_ == QueueBackend::kCalendar) {
-    cal_.push(t, seq, n);
-  } else {
-    heap_.push(t, seq, n);
-  }
-}
-
-EventNode* Simulator::pop_event(Time limit, Time* fired_at) {
-  return backend_ == QueueBackend::kCalendar ? cal_.pop(limit, fired_at)
-                                             : heap_.pop(limit, fired_at);
+  // The check above always fails here; this keeps [[noreturn]] honest.
+  std::abort();
 }
 
 void Simulator::run_until(Time t) {

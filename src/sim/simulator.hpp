@@ -9,10 +9,10 @@
 // sim/event_queue.hpp). The kReferenceHeap backend keeps the old binary
 // heap ordering alive for digest-equivalence tests.
 //
-// The simulator also owns the run's observability context (counter
-// registry, trace recorder, loop profiler): every component already holds
-// a `Simulator*`, which makes `sim->obs()` the natural registration and
-// emission point without further plumbing.
+// The simulator also owns the run's packet pool and observability context
+// (counter registry, trace recorder, loop profiler): every component
+// already holds a `Simulator*`, which makes `sim->packets()` and
+// `sim->obs()` the natural owners without further plumbing.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include "common/unique_function.hpp"
 #include "obs/observability.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet.hpp"
 
 namespace paraleon::sim {
 
@@ -96,6 +97,10 @@ class Simulator {
   /// Calendar window rotations (0 under kReferenceHeap).
   std::uint64_t queue_rotations() const { return cal_.rotations(); }
 
+  /// Every packet in flight; nodes and links pass packets by handle.
+  PacketPool& packets() { return packets_; }
+  const PacketPool& packets() const { return packets_; }
+
   /// The run's observability context (stable address for the simulator's
   /// lifetime; counter handles and gauges registered here survive moves).
   obs::Observability& obs() { return *obs_; }
@@ -110,11 +115,28 @@ class Simulator {
   }
 
  private:
+  // The three per-event steps stay inline at every schedule site and in
+  // the loop; only the failure report is out of line.
+
   /// Range check + pool acquire; the caller fills fn/tag in place.
-  EventNode* alloc_event(Time t);
+  EventNode* alloc_event(Time t) {
+    if (t < now_) [[unlikely]] fail_past_schedule(t);
+    return pool_.acquire();
+  }
   /// Stamps the next sequence number and pushes onto the active backend.
-  void enqueue_event(Time t, EventNode* n);
-  EventNode* pop_event(Time limit, Time* fired_at);
+  void enqueue_event(Time t, EventNode* n) {
+    const std::uint64_t seq = next_seq_++;
+    if (backend_ == QueueBackend::kCalendar) {
+      cal_.push(t, seq, n);
+    } else {
+      heap_.push(t, seq, n);
+    }
+  }
+  EventNode* pop_event(Time limit, Time* fired_at) {
+    return backend_ == QueueBackend::kCalendar ? cal_.pop(limit, fired_at)
+                                               : heap_.pop(limit, fired_at);
+  }
+  [[noreturn]] void fail_past_schedule(Time t) const;
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -123,6 +145,7 @@ class Simulator {
   EventPool pool_;
   CalendarQueue cal_;
   ReferenceHeapQueue heap_;
+  PacketPool packets_;
   std::function<void(Time)> post_event_;
   std::unique_ptr<obs::Observability> obs_;
   // Cached &obs_->perf(): schedule_at checks enabled() on every call and

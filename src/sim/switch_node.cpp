@@ -19,7 +19,7 @@ std::uint64_t mix(std::uint64_t x) {
 
 SwitchNode::SwitchNode(Simulator* sim, NodeId id, SwitchConfig cfg,
                        std::uint64_t ecmp_salt)
-    : Node(id, /*is_switch=*/true),
+    : Node(id, NodeKind::kSwitch),
       sim_(sim),
       cfg_(cfg),
       ecmp_salt_(ecmp_salt),
@@ -36,11 +36,8 @@ SwitchNode::SwitchNode(Simulator* sim, NodeId id, SwitchConfig cfg,
 int SwitchNode::add_port(Node* peer, int peer_port, Rate rate,
                          Time prop_delay) {
   const int idx = static_cast<int>(ports_.size());
-  ports_.push_back(
-      std::make_unique<NetDevice>(sim_, peer, peer_port, rate, prop_delay));
-  ports_.back()->on_dequeue = [this](const NetDevice::Queued& item) {
-    account_dequeue(item);
-  };
+  ports_.push_back(std::make_unique<NetDevice>(sim_, this, peer, peer_port,
+                                               rate, prop_delay));
   ingress_bytes_.push_back(0);
   rx_data_bytes_.push_back(0);
   pause_sent_.push_back(false);
@@ -73,43 +70,54 @@ int SwitchNode::add_port(Node* peer, int peer_port, Rate rate,
 void SwitchNode::set_route(NodeId dst, std::vector<int> ports) {
   PARALEON_CHECK(!ports.empty(), "switch ", id(), ": empty ECMP set for dst ",
                  dst);
+  if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1);
   routes_[dst] = std::move(ports);
 }
 
 int SwitchNode::route_port(NodeId dst, std::uint64_t flow_id) const {
-  const auto it = routes_.find(dst);
-  PARALEON_CHECK(it != routes_.end(), "switch ", id(),
-                 ": no route to destination ", dst, " (flow ", flow_id, ")");
-  const auto& candidates = it->second;
-  if (candidates.size() == 1) return candidates[0];
+  PARALEON_CHECK(dst < routes_.size() && !routes_[dst].empty(), "switch ",
+                 id(), ": no route to destination ", dst, " (flow ", flow_id,
+                 ")");
+  const auto& candidates = routes_[dst];
+  const std::size_t n = candidates.size();
+  if (n == 1) return candidates[0];
   const std::uint64_t h = mix(flow_id ^ ecmp_salt_);
-  return candidates[h % candidates.size()];
+  // h % n; fabrics build power-of-two ECMP sets, where a mask gives the
+  // same port without a 64-bit division.
+  return candidates[(n & (n - 1)) == 0 ? h & (n - 1) : h % n];
 }
 
-void SwitchNode::receive(const Packet& pkt, int in_port) {
+void SwitchNode::receive(PacketHandle h, int in_port) {
+  PacketPool& pool = sim_->packets();
+  const Packet& pkt = pool[h];
   switch (pkt.type) {
-    case PacketType::kPfcPause:
+    case PacketType::kPfcPause: {
       // Link-local: the neighbour on `in_port` wants our egress towards it
       // (the same port index) paused.
-      ports_[in_port]->pause_data(pkt.aux);
+      const Time duration = pkt.aux;
+      pool.free(h);
+      ports_[in_port]->pause_data(duration);
       return;
+    }
     case PacketType::kPfcResume:
+      pool.free(h);
       ports_[in_port]->resume_data();
       return;
     case PacketType::kAck:
     case PacketType::kCnp: {
       // Control packets bypass the MMU: route and forward immediately.
       const int out = route_port(pkt.dst, pkt.flow_id);
-      ports_[out]->enqueue(pkt, in_port);
+      ports_[out]->enqueue(h, in_port);
       return;
     }
     case PacketType::kData:
-      admit_data(pkt, in_port);
+      admit_data(h, in_port);
       return;
   }
 }
 
-void SwitchNode::admit_data(Packet pkt, int in_port) {
+void SwitchNode::admit_data(PacketHandle h, int in_port) {
+  Packet& pkt = sim_->packets()[h];
   rx_data_bytes_[in_port] += pkt.size_bytes;
   if (used_ + pkt.size_bytes > cfg_.buffer_bytes) {
     // lossless fabrics should never get here; counted, not hidden
@@ -122,6 +130,7 @@ void SwitchNode::admit_data(Packet pkt, int in_port) {
                   {"bytes", static_cast<std::int64_t>(pkt.size_bytes)},
                   {"buffer_used", used_}});
     }
+    sim_->packets().free(h);
     return;
   }
   used_ += pkt.size_bytes;
@@ -134,20 +143,19 @@ void SwitchNode::admit_data(Packet pkt, int in_port) {
 
   const int out = route_port(pkt.dst, pkt.flow_id);
   maybe_mark_ecn(pkt, *ports_[out]);
-  ports_[out]->enqueue(pkt, in_port);
+  ports_[out]->enqueue(h, in_port);
 
   if (cfg_.pfc_enabled) check_pfc_xoff(in_port);
 }
 
-void SwitchNode::account_dequeue(const NetDevice::Queued& item) {
-  if (item.pkt.is_control() || item.in_port < 0) return;
-  used_ -= item.pkt.size_bytes;
-  ingress_bytes_[item.in_port] -= item.pkt.size_bytes;
-  PARALEON_CHECK(used_ >= 0 && ingress_bytes_[item.in_port] >= 0,
-                 "switch ", id(), ": MMU accounting went negative (used=",
-                 used_, ", ingress[", item.in_port,
-                 "]=", ingress_bytes_[item.in_port], ")");
-  if (cfg_.pfc_enabled) check_pfc_xon(item.in_port);
+void SwitchNode::account_dequeue(const Packet& pkt, int in_port) {
+  if (pkt.is_control() || in_port < 0) return;
+  used_ -= pkt.size_bytes;
+  ingress_bytes_[in_port] -= pkt.size_bytes;
+  PARALEON_CHECK(used_ >= 0 && ingress_bytes_[in_port] >= 0, "switch ", id(),
+                 ": MMU accounting went negative (used=", used_, ", ingress[",
+                 in_port, "]=", ingress_bytes_[in_port], ")");
+  if (cfg_.pfc_enabled) check_pfc_xon(in_port);
 }
 
 void SwitchNode::maybe_mark_ecn(Packet& pkt, const NetDevice& egress) {

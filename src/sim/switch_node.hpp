@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -42,7 +41,7 @@ struct SwitchConfig {
   bool pfc_enabled = true;
 };
 
-class SwitchNode : public Node {
+class SwitchNode final : public Node {
  public:
   SwitchNode(Simulator* sim, NodeId id, SwitchConfig cfg,
              std::uint64_t ecmp_salt);
@@ -54,7 +53,13 @@ class SwitchNode : public Node {
   /// Declares that `dst` is reachable via any of `ports` (ECMP set).
   void set_route(NodeId dst, std::vector<int> ports);
 
-  void receive(const Packet& pkt, int in_port) override;
+  /// A packet fully arrived on local port `in_port`; consumes the handle
+  /// (forwarded, or freed when it ends here).
+  void receive(PacketHandle pkt, int in_port);
+  /// Injects a copy of `pkt` as if it arrived on `in_port`.
+  void receive(const Packet& pkt, int in_port) {
+    receive(sim_->packets().alloc(pkt), in_port);
+  }
 
   // ---- runtime-tunable knobs ----
   void set_ecn(const EcnConfig& ecn) { ecn_ = ecn; }
@@ -93,8 +98,11 @@ class SwitchNode : public Node {
   void inject_buffer_accounting_fault(std::int64_t delta) { used_ += delta; }
 
  private:
-  void admit_data(Packet pkt, int in_port);
-  void account_dequeue(const NetDevice::Queued& item);
+  // Delivers arrivals and reports egress dequeues by direct call.
+  friend class NetDevice;
+
+  void admit_data(PacketHandle h, int in_port);
+  void account_dequeue(const Packet& pkt, int in_port);
   void maybe_mark_ecn(Packet& pkt, const NetDevice& egress);
   void check_pfc_xoff(int in_port);
   void check_pfc_xon(int in_port);
@@ -107,7 +115,8 @@ class SwitchNode : public Node {
   EcnConfig ecn_;
   std::uint64_t ecmp_salt_;
   std::vector<std::unique_ptr<NetDevice>> ports_;
-  std::unordered_map<NodeId, std::vector<int>> routes_;
+  // ECMP port set per destination id; empty = no route.
+  std::vector<std::vector<int>> routes_;
 
   std::int64_t used_ = 0;
   std::vector<std::int64_t> ingress_bytes_;

@@ -1,9 +1,13 @@
-// Units and RNG: determinism, distribution sanity, conversion exactness.
+// Units, RNG and FlatTable: determinism, distribution sanity, conversion
+// exactness, lookup across growth.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
+#include <vector>
 
+#include "common/flat_table.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 
@@ -126,6 +130,54 @@ TEST(Rng, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 100; ++i) same += (child.next_u64() == a.next_u64());
   EXPECT_LT(same, 5);
+}
+
+TEST(FlatTable, KeepsEveryKeyAcrossGrowthAndClear) {
+  common::FlatTable<std::int64_t> t;
+  // Keys that share low bits and a zero key, past several doublings.
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    t[k << 20] += static_cast<std::int64_t>(k);
+  }
+  for (std::uint64_t k = 0; k < 1000; ++k) t[k << 20] += 1;
+  EXPECT_EQ(t.size(), 1000u);
+  std::set<std::uint64_t> keys;
+  t.for_each([&](std::uint64_t key, std::int64_t v) {
+    EXPECT_EQ(v, static_cast<std::int64_t>(key >> 20) + 1);
+    keys.insert(key);
+  });
+  EXPECT_EQ(keys.size(), 1000u);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  t[5] = 3;
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[5], 3);
+}
+
+TEST(FlatTable, EraseKeepsEveryOtherKeyReachable) {
+  // Erasing from the middle of probe runs must not strand the entries
+  // behind it: every survivor stays findable, every erased key is gone.
+  // Random keys, so that probe runs form (an arithmetic key sequence
+  // hashes without a single collision).
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> keys(600);
+  for (std::uint64_t& k : keys) k = rng();
+  common::FlatTable<std::size_t> t;
+  for (std::size_t i = 0; i < keys.size(); ++i) t[keys[i]] = i;
+  for (std::size_t i = 0; i < keys.size(); i += 3) t.erase(keys[i]);
+  t.erase(12345);  // absent: no-op
+  EXPECT_EQ(t.size(), 400u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t* v = t.find(keys[i]);
+    if (i % 3 == 0) {
+      EXPECT_EQ(v, nullptr) << i;
+    } else {
+      ASSERT_NE(v, nullptr) << i;
+      EXPECT_EQ(*v, i);
+    }
+  }
+  t[keys[0]] = 1000;
+  EXPECT_EQ(*t.find(keys[0]), 1000u);
+  EXPECT_EQ(t.size(), 401u);
 }
 
 }  // namespace

@@ -90,45 +90,76 @@ TEST(Determinism, DifferentWorkloadSeedDifferentDigest) {
 
 // ---- event-engine equivalence ----
 
-TEST(Determinism, CalendarAndReferenceHeapBackendsDigestIdentically) {
-  // The calendar-queue overhaul must be invisible to fire order: the same
-  // run on the pre-overhaul binary-heap ordering (kReferenceHeap) and on
-  // the calendar backend must hash to the same digest, byte for byte.
-  for (const Scheme scheme : {Scheme::kDefaultStatic, Scheme::kParaleon}) {
-    ExperimentConfig heap_cfg = base_config(scheme, 42);
-    heap_cfg.event_queue = sim::Simulator::QueueBackend::kReferenceHeap;
-    const auto cal = digest_of_run(base_config(scheme, 42), 7);
-    const auto heap = digest_of_run(std::move(heap_cfg), 7);
-    EXPECT_EQ(cal, heap) << "backends diverged under scheme "
-                         << static_cast<int>(scheme);
+using Backend = sim::Simulator::QueueBackend;
+
+std::uint64_t poisson_digest(Scheme scheme, Backend backend) {
+  ExperimentConfig cfg = base_config(scheme, 42);
+  cfg.event_queue = backend;
+  return digest_of_run(std::move(cfg), 7);
+}
+
+// Elephant-only round-based collective: every host sends to every other,
+// so ECMP, serialisation and propagation dominate the event mix.
+std::uint64_t alltoall_digest(Backend backend) {
+  ExperimentConfig cfg = base_config(Scheme::kDefaultStatic, 42);
+  cfg.duration = milliseconds(20);
+  cfg.event_queue = backend;
+  Experiment exp(std::move(cfg));
+  workload::AlltoallConfig a2a;
+  a2a.workers = exp.all_hosts();
+  a2a.flow_size = 128 * 1024;
+  a2a.off_period = milliseconds(1);
+  exp.add_alltoall(a2a);
+  exp.run();
+  return runner::run_digest(exp);
+}
+
+// A PFC-heavy run: a tiny shared buffer (the dynamic XOFF threshold
+// pfc_alpha * headroom trips almost immediately) + a synchronized incast,
+// so pause/resume (and the dedup'd pause-kick relay) fire constantly,
+// with kFull invariants watching every event.
+std::uint64_t pfc_storm_digest(Backend backend) {
+  ExperimentConfig cfg = base_config(Scheme::kDefaultStatic, 21);
+  cfg.clos.switch_cfg.buffer_bytes = 96 * 1024;  // tiny shared MMU
+  cfg.duration = milliseconds(8);
+  cfg.invariants.level = check::CheckLevel::kFull;
+  cfg.event_queue = backend;
+  Experiment exp(std::move(cfg));
+  for (int src = 1; src < 8; ++src) {
+    exp.inject_flow(src, 0, 512 * 1024);
   }
+  exp.run();
+  // The scenario only counts if PFC actually stormed.
+  std::uint64_t pauses = 0;
+  for (int h = 0; h < exp.topology().host_count(); ++h) {
+    pauses += exp.topology().host(h).uplink().pause_frames_received();
+  }
+  EXPECT_GT(pauses, 0u) << "incast never tripped PFC; deadband too wide";
+  return runner::run_digest(exp);
+}
+
+TEST(Determinism, CalendarAndReferenceHeapBackendsDigestIdentically) {
+  // The calendar queue (its radix-sorted bucket drain included) must be
+  // invisible to fire order: the same run on the binary-heap ordering
+  // (kReferenceHeap) and on the calendar backend must hash to the same
+  // digest, byte for byte — on Poisson traffic under both schemes, an
+  // alltoall cell and a PFC storm.
+  for (const Scheme scheme : {Scheme::kDefaultStatic, Scheme::kParaleon}) {
+    EXPECT_EQ(poisson_digest(scheme, Backend::kCalendar),
+              poisson_digest(scheme, Backend::kReferenceHeap))
+        << "backends diverged under scheme " << static_cast<int>(scheme);
+  }
+  EXPECT_EQ(alltoall_digest(Backend::kCalendar),
+            alltoall_digest(Backend::kReferenceHeap))
+      << "backends diverged on the alltoall cell";
+  EXPECT_EQ(pfc_storm_digest(Backend::kCalendar),
+            pfc_storm_digest(Backend::kReferenceHeap))
+      << "backends diverged on the PFC storm";
 }
 
 TEST(Determinism, PfcStormScenarioIsDeterministicAndInvariantClean) {
-  // A PFC-heavy run: a tiny shared buffer (the dynamic XOFF threshold
-  // pfc_alpha * headroom trips almost immediately) + a synchronized
-  // incast, so pause/resume (and the dedup'd pause-kick relay) fire
-  // constantly. kFull invariants watch every event; two runs must digest
-  // identically.
-  const auto storm_digest = [] {
-    ExperimentConfig cfg = base_config(Scheme::kDefaultStatic, 21);
-    cfg.clos.switch_cfg.buffer_bytes = 96 * 1024;  // tiny shared MMU
-    cfg.duration = milliseconds(8);
-    cfg.invariants.level = check::CheckLevel::kFull;
-    Experiment exp(std::move(cfg));
-    for (int src = 1; src < 8; ++src) {
-      exp.inject_flow(src, 0, 512 * 1024);
-    }
-    exp.run();
-    // The scenario only counts if PFC actually stormed.
-    std::uint64_t pauses = 0;
-    for (int h = 0; h < exp.topology().host_count(); ++h) {
-      pauses += exp.topology().host(h).uplink().pause_frames_received();
-    }
-    EXPECT_GT(pauses, 0u) << "incast never tripped PFC; deadband too wide";
-    return runner::run_digest(exp);
-  };
-  EXPECT_EQ(storm_digest(), storm_digest());
+  EXPECT_EQ(pfc_storm_digest(Backend::kCalendar),
+            pfc_storm_digest(Backend::kCalendar));
 }
 
 // ---- observability determinism ----

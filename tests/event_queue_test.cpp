@@ -136,6 +136,44 @@ TEST(EventQueueEquivalence, PopRespectsLimitExactly) {
   EXPECT_EQ(q.drain(kTimeNever), 1u);
 }
 
+TEST(EventQueueEquivalence, RadixDrainOfAFullBucketMatchesTheHeap) {
+  // One bucket drained through every path that feeds it: far-heap
+  // entries spilled in (t, seq) order (pushed in descending t, so their
+  // seqs run against their times), direct pushes landing after the spill
+  // at the same timestamps, and inserts made while the bucket drains.
+  // Together they cover all 512 offsets with runs of equal t.
+  QueuePair q;
+  constexpr Time kWidth = Time{1} << CalendarQueue::kWidthShift;
+  constexpr Time kSpan = Time{CalendarQueue::kNumBuckets}
+                         << CalendarQueue::kWidthShift;
+  const Time bucket = 3 * kSpan + 5 * kWidth;
+  for (Time off = kWidth - 1; off >= 0; --off) {
+    q.push(bucket + off);
+    if (off % 7 == 0) q.push(bucket + off);  // equal-t runs in the spill
+  }
+  // An earlier far event in the same future window: popping it rotates
+  // the wheel, which spills the bucket out of the far heap.
+  q.push(bucket - 100);
+  EXPECT_EQ(q.drain(bucket - 1), 1u);
+  EXPECT_EQ(q.calendar().rotations(), 1u);
+  // Direct pushes into the spilled bucket, at every offset (equal to the
+  // spilled times, with larger seqs) and in runs.
+  for (Time off = 0; off < kWidth; off += 3) {
+    q.push(bucket + off);
+    q.push(bucket + off);
+  }
+  // Drain half the bucket, then insert into the run being drained: at
+  // the last fired time and scattered over the rest of the bucket.
+  EXPECT_GT(q.drain(bucket + kWidth / 2), 0u);
+  const Time mid = q.last_fired();
+  for (Time off = mid - bucket; off < kWidth; off += 5) q.push(bucket + off);
+  q.push(mid);
+  q.push(mid);
+  EXPECT_GT(q.drain(kTimeNever), 512u / 2);
+  EXPECT_EQ(q.cal_size(), 0u);
+  EXPECT_EQ(q.heap_size(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // EventPool lifecycle
 // ---------------------------------------------------------------------
@@ -197,8 +235,8 @@ TEST(EventPool, DestructorReleasesLiveClosures) {
 // ---------------------------------------------------------------------
 
 TEST(UniqueFunction, HotPathClosuresStayInline) {
-  // The engine's zero-alloc contract: a pointer-and-POD closure the size
-  // of the NetDevice hot-path captures fits the inline buffer.
+  // The engine's zero-alloc contract: an 80-byte pointer-and-POD closure
+  // fits the inline buffer.
   struct Fake {
     unsigned char bytes[80];
   };

@@ -162,12 +162,14 @@ TEST(CounterChannels, IndependentDrains) {
   clos.dcqcn = dcqcn::scaled_for_line_rate(dcqcn::default_params(),
                                            gbps(100), gbps(10));
   sim::ClosTopology topo(&sim, clos);
+  topo.host(0).enable_tx_counters(0);
+  topo.host(0).enable_tx_counters(1);
   topo.host(0).start_flow(7, 1, 64 * 1024);
   sim.run_until(milliseconds(3));
-  auto ch0 = topo.host(0).drain_tx_bytes_per_flow(0);
-  auto ch1 = topo.host(0).drain_tx_bytes_per_flow(1);
-  EXPECT_EQ(ch0[7], 64 * 1024);
-  EXPECT_EQ(ch1[7], 64 * 1024);  // channel 1 unaffected by channel 0 drain
+  const sim::HostNode::TxBytes want = {{7, 64 * 1024}};
+  EXPECT_EQ(topo.host(0).drain_tx_bytes_per_flow(0), want);
+  // Channel 1 is unaffected by the channel 0 drain.
+  EXPECT_EQ(topo.host(0).drain_tx_bytes_per_flow(1), want);
   EXPECT_TRUE(topo.host(0).drain_tx_bytes_per_flow(0).empty());
 }
 
@@ -183,15 +185,16 @@ TEST(QpKey, AggregatesAcrossFlowsOnSameQp) {
   clos.dcqcn = dcqcn::scaled_for_line_rate(dcqcn::default_params(),
                                            gbps(100), gbps(10));
   sim::ClosTopology topo(&sim, clos);
+  topo.host(0).enable_tx_counters(0);
+  topo.host(0).enable_tx_counters(1);
   topo.host(0).start_flow(1, 1, 32 * 1024, /*qp_key=*/555);
   sim.run_until(milliseconds(2));
   topo.host(0).start_flow(2, 1, 32 * 1024, /*qp_key=*/555);
   sim.run_until(milliseconds(4));
-  auto qp = topo.host(0).drain_tx_bytes_per_flow(0);       // QP-keyed
-  auto flows = topo.host(0).drain_tx_bytes_per_flow(1);    // flow-keyed
-  EXPECT_EQ(qp[555], 64 * 1024);
-  EXPECT_EQ(flows[1], 32 * 1024);
-  EXPECT_EQ(flows[2], 32 * 1024);
+  const sim::HostNode::TxBytes qp = {{555, 64 * 1024}};
+  const sim::HostNode::TxBytes flows = {{1, 32 * 1024}, {2, 32 * 1024}};
+  EXPECT_EQ(topo.host(0).drain_tx_bytes_per_flow(0), qp);     // QP-keyed
+  EXPECT_EQ(topo.host(0).drain_tx_bytes_per_flow(1), flows);  // flow-keyed
 }
 
 TEST(CsvExport, TimeSeriesRoundTrip) {

@@ -2,6 +2,8 @@
 // DCQCN reaction, PFC backpressure, RTT sampling, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dcqcn/params.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
@@ -164,14 +166,73 @@ TEST(HostFlow, NormalizedRttAtMostOne) {
 TEST(HostFlow, PerFlowTxBytesGroundTruth) {
   Simulator sim;
   ClosTopology topo(&sim, small_clos());
+  topo.host(0).enable_tx_counters(0);
   topo.host(0).start_flow(1, 4, 64 * 1024);
   topo.host(0).start_flow(2, 5, 32 * 1024);
   sim.run_until(milliseconds(5));
-  auto bytes = topo.host(0).drain_tx_bytes_per_flow();
-  EXPECT_EQ(bytes[1], 64 * 1024);
-  EXPECT_EQ(bytes[2], 32 * 1024);
+  const HostNode::TxBytes want = {{1, 64 * 1024}, {2, 32 * 1024}};
+  EXPECT_EQ(topo.host(0).drain_tx_bytes_per_flow(), want);
   // Drained: second read is empty.
   EXPECT_TRUE(topo.host(0).drain_tx_bytes_per_flow().empty());
+}
+
+TEST(HostFlow, TxCountersHoldNothingWithoutAConsumer) {
+  // No consumer enabled a channel: a whole run of traffic leaves no
+  // per-flow entries behind on either one.
+  Simulator sim;
+  ClosTopology topo(&sim, small_clos());
+  for (std::uint64_t f = 1; f <= 20; ++f) {
+    topo.host(0).start_flow(f, 4 + static_cast<NodeId>(f % 4), 8 * 1024);
+  }
+  sim.run_until(milliseconds(5));
+  EXPECT_TRUE(topo.host(0).drain_tx_bytes_per_flow(0).empty());
+  EXPECT_TRUE(topo.host(0).drain_tx_bytes_per_flow(1).empty());
+}
+
+TEST(HostFlow, TxCounterDrainIsKeyOrderedWhateverTheInsertionOrder) {
+  // Two hosts put the same bytes per flow on the wire, in opposite
+  // orders and over enough flows to grow the counter table: their drains
+  // must be identical and sorted by key (the FSD probe sums doubles over
+  // this list, so its order reaches a digested series).
+  Simulator sim;
+  ClosTopology topo(&sim, small_clos());
+  constexpr int kFlows = 40;
+  const auto flow_id = [](int i) {
+    return static_cast<std::uint64_t>(i) * 7919 % 1009 + 1;
+  };
+  const auto size = [](int i) { return std::int64_t{1024} * (1 + i % 5); };
+  for (int h : {0, 1}) topo.host(h).enable_tx_counters(1);
+  for (int i = 0; i < kFlows; ++i) {
+    const int j = kFlows - 1 - i;
+    topo.host(0).start_flow(flow_id(i), 4, size(i));
+    topo.host(1).start_flow(flow_id(j), 5, size(j));
+  }
+  sim.run_until(milliseconds(5));
+  const HostNode::TxBytes a = topo.host(0).drain_tx_bytes_per_flow(1);
+  const HostNode::TxBytes b = topo.host(1).drain_tx_bytes_per_flow(1);
+  ASSERT_EQ(a.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(a, b);
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+}
+
+TEST(PacketPool, LiveCountReturnsToZeroOnceARunDrains) {
+  // Every packet a run creates ends somewhere — delivered to a host,
+  // dropped, or consumed as a PFC frame — so a drained run holds none.
+  Simulator sim;
+  ClosTopology topo(&sim, small_clos());
+  for (int src = 0; src < 8; ++src) {
+    for (int dst = 0; dst < 8; ++dst) {
+      if (src == dst) continue;
+      topo.host(src).start_flow(static_cast<std::uint64_t>(src * 8 + dst + 1),
+                                static_cast<NodeId>(dst), 64 * 1024);
+    }
+  }
+  sim.run_until(microseconds(200));
+  EXPECT_GT(sim.packets().live(), 0u);
+  sim.run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.packets().live(), 0u);
+  EXPECT_GT(sim.packets().capacity(), 0u);
 }
 
 TEST(HostFlow, ActiveFlowAccounting) {

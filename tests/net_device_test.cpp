@@ -11,11 +11,12 @@ namespace paraleon::sim {
 namespace {
 
 /// Records every arriving packet with its time.
-class SinkNode : public Node {
+class SinkNode : public TapNode {
  public:
-  explicit SinkNode(Simulator* sim) : Node(99, false), sim_(sim) {}
-  void receive(const Packet& pkt, int in_port) override {
-    arrivals.push_back({sim_->now(), pkt, in_port});
+  explicit SinkNode(Simulator* sim) : TapNode(99), sim_(sim) {
+    on_receive = [this](const Packet& pkt, int in_port) {
+      arrivals.push_back({sim_->now(), pkt, in_port});
+    };
   }
   struct Arrival {
     Time t;
@@ -49,8 +50,9 @@ class NetDeviceTest : public ::testing::Test {
  protected:
   NetDeviceTest()
       : sink_(&sim_),
-        dev_(&sim_, &sink_, 7, gbps(10), microseconds(1)) {}
+        dev_(&sim_, &owner_, &sink_, 7, gbps(10), microseconds(1)) {}
   Simulator sim_;
+  TapNode owner_{98};
   SinkNode sink_;
   NetDevice dev_;
 };
@@ -142,9 +144,9 @@ TEST_F(NetDeviceTest, CountersSplitDataAndControl) {
 
 TEST_F(NetDeviceTest, OnDequeueHookFires) {
   int hooks = 0;
-  dev_.on_dequeue = [&](const NetDevice::Queued& q) {
+  owner_.on_dequeue = [&](const Packet&, int in_port) {
     ++hooks;
-    EXPECT_EQ(q.in_port, 5);
+    EXPECT_EQ(in_port, 5);
   };
   dev_.enqueue(data_packet(1000), 5);
   sim_.run();
@@ -187,6 +189,53 @@ TEST_F(NetDeviceTest, TtlExpiryDropsInsteadOfForwarding) {
   EXPECT_EQ(dev_.last_ttl_expired_flow(), 77u);
   // The drop frees the line: the survivor still serialized back-to-back.
   EXPECT_EQ(sink_.arrivals[0].t, 2 * 800 + microseconds(1));
+}
+
+TEST_F(NetDeviceTest, TtlDropFreesItsPacket) {
+  Packet doomed = data_packet(1000, /*flow=*/77);
+  doomed.ttl = 1;
+  dev_.enqueue(doomed, -1);
+  EXPECT_EQ(sim_.packets().live(), 1u);
+  sim_.run();
+  EXPECT_EQ(dev_.ttl_drops(), 1u);
+  EXPECT_EQ(sim_.packets().live(), 0u);
+}
+
+TEST(PacketPool, RecyclesHandlesLifo) {
+  PacketPool pool;
+  Packet p = data_packet(1000, /*flow=*/5);
+  const PacketHandle a = pool.alloc(p);
+  p.flow_id = 6;
+  const PacketHandle b = pool.alloc(p);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(pool[a].flow_id, 5u);
+  EXPECT_EQ(pool[b].flow_id, 6u);
+  EXPECT_EQ(pool.live(), 2u);
+  pool.free(a);
+  pool.free(b);
+  EXPECT_EQ(pool.live(), 0u);
+  // The last freed slot comes back first, and nothing new is carved.
+  p.flow_id = 7;
+  EXPECT_EQ(pool.alloc(p), b);
+  EXPECT_EQ(pool.alloc(p), a);
+  EXPECT_EQ(pool[a].flow_id, 7u);
+  EXPECT_EQ(pool.capacity(), 2u);
+  const Packet out = pool.take(a);
+  EXPECT_EQ(out.flow_id, 7u);
+  EXPECT_EQ(pool.live(), 1u);
+}
+
+TEST(PacketPool, ReferencesSurviveGrowth) {
+  // Slots live in blocks that never move, so a Packet& taken before more
+  // allocations (a switch forwarding while it emits a PFC frame) stays
+  // valid.
+  PacketPool pool;
+  const PacketHandle first = pool.alloc(data_packet(64, /*flow=*/1));
+  Packet& ref = pool[first];
+  for (int i = 0; i < 5000; ++i) pool.alloc(data_packet(64, 2));
+  EXPECT_EQ(&ref, &pool[first]);
+  EXPECT_EQ(ref.flow_id, 1u);
+  EXPECT_EQ(pool.live(), 5001u);
 }
 
 TEST_F(NetDeviceTest, TtlZeroOnUntrackedPacketsIsNotDecremented) {

@@ -12,11 +12,12 @@
 namespace paraleon::sim {
 namespace {
 
-class RecorderNode : public Node {
+class RecorderNode : public TapNode {
  public:
-  RecorderNode(Simulator* sim, NodeId id) : Node(id, false), sim_(sim) {}
-  void receive(const Packet& pkt, int in_port) override {
-    arrivals.push_back({sim_->now(), pkt, in_port});
+  RecorderNode(Simulator* sim, NodeId id) : TapNode(id), sim_(sim) {
+    on_receive = [this](const Packet& pkt, int in_port) {
+      arrivals.push_back({sim_->now(), pkt, in_port});
+    };
   }
   struct Arrival {
     Time t;
