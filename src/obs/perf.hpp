@@ -1,5 +1,6 @@
 // Always-cheap event-loop performance telemetry: the measurement substrate
-// the hot-path speed work (ROADMAP item 1) is judged against.
+// the hot-path speed work (the ROADMAP's performance aim) is judged
+// against.
 //
 // PerfMonitor keeps two strictly separated kinds of data:
 //

@@ -4,6 +4,12 @@
 
 namespace paraleon::sim {
 
+std::uint32_t CalendarQueue::carve_slot() {
+  // Out of line: the slab grows only until it reaches the live peak.
+  slab_.emplace_back();
+  return static_cast<std::uint32_t>(slab_.size() - 1);
+}
+
 void CalendarQueue::insert_into_current(EventEntry e) {
   // current_ is sorted descending by (t, seq); the new entry carries the
   // largest seq so far, so among equal timestamps it lands closest to the
@@ -20,11 +26,16 @@ void CalendarQueue::insert_into_current(EventEntry e) {
 }
 
 void CalendarQueue::drain_bucket(int idx) {
-  auto& bucket = buckets_[static_cast<std::size_t>(idx)];
-  // Swap storage instead of copying: the emptied current_ vector hands
-  // its capacity to the bucket, so steady state reallocates nothing.
-  current_.swap(bucket);
-  bucket.clear();
+  // Copy the bucket's list into the (empty) current_ run in push order,
+  // then hand the whole list to the free list in one splice. current_
+  // keeps its capacity, so steady state reallocates nothing.
+  const Bucket& b = buckets_[static_cast<std::size_t>(idx)];
+  for (std::uint32_t s = b.head;; s = slab_[s].next) {
+    current_.push_back(slab_[s].e);
+    if (s == b.tail) break;
+  }
+  slab_[b.tail].next = free_;
+  free_ = b.head;
   sort_current();
   // Warm the first pops of the fresh run; steady-state pops prefetch
   // their own lookahead.
@@ -86,9 +97,7 @@ void CalendarQueue::rotate() {
     const EventEntry e = far_.front();
     std::pop_heap(far_.begin(), far_.end(), FarLater{});
     far_.pop_back();
-    const auto idx = static_cast<std::size_t>((e.t - base_) >> kWidthShift);
-    buckets_[idx].push_back(e);
-    occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    append(static_cast<std::size_t>((e.t - base_) >> kWidthShift), e);
   }
 }
 
@@ -96,9 +105,12 @@ Time CalendarQueue::next_time() const {
   if (!current_.empty()) return current_.back().t;
   const int idx = next_occupied(cur_);
   if (idx >= 0) {
-    const auto& bucket = buckets_[static_cast<std::size_t>(idx)];
+    const Bucket& b = buckets_[static_cast<std::size_t>(idx)];
     Time best = kTimeNever;
-    for (const EventEntry& e : bucket) best = std::min(best, e.t);
+    for (std::uint32_t s = b.head;; s = slab_[s].next) {
+      best = std::min(best, slab_[s].e.t);
+      if (s == b.tail) break;
+    }
     return best;
   }
   return far_.empty() ? kTimeNever : far_.front().t;

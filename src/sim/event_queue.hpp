@@ -11,11 +11,14 @@
 //     1 ms monitor cadence — the two modes of the schedule-horizon
 //     histogram — stay in-window), an occupancy bitmap for empty-bucket
 //     skip, and a far min-heap for beyond-window events that is spilled
-//     into the wheel when the window rotates. A bucket is ordered when
-//     its drain starts, by a stable radix sort on the entry's offset in
-//     the bucket. Fire order is exactly (t, seq) lexicographic —
-//     identical to the reference heap, so the engine swap is
-//     digest-invisible.
+//     into the wheel when the window rotates. Every bucket is a FIFO
+//     list threaded through ONE slab of entry slots shared by the whole
+//     wheel, so retained queue memory tracks the peak number of live
+//     events, not 4096 times the largest cohort a bucket ever held. A
+//     bucket is ordered when its drain starts, by a stable radix sort on
+//     the entry's offset in the bucket. Fire order is exactly (t, seq)
+//     lexicographic — identical to the reference heap, so the engine
+//     swap is digest-invisible.
 //   * ReferenceHeapQueue — the old binary-heap ordering behind the same
 //     interface; the in-process oracle the equivalence tests (and the
 //     Simulator's kReferenceHeap backend) compare against.
@@ -156,7 +159,7 @@ struct EventEntry {
 
 class CalendarQueue {
  public:
-  CalendarQueue() { buckets_.resize(kNumBuckets); }
+  CalendarQueue() : buckets_(kNumBuckets) {}
 
   void push(Time t, std::uint64_t seq, EventNode* node) {
     ++size_;
@@ -171,9 +174,8 @@ class CalendarQueue {
       std::push_heap(far_.begin(), far_.end(), FarLater{});
       return;
     }
-    const auto idx = static_cast<std::size_t>((t - base_) >> kWidthShift);
-    buckets_[idx].push_back(EventEntry{t, seq, node});
-    occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    append(static_cast<std::size_t>((t - base_) >> kWidthShift),
+           EventEntry{t, seq, node});
   }
 
   /// Pops the earliest (t, seq) entry with t <= limit; nullptr when the
@@ -221,6 +223,10 @@ class CalendarQueue {
   bool empty() const { return size_ == 0; }
   /// Window rotations performed (far-heap spill/refill cycles).
   std::uint64_t rotations() const { return rotations_; }
+  /// Entry slots the bucket slab retains (in use or free): at most twice
+  /// the peak number of entries that waited in the wheel at once, however
+  /// many buckets those entries passed through.
+  std::size_t slot_capacity() const { return slab_.capacity(); }
 
   static constexpr int kWidthShift = 9;    // 512 ns buckets
   static constexpr int kBucketBits = 12;   // 4096 of them: 2.1 ms span
@@ -236,6 +242,44 @@ class CalendarQueue {
     }
   };
 
+  // A slab slot: the entry plus the index of the next slot in its
+  // bucket's list (or in the free list).
+  struct Slot {
+    EventEntry e;
+    std::uint32_t next;
+  };
+  static_assert(sizeof(Slot) == 32, "two slab slots per cache line");
+  // A bucket's FIFO list, head to tail. Meaningful only while the
+  // bucket's occupancy bit is set; an empty bucket has no list.
+  struct Bucket {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Links `e` at the tail of bucket `idx`, so equal-t entries keep their
+  /// push (seq) order — the radix drain's precondition.
+  void append(std::size_t idx, const EventEntry& e) {
+    std::uint32_t s = free_;
+    if (s != kNoSlot) {
+      free_ = slab_[s].next;
+    } else {
+      s = carve_slot();
+    }
+    slab_[s].e = e;
+    Bucket& b = buckets_[idx];
+    std::uint64_t& word = occ_[idx >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    if ((word & bit) != 0) {
+      slab_[b.tail].next = s;
+    } else {
+      b.head = s;
+      word |= bit;
+    }
+    b.tail = s;
+  }
+
+  std::uint32_t carve_slot();
   void insert_into_current(EventEntry e);
   void drain_bucket(int idx);
   void sort_current();
@@ -258,7 +302,13 @@ class CalendarQueue {
 
   static constexpr std::size_t kOccWords = kNumBuckets / 64;
 
-  std::vector<std::vector<EventEntry>> buckets_;
+  // One slab of entry slots backs every bucket. Drained slots recycle
+  // LIFO through free_ (the hottest first), and a new slot is carved only
+  // when none is free, so the slab's size is the peak number of entries
+  // ever waiting in the wheel at once.
+  std::vector<Slot> slab_;
+  std::uint32_t free_ = kNoSlot;
+  std::vector<Bucket> buckets_;
   std::uint64_t occ_[kOccWords] = {};
   // The bucket being drained, sorted descending by (t, seq) so pops come
   // off the back in ascending order.

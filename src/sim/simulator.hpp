@@ -96,6 +96,9 @@ class Simulator {
   std::size_t event_pool_free() const { return pool_.free_count(); }
   /// Calendar window rotations (0 under kReferenceHeap).
   std::uint64_t queue_rotations() const { return cal_.rotations(); }
+  /// Entry slots the calendar's bucket slab retains (0 under
+  /// kReferenceHeap): bounded by twice the peak queue depth.
+  std::size_t queue_slot_capacity() const { return cal_.slot_capacity(); }
 
   /// Every packet in flight; nodes and links pass packets by handle.
   PacketPool& packets() { return packets_; }

@@ -1,10 +1,12 @@
 // Event-engine storage tests: the calendar queue against the reference
 // heap over randomized schedules (same-timestamp FIFO, schedule-during-
-// pop, far-horizon spill/refill), the pooled-node lifecycle, and the
-// UniqueFunction type-erasure contract (inline SBO, trivial fast path,
-// heap fallback).
+// pop, far-horizon spill/refill, head-of-queue time), the bucket slab's
+// memory bound under a sweeping timer cohort, the pooled-node lifecycle,
+// and the UniqueFunction type-erasure contract (inline SBO, trivial fast
+// path, heap fallback).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -22,7 +24,8 @@ namespace {
 // ---------------------------------------------------------------------
 
 /// Drives both queues through an identical (t, seq, node) stream and
-/// asserts every pop agrees. Nodes come from one pool; neither queue
+/// asserts every pop agrees, and that both report the same head time
+/// after every push and pop. Nodes come from one pool; neither queue
 /// mutates them, so pointer identity is the comparison key.
 class QueuePair {
  public:
@@ -31,25 +34,31 @@ class QueuePair {
     cal_.push(t, seq_, n);
     heap_.push(t, seq_, n);
     ++seq_;
+    EXPECT_EQ(cal_.next_time(), heap_.next_time());
   }
 
-  /// Pops both queues up to `limit`; returns how many events fired and
-  /// checks order agreement plus (t, seq) monotonicity along the way.
+  /// Pops the earliest event of both queues if it is due by `limit`;
+  /// checks order agreement plus (t, seq) monotonicity.
+  bool pop(Time limit) {
+    Time ct = -1;
+    Time ht = -1;
+    EventNode* cn = cal_.pop(limit, &ct);
+    EventNode* hn = heap_.pop(limit, &ht);
+    EXPECT_EQ(cn, hn);
+    EXPECT_EQ(cal_.next_time(), heap_.next_time());
+    if (cn == nullptr || cn != hn) return false;
+    EXPECT_EQ(ct, ht);
+    EXPECT_GE(ct, last_fired_);
+    last_fired_ = ct;
+    pool_.release(cn);
+    return true;
+  }
+
+  /// Pops both queues up to `limit`; returns how many events fired.
   std::size_t drain(Time limit) {
     std::size_t fired = 0;
-    for (;;) {
-      Time ct = -1;
-      Time ht = -1;
-      EventNode* cn = cal_.pop(limit, &ct);
-      EventNode* hn = heap_.pop(limit, &ht);
-      EXPECT_EQ(cn, hn);
-      if (cn == nullptr || cn != hn) return fired;
-      EXPECT_EQ(ct, ht);
-      EXPECT_GE(ct, last_fired_);
-      last_fired_ = ct;
-      pool_.release(cn);
-      ++fired;
-    }
+    while (pop(limit)) ++fired;
+    return fired;
   }
 
   Time last_fired() const { return last_fired_; }
@@ -172,6 +181,37 @@ TEST(EventQueueEquivalence, RadixDrainOfAFullBucketMatchesTheHeap) {
   EXPECT_GT(q.drain(kTimeNever), 512u / 2);
   EXPECT_EQ(q.cal_size(), 0u);
   EXPECT_EQ(q.heap_size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Bucket slab memory
+// ---------------------------------------------------------------------
+
+TEST(CalendarSlab, SweepingTimerCohortRetainsSlotsForItsLiveCountOnly) {
+  // The shape of an alltoall round's RP timers: a cohort started
+  // together with one shared period, so the whole cohort moves through
+  // the wheel bucket by bucket, re-armed across several window spans.
+  // Every bucket it passes holds the full cohort once; storage that kept
+  // per-bucket capacity would retain dozens of cohorts' worth of slots.
+  constexpr int kTimers = 1000;
+  constexpr Time kPeriod = microseconds(55);
+  constexpr Time kSpan = Time{CalendarQueue::kNumBuckets}
+                         << CalendarQueue::kWidthShift;
+  QueuePair q;
+  for (int i = 0; i < kTimers; ++i) q.push(static_cast<Time>(i));
+  std::size_t peak_live = q.cal_size();
+  std::size_t fired = 0;
+  while (q.last_fired() < 4 * kSpan && q.pop(kTimeNever)) {
+    ++fired;
+    q.push(q.last_fired() + kPeriod);
+    peak_live = std::max(peak_live, q.cal_size());
+  }
+  EXPECT_EQ(peak_live, static_cast<std::size_t>(kTimers));
+  EXPECT_GT(fired, 4u * kTimers * static_cast<std::size_t>(kSpan / kPeriod));
+  EXPECT_GE(q.calendar().rotations(), 3u);
+  EXPECT_GT(q.calendar().slot_capacity(), 0u);
+  EXPECT_LE(q.calendar().slot_capacity(), 2 * peak_live);
+  EXPECT_EQ(q.drain(kTimeNever), static_cast<std::size_t>(kTimers));
 }
 
 // ---------------------------------------------------------------------

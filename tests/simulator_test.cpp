@@ -1,11 +1,15 @@
-// Event queue / simulator: ordering, tie-breaking, run_until semantics.
+// Event queue / simulator: ordering, tie-breaking, run_until semantics,
+// and the event storage's memory bounds.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
+#include "runner/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "workload/alltoall_workload.hpp"
 
 namespace paraleon::sim {
 namespace {
@@ -182,6 +186,34 @@ TEST(Simulator, EventPoolRecyclesNodesAcrossRuns) {
   // Steady-state rounds reuse the arena: the high-water mark is the one
   // round's 300 outstanding nodes, not 4 * 300.
   EXPECT_EQ(sim.event_pool_capacity(), 300u);
+}
+
+TEST(Simulator, CalendarSlotsStayWithinTwiceThePeakQueueDepth) {
+  // A short alltoall cell: its RP-timer cohort and packet events sweep
+  // every wheel bucket many times over, yet the calendar keeps slots only
+  // for the entries that were ever pending together.
+  runner::ExperimentConfig cfg;
+  cfg.clos.n_tor = 2;
+  cfg.clos.n_leaf = 2;
+  cfg.clos.hosts_per_tor = 4;
+  cfg.clos.host_link = gbps(10);
+  cfg.clos.fabric_link = gbps(10);
+  cfg.clos.prop_delay = microseconds(2);
+  cfg.scheme = runner::Scheme::kDefaultStatic;
+  cfg.duration = milliseconds(10);
+  cfg.obs.perf_counters = true;
+  runner::Experiment exp(std::move(cfg));
+  workload::AlltoallConfig a2a;
+  a2a.workers = exp.all_hosts();
+  a2a.flow_size = 128 * 1024;
+  a2a.off_period = milliseconds(1);
+  exp.add_alltoall(a2a);
+  exp.run();
+  const Simulator& sim = exp.simulator();
+  const std::size_t peak = sim.obs().perf().max_queue_depth();
+  EXPECT_GT(sim.queue_rotations(), 0u);
+  EXPECT_GT(sim.queue_slot_capacity(), 0u);
+  EXPECT_LE(sim.queue_slot_capacity(), 2 * peak);
 }
 
 TEST(Simulator, CalendarRotatesOnFarHorizonSchedules) {
