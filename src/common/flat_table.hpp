@@ -39,6 +39,11 @@ class FlatTable {
     Slot& s = slots_[probe(key)];
     return s.used ? &s.value : nullptr;
   }
+  const V* find(std::uint64_t key) const {
+    if (size_ == 0) return nullptr;
+    const Slot& s = slots_[probe(key)];
+    return s.used ? &s.value : nullptr;
+  }
 
   /// Removes `key` if present.
   void erase(std::uint64_t key) {

@@ -330,6 +330,10 @@ void Experiment::schedule_probe() {
     for (int h = 0; h < topo_->host_count(); ++h) {
       topo_->host(h).enable_tx_counters(/*channel=*/1);
     }
+    // A flow that sent bytes this interval may have finished before the
+    // tick; the ledger keeps such flows findable until the tick releases
+    // them.
+    fct_->hold_finished();
     probe_ticks_.push_back(std::make_unique<std::function<void()>>());
     auto* tick = probe_ticks_.back().get();
     *tick = [this, mi, tick] {
@@ -340,17 +344,18 @@ void Experiment::schedule_probe() {
         for (const auto& [flow_id, bytes] :
              topo_->host(h).drain_tx_bytes_per_flow(/*channel=*/1)) {
           if (bytes <= 0) continue;
-          const auto it = flow_specs_.find(flow_id);
-          if (it == flow_specs_.end()) continue;
-          const double truth = it->second.size >= tau ? 1.0 : 0.0;
+          const stats::FlowRecord* rec = fct_->find(flow_id);
+          if (rec == nullptr) continue;
+          const double truth = rec->size_bytes >= tau ? 1.0 : 0.0;
           double est = 0.0;
           for (const auto& a : agents_) {
-            est = std::max(est, a->elephant_likelihood(it->second.qp_key));
+            est = std::max(est, a->elephant_likelihood(rec->qp_key));
           }
           sum += 1.0 - std::abs(est - truth);
           ++n;
         }
       }
+      fct_->release_finished();
       if (n > 0) accuracy_series_.add(sim_.now(), sum / n);
       sim_.schedule_in(mi, *tick);
     };
@@ -359,12 +364,9 @@ void Experiment::schedule_probe() {
 }
 
 void Experiment::start_flow(const workload::FlowSpec& spec) {
-  flow_specs_[spec.flow_id] =
-      FlowInfo{spec.src, spec.dst, spec.size_bytes,
-               spec.qp_key == 0 ? spec.flow_id : spec.qp_key};
   fct_->on_flow_start(spec.flow_id, static_cast<std::uint32_t>(spec.src),
                       static_cast<std::uint32_t>(spec.dst), spec.size_bytes,
-                      sim_.now());
+                      sim_.now(), spec.qp_key);
   topo_->host(spec.src).start_flow(spec.flow_id,
                                    static_cast<sim::NodeId>(spec.dst),
                                    spec.size_bytes, spec.qp_key);
@@ -518,13 +520,9 @@ std::uint64_t run_digest(Experiment& exp) {
     add_switch("leaf", l, topo.leaf(l));
   }
 
-  // The flow table lives in an unordered_map; sort by id so the digest
-  // depends on what ran, not on hash-table iteration order.
-  auto records = exp.fct().completed();
-  std::sort(records.begin(), records.end(),
-            [](const stats::FlowRecord& a, const stats::FlowRecord& b) {
-              return a.flow_id < b.flow_id;
-            });
+  // completed() is sorted by flow id, so the digest depends on what ran,
+  // not on the order flows started in.
+  const auto records = exp.fct().completed();
   d.add("fct").add_u64(exp.fct().started()).add_u64(exp.fct().finished());
   for (const auto& r : records) {
     d.add_u64(r.flow_id).add_u64(r.src).add_u64(r.dst);

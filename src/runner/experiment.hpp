@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/acc.hpp"
@@ -153,17 +152,6 @@ class Experiment {
   /// ones when no episode ran.
   dcqcn::DcqcnParams learned_params() const;
 
-  /// Spec of a flow started through this harness.
-  struct FlowInfo {
-    int src = 0;
-    int dst = 0;
-    std::int64_t size = 0;
-    std::uint64_t qp_key = 0;
-  };
-  const std::unordered_map<std::uint64_t, FlowInfo>& flows() const {
-    return flow_specs_;
-  }
-
   /// All per-hop host hosts convenience: ids 0..host_count-1.
   std::vector<int> all_hosts() const;
 
@@ -191,7 +179,6 @@ class Experiment {
   std::unique_ptr<stats::FctTracker> fct_;
 
   std::vector<std::unique_ptr<workload::Workload>> workloads_;
-  std::unordered_map<std::uint64_t, FlowInfo> flow_specs_;
 
   // Scheme machinery (subset populated depending on cfg_.scheme).
   std::vector<std::unique_ptr<sim::SketchHook>> sketches_;

@@ -28,9 +28,8 @@ std::string attribution_json(Experiment& exp, std::size_t top_k) {
   }
   attr.finalize(exp.simulator().now());
 
-  std::unordered_map<std::uint64_t, stats::FlowRecord> records;
-  for (const auto& r : exp.fct().completed()) records[r.flow_id] = r;
-  for (const auto& r : exp.fct().unfinished()) records[r.flow_id] = r;
+  std::unordered_map<std::uint64_t, stats::FlowRecord> by_id;
+  for (const auto& r : exp.fct().records()) by_id[r.flow_id] = r;
 
   std::ostringstream out;
   out << "{\n\"schema\": \"paraleon.attribution.v1\",\n\"enabled\": "
@@ -42,8 +41,8 @@ std::string attribution_json(Experiment& exp, std::size_t top_k) {
     out << (i == 0 ? "\n" : ",\n");
     out << "  {\"flow\": " << v.flow << ", \"pfc_blocked_ns\": " << v.blocked
         << ", \"rate_limited_ns\": " << v.rate_limited;
-    const auto it = records.find(v.flow);
-    if (it != records.end() && it->second.finish >= 0) {
+    const auto it = by_id.find(v.flow);
+    if (it != by_id.end() && it->second.finish >= 0) {
       const stats::FlowRecord& r = it->second;
       const Time fct = r.finish - r.start;
       const Time ideal = std::max<Time>(

@@ -217,9 +217,19 @@ void HostNode::receive(PacketHandle h, int in_port) {
 
 void HostNode::handle_data(const Packet& pkt) {
   rx_data_bytes_.add(pkt.size_bytes);
-  // Stays valid below: nothing inserts into rx_flows_ until we return.
-  FlowRx& rx = rx_flows_[pkt.flow_id];
-  if (rx.total == 0) rx.total = pkt.aux;
+  FlowRx* rxp = rx_flows_.find(pkt.flow_id);
+  if (rxp == nullptr) {
+    // Each flow takes one path through FIFO queues, so its first segment
+    // creates the state and its last erases it. Anything else is a segment
+    // of a flow that already completed (or whose head was dropped).
+    PARALEON_CHECK(pkt.offset == 0, "host ", id(), ": data for flow ",
+                   pkt.flow_id, " at offset ", pkt.offset,
+                   " without receive state (segment after completion?)");
+    rxp = &rx_flows_[pkt.flow_id];
+    rxp->total = pkt.aux;
+  }
+  // Stays valid below: nothing touches rx_flows_ until the erase.
+  FlowRx& rx = *rxp;
   rx.received += pkt.size_bytes;
 
   // NP: emit a paced CNP when the packet carries ECN CE.
@@ -256,8 +266,8 @@ void HostNode::handle_data(const Packet& pkt) {
   // Per-packet ACK: echoes the timestamp (RTT sampling at the sender).
   uplink_->enqueue(make_ack(pkt, sim_->now(), rx.received), -1);
 
-  if (!rx.completed && rx.received >= rx.total) {
-    rx.completed = true;
+  if (rx.received >= rx.total) {
+    rx_flows_.erase(pkt.flow_id);
     if (on_complete_) on_complete_(pkt.flow_id, sim_->now());
   }
 }

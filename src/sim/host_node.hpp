@@ -67,6 +67,8 @@ class HostNode final : public Node {
   const NetDevice& uplink() const { return *uplink_; }
   bool has_active_tx() const { return !tx_flows_.empty(); }
   std::size_t active_tx_flows() const { return tx_flows_.size(); }
+  /// Flows whose receive state this host holds: those still arriving.
+  std::size_t rx_flow_count() const { return rx_flows_.size(); }
   /// Per-QP bytes put on the wire since the last call on this channel,
   /// sorted by key; clears the channel's counters. Models reading+resetting
   /// RNIC per-QP counters. Independent channels let the ground-truth probe
@@ -136,7 +138,6 @@ class HostNode final : public Node {
   struct FlowRx {
     std::int64_t total = 0;
     std::int64_t received = 0;
-    bool completed = false;
     dcqcn::NpState np;
   };
 
@@ -165,9 +166,9 @@ class HostNode final : public Node {
   // move, so each pointer holds until its flow is erased from both).
   std::unordered_map<std::uint64_t, FlowTx> tx_flows_;
   common::FlatTable<FlowTx*> tx_index_;
-  // Receive state is kept for the run's lifetime (a completed entry is a
-  // few dozen bytes; experiments run tens of thousands of flows at most).
-  // Only ever looked up, never iterated.
+  // Receive state of the flows in flight towards this host: created by a
+  // flow's first segment, erased when its last byte arrives. Only ever
+  // looked up, never iterated.
   common::FlatTable<FlowRx> rx_flows_;
 
   bool tx_counters_on_[kTxCounterChannels] = {};

@@ -3,35 +3,53 @@
 #include <algorithm>
 #include <limits>
 
+#include "check/check.hpp"
 #include "stats/percentile.hpp"
 
 namespace paraleon::stats {
 
 void FctTracker::on_flow_start(std::uint64_t flow_id, std::uint32_t src,
                                std::uint32_t dst, std::int64_t size_bytes,
-                               Time start) {
+                               Time start, std::uint64_t qp_key) {
+  PARALEON_CHECK(index_.find(flow_id) == nullptr, "flow ", flow_id,
+                 " started twice");
   FlowRecord rec;
   rec.flow_id = flow_id;
   rec.src = src;
   rec.dst = dst;
   rec.size_bytes = size_bytes;
+  rec.qp_key = qp_key == 0 ? flow_id : qp_key;
   rec.start = start;
-  flows_[flow_id] = rec;
+  index_[flow_id] = static_cast<std::uint32_t>(records_.size());
+  records_.push_back(rec);
 }
 
 void FctTracker::on_flow_finish(std::uint64_t flow_id, Time finish) {
-  auto it = flows_.find(flow_id);
-  if (it == flows_.end() || it->second.finish >= 0) return;
-  it->second.finish = finish;
+  const std::uint32_t* at = index_.find(flow_id);
+  if (at == nullptr) return;
+  FlowRecord& rec = records_[*at];
+  if (rec.finish >= 0) return;  // held after finishing
+  rec.finish = finish;
   ++finished_;
+  if (hold_finished_) {
+    held_.push_back(flow_id);
+  } else {
+    index_.erase(flow_id);
+  }
+}
+
+const FlowRecord* FctTracker::find(std::uint64_t flow_id) const {
+  const std::uint32_t* at = index_.find(flow_id);
+  return at == nullptr ? nullptr : &records_[*at];
+}
+
+void FctTracker::release_finished() {
+  for (const std::uint64_t flow_id : held_) index_.erase(flow_id);
+  held_.clear();
 }
 
 std::vector<FlowRecord> FctTracker::sorted_records() const {
-  std::vector<FlowRecord> out;
-  out.reserve(flows_.size());
-  // lint:allow(unordered-iteration) drained into a vector and sorted by
-  // flow id right below — the one sanctioned exit from the hash map.
-  for (const auto& [id, rec] : flows_) out.push_back(rec);
+  std::vector<FlowRecord> out = records_;
   std::sort(out.begin(), out.end(),
             [](const FlowRecord& a, const FlowRecord& b) {
               return a.flow_id < b.flow_id;

@@ -104,6 +104,41 @@ TEST(Experiment, CustomStaticUsesProvidedParams) {
   EXPECT_EQ(e.topology().tor(0).ecn().kmin_bytes, 12345);
 }
 
+class PerFlowStateTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PerFlowStateTest, DrainedRunHoldsNoPerFlowState) {
+  // Receive state and the ledger's index follow each flow's lifetime;
+  // only the append-only ledger outlives it. The parameter turns on the
+  // FSD probe, which holds finished flows until its next tick.
+  ExperimentConfig cfg = small_config(Scheme::kDefaultStatic);
+  cfg.track_fsd_accuracy = GetParam();
+  Experiment exp(cfg);
+  workload::PoissonConfig w = small_poisson(exp);
+  w.sizes = &workload::solar_rpc_distribution();  // mice: all complete
+  exp.add_poisson(w);
+  const auto rx_entries = [&exp] {
+    std::size_t n = 0;
+    for (int h = 0; h < exp.topology().host_count(); ++h) {
+      n += exp.topology().host(h).rx_flow_count();
+    }
+    return n;
+  };
+  exp.run_until(milliseconds(5));
+  EXPECT_GT(rx_entries(), 0u);
+  EXPECT_GE(exp.fct().open_flows(),
+            exp.fct().started() - exp.fct().finished());
+  exp.run_until(milliseconds(400));
+  ASSERT_GT(exp.fct().started(), 20u);
+  ASSERT_EQ(exp.fct().finished(), exp.fct().started());
+  EXPECT_EQ(exp.fct().records().size(), exp.fct().started());
+  EXPECT_EQ(exp.fct().open_flows(), 0u);
+  for (int h = 0; h < exp.topology().host_count(); ++h) {
+    EXPECT_EQ(exp.topology().host(h).rx_flow_count(), 0u) << "host " << h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FsdProbe, PerFlowStateTest, ::testing::Bool());
+
 TEST(Experiment, FsdAccuracyTracked) {
   ExperimentConfig cfg = small_config(Scheme::kParaleon);
   cfg.track_fsd_accuracy = true;

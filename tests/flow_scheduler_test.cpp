@@ -53,9 +53,11 @@ using Spec = std::tuple<int, int, std::int64_t>;  // (src, dst, size)
 std::vector<Spec> specs_in(const runner::Experiment& exp,
                            std::uint64_t base) {
   std::vector<std::pair<std::uint64_t, Spec>> ordered;
-  for (const auto& [id, info] : exp.flows()) {
-    if (id >= base && id < base + (1ull << 32)) {
-      ordered.emplace_back(id, Spec{info.src, info.dst, info.size});
+  for (const auto& rec : exp.fct().records()) {
+    if (rec.flow_id >= base && rec.flow_id < base + (1ull << 32)) {
+      ordered.emplace_back(rec.flow_id,
+                           Spec{static_cast<int>(rec.src),
+                                static_cast<int>(rec.dst), rec.size_bytes});
     }
   }
   std::sort(ordered.begin(), ordered.end());

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "check/check.hpp"
 #include "dcqcn/params.hpp"
+#include "sim/host_node.hpp"
+#include "sim/net_device.hpp"
+#include "sim/node.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -233,6 +238,47 @@ TEST(PacketPool, LiveCountReturnsToZeroOnceARunDrains) {
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.packets().live(), 0u);
   EXPECT_GT(sim.packets().capacity(), 0u);
+}
+
+TEST(HostFlow, SegmentAfterCompletionFailsLoudly) {
+  // Receive state dies with a flow's last byte. A stray copy of that
+  // segment must fail, not open fresh state that could report the flow
+  // complete a second time.
+  Simulator sim;
+  HostNode host(&sim, 0, dcqcn::default_params());
+  TapNode tor(100);
+  std::size_t acks = 0;
+  tor.on_receive = [&acks](const Packet& pkt, int) {
+    acks += pkt.type == PacketType::kAck ? 1 : 0;
+  };
+  host.attach_uplink(&tor, 0, gbps(10), microseconds(1));
+  NetDevice wire(&sim, &tor, &host, 0, gbps(10), microseconds(1));
+  std::vector<std::uint64_t> completed;
+  host.set_on_flow_complete(
+      [&completed](std::uint64_t id, Time) { completed.push_back(id); });
+  const auto segment = [](std::int64_t offset) {
+    Packet p;
+    p.flow_id = 7;
+    p.src = 100;
+    p.dst = 0;
+    p.type = PacketType::kData;
+    p.priority = kPriorityData;
+    p.size_bytes = 1000;
+    p.offset = offset;
+    p.aux = 2000;  // flow size
+    return p;
+  };
+  wire.enqueue(segment(0), -1);
+  wire.enqueue(segment(1000), -1);
+  sim.run();
+  EXPECT_EQ(completed, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(acks, 2u);
+  EXPECT_EQ(host.rx_flow_count(), 0u);
+
+  wire.enqueue(segment(1000), -1);
+  EXPECT_THROW(sim.run(), check::CheckFailure);
+  EXPECT_EQ(completed.size(), 1u);
+  EXPECT_EQ(host.rx_flow_count(), 0u);
 }
 
 TEST(HostFlow, ActiveFlowAccounting) {

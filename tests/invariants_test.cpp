@@ -48,7 +48,7 @@ TEST_P(ConservationTest, EveryOfferedByteIsTransmittedExactlyOnce) {
   // Lossless fabric, no retransmissions: source NICs put each offered
   // byte on the wire exactly once.
   std::int64_t offered = 0;
-  for (const auto& [id, info] : exp.flows()) offered += info.size;
+  for (const auto& rec : exp.fct().records()) offered += rec.size_bytes;
   std::int64_t transmitted = 0;
   for (int h = 0; h < exp.topology().host_count(); ++h) {
     transmitted += exp.topology().host(h).uplink().tx_data_bytes();

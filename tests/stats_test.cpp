@@ -1,6 +1,7 @@
 // Percentiles, FCT tracking and time series.
 #include <gtest/gtest.h>
 
+#include "check/check.hpp"
 #include "stats/fct_tracker.hpp"
 #include "stats/percentile.hpp"
 #include "stats/timeseries.hpp"
@@ -116,6 +117,48 @@ TEST_F(FctFixture, UnfinishedListed) {
   const auto u = tracker_.unfinished();
   ASSERT_EQ(u.size(), 1u);
   EXPECT_EQ(u[0].flow_id, 2u);
+}
+
+TEST_F(FctFixture, LedgerKeepsStartOrderAndIndexesOnlyOpenFlows) {
+  tracker_.on_flow_start(9, 0, 1, 100, 0, /*qp_key=*/77);
+  tracker_.on_flow_start(3, 1, 0, 200, 10);
+  ASSERT_EQ(tracker_.records().size(), 2u);
+  EXPECT_EQ(tracker_.records()[0].flow_id, 9u);
+  EXPECT_EQ(tracker_.records()[0].qp_key, 77u);
+  EXPECT_EQ(tracker_.records()[1].qp_key, 3u);  // a QP of its own
+  EXPECT_EQ(tracker_.open_flows(), 2u);
+  ASSERT_NE(tracker_.find(3), nullptr);
+  EXPECT_EQ(tracker_.find(3)->size_bytes, 200);
+  tracker_.on_flow_finish(3, 700);
+  EXPECT_EQ(tracker_.open_flows(), 1u);
+  EXPECT_EQ(tracker_.find(3), nullptr);
+  // Reports stay in flow-id order whatever the start order.
+  tracker_.on_flow_finish(9, 900);
+  const auto done = tracker_.completed();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].flow_id, 3u);
+  EXPECT_EQ(tracker_.open_flows(), 0u);
+  EXPECT_EQ(tracker_.records().size(), tracker_.started());
+}
+
+TEST_F(FctFixture, HeldFinishedFlowsStayFindableUntilReleased) {
+  tracker_.hold_finished();
+  tracker_.on_flow_start(1, 0, 1, 100, 0);
+  tracker_.on_flow_start(2, 0, 1, 100, 0);
+  tracker_.on_flow_finish(1, 500);
+  tracker_.on_flow_finish(1, 600);  // double finish still ignored
+  ASSERT_NE(tracker_.find(1), nullptr);
+  EXPECT_EQ(tracker_.find(1)->finish, 500);
+  EXPECT_EQ(tracker_.finished(), 1u);
+  tracker_.release_finished();
+  EXPECT_EQ(tracker_.find(1), nullptr);
+  EXPECT_NE(tracker_.find(2), nullptr);
+  EXPECT_EQ(tracker_.open_flows(), 1u);
+}
+
+TEST_F(FctFixture, StartingAnOpenFlowTwiceFails) {
+  tracker_.on_flow_start(1, 0, 1, 100, 0);
+  EXPECT_THROW(tracker_.on_flow_start(1, 0, 1, 100, 5), check::CheckFailure);
 }
 
 TEST_F(FctFixture, FctSecondsConverts) {
