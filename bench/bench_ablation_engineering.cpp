@@ -62,7 +62,7 @@ void run_variant(const Variant& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header(
       "Engineering ablation: Algorithm 1 additions (Fig. 8 scenario)",
@@ -85,6 +85,6 @@ int main(int argc, char** argv) {
       "unguarded 1-MI-evaluation loop inflicts at this fabric scale.\n");
   TrendReport trend("ablation_engineering");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

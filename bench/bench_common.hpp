@@ -22,7 +22,6 @@
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "scenario/grid_runner.hpp"
-#include "stats/csv_export.hpp"
 #include "stats/percentile.hpp"
 
 namespace paraleon::bench {
@@ -87,39 +86,21 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
   return note;
 }
 
-/// Observability flags shared by the benches: `--trace` turns on every
-/// trace category plus per-MI counter scraping, `--tiny` asks the bench
-/// for its smallest configuration (CI smoke), `--obs-out DIR` selects
-/// where the JSON dumps land (default: current directory). Flight-recorder
-/// flags: `--flight` arms the anomaly triggers (bundles land under
-/// `<out_dir>/flight`), `--flight-fault` additionally injects the seeded
-/// buffer-accounting fault mid-run so CI can trip a dump on demand, and
-/// `--replay-flight BUNDLE_DIR` re-runs a bundle's seed with all tracing
-/// on instead of the bench's normal run.
-///
-/// Parallel-execution flags: `--jobs N` sets the thread-pool worker count
-/// benches pass to exec::parallel_map (0 = one per hardware thread,
-/// default 1 = serial), and `--sweep N` asks a sweep-capable bench (fig8)
-/// to run N seeds as a `seed` grid axis serial-then-parallel and verify
-/// the grid documents match. Both take a non-negative integer; anything
-/// else is left unconsumed, so the bench exits 2 with its usage line.
-///
-/// Perf-trend flags: `--perf` enables the event-loop PerfMonitor
-/// (obs::PerfMonitor counters in the run's "perf" report section), and
-/// `--perf-out FILE` additionally writes the bench's metrics as one
-/// `paraleon.bench.v1` JSON document — the shape the committed
-/// BENCH_*.json baselines use and tools/bench_trend.py compares.
-struct ObsCli {
-  bool trace = false;
+/// The flags a figure bench can honour. Each bench passes parse_bench_cli
+/// the subset it reads; any other argument exits 2 with a usage line that
+/// lists exactly that subset, so no bench silently ignores a flag. Run
+/// modes (tracing, flight bundles, replays, grid checks) belong to
+/// paraleon_run alone.
+enum BenchFlag : unsigned {
+  kTiny = 1u << 0,     // --tiny: the bench's smallest configuration (CI)
+  kJobs = 1u << 1,     // --jobs N: worker threads, 0 = one per hw thread
+  kPerfOut = 1u << 2,  // --perf-out FILE: a paraleon.bench.v1 document
+};
+
+struct BenchCli {
   bool tiny = false;
-  bool flight = false;
-  bool flight_fault = false;
-  bool perf = false;
-  std::string replay_bundle;  // empty = no replay requested
-  std::string out_dir = ".";
+  int jobs = 1;          // 1 = serial
   std::string perf_out;  // empty = no bench-trend artifact
-  int jobs = 1;          // parallel_map worker count (0 = hardware)
-  int sweep = 0;         // 0 = no sweep mode requested
 };
 
 /// Path of a committed scenarios/ file. The bench CMake bakes the repo's
@@ -146,167 +127,55 @@ inline bool parse_count(const char* text, int* out) {
   return true;
 }
 
-/// Consumes the ObsCli flag at argv[*i] (and its value) into `cli`,
-/// advancing *i past the value. Returns false, consuming nothing, for an
-/// argument the shared parser does not own: an unknown one, a value flag
-/// without its value, or a `--jobs`/`--sweep` value that is not a
-/// non-negative integer.
-inline bool consume_obs_flag(ObsCli& cli, int argc, char** argv, int* i) {
-  const char* a = argv[*i];
-  const char* value = *i + 1 < argc ? argv[*i + 1] : nullptr;
-  const auto is = [a](const char* flag) { return std::strcmp(a, flag) == 0; };
-  if (is("--trace")) {
-    cli.trace = true;
-  } else if (is("--tiny")) {
-    cli.tiny = true;
-  } else if (is("--flight")) {
-    cli.flight = true;
-  } else if (is("--flight-fault")) {
-    cli.flight = true;
-    cli.flight_fault = true;
-  } else if (is("--perf")) {
-    cli.perf = true;
-  } else if (value == nullptr) {
-    return false;
-  } else if (is("--replay-flight")) {
-    cli.replay_bundle = value;
-    ++*i;
-  } else if (is("--perf-out")) {
-    cli.perf = true;
-    cli.perf_out = value;
-    ++*i;
-  } else if (is("--obs-out")) {
-    cli.out_dir = value;
-    ++*i;
-  } else if ((is("--jobs") && parse_count(value, &cli.jobs)) ||
-             (is("--sweep") && parse_count(value, &cli.sweep))) {
-    ++*i;
-  } else {
-    return false;
-  }
-  return true;
+/// "usage: BENCH [--tiny] [--jobs N] [--perf-out FILE]", listing only the
+/// `honoured` flags.
+inline std::string bench_usage(const char* argv0, unsigned honoured) {
+  std::string out = std::string("usage: ") + argv0;
+  if (honoured & kTiny) out += " [--tiny]";
+  if (honoured & kJobs) out += " [--jobs N]";
+  if (honoured & kPerfOut) out += " [--perf-out FILE]";
+  if (honoured & kJobs) out += "\nN is a non-negative integer.";
+  return out;
 }
 
-inline ObsCli parse_obs_cli(int argc, char** argv) {
-  ObsCli cli;
-  for (int i = 1; i < argc; ++i) consume_obs_flag(cli, argc, argv, &i);
-  return cli;
-}
-
-/// Removes the ObsCli flags from argv (in place) so they can coexist with
-/// another flag parser — google-benchmark aborts on flags it does not
-/// know. An argument the shared parser does not consume (see
-/// consume_obs_flag) is left in place. Returns the new argc.
-inline int strip_obs_cli(int argc, char** argv) {
-  ObsCli ignored;
+/// Consumes the `honoured` flags (and their values) from argv in place and
+/// returns the new argc. What is left is every argument the bench does not
+/// honour: an unknown flag, a value flag missing its value, or a `--jobs`
+/// value that is not a non-negative integer.
+inline int take_bench_flags(BenchCli& cli, unsigned honoured, int argc,
+                            char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (!consume_obs_flag(ignored, argc, argv, &i)) argv[out++] = argv[i];
+    const char* a = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if ((honoured & kTiny) && std::strcmp(a, "--tiny") == 0) {
+      cli.tiny = true;
+    } else if ((honoured & kJobs) && std::strcmp(a, "--jobs") == 0 &&
+               value != nullptr && parse_count(value, &cli.jobs)) {
+      ++i;
+    } else if ((honoured & kPerfOut) && std::strcmp(a, "--perf-out") == 0 &&
+               value != nullptr) {
+      cli.perf_out = value;
+      ++i;
+    } else {
+      argv[out++] = argv[i];
+    }
   }
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
 }
 
-/// parse_obs_cli for a bench that takes no other arguments: anything the
-/// shared parser leaves behind (a typo, a deleted flag, a value flag
-/// missing its value, a malformed count) exits 2 with a usage line
-/// instead of running the default configuration the caller did not ask
-/// for.
-inline ObsCli parse_bench_cli(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
-  if (strip_obs_cli(argc, argv) > 1) {
-    std::fprintf(
-        stderr,
-        "%s: unexpected argument '%s'\n"
-        "usage: %s [--tiny] [--jobs N] [--trace] [--obs-out DIR] [--perf]\n"
-        "       [--perf-out FILE] [--flight] [--flight-fault]\n"
-        "       [--replay-flight DIR] [--sweep N]\n"
-        "N is a non-negative integer.\n",
-        argv[0], argv[1], argv[0]);
+/// take_bench_flags for a bench that takes no other arguments: anything
+/// left over exits 2 with the bench's usage line instead of running a
+/// configuration the caller did not ask for.
+inline BenchCli parse_bench_cli(int argc, char** argv, unsigned honoured) {
+  BenchCli cli;
+  if (take_bench_flags(cli, honoured, argc, argv) > 1) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n%s\n", argv[0],
+                 argv[1], bench_usage(argv[0], honoured).c_str());
     std::exit(2);
   }
   return cli;
-}
-
-/// Applies the CLI to an experiment config: all trace categories on and
-/// counters scraped once per millisecond of simulated time with `--trace`;
-/// with `--flight`, anomaly triggers armed at thresholds that stay silent
-/// on a healthy run but fire on a pause storm or drop burst.
-inline void apply_obs_cli(const ObsCli& cli, ExperimentConfig& cfg) {
-  if (cli.trace) {
-    cfg.obs.trace = obs::TraceConfig::all_on();
-    cfg.obs.counter_scrape_interval = milliseconds(1);
-  }
-  if (cli.perf) {
-    cfg.obs.perf_counters = true;
-  }
-  if (cli.flight) {
-    cfg.obs.flight.armed = true;
-    cfg.obs.flight.dir = cli.out_dir + "/flight";
-    // >5% of link-time paused fabric-wide, or any burst of MMU drops
-    // (lossless fabrics should never drop), or an SA revert.
-    cfg.obs.flight.pause_ns_per_sec = 50'000'000;
-    cfg.obs.flight.drop_burst = 8;
-    cfg.obs.flight.on_sa_revert = true;
-  }
-}
-
-/// Writes `<name>.trace.json` (Chrome trace-event format, Perfetto-
-/// loadable), `<name>.obs.json` (counter registry + episode timelines)
-/// and, for offline plotting, `<name>.throughput.csv`, `<name>.rtt.csv`
-/// (per-MI `t_ms,value`) and `<name>.flows.csv` (completed flows) for a
-/// finished run. No-op unless --trace was given. Returns false (after
-/// naming the files on stderr) when any of them could not be written.
-inline bool dump_obs(const ObsCli& cli, const Experiment& exp,
-                     const std::string& name) {
-  if (!cli.trace) return true;
-  const std::string base = cli.out_dir + "/" + name;
-  std::ofstream trace(base + ".trace.json");
-  trace << exp.simulator().obs().trace().to_json();
-  trace.close();
-  std::ofstream report(base + ".obs.json");
-  report << runner::obs_report_json(exp);
-  report.close();
-  if (!trace || !report) {
-    std::fprintf(stderr, "# obs: FAILED to write %s.{trace,obs}.json\n",
-                 base.c_str());
-    return false;
-  }
-  std::printf("# obs: wrote %s.trace.json and %s.obs.json\n", base.c_str(),
-              base.c_str());
-  const bool csv_ok =
-      stats::write_timeseries_csv(base + ".throughput.csv",
-                                  exp.throughput_series()) &&
-      stats::write_timeseries_csv(base + ".rtt.csv", exp.rtt_series()) &&
-      stats::write_flows_csv(base + ".flows.csv", exp.fct().completed());
-  if (!csv_ok) {
-    std::fprintf(stderr, "# obs: FAILED to write %s.*.csv\n", base.c_str());
-    return false;
-  }
-  std::printf("# obs: wrote %s.{throughput,rtt,flows}.csv\n", base.c_str());
-  return true;
-}
-
-/// Writes a grid document to `path` and its Chrome-trace timeline next to
-/// it (`x.grid.json` -> `x.grid.timeline.json`). Returns false (after
-/// naming the files on stderr) when either could not be written.
-inline bool write_grid(const scenario::GridOutcome& grid,
-                       const std::string& path) {
-  const std::string suffix = ".json";
-  std::string timeline = path;
-  if (timeline.size() > suffix.size() &&
-      timeline.compare(timeline.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    timeline.resize(timeline.size() - suffix.size());
-  }
-  timeline += ".timeline.json";
-  if (!grid.write(path) || !grid.write_timeline(timeline)) {
-    std::fprintf(stderr, "# grid: FAILED to write %s and %s\n", path.c_str(),
-                 timeline.c_str());
-    return false;
-  }
-  std::printf("# grid: wrote %s and %s\n", path.c_str(), timeline.c_str());
-  return true;
 }
 
 /// One `paraleon.bench.v1` document: the bench's headline metrics as
@@ -382,14 +251,14 @@ inline void add_perf_metrics(TrendReport& r, const Experiment& exp) {
   r.add("events_per_sec", perf.events_per_sec(), "events/s");
 }
 
-/// Writes the bench-trend artifact when --perf-out was given.
-inline void write_trend(const ObsCli& cli, const TrendReport& report) {
-  if (cli.perf_out.empty()) return;
-  if (report.write(cli.perf_out)) {
-    std::printf("# perf: wrote %s\n", cli.perf_out.c_str());
+/// Writes the bench-trend artifact when --perf-out was given (`path`
+/// non-empty).
+inline void write_trend(const std::string& path, const TrendReport& report) {
+  if (path.empty()) return;
+  if (report.write(path)) {
+    std::printf("# perf: wrote %s\n", path.c_str());
   } else {
-    std::fprintf(stderr, "# perf: FAILED to write %s\n",
-                 cli.perf_out.c_str());
+    std::fprintf(stderr, "# perf: FAILED to write %s\n", path.c_str());
   }
 }
 

@@ -40,7 +40,7 @@ Result run_scheme(Scheme s, double load, Time duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 10: monitoring designs — FSD accuracy and FCT",
                scaling_note(paper_fabric(Scheme::kParaleon, 31),
@@ -81,6 +81,6 @@ int main(int argc, char** argv) {
       "at every load; FCT follows the same order with No_FSD worst.\n");
   TrendReport trend("fig10_monitoring");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

@@ -35,7 +35,7 @@ Result run_one(Scheme s, Time mi) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 11: monitor interval vs FSD accuracy and FCT",
                scaling_note(paper_fabric(Scheme::kParaleon, 37),
@@ -58,6 +58,6 @@ int main(int argc, char** argv) {
       "PARALEON FCT <= naive-sketch FCT throughout.\n");
   TrendReport trend("fig11_interval");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

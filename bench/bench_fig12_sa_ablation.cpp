@@ -16,7 +16,7 @@ using namespace paraleon::runner;
 
 namespace {
 
-ObsCli g_cli;
+BenchCli g_cli;
 
 stats::TimeSeries run_trace(Scheme s, bool llm) {
   ExperimentConfig cfg = paper_fabric(s, 53);
@@ -122,7 +122,7 @@ void shadow_fleet_section(TrendReport* trend) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv);
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
   const WallTimer wall;
   print_header("Fig. 12: SA ablation — utility convergence, naive vs guided",
                scaling_note(paper_fabric(Scheme::kParaleon, 53),
@@ -141,6 +141,6 @@ int main(int argc, char** argv) {
       "this fabric scale (its utility landscape is flat — see\n"
       "EXPERIMENTS.md).\n");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli, trend);
+  write_trend(g_cli.perf_out, trend);
   return 0;
 }

@@ -23,11 +23,11 @@ using namespace paraleon::runner;
 
 namespace {
 
-ObsCli g_cli;
+BenchCli g_cli;
 
 struct CellSlot {
   double bw_gbps = 0;
-  std::uint64_t events = 0;  // 0 unless --perf enabled the PerfMonitor
+  std::uint64_t events = 0;  // 0 unless --perf-out enabled the PerfMonitor
 };
 
 constexpr int kScales[] = {8, 16, 32};
@@ -44,7 +44,7 @@ void print_grid_header(const scenario::Scenario& sc) {
 }
 
 /// Prints the scheme x scale table from cell-ordered slots and fills the
-/// trend rows. Returns the total event count (0 unless --perf).
+/// trend rows. Returns the total event count (0 unless --perf-out).
 std::uint64_t print_grid(const std::vector<CellSlot>& slots,
                          TrendReport& trend) {
   std::size_t cell = 0;
@@ -84,7 +84,7 @@ int run_scenario_grid() {
 
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = g_cli.perf;
+  opts.perf_counters = !g_cli.perf_out.empty();
   opts.on_cell = [&slots](const scenario::GridCell& cell, Experiment& exp) {
     slots[cell.index].events =
         exp.simulator().obs().perf().events_executed();
@@ -106,14 +106,14 @@ int run_scenario_grid() {
   trend.add("grid_wall_seconds", grid_seconds, "s");
   print_footer();
 
-  write_trend(g_cli, trend);
+  write_trend(g_cli.perf_out, trend);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv);
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
   try {
     return run_scenario_grid();
   } catch (const scenario::ScenarioError& e) {

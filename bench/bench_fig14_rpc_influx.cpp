@@ -65,7 +65,7 @@ void run_scheme(Scheme s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 14: runtime bandwidth & latency with SolarRPC influx",
                scaling_note(paper_fabric(Scheme::kParaleon, 77),
@@ -86,6 +86,6 @@ int main(int argc, char** argv) {
       "it.\n");
   TrendReport trend("fig14_rpc_influx");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

@@ -102,7 +102,7 @@ void hai_recovery_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 5: single-parameter impacts on throughput & RTT",
                scaling_note(small_fabric(Scheme::kCustomStatic, 7),
@@ -138,6 +138,6 @@ int main(int argc, char** argv) {
       "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
   TrendReport trend("fig5_single_param");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

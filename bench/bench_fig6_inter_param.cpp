@@ -49,7 +49,7 @@ Point run_cell(Time rpg_time_reset, std::int64_t kmax) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
                scaling_note(small_fabric(Scheme::kCustomStatic, 13),
@@ -89,6 +89,6 @@ int main(int argc, char** argv) {
       "interior cell, and RTT grows sharply there.\n");
   TrendReport trend("fig6_inter_param");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

@@ -24,7 +24,7 @@ using namespace paraleon::runner;
 
 namespace {
 
-ObsCli g_cli;
+BenchCli g_cli;
 
 const std::vector<Scheme> kSchemes = {Scheme::kDefaultStatic,
                                       Scheme::kExpertStatic, Scheme::kAcc,
@@ -105,7 +105,7 @@ void llm_part(int workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv);
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
   const WallTimer wall;
   print_header("Fig. 7: FCT of 5 tuning schemes (FB_Hadoop + LLM alltoall)",
                scaling_note(paper_fabric(Scheme::kParaleon, 3),
@@ -123,6 +123,6 @@ int main(int argc, char** argv) {
       "EXPERIMENTS.md).\n");
   TrendReport trend("fig7_fct");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli, trend);
+  write_trend(g_cli.perf_out, trend);
   return 0;
 }

@@ -81,7 +81,7 @@ void run_influx(const std::string& name, ExperimentConfig cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
                scaling_note(paper_fabric(Scheme::kParaleon, 71),
@@ -112,6 +112,6 @@ int main(int argc, char** argv) {
       "influx AND higher throughput afterwards.\n");
   TrendReport trend("fig9_pretrained");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

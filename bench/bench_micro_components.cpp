@@ -165,7 +165,7 @@ double timed_event_loop(bool perf_on, std::uint64_t* events_out) {
 /// the PerfMonitor off vs on, the overhead between them, and the
 /// deterministic event count. Min-of-N because the trend gate wants the
 /// machine's best case, not its scheduler noise.
-void write_micro_trend(const paraleon::bench::ObsCli& cli) {
+void write_micro_trend(const std::string& perf_out) {
   constexpr int kReps = 15;
   double off_s = 1e9, on_s = 1e9;
   double paired_pct[kReps];
@@ -200,21 +200,22 @@ void write_micro_trend(const paraleon::bench::ObsCli& cli) {
               "overhead %.2f%%\n",
               static_cast<double>(events) / off_s,
               static_cast<double>(events) / on_s, overhead_pct);
-  paraleon::bench::write_trend(cli, trend);
+  paraleon::bench::write_trend(perf_out, trend);
 }
 
 }  // namespace
 }  // namespace paraleon
 
-// Custom main instead of BENCHMARK_MAIN(): the shared ObsCli flags are
-// stripped before google-benchmark sees argv (it aborts on unknown flags),
-// and the header carries the same machine-parseable scaling note as the
-// experiment benches. --tiny narrows to an event-engine + sketch smoke
-// subset for CI; everything else (--benchmark_out=...) passes through.
+// Custom main instead of BENCHMARK_MAIN(): --tiny and --perf-out are
+// taken out of argv before google-benchmark sees it, and the header carries
+// the same machine-parseable scaling note as the experiment benches.
+// --tiny narrows to an event-engine + sketch smoke subset for CI; the
+// --benchmark_* flags pass through, and any other argument exits 2.
 int main(int argc, char** argv) {
-  const paraleon::bench::ObsCli cli =
-      paraleon::bench::parse_obs_cli(argc, argv);
-  argc = paraleon::bench::strip_obs_cli(argc, argv);
+  namespace bench = paraleon::bench;
+  constexpr unsigned kHonoured = bench::kTiny | bench::kPerfOut;
+  bench::BenchCli cli;
+  argc = bench::take_bench_flags(cli, kHonoured, argc, argv);
   std::vector<char*> args(argv, argv + argc);
   std::string filter =
       "--benchmark_filter=BM_EventQueueScheduleRun|BM_ElasticSketchInsert/"
@@ -222,23 +223,27 @@ int main(int argc, char** argv) {
   if (cli.tiny) args.push_back(filter.data());
   int bargc = static_cast<int>(args.size());
   benchmark::Initialize(&bargc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) {
+    std::fprintf(stderr, "%s [--benchmark_*]\n",
+                 bench::bench_usage(argv[0], kHonoured).c_str());
+    return 2;
+  }
 
   // No fabric is simulated here; the note documents the reference config
   // the component costs feed into (paper_fabric is what the experiment
   // benches run).
-  const paraleon::bench::ExperimentConfig ref = paraleon::bench::paper_fabric(
-      paraleon::bench::Scheme::kParaleon, /*seed=*/1);
+  const bench::ExperimentConfig ref =
+      bench::paper_fabric(bench::Scheme::kParaleon, /*seed=*/1);
   std::printf("# bench_micro_components: Table IV component costs\n");
   std::printf("# %s\n",
-              paraleon::bench::scaling_note(
+              bench::scaling_note(
                   ref, "component micros only; fabric shown for reference")
                   .c_str());
 
   benchmark::RunSpecifiedBenchmarks();
   // The bench-trend artifact is measured outside google-benchmark so the
   // off/on comparison shares one workload and one min-of-N policy.
-  if (!cli.perf_out.empty()) paraleon::write_micro_trend(cli);
+  if (!cli.perf_out.empty()) paraleon::write_micro_trend(cli.perf_out);
   benchmark::Shutdown();
   return 0;
 }

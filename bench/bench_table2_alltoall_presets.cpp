@@ -35,7 +35,7 @@ double algbw_for(Scheme scheme, std::int64_t per_pair_bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header(
       "Table II: alltoall out-of-place algbw (GB/s), Default vs Expert",
@@ -59,6 +59,6 @@ int main(int argc, char** argv) {
       "with a growing absolute gap here.\n");
   TrendReport trend("table2_alltoall_presets");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

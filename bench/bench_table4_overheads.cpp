@@ -14,7 +14,7 @@ using namespace paraleon::bench;
 using namespace paraleon::runner;
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_bench_cli(argc, argv);
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Table IV: PARALEON system overheads",
                scaling_note(paper_fabric(Scheme::kParaleon, 91),
@@ -104,6 +104,6 @@ int main(int argc, char** argv) {
   trend.add("controller_to_devices_bytes",
             static_cast<double>(oh.controller_to_devices_bytes), "B");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
+  write_trend(cli.perf_out, trend);
   return 0;
 }

@@ -1,27 +1,33 @@
 // paraleon_run: execute any scenarios/*.json file through the scenario
-// engine — the generic front door the per-figure benches specialize.
+// engine — the one front door, and the only binary with run modes.
 //
 //   paraleon_run scenarios/mixed_multitenant.json --tiny --jobs 4
 //
-// A scenario WITHOUT a sweep section runs as one experiment with the full
-// single-run observability surface (--trace per-run dumps, --flight
-// anomaly bundles, --perf event-loop economics). A scenario WITH a sweep
-// runs the whole cross-product through the GridRunner and writes one
-// paraleon.grid.v1 document (default <obs-out>/<name>.grid.json, override
-// with --grid-out) plus its Perfetto timeline next to it
-// (<grid>.timeline.json); --grid-check re-runs the grid serially and
-// byte-compares the deterministic half, and --perf-out writes a
-// paraleon.bench.v1 document with the grid's wall time and per-cell
-// metric values. A failed write exits 1.
-// Per-run artifacts (--trace/--flight) are rejected in grid mode: cells
-// run concurrently and would collide on the output files. The grid
-// artifacts (--grid-out/--grid-check) are rejected on a sweep-less
-// scenario: there is no grid to write or re-run.
+// A scenario WITHOUT a sweep section runs as one experiment. --flight arms
+// the anomaly triggers (bundles land under <obs-out>/flight); --flight-fault
+// also injects a buffer-accounting fault into ToR 0 at half the duration
+// under full invariants, and exits 0 only when the bundle landed;
+// --replay-flight BUNDLE re-runs the bundle's seed with every trace category
+// on and writes the trace of the anomaly window back into the bundle.
+// A scenario WITH a sweep runs the whole cross-product through the
+// GridRunner and writes one paraleon.grid.v1 document (default
+// <obs-out>/<name>.grid.json, override with --grid-out) plus its Perfetto
+// timeline next to it (<grid>.timeline.json); --grid-check re-runs the grid
+// serially and byte-compares the deterministic half. In both modes --trace
+// writes every run's dumps to <obs-out> (<name>.* for one run,
+// <name>.cell<i>.* per grid cell), --perf turns on the event-loop
+// PerfMonitor and --perf-out writes a paraleon.bench.v1 document.
+// A flag the chosen mode does not use exits 2; a failed write exits 1.
+#include <atomic>
 #include <cstdio>
-#include <cstring>
+#include <fstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "runner/flight.hpp"
+#include "stats/csv_export.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -29,98 +35,347 @@ using namespace paraleon::runner;
 
 namespace {
 
-ObsCli g_cli;
-std::string g_grid_out;     // --grid-out FILE; empty = <obs-out>/<name>
-bool g_grid_check = false;  // --grid-check
+/// The run modes; each flag names the modes that use it.
+enum Mode : unsigned {
+  kSingle = 1u << 0,  // a sweep-less scenario
+  kReplay = 1u << 1,  // a sweep-less scenario with --replay-flight
+  kGrid = 1u << 2,    // a scenario with a sweep section
+  kAnyMode = kSingle | kReplay | kGrid,
+};
 
-/// Consumes the grid-only flags, which no other bench takes, from argv
-/// (in place) before the shared ObsCli parser sees it. Returns the new
-/// argc; a `--grid-out` missing its value is left for the usage check.
-int take_grid_flags(int argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--grid-check") == 0) {
-      g_grid_check = true;
-    } else if (std::strcmp(argv[i], "--grid-out") == 0 && i + 1 < argc) {
-      g_grid_out = argv[++i];
-    } else {
-      argv[out++] = argv[i];
-    }
+struct FlagSpec {
+  const char* name;
+  const char* value;  // nullptr for a switch, else the value's usage name
+  unsigned modes;
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"--tiny", nullptr, kAnyMode},
+    {"--obs-out", "DIR", kAnyMode},
+    {"--trace", nullptr, kAnyMode},
+    {"--perf", nullptr, kAnyMode},
+    {"--perf-out", "FILE", kAnyMode},
+    {"--flight", nullptr, kSingle},
+    {"--flight-fault", nullptr, kSingle},
+    {"--replay-flight", "BUNDLE", kReplay},
+    {"--jobs", "N", kGrid},
+    {"--grid-out", "FILE", kGrid},
+    {"--grid-check", nullptr, kGrid},
+};
+
+struct ObsCli {
+  std::string scenario;
+  bool tiny = false;
+  bool trace = false;
+  bool perf = false;
+  bool flight = false;
+  bool flight_fault = false;
+  bool grid_check = false;
+  std::string out_dir = ".";
+  std::string perf_out;       // empty = no bench-trend artifact
+  std::string replay_bundle;  // empty = no replay
+  std::string grid_out;       // empty = <obs-out>/<name>.grid.json
+  int jobs = 1;
+  std::vector<const FlagSpec*> given;
+};
+
+ObsCli g_cli;
+
+/// " [--flag VALUE]..." for the flags used by exactly `modes`.
+std::string flag_list(unsigned modes) {
+  std::string out;
+  for (const FlagSpec& f : kFlags) {
+    if (f.modes != modes) continue;
+    out += std::string(" [") + f.name;
+    if (f.value != nullptr) out += std::string(" ") + f.value;
+    out += "]";
   }
-  for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
 }
 
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s SCENARIO.json [--tiny] [--jobs N] [--obs-out DIR]\n"
-      "       [--trace] [--flight] [--perf] [--perf-out FILE]\n"
-      "       [--grid-out FILE] [--grid-check]\n"
-      "N is a non-negative integer.\n"
-      "See docs/SCENARIOS.md for the scenario schema and grid semantics.\n",
-      argv0);
+  std::fprintf(stderr,
+               "usage: %s SCENARIO.json [FLAG]...\n"
+               "  any scenario:%s\n"
+               "  without a sweep:%s\n"
+               "  without a sweep, replaying a bundle:%s\n"
+               "  with a sweep:%s\n"
+               "N is a non-negative integer.\n"
+               "See docs/SCENARIOS.md for the scenario schema and grid "
+               "semantics.\n",
+               argv0, flag_list(kAnyMode).c_str(), flag_list(kSingle).c_str(),
+               flag_list(kReplay).c_str(), flag_list(kGrid).c_str());
   return 2;
 }
 
-int run_single(const scenario::Scenario& sc) {
-  if (!g_grid_out.empty() || g_grid_check) {
-    std::fprintf(stderr,
-                 "paraleon_run: --grid-out/--grid-check are grid artifacts, "
-                 "but %s has no sweep section. Add a sweep or drop the "
-                 "flag.\n",
-                 sc.name.c_str());
-    return 2;
+/// Sets the flag `a` (with `value`, nullptr for a switch) on g_cli. False
+/// for an unknown flag, a value flag missing its value, or a `--jobs` value
+/// that is not a non-negative integer.
+bool set_flag(std::string_view a, const char* value) {
+  if (a == "--tiny") {
+    g_cli.tiny = true;
+  } else if (a == "--trace") {
+    g_cli.trace = true;
+  } else if (a == "--perf") {
+    g_cli.perf = true;
+  } else if (a == "--flight") {
+    g_cli.flight = true;
+  } else if (a == "--flight-fault") {
+    g_cli.flight = g_cli.flight_fault = true;
+  } else if (a == "--grid-check") {
+    g_cli.grid_check = true;
+  } else if (value == nullptr) {
+    return false;
+  } else if (a == "--obs-out") {
+    g_cli.out_dir = value;
+  } else if (a == "--perf-out") {
+    g_cli.perf_out = value;
+  } else if (a == "--replay-flight") {
+    g_cli.replay_bundle = value;
+  } else if (a == "--grid-out") {
+    g_cli.grid_out = value;
+  } else if (a == "--jobs") {
+    return parse_count(value, &g_cli.jobs);
+  } else {
+    return false;
   }
+  return true;
+}
+
+/// Parses argv (one scenario path plus flags) into g_cli. False, after
+/// naming any bad argument on stderr, when it does not parse.
+bool parse_cli(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    const FlagSpec* flag = nullptr;
+    for (const FlagSpec& f : kFlags) {
+      if (a == f.name) flag = &f;
+    }
+    if (flag == nullptr && !a.starts_with('-') && g_cli.scenario.empty()) {
+      g_cli.scenario = argv[i];
+      continue;
+    }
+    const char* value = nullptr;
+    if (flag != nullptr && flag->value != nullptr && i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (!set_flag(a, value)) {
+      std::fprintf(stderr, "%s: unexpected argument '%.*s'\n", argv[0],
+                   static_cast<int>(a.size()), a.data());
+      return false;
+    }
+    g_cli.given.push_back(flag);
+  }
+  return !g_cli.scenario.empty();
+}
+
+/// Exits 2 (via usage) on the first given flag that `mode` does not use.
+int check_mode(unsigned mode, const std::string& name, const char* argv0) {
+  for (const FlagSpec* f : g_cli.given) {
+    if ((f->modes & mode) != 0) continue;
+    if (mode == kGrid) {
+      std::fprintf(stderr,
+                   "paraleon_run: %s is a single-run flag, but %s has a "
+                   "sweep section and a grid runs many cells. Run the "
+                   "interesting cell as its own sweep-less scenario.\n",
+                   f->name, name.c_str());
+    } else if (f->modes == kGrid) {
+      std::fprintf(stderr,
+                   "paraleon_run: %s needs a grid "
+                   "(--jobs/--grid-out/--grid-check are grid flags), but %s "
+                   "has no sweep section. Add a sweep or drop the flag.\n",
+                   f->name, name.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "paraleon_run: %s does not combine with --replay-flight, "
+                   "which disarms the triggers for the replay.\n",
+                   f->name);
+    }
+    return usage(argv0);
+  }
+  return 0;
+}
+
+/// Applies the CLI to an experiment config: every trace category on with
+/// --trace, the PerfMonitor with --perf or --perf-out, and with --flight
+/// the anomaly triggers armed at thresholds that stay silent on a healthy
+/// run but fire on a pause storm or drop burst.
+void apply_obs_cli(ExperimentConfig& cfg) {
+  if (g_cli.trace) cfg.obs.trace = obs::TraceConfig::all_on();
+  if (g_cli.perf || !g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+  if (g_cli.flight) {
+    cfg.obs.flight.armed = true;
+    cfg.obs.flight.dir = g_cli.out_dir + "/flight";
+    // >5% of link-time paused fabric-wide, or any burst of MMU drops
+    // (lossless fabrics should never drop), or an SA revert.
+    cfg.obs.flight.pause_ns_per_sec = 50'000'000;
+    cfg.obs.flight.drop_burst = 8;
+    cfg.obs.flight.on_sa_revert = true;
+  }
+}
+
+/// Writes `<name>.trace.json` (Chrome trace-event format, Perfetto-
+/// loadable), `<name>.obs.json` (counter registry + episode timelines)
+/// and, for offline plotting, `<name>.throughput.csv`, `<name>.rtt.csv`
+/// (per-MI `t_ms,value`) and `<name>.flows.csv` (completed flows) under
+/// <obs-out> for a finished run. No-op unless --trace was given. Returns
+/// false (after naming the files on stderr) when any could not be written.
+bool dump_obs(const Experiment& exp, const std::string& name) {
+  if (!g_cli.trace) return true;
+  const std::string base = g_cli.out_dir + "/" + name;
+  std::ofstream trace(base + ".trace.json");
+  trace << exp.simulator().obs().trace().to_json();
+  trace.close();
+  std::ofstream report(base + ".obs.json");
+  report << runner::obs_report_json(exp);
+  report.close();
+  if (!trace || !report) {
+    std::fprintf(stderr, "# obs: FAILED to write %s.{trace,obs}.json\n",
+                 base.c_str());
+    return false;
+  }
+  std::printf("# obs: wrote %s.trace.json and %s.obs.json\n", base.c_str(),
+              base.c_str());
+  const bool csv_ok =
+      stats::write_timeseries_csv(base + ".throughput.csv",
+                                  exp.throughput_series()) &&
+      stats::write_timeseries_csv(base + ".rtt.csv", exp.rtt_series()) &&
+      stats::write_flows_csv(base + ".flows.csv", exp.fct().completed());
+  if (!csv_ok) {
+    std::fprintf(stderr, "# obs: FAILED to write %s.*.csv\n", base.c_str());
+    return false;
+  }
+  std::printf("# obs: wrote %s.{throughput,rtt,flows}.csv\n", base.c_str());
+  return true;
+}
+
+/// Writes a grid document to `path` and its Chrome-trace timeline next to
+/// it (`x.grid.json` -> `x.grid.timeline.json`). Returns false (after
+/// naming the files on stderr) when either could not be written.
+bool write_grid(const scenario::GridOutcome& grid, const std::string& path) {
+  const std::string suffix = ".json";
+  std::string timeline = path;
+  if (timeline.size() > suffix.size() &&
+      timeline.compare(timeline.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+    timeline.resize(timeline.size() - suffix.size());
+  }
+  timeline += ".timeline.json";
+  if (!grid.write(path) || !grid.write_timeline(timeline)) {
+    std::fprintf(stderr, "# grid: FAILED to write %s and %s\n", path.c_str(),
+                 timeline.c_str());
+    return false;
+  }
+  std::printf("# grid: wrote %s and %s\n", path.c_str(), timeline.c_str());
+  return true;
+}
+
+/// One experiment from a sweep-less scenario: a plain run, a
+/// --flight-fault run, or a --replay-flight run. A replay installs the
+/// scenario's workloads exactly as the original run did: the bundle stores
+/// only seed + horizon, determinism does the rest.
+int run_single(const scenario::Scenario& sc) {
   ExperimentConfig cfg = scenario::to_experiment_config(sc);
-  apply_obs_cli(g_cli, cfg);
+  apply_obs_cli(cfg);
+  ReplayRequest replay;
+  if (!g_cli.replay_bundle.empty()) {
+    if (!load_replay_request(g_cli.replay_bundle, &replay)) {
+      std::fprintf(stderr, "replay-flight: cannot read %s/replay.cfg\n",
+                   g_cli.replay_bundle.c_str());
+      return 1;
+    }
+    apply_replay(cfg, replay);
+  }
+  if (g_cli.flight_fault) cfg.invariants.level = check::CheckLevel::kFull;
   Experiment exp(cfg);
   scenario::FlowScheduler flows(sc, &exp);
   flows.install_all();
   if (sc.scheme.force_trigger && exp.controller() != nullptr) {
     exp.controller()->force_trigger();
   }
+  if (g_cli.flight_fault) {
+    // Corrupt ToR 0's MMU accounting mid-run: the kFull invariant checker
+    // throws CheckFailure and the armed recorder dumps a check_failure
+    // bundle, which CI validates and replays.
+    exp.simulator().schedule_at(cfg.duration / 2, [&exp] {
+      exp.topology().tor(0).inject_buffer_accounting_fault(4096);
+    });
+  }
   print_header("scenario: " + sc.name,
                scaling_note(cfg, sc.description.empty() ? "scenario run"
                                                         : sc.description));
   const WallTimer wall;
-  exp.run();
+  try {
+    exp.run();
+  } catch (const check::CheckFailure&) {
+    // The checker printed the diagnostic before throwing.
+    const std::string& bundle = exp.flight_bundle_dir();
+    if (!bundle.empty()) std::printf("# flight bundle: %s\n", bundle.c_str());
+    if (g_cli.flight_fault && !bundle.empty()) return 0;
+    std::fprintf(stderr, "paraleon_run: %s failed an invariant check%s\n",
+                 sc.name.c_str(),
+                 g_cli.flight_fault ? " but wrote no flight bundle" : "");
+    return 1;
+  }
+  if (g_cli.flight_fault) {
+    std::fprintf(stderr, "flight-fault: injected fault was not detected\n");
+    return 1;
+  }
   const double seconds = wall.seconds();
   const double value = scenario::evaluate_metric(sc, exp);
   std::printf("%-24s %14s %18s\n", "metric", "value", "digest");
   std::printf("%-24s %14.4f %18llx\n", sc.metric.name.c_str(), value,
               static_cast<unsigned long long>(run_digest(exp)));
   std::printf("# run: %llu events in %.2fs wall\n",
-              static_cast<unsigned long long>(run_meta(exp).events_executed),
+              static_cast<unsigned long long>(
+                  exp.simulator().events_executed()),
               seconds);
   if (!exp.flight_bundle_dir().empty()) {
     std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
   }
-  if (!dump_obs(g_cli, exp, sc.name)) return 1;
+  if (!g_cli.replay_bundle.empty()) {
+    if (!write_replay_outputs(exp, g_cli.replay_bundle)) {
+      std::fprintf(stderr, "replay-flight: cannot write replay outputs\n");
+      return 1;
+    }
+    std::printf(
+        "# replay: wrote %s/replay.trace.json (trigger at %lld ns, window "
+        "0..%lld ns)\n",
+        g_cli.replay_bundle.c_str(),
+        static_cast<long long>(replay.trigger_ns),
+        static_cast<long long>(replay.replay_until_ns));
+  }
+  if (!dump_obs(exp, sc.name)) return 1;
   if (!g_cli.perf_out.empty()) {
     TrendReport trend(sc.name);
     trend.add("metric_" + sc.metric.name, value);
     trend.add("fct_finished", static_cast<double>(exp.fct().finished()),
               "flows");
     add_perf_metrics(trend, exp);
-    write_trend(g_cli, trend);
+    write_trend(g_cli.perf_out, trend);
   }
   return 0;
 }
 
 int run_grid_mode(const scenario::Scenario& sc) {
-  if (g_cli.trace || g_cli.flight || g_cli.flight_fault) {
-    std::fprintf(stderr,
-                 "paraleon_run: --trace/--flight are per-run artifacts; a "
-                 "grid runs cells concurrently and they would collide. Run "
-                 "the interesting cell as its own sweep-less scenario.\n");
-    return 2;
-  }
   obs::PoolTelemetry pool;
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = g_cli.perf;
   opts.telemetry = &pool;
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    apply_obs_cli(cfg);
+  };
+  // With --trace every cell writes its own dumps, so concurrent cells
+  // never share a file; cell 4 of fig8_influx is its paraleon cell.
+  std::atomic<bool> dumps_ok{true};
+  if (g_cli.trace) {
+    opts.on_cell = [&sc, &dumps_ok](const scenario::GridCell& cell,
+                                    Experiment& exp) {
+      if (!dump_obs(exp, sc.name + ".cell" + std::to_string(cell.index))) {
+        dumps_ok = false;
+      }
+    };
+  }
 
   print_header("scenario grid: " + sc.name,
                scaling_note(scenario::to_experiment_config(sc),
@@ -142,11 +397,10 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
 
-  const std::string grid_path = g_grid_out.empty()
-                                    ? g_cli.out_dir + "/" + sc.name +
-                                          ".grid.json"
-                                    : g_grid_out;
-  if (!write_grid(grid, grid_path)) return 1;
+  const std::string grid_path =
+      g_cli.grid_out.empty() ? g_cli.out_dir + "/" + sc.name + ".grid.json"
+                             : g_cli.grid_out;
+  if (!write_grid(grid, grid_path) || !dumps_ok) return 1;
 
   if (!g_cli.perf_out.empty()) {
     TrendReport trend(sc.name);
@@ -157,13 +411,15 @@ int run_grid_mode(const scenario::Scenario& sc) {
       trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
                 r.value);
     }
-    write_trend(g_cli, trend);
+    write_trend(g_cli.perf_out, trend);
   }
 
-  if (g_grid_check) {
+  if (g_cli.grid_check) {
+    // Same config hook (tracing moves the digests), no second dump.
     scenario::GridOptions serial = opts;
     serial.jobs = 1;
     serial.telemetry = nullptr;
+    serial.on_cell = nullptr;
     const scenario::GridOutcome again = scenario::run_grid(sc, serial);
     if (again.to_json(false) != grid.to_json(false)) {
       std::fprintf(stderr,
@@ -182,15 +438,17 @@ int run_grid_mode(const scenario::Scenario& sc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  argc = take_grid_flags(argc, argv);
-  g_cli = parse_obs_cli(argc, argv);
-  const int rest = strip_obs_cli(argc, argv);
-  if (rest != 2 || argv[1][0] == '-') return usage(argv[0]);
-  const std::string path = argv[1];
+  if (!parse_cli(argc, argv)) return usage(argv[0]);
   try {
     const scenario::Scenario sc =
-        scenario::load_scenario_file(path, g_cli.tiny);
-    return sc.sweep.empty() ? run_single(sc) : run_grid_mode(sc);
+        scenario::load_scenario_file(g_cli.scenario, g_cli.tiny);
+    const unsigned mode = !sc.sweep.empty()               ? kGrid
+                          : g_cli.replay_bundle.empty() ? kSingle
+                                                          : kReplay;
+    if (const int rc = check_mode(mode, sc.name, argv[0]); rc != 0) {
+      return rc;
+    }
+    return mode == kGrid ? run_grid_mode(sc) : run_single(sc);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -4,7 +4,7 @@
 #include <cstddef>
 
 // lint:allow-file(wall-clock) tune() reports wall_seconds next to the
-// result like runner::RunMeta — never in the episode log or any digest.
+// result — never in the episode log or any digest.
 
 #include "core/monitor.hpp"
 #include "core/param_space.hpp"

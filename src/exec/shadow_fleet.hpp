@@ -71,8 +71,8 @@ struct ShadowFleetResult {
   /// function of window + config, like the episode log; with K == 1
   /// nothing is ever wasted.
   obs::SpeculationStats speculation;
-  /// Wall-clock of the whole tune, reported next to the result like
-  /// runner::RunMeta — never part of the episode log or any digest.
+  /// Wall-clock of the whole tune, reported next to the result — never
+  /// part of the episode log or any digest.
   double wall_seconds = 0.0;
 };
 

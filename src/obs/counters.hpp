@@ -115,7 +115,7 @@ std::string format_value(double v);
 
 /// Periodic scrape sink: records a (filtered) registry snapshot per call
 /// into one stats::TimeSeries per instrument — the mechanism behind
-/// QueueTelemetry and the opt-in per-interval counter series.
+/// sim::QueueTelemetry.
 class ScrapeLog {
  public:
   /// Restricts future record() calls to these instrument names

@@ -20,15 +20,12 @@ namespace paraleon::obs {
 struct ObsConfig {
   TraceConfig trace;
   /// Wall-clock self-profiling of the event loop (nondeterministic output;
-  /// reported via runner::run_meta, never digested).
+  /// read through LoopProfiler::by_tag, never digested).
   bool profile_loop = false;
   /// Always-cheap event-loop telemetry (obs::PerfMonitor): deterministic
   /// scheduling/allocation counters plus a run wall window. Reported as
   /// the "perf" section of runner::obs_report_json; never digested.
   bool perf_counters = false;
-  /// > 0: scrape every registry instrument into a stats::TimeSeries each
-  /// interval of simulated time (Experiment::counter_scrapes()).
-  Time counter_scrape_interval = 0;
   /// Record pause causality spans and per-flow blocked / rate-limited time
   /// (obs::AttributionEngine; reported via runner::attribution_json).
   bool attribution = false;

@@ -4,7 +4,7 @@
 
 // lint:allow-file(wall-clock) run_begin/run_end stamp the wall window the
 // events/sec rate normalises against; wall data feeds the perf report's
-// "wall" subsection and RunMeta, never any digest.
+// "wall" subsection, never any digest.
 
 #include "obs/counters.hpp"
 #include "obs/profile.hpp"

@@ -12,8 +12,8 @@
 //     perturbs run_digest.
 //   * Wall-clock totals — run wall seconds stamped once per run_until
 //     call (never per event), giving events/sec. Wall data feeds the
-//     "wall" subsection of the perf report and runner::RunMeta only; it
-//     is NEVER digested (the LoopProfiler discipline).
+//     "wall" subsection of the perf report only; it is NEVER digested
+//     (the LoopProfiler discipline).
 //
 // Cost contract: every hot-path hook is a single predictable branch when
 // the monitor is disabled, and a handful of integer ops when enabled —

@@ -1,8 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <vector>
 
 namespace paraleon::obs {
 
@@ -43,46 +41,6 @@ std::map<std::string, LoopProfiler::TagStats> LoopProfiler::by_tag() const {
     dst.total_ns += s.total_ns;
     dst.max_ns = std::max(dst.max_ns, s.max_ns);
     for (int i = 0; i < kBuckets; ++i) dst.buckets[i] += s.buckets[i];
-  }
-  return out;
-}
-
-std::string LoopProfiler::summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "loop: %llu events, %.3f s wall, %.0f events/s\n",
-                static_cast<unsigned long long>(events_), wall_seconds(),
-                events_per_sec());
-  std::string out = buf;
-
-  const auto merged = by_tag();
-  std::vector<std::pair<std::string, TagStats>> rows(merged.begin(),
-                                                     merged.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_ns != b.second.total_ns
-               ? a.second.total_ns > b.second.total_ns
-               : a.first < b.first;
-  });
-  for (const auto& [tag, s] : rows) {
-    const double mean =
-        s.count == 0 ? 0.0
-                     : static_cast<double>(s.total_ns) /
-                           static_cast<double>(s.count);
-    std::snprintf(buf, sizeof buf,
-                  "  %-20s n=%-10llu total=%8.3f ms  mean=%7.0f ns  "
-                  "max=%lld ns  p-buckets:",
-                  tag.c_str(), static_cast<unsigned long long>(s.count),
-                  static_cast<double>(s.total_ns) / 1e6, mean,
-                  static_cast<long long>(s.max_ns));
-    out += buf;
-    // Print the occupied log2 buckets as `2^i:count`.
-    for (int i = 0; i < kBuckets; ++i) {
-      if (s.buckets[i] == 0) continue;
-      std::snprintf(buf, sizeof buf, " 2^%d:%llu", i,
-                    static_cast<unsigned long long>(s.buckets[i]));
-      out += buf;
-    }
-    out += '\n';
   }
   return out;
 }

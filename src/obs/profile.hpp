@@ -4,8 +4,8 @@
 // Event schedule sites may attach a static-string tag; the profiler groups
 // callback wall times by tag so a slow run answers "which event type eats
 // the time" directly. Everything here is wall-clock and therefore
-// nondeterministic — the results feed runner::RunMeta, never the run
-// digest or the counter dump.
+// nondeterministic — the results feed perfbench's per-layer rows, never
+// the run digest or the counter dump.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +46,8 @@ class LoopProfiler {
                                 static_cast<double>(total_ns_);
   }
 
-  /// Per-tag stats merged by tag text, sorted by total time descending in
-  /// summary(); keyed by tag here.
+  /// Per-tag stats merged by tag text, keyed by tag.
   std::map<std::string, TagStats> by_tag() const;
-
-  /// Human-readable report: events/s plus one histogram line per tag.
-  std::string summary() const;
 
   void reset();
 

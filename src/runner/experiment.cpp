@@ -250,20 +250,6 @@ void Experiment::wire_scheme() {
 void Experiment::schedule_probe() {
   const Time mi = cfg_.controller.mi;
 
-  if (cfg_.obs.counter_scrape_interval > 0) {
-    const Time iv = cfg_.obs.counter_scrape_interval;
-    // Immediate t=0 sample, then one per interval (same self-rescheduling
-    // ownership pattern as the probes below).
-    scrape_log_.record(sim_.now(), sim_.obs().registry());
-    probe_ticks_.push_back(std::make_unique<std::function<void()>>());
-    auto* tick = probe_ticks_.back().get();
-    *tick = [this, iv, tick] {
-      scrape_log_.record(sim_.now(), sim_.obs().registry());
-      sim_.schedule_in(iv, *tick, "obs.scrape");
-    };
-    sim_.schedule_at(iv, *tick, "obs.scrape");
-  }
-
   // A single full-scope controller already records the network-wide
   // series; schemes without one (static/ACC/DCQCN+) or with several
   // scoped ones (per-pod) get an independent probe.
@@ -566,25 +552,6 @@ std::uint64_t run_digest(Experiment& exp) {
     }
   }
   return d.value();
-}
-
-RunMeta run_meta(const Experiment& exp) {
-  RunMeta m;
-  m.events_executed = exp.simulator().events_executed();
-  m.sim_seconds = static_cast<double>(exp.simulator().now()) / 1e9;
-  const obs::LoopProfiler& prof = exp.simulator().obs().profiler();
-  if (prof.events() > 0) {
-    m.wall_seconds = prof.wall_seconds();
-    m.events_per_sec = prof.events_per_sec();
-    m.profile_summary = prof.summary();
-  } else {
-    // The PerfMonitor's run-window wall totals are the cheap fallback
-    // when per-callback profiling was off (both stay 0 with perf off).
-    const obs::PerfMonitor& perf = exp.simulator().obs().perf();
-    m.wall_seconds = perf.wall_seconds();
-    m.events_per_sec = perf.events_per_sec();
-  }
-  return m;
 }
 
 std::string obs_report_json(const Experiment& exp) {

@@ -72,7 +72,7 @@ struct ExperimentConfig {
   /// Sketches are shadowed with exact counters; a violation throws
   /// check::CheckFailure out of run().
   check::InvariantConfig invariants{.level = check::CheckLevel::kOff};
-  /// Observability: trace categories, loop profiling, counter scraping.
+  /// Observability: trace categories, loop profiling, perf counters.
   /// Everything defaults off.
   obs::ObsConfig obs;
   /// Event-queue backend. kReferenceHeap replays the pre-overhaul binary
@@ -155,10 +155,6 @@ class Experiment {
   /// All per-hop host hosts convenience: ids 0..host_count-1.
   std::vector<int> all_hosts() const;
 
-  /// Per-interval registry scrapes (empty unless
-  /// config().obs.counter_scrape_interval > 0).
-  const obs::ScrapeLog& counter_scrapes() const { return scrape_log_; }
-
   /// Directory of the post-mortem bundle this run wrote ("" when none).
   /// One bundle per run — the first trigger wins; later fires only bump
   /// the `flight.triggers` counter.
@@ -199,7 +195,6 @@ class Experiment {
   stats::TimeSeries probe_rtt_;
   mutable stats::TimeSeries merged_rtt_;  // per-pod RTT view, built lazily
   stats::TimeSeries accuracy_series_;
-  obs::ScrapeLog scrape_log_;
 
   // Flight recorder: anomaly detectors fed by a read-only scan tick (the
   // scan must never mutate the network, so an armed-but-silent run stays
@@ -217,22 +212,6 @@ class Experiment {
 /// same-seed runs must produce the same value byte-for-byte; the
 /// determinism regression test enforces exactly that.
 std::uint64_t run_digest(Experiment& exp);
-
-/// Nondeterministic run metadata: wall-clock loop-profiling results
-/// alongside the simulated-time facts they normalise against. Reported next
-/// to a run's results; NEVER fed into run_digest or the counter dump (the
-/// determinism tests would fail if it were).
-struct RunMeta {
-  std::uint64_t events_executed = 0;
-  double sim_seconds = 0.0;
-  /// Wall-clock totals; 0 unless config().obs.profile_loop or
-  /// config().obs.perf_counters was set.
-  double wall_seconds = 0.0;
-  double events_per_sec = 0.0;
-  /// Human-readable per-event-type latency histogram ("" when unprofiled).
-  std::string profile_summary;
-};
-RunMeta run_meta(const Experiment& exp);
 
 /// One deterministic JSON document per run: the full counter registry,
 /// trace-recorder totals, every controller's tuning-episode timeline and

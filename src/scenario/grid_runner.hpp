@@ -63,15 +63,16 @@ struct GridOptions {
   /// Observes the pool that runs the cells (wall half of the report).
   obs::PoolTelemetry* telemetry = nullptr;
   /// Last-mile config hook, applied after the scenario's own mapping and
-  /// the perf_counters flag, before the Experiment is built — how the
-  /// benches layer their --trace/--flight CLI onto every cell. Anything
-  /// it changes that alters telemetry (tracing schedules scrape events)
-  /// changes the cells' digests.
+  /// the perf_counters flag, before the Experiment is built — how
+  /// paraleon_run layers its --trace/--perf flags onto every cell.
+  /// Tracing changes the cells' digests: run_digest hashes the retained
+  /// trace events.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;
   /// Per-cell hook, called on the WORKER thread after the cell's run
   /// completes. Must not touch shared mutable state except through
   /// disjoint, preallocated slots (index by cell.index) — the benches use
-  /// this to harvest extra series for their tables.
+  /// this to harvest extra series for their tables, and paraleon_run to
+  /// write each traced cell's dumps to its own files.
   std::function<void(const GridCell&, runner::Experiment&)> on_cell;
 };
 

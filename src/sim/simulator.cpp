@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 // lint:allow-file(wall-clock) this TU is the LoopProfiler's measuring
-// site: callback wall times feed runner::RunMeta, never any digest.
+// site: callback wall times feed LoopProfiler::by_tag, never any digest.
 
 #include "check/check.hpp"
 

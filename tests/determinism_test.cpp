@@ -167,7 +167,6 @@ TEST(Determinism, PfcStormScenarioIsDeterministicAndInvariantClean) {
 ExperimentConfig obs_config(std::uint64_t seed) {
   ExperimentConfig cfg = base_config(Scheme::kParaleon, seed);
   cfg.obs.trace = obs::TraceConfig::all_on(1u << 14);
-  cfg.obs.counter_scrape_interval = milliseconds(1);
   return cfg;
 }
 
@@ -220,11 +219,11 @@ TEST(Determinism, PerfCountersDoNotPerturbDigest) {
 }
 
 TEST(Determinism, TracingIsObservationOnly) {
-  // Enabling every trace category plus counter scraping must not perturb
-  // the simulated run: the network-visible telemetry (flow completions,
-  // CNP counts, switch drops/marks) must match the all-off run exactly.
-  // (run_digest itself is not comparable across the two configurations —
-  // the scrape tick adds events to the executed-event count.)
+  // Enabling every trace category must not perturb the simulated run:
+  // the network-visible telemetry (flow completions, CNP counts, switch
+  // drops/marks) must match the all-off run exactly. (run_digest itself
+  // is not comparable across the two configurations — it hashes the
+  // trace events, which the all-off run does not record.)
   const auto run = [](bool with_obs) {
     ExperimentConfig cfg = with_obs ? obs_config(5)
                                     : base_config(Scheme::kParaleon, 5);

@@ -218,38 +218,17 @@ TEST(Experiment, LoopProfilerSurfacesInRunMeta) {
   Experiment exp(cfg);
   exp.add_poisson(small_poisson(exp));
   exp.run();
-  const RunMeta meta = run_meta(exp);
-  EXPECT_EQ(meta.events_executed, exp.simulator().events_executed());
-  EXPECT_GT(meta.wall_seconds, 0.0);
-  EXPECT_GT(meta.events_per_sec, 0.0);
-  // Schedule-site tags reach the per-tag histogram.
-  EXPECT_NE(meta.profile_summary.find("net.serialize"), std::string::npos);
-  EXPECT_NE(meta.profile_summary.find("core.mi_tick"), std::string::npos);
-}
-
-TEST(Experiment, UnprofiledRunMetaHasNoWallClock) {
-  Experiment exp(small_config(Scheme::kDefaultStatic));
-  exp.add_poisson(small_poisson(exp));
-  exp.run();
-  const RunMeta meta = run_meta(exp);
-  EXPECT_EQ(meta.wall_seconds, 0.0);
-  EXPECT_TRUE(meta.profile_summary.empty());
-}
-
-TEST(Experiment, CounterScrapesRecordSeries) {
-  ExperimentConfig cfg = small_config(Scheme::kParaleon);
-  cfg.obs.counter_scrape_interval = milliseconds(1);
-  Experiment exp(cfg);
-  exp.add_poisson(small_poisson(exp));
-  exp.run();
-  // t=0 scrape plus one per millisecond through the 30 ms horizon.
-  const auto& series = exp.counter_scrapes().series("sim.events_executed");
-  EXPECT_GE(series.points().size(), 30u);
-  EXPECT_EQ(series.points().front().t, 0);
-  // Monotonic counter scraped monotonically.
-  for (std::size_t i = 1; i < series.points().size(); ++i) {
-    EXPECT_GE(series.points()[i].value, series.points()[i - 1].value);
-  }
+  const obs::LoopProfiler& prof = exp.simulator().obs().profiler();
+  EXPECT_EQ(prof.events(), exp.simulator().events_executed());
+  EXPECT_GT(prof.wall_seconds(), 0.0);
+  EXPECT_GT(prof.events_per_sec(), 0.0);
+  // Schedule-site tags reach the per-tag stats perfbench's traced path
+  // attributes to layers.
+  const auto tags = prof.by_tag();
+  ASSERT_TRUE(tags.count("net.serialize"));
+  ASSERT_TRUE(tags.count("core.mi_tick"));
+  EXPECT_GT(tags.at("net.serialize").count, 0u);
+  EXPECT_GT(tags.at("core.mi_tick").count, 0u);
 }
 
 TEST(Experiment, SlowdownsAreAtLeastOneIsh) {

@@ -184,8 +184,11 @@ TEST(LoopProfiler, DisabledByDefaultAndSummarizesWhenOn) {
   prof.record("net.serialize", 1000);
   prof.record("net.serialize", 2000);
   prof.record(nullptr, 500);  // untagged events fold into one bucket
-  const std::string s = prof.summary();
-  EXPECT_NE(s.find("net.serialize"), std::string::npos);
+  const auto tags = prof.by_tag();
+  ASSERT_EQ(tags.size(), 2u);
+  EXPECT_EQ(tags.at("net.serialize").count, 2u);
+  EXPECT_EQ(tags.at("net.serialize").total_ns, 3000);
+  EXPECT_EQ(tags.at("(untagged)").count, 1u);
 }
 
 }  // namespace

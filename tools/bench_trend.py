@@ -28,10 +28,9 @@ for two_sided) beyond every given tolerance. Improvements never fail.
 Gated metrics present in the baseline but missing from the current run
 fail (a bench silently dropping a metric is itself a regression); an
 ungated ("gate": false) missing metric only warns, so a baseline may carry
-tracking rows that not every invocation emits (e.g. the sweep_* rows only
-`--sweep` runs produce). --allow-missing downgrades ALL missing metrics to
-warnings — for partial-run comparisons like the CI bench-parallel job,
-which runs only the sweep mode and therefore emits only the sweep_* rows.
+tracking rows that not every invocation emits. --allow-missing downgrades
+ALL missing metrics to warnings — for partial-run comparisons against a
+full baseline.
 New metrics in the current run are reported as candidates for the
 baseline.
 
@@ -229,7 +228,7 @@ def self_test():
         ("missing_metric", {"tput_gbps": 100.0, "overhead_pct": 1.0,
                             "wall_seconds": 2.0}, 1),
         # A missing ungated metric only warns (tracking rows that not
-        # every bench invocation emits, e.g. the sweep_* rows).
+        # every bench invocation emits).
         ("missing_ungated", {"tput_gbps": 100.0, "overhead_pct": 1.0,
                              "events": 1000}, 0),
         # --allow-missing downgrades even gated misses to warnings
