@@ -115,6 +115,27 @@ inline std::string scenario_path(const std::string& file) {
 #endif
 }
 
+/// Loads the committed scenarios/`file` and returns `body(scenario)`, the
+/// bench's exit code. A ScenarioError (a malformed file, or one the body
+/// rejects) exits 2 with its message.
+template <typename Body>
+int run_with_scenario(const std::string& file, bool tiny, Body body) {
+  try {
+    return body(scenario::load_scenario_file(scenario_path(file), tiny));
+  } catch (const scenario::ScenarioError& e) {
+    std::fprintf(stderr, "scenario error: %s\n", e.what());
+    return 2;
+  }
+}
+
+/// Cells in a scenario's sweep cross-product (1 without a sweep): the
+/// size of a bench's per-cell slot table.
+inline std::size_t cell_count(const scenario::Scenario& sc) {
+  std::size_t n = 1;
+  for (const auto& axis : sc.sweep) n *= axis.values.size();
+  return n;
+}
+
 /// Parses a non-negative decimal int (the whole string, nothing else).
 inline bool parse_count(const char* text, int* out) {
   const char* end = text + std::strlen(text);
@@ -317,6 +338,64 @@ inline workload::PoissonConfig fb_hadoop(const Experiment& exp, double load,
   w.stop = stop;
   w.seed = seed;
   return w;
+}
+
+/// The burst of an influx scenario (Figs. 8, 9, 14): the [start, stop) of
+/// its only workload component with a finite stop_ms. The background runs
+/// to the end of the run, so any other count is a malformed influx file.
+struct InfluxWindow {
+  Time start = 0;
+  Time stop = 0;
+};
+
+inline InfluxWindow influx_window(const scenario::Scenario& sc) {
+  const scenario::WorkloadComponent* burst = nullptr;
+  int finite = 0;
+  for (const auto& c : sc.workload) {
+    if (c.stop_ms < 0.0) continue;
+    burst = &c;
+    ++finite;
+  }
+  if (finite != 1) {
+    throw scenario::ScenarioError(
+        sc.name + ": an influx scenario needs exactly one workload "
+        "component with a finite stop_ms, found " + std::to_string(finite));
+  }
+  return {milliseconds(burst->start_ms), milliseconds(burst->stop_ms)};
+}
+
+/// Mean goodput (Gbps) and RTT (us) before, during and after the influx.
+struct PhaseMeans {
+  double before_tput = 0, before_rtt = 0;
+  double influx_tput = 0, influx_rtt = 0;
+  double after_tput = 0, after_rtt = 0;
+};
+
+/// The phase windows: before = [before_start, burst start), influx =
+/// [burst start + 2 ms, burst stop) (the first 2 ms are the burst's
+/// ramp-up), after = [after_start, end of the run). Each figure picks its
+/// own before_start and after_start.
+inline PhaseMeans phase_means(const Experiment& exp, InfluxWindow influx,
+                              Time before_start, Time after_start) {
+  const auto& tput = exp.throughput_series();
+  const auto& rtt = exp.rtt_series();
+  const Time influx_from = influx.start + milliseconds(2);
+  const Time end = exp.config().duration;
+  PhaseMeans m;
+  m.before_tput = tput.mean_in(before_start, influx.start);
+  m.before_rtt = rtt.mean_in(before_start, influx.start);
+  m.influx_tput = tput.mean_in(influx_from, influx.stop);
+  m.influx_rtt = rtt.mean_in(influx_from, influx.stop);
+  m.after_tput = tput.mean_in(after_start, end);
+  m.after_rtt = rtt.mean_in(after_start, end);
+  return m;
+}
+
+/// The three " | Gbps rtt_us" column pairs of an influx table row.
+inline void print_phase_means(const PhaseMeans& m) {
+  std::printf(" | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f", m.before_tput,
+              m.before_rtt, m.influx_tput, m.influx_rtt, m.after_tput,
+              m.after_rtt);
 }
 
 }  // namespace paraleon::bench

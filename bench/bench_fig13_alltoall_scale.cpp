@@ -73,18 +73,16 @@ void print_footer() {
 }
 
 /// The scheme x scale grid from scenarios/fig13_alltoall.json.
-int run_scenario_grid() {
-  const scenario::Scenario sc = scenario::load_scenario_file(
-      scenario_path("fig13_alltoall.json"), g_cli.tiny);
+int run_scenario_grid(const scenario::Scenario& sc) {
   print_grid_header(sc);
 
-  std::size_t n_cells = 1;
-  for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
-  std::vector<CellSlot> slots(n_cells);
+  std::vector<CellSlot> slots(cell_count(sc));
 
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = !g_cli.perf_out.empty();
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+  };
   opts.on_cell = [&slots](const scenario::GridCell& cell, Experiment& exp) {
     slots[cell.index].events =
         exp.simulator().obs().perf().events_executed();
@@ -114,10 +112,6 @@ int run_scenario_grid() {
 
 int main(int argc, char** argv) {
   g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
-  try {
-    return run_scenario_grid();
-  } catch (const scenario::ScenarioError& e) {
-    std::fprintf(stderr, "scenario error: %s\n", e.what());
-    return 2;
-  }
+  return run_with_scenario("fig13_alltoall.json", g_cli.tiny,
+                           run_scenario_grid);
 }

@@ -23,21 +23,6 @@ namespace {
 
 BenchCli g_cli;
 
-/// The fig8 reporting phases.
-struct Fig8Phases {
-  Time before_start, influx_start, influx_end, tail_start, end;
-};
-
-Fig8Phases fig8_phases(Time end) {
-  Fig8Phases p;
-  p.before_start = g_cli.tiny ? milliseconds(5) : milliseconds(60);
-  p.influx_start = g_cli.tiny ? milliseconds(20) : milliseconds(120);
-  p.influx_end = g_cli.tiny ? milliseconds(35) : milliseconds(150);
-  p.tail_start = end - (g_cli.tiny ? milliseconds(20) : milliseconds(100));
-  p.end = end;
-  return p;
-}
-
 void print_table_header(const ExperimentConfig& cfg) {
   print_header("Fig. 8: runtime throughput & RTT across a FB_Hadoop influx",
                scaling_note(cfg,
@@ -52,9 +37,7 @@ void print_table_header(const ExperimentConfig& cfg) {
 /// Per-cell phase means harvested by the grid's on_cell hook (slots are
 /// preallocated and indexed by cell, so pool threads never contend).
 struct Fig8Slot {
-  double before_tput = 0, before_rtt = 0;
-  double influx_tput = 0, influx_rtt = 0;
-  double after_tput = 0, after_rtt = 0;
+  PhaseMeans phases;
   double episodes = -1;  // -1 = scheme has no controller
   std::uint64_t fct_finished = 0;
 };
@@ -64,28 +47,22 @@ struct Fig8Slot {
 int run_scenario_table(const scenario::Scenario& sc) {
   print_table_header(scenario::to_experiment_config(sc));
 
-  std::size_t n_cells = 1;
-  for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
-  std::vector<Fig8Slot> slots(n_cells);
+  std::vector<Fig8Slot> slots(cell_count(sc));
   TrendReport trend("fig8_influx");
+  // The scheme axis leaves the burst where the base file puts it.
+  const InfluxWindow influx = influx_window(sc);
+  const Time before_start = milliseconds(g_cli.tiny ? 5 : 60);
+  const Time tail = milliseconds(g_cli.tiny ? 20 : 100);
 
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = !g_cli.perf_out.empty();
-  opts.on_cell = [&slots, &trend](const scenario::GridCell& cell,
-                                  Experiment& exp) {
-    const Fig8Phases ph = fig8_phases(exp.config().duration);
-    const auto& tput = exp.throughput_series();
-    const auto& rtt = exp.rtt_series();
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+  };
+  opts.on_cell = [&](const scenario::GridCell& cell, Experiment& exp) {
     Fig8Slot& slot = slots[cell.index];
-    slot.before_tput = tput.mean_in(ph.before_start, ph.influx_start);
-    slot.before_rtt = rtt.mean_in(ph.before_start, ph.influx_start);
-    slot.influx_tput =
-        tput.mean_in(ph.influx_start + milliseconds(2), ph.influx_end);
-    slot.influx_rtt =
-        rtt.mean_in(ph.influx_start + milliseconds(2), ph.influx_end);
-    slot.after_tput = tput.mean_in(ph.tail_start, ph.end);
-    slot.after_rtt = rtt.mean_in(ph.tail_start, ph.end);
+    slot.phases = phase_means(exp, influx, before_start,
+                              exp.config().duration - tail);
     if (exp.controller() != nullptr) {
       slot.episodes = static_cast<double>(exp.controller()->episodes());
     }
@@ -104,17 +81,15 @@ int run_scenario_table(const scenario::Scenario& sc) {
                 scheme_name(scenario::scheme_from_name(
                                 cell.scenario.scheme.name))
                     .c_str());
-    std::printf(" | %8.2f %8.2f", slot.before_tput, slot.before_rtt);
-    std::printf(" | %8.2f %8.2f", slot.influx_tput, slot.influx_rtt);
-    std::printf(" | %8.2f %8.2f", slot.after_tput, slot.after_rtt);
+    print_phase_means(slot.phases);
     if (slot.episodes >= 0) {
       std::printf("  (episodes=%.0f)", slot.episodes);
     }
     std::printf("\n");
     if (cell.scenario.scheme.name == "paraleon") {
-      trend.add("before_tput_gbps", slot.before_tput, "Gbps");
-      trend.add("influx_rtt_us", slot.influx_rtt, "us");
-      trend.add("after_tput_gbps", slot.after_tput, "Gbps");
+      trend.add("before_tput_gbps", slot.phases.before_tput, "Gbps");
+      trend.add("influx_rtt_us", slot.phases.influx_rtt, "us");
+      trend.add("after_tput_gbps", slot.phases.after_tput, "Gbps");
       trend.add("fct_finished", static_cast<double>(slot.fct_finished),
                 "flows");
       if (slot.episodes >= 0) trend.add("episodes", slot.episodes,
@@ -134,11 +109,6 @@ int run_scenario_table(const scenario::Scenario& sc) {
 
 int main(int argc, char** argv) {
   g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
-  try {
-    return run_scenario_table(scenario::load_scenario_file(
-        scenario_path("fig8_influx.json"), g_cli.tiny));
-  } catch (const scenario::ScenarioError& e) {
-    std::fprintf(stderr, "scenario error: %s\n", e.what());
-    return 2;
-  }
+  return run_with_scenario("fig8_influx.json", g_cli.tiny,
+                           run_scenario_table);
 }

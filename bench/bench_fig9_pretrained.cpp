@@ -15,20 +15,18 @@ using namespace paraleon::runner;
 
 namespace {
 
-constexpr Time kInfluxStart = milliseconds(120);
-constexpr Time kInfluxEnd = milliseconds(150);
-constexpr Time kEnd = milliseconds(260);
-
-ExperimentConfig live_cfg(Scheme s, std::uint64_t seed) {
-  ExperimentConfig cfg = paper_fabric(s, seed);
-  cfg.duration = kEnd;
-  cfg.controller.episode_cooldown_mi = 10;
-  cfg.controller.steady_retrigger_mi = 0;  // pure KL-triggered adaptation
-  cfg.controller.post_check_window_mi = 5;
-  cfg.controller.sa.total_iter_num = 3;
-  cfg.controller.sa.cooling_rate = 0.5;
-  cfg.controller.sa.final_temp = 30;
+/// The live runs replay the PARALEON cell of scenarios/fig8_influx.json,
+/// shortened to 260 ms and with one MI per SA candidate. A pretrained
+/// setting replaces PARALEON with that static setting.
+ExperimentConfig live_cfg(const scenario::Scenario& sc,
+                          const dcqcn::DcqcnParams* pretrained = nullptr) {
+  ExperimentConfig cfg = scenario::to_experiment_config(sc);
+  cfg.duration = milliseconds(260);
   cfg.controller.eval_mi_per_candidate = 1;
+  if (pretrained != nullptr) {
+    cfg.scheme = Scheme::kCustomStatic;
+    cfg.custom_params = *pretrained;
+  }
   return cfg;
 }
 
@@ -56,33 +54,20 @@ dcqcn::DcqcnParams pretrain_on_fb_hadoop() {
   return exp.learned_params();
 }
 
-void run_influx(const std::string& name, ExperimentConfig cfg) {
-  Experiment exp(std::move(cfg));
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-  a2a.flow_size = 512 * 1024;
-  a2a.off_period = milliseconds(1);
-  exp.add_alltoall(a2a);
-  workload::PoissonConfig burst = fb_hadoop(exp, 0.4, kInfluxEnd, 2009);
-  burst.start = kInfluxStart;
-  exp.add_poisson(burst);
+void run_influx(const char* name, const scenario::Scenario& sc,
+                InfluxWindow influx, const ExperimentConfig& cfg) {
+  Experiment exp(cfg);
+  scenario::FlowScheduler(sc, &exp).install_all();
   exp.run();
-  const auto& tput = exp.throughput_series();
-  const auto& rtt = exp.rtt_series();
-  std::printf("%-14s | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f\n",
-              name.c_str(), tput.mean_in(milliseconds(60), kInfluxStart),
-              rtt.mean_in(milliseconds(60), kInfluxStart),
-              tput.mean_in(kInfluxStart + milliseconds(2), kInfluxEnd),
-              rtt.mean_in(kInfluxStart + milliseconds(2), kInfluxEnd),
-              tput.mean_in(kInfluxEnd + milliseconds(20), kEnd),
-              rtt.mean_in(kInfluxEnd + milliseconds(20), kEnd));
+  std::printf("%-14s", name);
+  print_phase_means(phase_means(exp, influx, milliseconds(60),
+                                influx.stop + milliseconds(20)));
+  std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
+int run(const scenario::Scenario& sc, const BenchCli& cli) {
   const WallTimer wall;
+  const InfluxWindow influx = influx_window(sc);
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
                scaling_note(paper_fabric(Scheme::kParaleon, 71),
                             "pretraining: 200 ms offline episodes; "
@@ -95,17 +80,9 @@ int main(int argc, char** argv) {
   std::printf("%-14s | %8s %8s | %8s %8s | %8s %8s\n", "scheme",
               "pre_Gbps", "pre_rtt", "inf_Gbps", "inf_rtt", "post_Gbps",
               "post_rtt");
-  {
-    ExperimentConfig c = live_cfg(Scheme::kCustomStatic, 9);
-    c.custom_params = pre1;
-    run_influx("Pretrained1", std::move(c));
-  }
-  {
-    ExperimentConfig c = live_cfg(Scheme::kCustomStatic, 9);
-    c.custom_params = pre2;
-    run_influx("Pretrained2", std::move(c));
-  }
-  run_influx("PARALEON", live_cfg(Scheme::kParaleon, 9));
+  run_influx("Pretrained1", sc, influx, live_cfg(sc, &pre1));
+  run_influx("Pretrained2", sc, influx, live_cfg(sc, &pre2));
+  run_influx("PARALEON", sc, influx, live_cfg(sc));
   std::printf(
       "\nPaper Fig. 9 shape: the pretrained settings capture only their\n"
       "training workload; live PARALEON achieves lower RTT during the\n"
@@ -114,4 +91,13 @@ int main(int argc, char** argv) {
   trend.add("wall_seconds", wall.seconds(), "s");
   write_trend(cli.perf_out, trend);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
+  return run_with_scenario(
+      "fig8_influx.json", false,
+      [&cli](const scenario::Scenario& sc) { return run(sc, cli); });
 }

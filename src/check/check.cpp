@@ -16,6 +16,8 @@ std::string build_what(const std::string& expression, const std::string& file,
   return os.str();
 }
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -39,8 +41,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 CheckFailure::CheckFailure(std::string expression, std::string file, int line,
                            std::string message)

@@ -41,6 +41,11 @@ class CheckFailure : public std::runtime_error {
 /// (`failure.json`): expression, file, line, and message, JSON-escaped.
 std::string failure_to_json(const CheckFailure& failure);
 
+/// JSON string escaping (quotes not included): `"`, `\`, and every
+/// control character. Shared by failure_to_json and the scenario JSON
+/// writer.
+std::string json_escape(const std::string& s);
+
 namespace detail {
 
 /// Prints the failure to stderr and throws CheckFailure.

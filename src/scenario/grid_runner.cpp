@@ -180,7 +180,6 @@ std::vector<GridCell> expand_grid(const Scenario& base) {
 
 CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   runner::ExperimentConfig cfg = to_experiment_config(cell.scenario);
-  if (opts.perf_counters) cfg.obs.perf_counters = true;
   if (opts.on_config) opts.on_config(cell, cfg);
   runner::Experiment exp(cfg);
   FlowScheduler flows(cell.scenario, &exp);

@@ -57,14 +57,12 @@ struct GridOptions {
   /// Worker threads for the cell fan-out; <=1 is the exact serial path,
   /// 0 means one per hardware core.
   int jobs = 1;
-  /// Enable cheap per-run perf counters on every cell (wall data — the
-  /// digest never sees it).
-  bool perf_counters = false;
   /// Observes the pool that runs the cells (wall half of the report).
   obs::PoolTelemetry* telemetry = nullptr;
-  /// Last-mile config hook, applied after the scenario's own mapping and
-  /// the perf_counters flag, before the Experiment is built — how
-  /// paraleon_run layers its --trace/--perf flags onto every cell.
+  /// Last-mile config hook, applied after the scenario's own mapping,
+  /// before the Experiment is built — how paraleon_run layers its
+  /// --trace/--perf flags and the benches their perf counters (wall data;
+  /// the digest never sees it) onto every cell.
   /// Tracing changes the cells' digests: run_digest hashes the retained
   /// trace events.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "check/check.hpp"
+
 namespace paraleon::scenario {
 
 namespace {
@@ -453,40 +455,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Json::dump_to(std::string& out, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
   const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
@@ -506,7 +474,7 @@ void Json::dump_to(std::string& out, int indent) const {
       return;
     case Type::kString:
       out += '"';
-      out += json_escape(str_);
+      out += check::json_escape(str_);
       out += '"';
       return;
     case Type::kArray: {
@@ -531,7 +499,7 @@ void Json::dump_to(std::string& out, int indent) const {
       }
       out += "{\n";
       for (std::size_t i = 0; i < obj_.size(); ++i) {
-        out += pad_in + '"' + json_escape(obj_[i].first) + "\": ";
+        out += pad_in + '"' + check::json_escape(obj_[i].first) + "\": ";
         obj_[i].second.dump_to(out, indent + 1);
         if (i + 1 < obj_.size()) out += ',';
         out += '\n';

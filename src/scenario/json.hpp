@@ -109,7 +109,4 @@ class Json {
 /// everything else with round-trip precision. Shared with dump().
 std::string json_number(double v);
 
-/// JSON string escaping (quotes not included).
-std::string json_escape(const std::string& s);
-
 }  // namespace paraleon::scenario

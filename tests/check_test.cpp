@@ -1,11 +1,12 @@
-// PARALEON_CHECK / PARALEON_DCHECK semantics and the RunDigest hash used
-// by the determinism regression suite.
+// PARALEON_CHECK / PARALEON_DCHECK semantics, failure_to_json, and the
+// RunDigest hash used by the determinism regression suite.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "check/check.hpp"
 #include "check/digest.hpp"
+#include "scenario/json.hpp"
 
 namespace paraleon::check {
 namespace {
@@ -68,6 +69,26 @@ TEST(Check, DcheckFollowsBuildType) {
   EXPECT_THROW(PARALEON_DCHECK(false, "live in debug"), CheckFailure);
   EXPECT_NO_THROW(PARALEON_DCHECK(true));
 #endif
+}
+
+TEST(Check, FailureJsonEscapesQuotesBackslashesAndControlCharacters) {
+  // A flight bundle's failure.json must parse whatever the failing
+  // expression and its message contain.
+  const std::string expression = "name == \"a\\b\"";
+  const std::string message = std::string("tab\there\nbell") + '\x07' + "\r";
+  const CheckFailure failure(expression, "dir\\file.cpp", 12, message);
+  const std::string json = failure_to_json(failure);
+  for (const char c : json) {
+    if (c == '\n') continue;  // the document's own line breaks
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  EXPECT_NE(json.find("\\u0007"), std::string::npos) << json;
+
+  const scenario::Json doc = scenario::Json::parse(json, "failure.json");
+  EXPECT_EQ(doc.find("expression")->as_string(), expression);
+  EXPECT_EQ(doc.find("file")->as_string(), "dir\\file.cpp");
+  EXPECT_EQ(doc.find("line")->as_int64(), 12);
+  EXPECT_EQ(doc.find("message")->as_string(), message);
 }
 
 TEST(RunDigest, SameStreamSameValue) {

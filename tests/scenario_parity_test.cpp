@@ -1,7 +1,10 @@
-// Parity pins: the committed fig8/fig13 scenario files must keep running
-// the experiments the original hand-wired benches ran, bit for bit. The
-// digests below are those setups' --tiny run_digests, recorded before the
-// hand-wired builders were deleted; the scenario files are now the only
+// Parity pins: the committed fig8/fig13/fig14 scenario files must keep
+// running the experiments the original hand-wired benches ran, bit for
+// bit. The fig8/fig13 digests below are those setups' --tiny run_digests,
+// recorded before the hand-wired builders were deleted. fig14's hand-wired
+// setup had no tiny form: its three full-scale scheme digests matched the
+// scenario's before that setup was deleted, and the pin is the tiny
+// overlay's digest recorded then. The scenario files are now the only
 // definition of these experiments, and a drifting file fails here.
 //
 // run_digest hashes simulator, host and switch counters only; the metric
@@ -9,8 +12,8 @@
 // carries the cell's metric value — the figure's table value — read at the
 // same commit as the digest, as an exact hex-float literal.
 //
-// Runs use the --tiny shapes (16-host fig8, 60 ms fig13) to stay in
-// unit-test budget.
+// Runs use the --tiny shapes (16-host fig8 and fig14, 60 ms fig13) to stay
+// in unit-test budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,6 +43,8 @@ constexpr Pin kFig8Default = {0x604992f50220dfd2ull,
 // Mean throughput over the steady tail [20 ms, 60 ms) of the tiny run.
 constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
                                    0x1.54d1e96c3fc43p+5};  // 42.602496
+constexpr Pin kFig14Paraleon = {0xf90b2277ce79e37dull,
+                                0x1.7f6724b5290f2p+3};  // 11.9813407...
 
 std::string pack_path(const std::string& file) {
   return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
@@ -94,6 +99,22 @@ TEST(Fig13Parity, ParaleonAtEightWorkersMatchesTheLegacySetup) {
       << "scenarios/fig13_alltoall.json drifted from the pinned fig13 setup";
   EXPECT_DOUBLE_EQ(result.value, kFig13ParaleonAt8.value)
       << "the fig13 table value (metric window or tiny overlay) moved";
+}
+
+TEST(Fig14Parity, ParaleonCellMatchesThePinnedSetup) {
+  const Scenario sc =
+      load_scenario_file(pack_path("fig14_rpc_influx.json"), /*tiny=*/true);
+  const std::vector<GridCell> cells = expand_grid(sc);
+
+  const GridCell* cell = find_cell(
+      cells, [](const Scenario& s) { return s.scheme.name == "paraleon"; });
+  ASSERT_NE(cell, nullptr);
+  const CellResult result = run_cell(*cell, {});
+  EXPECT_EQ(result.digest, kFig14Paraleon.digest)
+      << "scenarios/fig14_rpc_influx.json drifted from the pinned fig14 "
+      << "setup";
+  EXPECT_DOUBLE_EQ(result.value, kFig14Paraleon.value)
+      << "the fig14 cell value moved";
 }
 
 TEST(MixedMultitenant, ExpandsToTheThreeAxisCrossProduct) {
