@@ -48,7 +48,7 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
   const WallTimer wall;
   print_header(
       "Engineering ablation: Algorithm 1 additions (Fig. 8 scenario)",
-      scaling_note(paper_fabric(Scheme::kParaleon, sc.seed),
+      scaling_note(scenario::to_experiment_config(sc),
                    "columns: mean goodput / RTT / Eq.(1) utility over "
                    "the run, episode and revert counts"));
   std::printf("%-18s %8s %10s %10s %6s %6s\n", "variant", "Gbps", "rtt_us",
@@ -65,9 +65,7 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
       "\nExpectation: utility climbs (or holds with lower variance) as the\n"
       "safeguards come in; 'plain_alg1' shows the exploration damage an\n"
       "unguarded 1-MI-evaluation loop inflicts at this fabric scale.\n");
-  TrendReport trend("ablation_engineering");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli.perf_out, trend);
+  write_wall_trend(cli.perf_out, "ablation_engineering", wall);
   return 0;
 }
 

@@ -18,6 +18,7 @@
 #include <system_error>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
@@ -116,8 +117,8 @@ inline std::string scenario_path(const std::string& file) {
 }
 
 /// Loads the committed scenarios/`file` and returns `body(scenario)`, the
-/// bench's exit code. A ScenarioError (a malformed file, or one the body
-/// rejects) exits 2 with its message.
+/// bench's exit code. A ScenarioError (a malformed file, one the body
+/// rejects, or a second file the body loads) exits 2 with its message.
 template <typename Body>
 int run_with_scenario(const std::string& file, bool tiny, Body body) {
   try {
@@ -128,12 +129,35 @@ int run_with_scenario(const std::string& file, bool tiny, Body body) {
   }
 }
 
-/// Cells in a scenario's sweep cross-product (1 without a sweep): the
-/// size of a bench's per-cell slot table.
-inline std::size_t cell_count(const scenario::Scenario& sc) {
-  std::size_t n = 1;
-  for (const auto& axis : sc.sweep) n *= axis.values.size();
-  return n;
+/// Runs `sc`'s grid on `jobs` workers and returns one slot per cell, in
+/// cell order: `harvest(cell, exp, flows)` builds it on the cell's worker
+/// thread once the run completes. Slots are preallocated and indexed by
+/// cell, so pool threads never contend and the table is identical at any
+/// job count. `on_config` is the grid's last-mile config hook.
+template <typename Harvest>
+auto harvest_grid(const scenario::Scenario& sc, int jobs, Harvest harvest,
+                  decltype(scenario::GridOptions::on_config) on_config = {}) {
+  std::size_t cells = 1;  // the sweep's cross-product
+  for (const auto& axis : sc.sweep) cells *= axis.values.size();
+  std::vector<decltype(harvest(std::declval<const scenario::GridCell&>(),
+                               std::declval<Experiment&>(),
+                               std::declval<const scenario::FlowScheduler&>()))>
+      slots(cells);
+  scenario::GridOptions opts;
+  opts.jobs = jobs;
+  opts.on_config = std::move(on_config);
+  opts.on_cell = [&](const scenario::GridCell& cell, Experiment& exp,
+                     const scenario::FlowScheduler& flows) {
+    slots[cell.index] = harvest(cell, exp, flows);
+  };
+  scenario::run_grid(sc, opts);
+  return slots;
+}
+
+/// The `# scaling:` note of a scenario-driven bench: the fabric of the
+/// config the file maps to, then the file's description.
+inline std::string scenario_note(const scenario::Scenario& sc) {
+  return scaling_note(scenario::to_experiment_config(sc), sc.description);
 }
 
 /// Parses a non-negative decimal int (the whole string, nothing else).
@@ -297,6 +321,15 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// --perf-out for a bench whose only trend row is its wall time.
+inline void write_wall_trend(const std::string& path,
+                             const std::string& bench_name,
+                             const WallTimer& wall) {
+  TrendReport trend(bench_name);
+  trend.add("wall_seconds", wall.seconds(), "s");
+  write_trend(path, trend);
+}
 
 /// Paper-shaped fabric at laptop scale: 8 ToR, 4 leaf, 8 hosts/ToR
 /// (64 hosts), 10 Gbps host links, 5 Gbps fabric links — per ToR 80G down

@@ -5,6 +5,11 @@
 // Reproduced shape: PARALEON's utility climbs to a high value within a few
 // dozen monitor intervals; naive_SA needs far more iterations and tracks
 // lower over the same horizon.
+//
+// The two traces come from scenarios/fig12_sa_fb_hadoop.json and
+// scenarios/fig12_sa_llm.json (a scheme sweep each, one forced episode per
+// cell); each cell's controller utility series is harvested into its
+// slot. The shadow-fleet section replays the FB_Hadoop file's workload.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -18,39 +23,18 @@ namespace {
 
 BenchCli g_cli;
 
-stats::TimeSeries run_trace(Scheme s, bool llm) {
-  ExperimentConfig cfg = paper_fabric(s, 53);
-  cfg.duration = milliseconds(300);
-  if (llm) {
-    // §III-C: throughput-sensitive weights for LLM training.
-    cfg.controller.weights = core::UtilityWeights::throughput_sensitive();
-  }
-  // A single long episode per run, triggered immediately; both variants
-  // share episode shape so the mutation policy is the only difference.
-  cfg.controller.sa.total_iter_num = 10;
-  cfg.controller.sa.cooling_rate = 0.85;
-  cfg.controller.eval_mi_per_candidate = 1;
-  Experiment exp(cfg);
-  if (llm) {
-    workload::AlltoallConfig a2a;
-    for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-    a2a.flow_size = 512 * 1024;
-    a2a.off_period = milliseconds(1);
-    exp.add_alltoall(a2a);
-  } else {
-    exp.add_poisson(fb_hadoop(exp, 0.3, milliseconds(290), 5301));
-  }
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.controller()->utility_series();
-}
-
-void compare(const char* title, bool llm) {
+void compare(const char* title, const scenario::Scenario& sc) {
   std::printf("\n-- %s --\n", title);
-  const stats::TimeSeries paraleon = run_trace(Scheme::kParaleon, llm);
-  const stats::TimeSeries naive = run_trace(Scheme::kParaleonNaiveSa, llm);
+  // Cell order follows the scheme axis: PARALEON, then naive_SA.
+  const auto traces =
+      harvest_grid(sc, g_cli.jobs, [](const auto&, auto& exp, const auto&) {
+        return exp.controller()->utility_series();
+      });
+  const stats::TimeSeries& paraleon = traces[0];
+  const stats::TimeSeries& naive = traces[1];
+  const Time end = milliseconds(sc.duration_ms);
   std::printf("%-12s %-12s %-12s\n", "window_ms", "naive_SA", "PARALEON");
-  for (Time t = 0; t < milliseconds(300); t += milliseconds(30)) {
+  for (Time t = 0; t < end; t += milliseconds(30)) {
     std::printf("%4lld-%-7lld %-12.4f %-12.4f\n",
                 static_cast<long long>(to_ms(t)),
                 static_cast<long long>(to_ms(t + milliseconds(30))),
@@ -58,9 +42,10 @@ void compare(const char* title, bool llm) {
                 paraleon.mean_in(t, t + milliseconds(30)));
   }
   // Convergence summary: mean utility of the final 100 ms.
+  const Time final_from = end - milliseconds(100);
   std::printf("final-100ms mean:  naive=%.4f  paraleon=%.4f\n",
-              naive.mean_in(milliseconds(200), milliseconds(300)),
-              paraleon.mean_in(milliseconds(200), milliseconds(300)));
+              naive.mean_in(final_from, end),
+              paraleon.mean_in(final_from, end));
 }
 
 /// Shadow-fleet section: the same guided-SA episode driven offline over a
@@ -68,14 +53,16 @@ void compare(const char* title, bool llm) {
 /// step evaluated in K concurrent shadow experiments. K=1 is the serial
 /// chain (byte-identical to step-driven SA — the determinism test proves
 /// it); K=4 shows the wall-clock win of speculative parallel evaluation.
-void shadow_fleet_section(TrendReport* trend) {
+/// The window is the FB_Hadoop file's fabric and workload under a custom
+/// static setting (the fleet installs each candidate).
+void shadow_fleet_section(const scenario::Scenario& sc, TrendReport* trend) {
   std::printf("\n-- shadow-fleet SA: K candidates per temperature step --\n");
   exec::ShadowWindow w;
-  w.base = g_cli.tiny ? small_fabric(Scheme::kCustomStatic, 53)
-                      : paper_fabric(Scheme::kCustomStatic, 53);
+  w.base = scenario::to_experiment_config(sc);
+  w.base.scheme = Scheme::kCustomStatic;
   w.base.duration = g_cli.tiny ? milliseconds(5) : milliseconds(10);
-  w.setup = [](Experiment& exp) {
-    exp.add_poisson(fb_hadoop(exp, 0.3, exp.config().duration, 5301));
+  w.setup = [&sc](Experiment& exp) {
+    scenario::FlowScheduler(sc, &exp).install_all();
   };
   w.measure_from = milliseconds(2);
   w.weights = {0.2, 0.5, 0.3};
@@ -119,21 +106,18 @@ void shadow_fleet_section(TrendReport* trend) {
       "that speculation in discarded runs and simulated events.\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+int run(const scenario::Scenario& fb) {
   const WallTimer wall;
+  const scenario::Scenario llm = scenario::load_scenario_file(
+      scenario_path("fig12_sa_llm.json"), g_cli.tiny);
   print_header("Fig. 12: SA ablation — utility convergence, naive vs guided",
-               scaling_note(paper_fabric(Scheme::kParaleon, 53),
-                            "one forced tuning episode; 10 iters/temp, "
-                            "x0.85 cooling (Table III shape)"));
+               scenario_note(fb));
   TrendReport trend("fig12_sa_ablation");
   if (!g_cli.tiny) {
-    compare("(a) FB_Hadoop @30%", /*llm=*/false);
-    compare("(b) LLM training alltoall", /*llm=*/true);
+    compare("(a) FB_Hadoop @30%", fb);
+    compare("(b) LLM training alltoall", llm);
   }
-  shadow_fleet_section(&trend);
+  shadow_fleet_section(fb, &trend);
   std::printf(
       "\nPaper Fig. 12 shape: PARALEON reaches a higher utility plateau\n"
       "within dozens of MIs; naive_SA stays lower/slower. The FB_Hadoop\n"
@@ -143,4 +127,11 @@ int main(int argc, char** argv) {
   trend.add("wall_seconds", wall.seconds(), "s");
   write_trend(g_cli.perf_out, trend);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+  return run_with_scenario("fig12_sa_fb_hadoop.json", g_cli.tiny, run);
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -76,24 +75,18 @@ void print_footer() {
 int run_scenario_grid(const scenario::Scenario& sc) {
   print_grid_header(sc);
 
-  std::vector<CellSlot> slots(cell_count(sc));
-
-  scenario::GridOptions opts;
-  opts.jobs = g_cli.jobs;
-  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
-    if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
-  };
-  opts.on_cell = [&slots](const scenario::GridCell& cell, Experiment& exp) {
-    slots[cell.index].events =
-        exp.simulator().obs().perf().events_executed();
-  };
   const WallTimer wall;
-  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
-  const double grid_seconds = wall.seconds();
   // The scenario metric IS the table value: steady-tail mean goodput.
-  for (std::size_t i = 0; i < grid.results().size(); ++i) {
-    slots[i].bw_gbps = grid.results()[i].value;
-  }
+  const auto slots = harvest_grid(
+      sc, g_cli.jobs,
+      [](const auto& cell, auto& exp, const auto&) {
+        return CellSlot{scenario::evaluate_metric(cell.scenario, exp),
+                        exp.simulator().obs().perf().events_executed()};
+      },
+      [](const scenario::GridCell&, ExperimentConfig& cfg) {
+        if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+      });
+  const double grid_seconds = wall.seconds();
 
   TrendReport trend("fig13_alltoall_scale");
   const std::uint64_t total_events = print_grid(slots, trend);

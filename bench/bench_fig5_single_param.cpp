@@ -21,10 +21,16 @@ struct Point {
   double rtt_us = 0;
 };
 
-Point run_with(const dcqcn::DcqcnParams& params) {
+/// The sweep cell: 16-host fabric, 60 ms, a custom static setting.
+ExperimentConfig cell_config() {
   ExperimentConfig cfg = small_fabric(Scheme::kCustomStatic, 7);
-  cfg.custom_params = params;
   cfg.duration = milliseconds(60);
+  return cfg;
+}
+
+Point run_with(const dcqcn::DcqcnParams& params) {
+  ExperimentConfig cfg = cell_config();
+  cfg.custom_params = params;
   Experiment exp(cfg);
   workload::AlltoallConfig a2a;
   for (int i = 0; i < 12; ++i) a2a.workers.push_back(i);
@@ -105,7 +111,7 @@ int main(int argc, char** argv) {
   const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
   print_header("Fig. 5: single-parameter impacts on throughput & RTT",
-               scaling_note(small_fabric(Scheme::kCustomStatic, 7),
+               scaling_note(cell_config(),
                             "12x12 alltoall, parameter units scaled to 10G "
                             "(paper: 20x20 alltoall on 100G NS3)"));
   // hai_rate governs ramp-up after congestion clears (the hyper-increase
@@ -136,8 +142,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
       "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
-  TrendReport trend("fig5_single_param");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli.perf_out, trend);
+  write_wall_trend(cli.perf_out, "fig5_single_param", wall);
   return 0;
 }

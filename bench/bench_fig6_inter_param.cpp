@@ -5,6 +5,10 @@
 // direction simultaneously (small rpg_time_reset + large Kmax) is NOT
 // monotonically better — over-aggressive injection overshoots the
 // equilibrium, triggering CNP/PFC storms and convex/concave artefacts.
+//
+// The grid is scenarios/fig6_inter_param.json: a 4:1 fabric with a scaled
+// shallow buffer, so over-aggressive injection drives fabric queues into
+// PFC — the mechanism behind the paper's artefacts.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -15,80 +19,65 @@ using namespace paraleon::runner;
 
 namespace {
 
+BenchCli g_cli;
+
 struct Point {
   double tput_gbps = 0;
   double rtt_us = 0;
 };
 
-Point run_cell(Time rpg_time_reset, std::int64_t kmax) {
-  ExperimentConfig cfg = small_fabric(Scheme::kCustomStatic, 13);
-  // Match the paper's regime: a 4:1 oversubscribed fabric (40G down vs
-  // 10G up per ToR) and a scaled shallow buffer, so over-aggressive
-  // injection drives fabric queues into PFC — the mechanism behind the
-  // paper's convex/concave artefacts.
-  cfg.clos.fabric_link = gbps(5);
-  cfg.clos.switch_cfg.buffer_bytes = 1200 * 1024;
-  dcqcn::DcqcnParams p = dcqcn::scaled_for_line_rate(
-      dcqcn::default_params(), gbps(100), gbps(10));
-  p.rpg_time_reset = rpg_time_reset;
-  p.kmax_bytes = kmax;
-  p.kmin_bytes = kmax / 4;
-  cfg.custom_params = p;
-  cfg.duration = milliseconds(60);
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 12; ++i) a2a.workers.push_back(i);
-  a2a.flow_size = 256 * 1024;
-  a2a.off_period = microseconds(500);
-  exp.add_alltoall(a2a);
-  exp.run();
-  return {exp.throughput_series().mean_in(milliseconds(10), milliseconds(60)),
-          exp.rtt_series().mean_in(milliseconds(10), milliseconds(60))};
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
-  const WallTimer wall;
-  print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
-               scaling_note(small_fabric(Scheme::kCustomStatic, 13),
-                            "12x12 alltoall (paper used 100G NS3)"));
-  const Time resets[] = {microseconds(30), microseconds(100),
-                         microseconds(300), microseconds(900)};
-  const std::int64_t kmaxes[] = {20 << 10, 80 << 10, 320 << 10, 1280 << 10};
-
-  std::printf("\nThroughput (Gbps):\n%-18s", "t_reset \\ kmax");
-  for (auto k : kmaxes)
-    std::printf("%8lldKB", static_cast<long long>(k >> 10));
+/// One table: rows are the rpg_time_reset axis, columns the kmax axis.
+void print_table(const scenario::Scenario& sc, const char* title,
+                 const std::vector<Point>& grid, double Point::*field) {
+  const auto& resets = sc.sweep[0].values;
+  const auto& kmaxes = sc.sweep[1].values;
+  std::printf("\n%s:\n%-18s", title, "t_reset \\ kmax");
+  for (const auto& k : kmaxes) {
+    std::printf("%8lldKB", static_cast<long long>(k.as_int64()));
+  }
   std::printf("\n");
-  std::vector<std::vector<Point>> grid;
-  for (auto t : resets) {
-    std::printf("%-16.0fus", to_us(t));
-    grid.emplace_back();
-    for (auto k : kmaxes) {
-      const Point p = run_cell(t, k);
-      grid.back().push_back(p);
-      std::printf("%10.2f", p.tput_gbps);
+  for (std::size_t r = 0; r < resets.size(); ++r) {
+    std::printf("%-16.0fus", resets[r].as_double());
+    for (std::size_t c = 0; c < kmaxes.size(); ++c) {
+      std::printf("%10.2f", grid[r * kmaxes.size() + c].*field);
     }
     std::printf("\n");
   }
-  std::printf("\nRTT (us):\n%-18s", "t_reset \\ kmax");
-  for (auto k : kmaxes)
-    std::printf("%8lldKB", static_cast<long long>(k >> 10));
-  std::printf("\n");
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::printf("%-16.0fus", to_us(resets[i]));
-    for (const Point& p : grid[i]) std::printf("%10.2f", p.rtt_us);
-    std::printf("\n");
-  }
+}
+
+/// Both tables cover the metric window: after the ramp, to the end.
+Point harvest(const scenario::GridCell& cell, Experiment& exp,
+              const scenario::FlowScheduler&) {
+  const Time from = milliseconds(cell.scenario.metric.from_ms);
+  const Time to = exp.config().duration;
+  return {exp.throughput_series().mean_in(from, to),
+          exp.rtt_series().mean_in(from, to)};
+}
+
+/// The sweep moves kmax; kmin stays a quarter of it, as in the paper.
+void kmin_follows_kmax(const scenario::GridCell&, ExperimentConfig& cfg) {
+  cfg.custom_params.kmin_bytes = cfg.custom_params.kmax_bytes / 4;
+}
+
+int run(const scenario::Scenario& sc) {
+  const WallTimer wall;
+  print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
+               scenario_note(sc));
+  const auto grid = harvest_grid(sc, /*jobs=*/1, harvest, kmin_follows_kmax);
+  print_table(sc, "Throughput (Gbps)", grid, &Point::tput_gbps);
+  print_table(sc, "RTT (us)", grid, &Point::rtt_us);
   std::printf(
       "\nPaper Fig. 6 shape: along the 'both throughput-friendly' diagonal\n"
       "(towards top-right: small t_reset, large kmax) throughput is NOT\n"
       "monotone — the most aggressive corner should underperform some\n"
       "interior cell, and RTT grows sharply there.\n");
-  TrendReport trend("fig6_inter_param");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli.perf_out, trend);
+  write_wall_trend(g_cli.perf_out, "fig6_inter_param", wall);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  return run_with_scenario("fig6_inter_param.json", false, run);
 }

@@ -7,16 +7,15 @@
 // the single-mechanism baselines (ACC: switch-only, DCQCN+: RNIC-only)
 // land between Default and PARALEON.
 //
-// Each scheme row is one independent Experiment, so the rows of every
-// table are computed through exec::parallel_map (`--jobs N` fans them
-// out) and printed in scheme order afterwards — the table is identical
-// at any worker count.
+// (a)(b) run scenarios/fig7_fb_hadoop.json and (c)(d)
+// scenarios/fig7_llm_alltoall.json through the grid runner (`--jobs N`
+// fans the cells out); each cell formats its own table row, so the tables
+// are identical at any worker count.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "exec/parallel_map.hpp"
+#include "workload/alltoall_workload.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -26,36 +25,42 @@ namespace {
 
 BenchCli g_cli;
 
-const std::vector<Scheme> kSchemes = {Scheme::kDefaultStatic,
-                                      Scheme::kExpertStatic, Scheme::kAcc,
-                                      Scheme::kDcqcnPlus, Scheme::kParaleon};
-
-std::string fb_hadoop_row(Scheme s) {
-  ExperimentConfig cfg = paper_fabric(s, 3);
-  cfg.duration = g_cli.tiny ? milliseconds(80) : milliseconds(700);
-  Experiment exp(cfg);
-  exp.add_poisson(fb_hadoop(exp, 0.2,
-                            cfg.duration - milliseconds(20), 1003));
-  exp.run();
-  const auto band = [&](std::int64_t lo, std::int64_t hi) {
-    return exp.fct().slowdowns(lo, hi);
-  };
-  const auto small = band(0, 120 << 10);
-  const auto mid = band(120 << 10, 1 << 20);
-  const auto big = band(1 << 20, 1ll << 40);
+/// (a)(b) row: flows finished/started, then avg and p99.9 slowdown per
+/// size band.
+std::string hadoop_row(const scenario::GridCell&, Experiment& exp,
+                       const scenario::FlowScheduler&) {
+  const auto small = exp.fct().slowdowns(0, 120 << 10);
+  const auto mid = exp.fct().slowdowns(120 << 10, 1 << 20);
+  const auto big = exp.fct().slowdowns(1 << 20, 1ll << 40);
   char buf[256];
   std::snprintf(
       buf, sizeof buf,
       "%-10s %5zu/%-5zu | %-10.2f %-10.2f | %-10.2f %-10.2f | %-10.2f "
       "%-10.2f",
-      scheme_name(s).c_str(), exp.fct().finished(), exp.fct().started(),
-      stats::mean(small), stats::quantile(small, 0.999), stats::mean(mid),
-      stats::quantile(mid, 0.999), stats::mean(big),
+      scheme_name(exp.config().scheme).c_str(), exp.fct().finished(),
+      exp.fct().started(), stats::mean(small), stats::quantile(small, 0.999),
+      stats::mean(mid), stats::quantile(mid, 0.999), stats::mean(big),
       stats::quantile(big, 0.999));
   return buf;
 }
 
-void fb_hadoop_part() {
+/// (c)(d) row: FCT quantiles (ms) and the collective's completed rounds.
+std::string collective_row(const scenario::GridCell&, Experiment& exp,
+                           const scenario::FlowScheduler& flows) {
+  const auto& a2a = dynamic_cast<const workload::AlltoallWorkload&>(
+      *flows.find("collective"));
+  auto fcts = exp.fct().fct_seconds(0, 1ll << 40);
+  for (auto& f : fcts) f *= 1e3;  // ms
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%-10s %-10.2f %-10.2f %-10.2f %-10.2f %-10d",
+                scheme_name(exp.config().scheme).c_str(),
+                stats::quantile(fcts, 0.5), stats::quantile(fcts, 0.9),
+                stats::quantile(fcts, 0.99), stats::quantile(fcts, 1.0),
+                a2a.rounds_completed());
+  return buf;
+}
+
+void fb_hadoop_part(const scenario::Scenario& sc) {
   // Load is defined on host uplinks; with the 4:1 core and ~87% of pairs
   // cross-rack, 20% host load puts the fabric at ~70% — the paper's "30%"
   // regime relative to its core (see the scaling note).
@@ -65,55 +70,35 @@ void fb_hadoop_part() {
   std::printf("%-10s %-7s | %-10s %-10s | %-10s %-10s | %-10s %-10s\n",
               "scheme", "flows", "avg", "p99.9", "avg", "p99.9", "avg",
               "p99.9");
-  const auto rows = exec::parallel_map(kSchemes, fb_hadoop_row, g_cli.jobs);
-  for (const std::string& row : rows) std::printf("%s\n", row.c_str());
-}
-
-std::string llm_row(Scheme s, int workers) {
-  ExperimentConfig cfg = paper_fabric(s, 5);
-  cfg.duration = g_cli.tiny ? milliseconds(60) : milliseconds(400);
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < workers; ++i) {
-    a2a.workers.push_back(i * (64 / workers));
+  for (const auto& row : harvest_grid(sc, g_cli.jobs, hadoop_row)) {
+    std::printf("%s\n", row.c_str());
   }
-  a2a.flow_size = 512 * 1024;
-  a2a.off_period = milliseconds(2);
-  auto& w = exp.add_alltoall(a2a);
-  exp.run();
-  auto fcts = exp.fct().fct_seconds(0, 1ll << 40);
-  for (auto& f : fcts) f *= 1e3;  // ms
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%-10s %-10.2f %-10.2f %-10.2f %-10.2f %-10d",
-                scheme_name(s).c_str(), stats::quantile(fcts, 0.5),
-                stats::quantile(fcts, 0.9), stats::quantile(fcts, 0.99),
-                stats::quantile(fcts, 1.0), w.rounds_completed());
-  return buf;
 }
 
-void llm_part(int workers) {
-  std::printf("\n(c)(d) LLM alltoall FCT CDF, %d workers, 512KB flows\n",
-              workers);
-  std::printf("%-10s %-10s %-10s %-10s %-10s %-10s\n", "scheme", "p50_ms",
-              "p90_ms", "p99_ms", "max_ms", "rounds");
-  const auto rows = exec::parallel_map(
-      kSchemes, [workers](Scheme s) { return llm_row(s, workers); },
-      g_cli.jobs);
-  for (const std::string& row : rows) std::printf("%s\n", row.c_str());
+/// (c)(d): one table per value of the outer workers axis.
+void llm_part(const scenario::Scenario& sc) {
+  const auto rows = harvest_grid(sc, g_cli.jobs, collective_row);
+  const auto& workers = sc.sweep[0].values;
+  const std::size_t per_table = rows.size() / workers.size();
+  for (std::size_t t = 0; t < workers.size(); ++t) {
+    std::printf("\n(c)(d) LLM alltoall FCT CDF, %lld workers, 512KB flows\n",
+                static_cast<long long>(workers[t].as_int64()));
+    std::printf("%-10s %-10s %-10s %-10s %-10s %-10s\n", "scheme", "p50_ms",
+                "p90_ms", "p99_ms", "max_ms", "rounds");
+    for (std::size_t i = 0; i < per_table; ++i) {
+      std::printf("%s\n", rows[t * per_table + i].c_str());
+    }
+  }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+int run(const scenario::Scenario& fb) {
   const WallTimer wall;
+  const scenario::Scenario llm = scenario::load_scenario_file(
+      scenario_path("fig7_llm_alltoall.json"), g_cli.tiny);
   print_header("Fig. 7: FCT of 5 tuning schemes (FB_Hadoop + LLM alltoall)",
-               scaling_note(paper_fabric(Scheme::kParaleon, 3),
-                            "400 ms, flows scaled (paper: 128 hosts @100G "
-                            "NS3, seconds-long runs)"));
-  fb_hadoop_part();
-  llm_part(8);
-  llm_part(16);
+               scenario_note(fb));
+  fb_hadoop_part(fb);
+  llm_part(llm);
   std::printf(
       "\nPaper Fig. 7 shape: PARALEON's avg FCT beats the baselines by\n"
       ">=3.8%% on mice and up to 61.4%% on elephants (a,b), and its tail\n"
@@ -121,8 +106,13 @@ int main(int argc, char** argv) {
       "PARALEON ahead of Default/ACC/DCQCN+ here; the scaled Expert preset\n"
       "is a strong static baseline at this fabric scale (see\n"
       "EXPERIMENTS.md).\n");
-  TrendReport trend("fig7_fct");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli.perf_out, trend);
+  write_wall_trend(g_cli.perf_out, "fig7_fct", wall);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+  return run_with_scenario("fig7_fb_hadoop.json", g_cli.tiny, run);
 }

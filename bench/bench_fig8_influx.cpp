@@ -11,7 +11,6 @@
 // run of the scenario (traced cells, seed sweeps, flight bundles and their
 // replays) goes through paraleon_run.
 #include <cstdio>
-#include <vector>
 
 #include "bench_common.hpp"
 
@@ -34,9 +33,9 @@ void print_table_header(const ExperimentConfig& cfg) {
               "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us");
 }
 
-/// Per-cell phase means harvested by the grid's on_cell hook (slots are
-/// preallocated and indexed by cell, so pool threads never contend).
+/// Per-cell phase means harvested by the grid's on_cell hook.
 struct Fig8Slot {
+  Scheme scheme = Scheme::kParaleon;
   PhaseMeans phases;
   double episodes = -1;  // -1 = scheme has no controller
   std::uint64_t fct_finished = 0;
@@ -47,46 +46,39 @@ struct Fig8Slot {
 int run_scenario_table(const scenario::Scenario& sc) {
   print_table_header(scenario::to_experiment_config(sc));
 
-  std::vector<Fig8Slot> slots(cell_count(sc));
   TrendReport trend("fig8_influx");
   // The scheme axis leaves the burst where the base file puts it.
   const InfluxWindow influx = influx_window(sc);
   const Time before_start = milliseconds(g_cli.tiny ? 5 : 60);
   const Time tail = milliseconds(g_cli.tiny ? 20 : 100);
 
-  scenario::GridOptions opts;
-  opts.jobs = g_cli.jobs;
-  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
-    if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
-  };
-  opts.on_cell = [&](const scenario::GridCell& cell, Experiment& exp) {
-    Fig8Slot& slot = slots[cell.index];
-    slot.phases = phase_means(exp, influx, before_start,
-                              exp.config().duration - tail);
-    if (exp.controller() != nullptr) {
-      slot.episodes = static_cast<double>(exp.controller()->episodes());
-    }
-    slot.fct_finished = exp.fct().finished();
-    if (cell.scenario.scheme.name == "paraleon") add_perf_metrics(trend, exp);
-  };
-
   const WallTimer wall;
-  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
+  const auto slots = harvest_grid(
+      sc, g_cli.jobs,
+      [&](const auto&, auto& exp, const auto&) {
+        Fig8Slot slot{exp.config().scheme,
+                      phase_means(exp, influx, before_start,
+                                  exp.config().duration - tail),
+                      -1, exp.fct().finished()};
+        if (exp.controller() != nullptr) {
+          slot.episodes = static_cast<double>(exp.controller()->episodes());
+        }
+        if (slot.scheme == Scheme::kParaleon) add_perf_metrics(trend, exp);
+        return slot;
+      },
+      [](const scenario::GridCell&, ExperimentConfig& cfg) {
+        if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+      });
   const double grid_seconds = wall.seconds();
 
-  for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-    const scenario::GridCell& cell = grid.cells()[i];
-    const Fig8Slot& slot = slots[i];
-    std::printf("%-10s",
-                scheme_name(scenario::scheme_from_name(
-                                cell.scenario.scheme.name))
-                    .c_str());
+  for (const Fig8Slot& slot : slots) {
+    std::printf("%-10s", scheme_name(slot.scheme).c_str());
     print_phase_means(slot.phases);
     if (slot.episodes >= 0) {
       std::printf("  (episodes=%.0f)", slot.episodes);
     }
     std::printf("\n");
-    if (cell.scenario.scheme.name == "paraleon") {
+    if (slot.scheme == Scheme::kParaleon) {
       trend.add("before_tput_gbps", slot.phases.before_tput, "Gbps");
       trend.add("influx_rtt_us", slot.phases.influx_rtt, "us");
       trend.add("after_tput_gbps", slot.phases.after_tput, "Gbps");

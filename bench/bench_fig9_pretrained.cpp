@@ -69,7 +69,7 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
   const WallTimer wall;
   const InfluxWindow influx = influx_window(sc);
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
-               scaling_note(paper_fabric(Scheme::kParaleon, 71),
+               scaling_note(live_cfg(sc),
                             "pretraining: 200 ms offline episodes; "
                             "evaluation: the Fig. 8 influx scenario"));
   const dcqcn::DcqcnParams pre1 = pretrain_on_alltoall();
@@ -87,9 +87,7 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
       "\nPaper Fig. 9 shape: the pretrained settings capture only their\n"
       "training workload; live PARALEON achieves lower RTT during the\n"
       "influx AND higher throughput afterwards.\n");
-  TrendReport trend("fig9_pretrained");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli.perf_out, trend);
+  write_wall_trend(cli.perf_out, "fig9_pretrained", wall);
   return 0;
 }
 

@@ -5,9 +5,14 @@
 // Here: 16x16 alltoall on the scaled 10G fabric, sizes scaled 1:512.
 // The reproduced *shape*: Expert >> Default, and the gap persists (or
 // widens) with message size.
+//
+// The scheme x size grid comes from scenarios/table2_alltoall_presets.json;
+// each cell's value is the mean algbw of the collective's completed rounds
+// (two, the run's horizon is bounded by max_rounds).
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "workload/alltoall_workload.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -15,41 +20,40 @@ using namespace paraleon::runner;
 
 namespace {
 
-double algbw_for(Scheme scheme, std::int64_t per_pair_bytes) {
-  ExperimentConfig cfg = paper_fabric(scheme, 42);
-  cfg.duration = seconds(5);  // bounded by max_rounds below
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);  // spread racks
-  a2a.flow_size = per_pair_bytes;
-  a2a.off_period = milliseconds(1);
-  a2a.max_rounds = 2;
-  auto& w = exp.add_alltoall(a2a);
-  exp.run();
-  if (w.rounds_completed() == 0) return 0.0;
+BenchCli g_cli;
+
+/// The cell's table value: mean algbw (GB/s) over the collective's
+/// completed rounds, 0 when none completed.
+double mean_algbw(const scenario::GridCell&, Experiment&,
+                  const scenario::FlowScheduler& flows) {
+  const auto& a2a = dynamic_cast<const workload::AlltoallWorkload&>(
+      *flows.find("collective"));
+  const int rounds = a2a.rounds_completed();
+  if (rounds == 0) return 0.0;
   double sum = 0.0;
-  for (int r = 0; r < w.rounds_completed(); ++r) sum += w.round_algbw_gbs(r);
-  return sum / w.rounds_completed();
+  for (int r = 0; r < rounds; ++r) sum += a2a.round_algbw_gbs(r);
+  return sum / rounds;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
+int run(const scenario::Scenario& sc) {
   const WallTimer wall;
   print_header(
       "Table II: alltoall out-of-place algbw (GB/s), Default vs Expert",
-      scaling_note(paper_fabric(Scheme::kDefaultStatic, 42),
-                   "16x16, 1..16 MB total per pair pairwise-scaled "
-                   "(paper: 128x128 on 400G, 512..8192 MB)"));
-  const std::int64_t sizes_kb[] = {64, 128, 256, 512, 1024};
+      scenario_note(sc));
+  const auto& schemes = sc.sweep[0].values;
+  const auto& sizes_kb = sc.sweep[1].values;
   std::printf("%-12s", "size_per_pair");
-  for (auto s : sizes_kb) std::printf("%8lldKB", static_cast<long long>(s));
+  for (const auto& s : sizes_kb) {
+    std::printf("%8lldKB", static_cast<long long>(s.as_int64()));
+  }
   std::printf("\n");
-  for (Scheme scheme : {Scheme::kDefaultStatic, Scheme::kExpertStatic}) {
-    std::printf("%-12s", scheme_name(scheme).c_str());
-    for (auto s : sizes_kb) {
-      std::printf("%10.3f", algbw_for(scheme, s * 1024));
+  const auto algbw = harvest_grid(sc, /*jobs=*/1, mean_algbw);
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    std::printf("%-12s", scheme_name(scenario::scheme_from_name(
+                                         schemes[i].as_string()))
+                             .c_str());
+    for (std::size_t s = 0; s < sizes_kb.size(); ++s) {
+      std::printf("%10.3f", algbw[i * sizes_kb.size() + s]);
     }
     std::printf("\n");
   }
@@ -57,8 +61,13 @@ int main(int argc, char** argv) {
       "\nPaper Table II shape: Expert exceeds Default at every size, by\n"
       "2-6x (e.g. 25.69 vs 6.37 GB/s at 512MB). Expect the same ordering\n"
       "with a growing absolute gap here.\n");
-  TrendReport trend("table2_alltoall_presets");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli.perf_out, trend);
+  write_wall_trend(g_cli.perf_out, "table2_alltoall_presets", wall);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  return run_with_scenario("table2_alltoall_presets.json", false, run);
 }

@@ -16,20 +16,18 @@ using namespace paraleon::runner;
 int main(int argc, char** argv) {
   const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
   const WallTimer wall;
-  print_header("Table IV: PARALEON system overheads",
-               scaling_note(paper_fabric(Scheme::kParaleon, 91),
-                            "continuous tuning (paper values from a "
-                            "32-node 400G testbed)"));
   ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 91);
   cfg.duration = milliseconds(300);
   cfg.controller.episode_cooldown_mi = 5;
+  print_header("Table IV: PARALEON system overheads",
+               scaling_note(cfg, "continuous tuning (paper values from a "
+                                 "32-node 400G testbed)"));
   Experiment exp(cfg);
   exp.add_poisson(fb_hadoop(exp, 0.3, milliseconds(290), 9101));
   exp.controller()->force_trigger();
   exp.run();
 
   const auto& oh = exp.controller()->overheads();
-  const double sim_seconds = to_sec(cfg.duration);
   const double mi_count = static_cast<double>(oh.mi_ticks);
 
   std::printf("%-34s %-18s %-18s\n", "overhead", "this repo", "paper");
@@ -37,7 +35,6 @@ int main(int argc, char** argv) {
   // percentages are of a testbed controller server at a 30 ms MI; ours is
   // per 1 ms tick of this process (the comparison is per-tick work, not
   // absolute utilisation — fabric sizes and MIs differ).
-  (void)sim_seconds;
   std::printf("%-34s %-18s %-18s\n", "controller CPU per MI tick",
               (runner::fmt(1e3 * oh.controller_cpu_seconds / mi_count, 3) +
                " ms")

@@ -370,7 +370,8 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::atomic<bool> dumps_ok{true};
   if (g_cli.trace) {
     opts.on_cell = [&sc, &dumps_ok](const scenario::GridCell& cell,
-                                    Experiment& exp) {
+                                    Experiment& exp,
+                                    const scenario::FlowScheduler&) {
       if (!dump_obs(exp, sc.name + ".cell" + std::to_string(cell.index))) {
         dumps_ok = false;
       }

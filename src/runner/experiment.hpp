@@ -22,9 +22,9 @@
 // Two caveats: (1) one Experiment instance is NOT itself
 // thread-safe — drive it from one thread; (2) a run that *writes files*
 // (an armed flight recorder) needs per-run output directories to avoid
-// colliding on the filesystem. exec::ParallelSweep and exec::ShadowFleet
-// build on exactly this invariant; tests/exec_test.cpp and the TSan CI
-// job enforce it.
+// colliding on the filesystem. exec::parallel_map (and through it the
+// scenario grid runner) and exec::ShadowFleet build on exactly this
+// invariant; tests/exec_test.cpp and the TSan CI job enforce it.
 #pragma once
 
 #include <cstdint>

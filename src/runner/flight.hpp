@@ -19,7 +19,9 @@
 // ExperimentConfig, applies `apply_replay`, and re-runs with every trace
 // category forced on up to just past the trigger, turning any anomaly into
 // a full Perfetto trace after the fact. replay.cfg is deliberately not
-// JSON: the C++ side has no JSON parser and must never grow one for this.
+// JSON: the one JSON parser (scenario::Json) lives in src/scenario, which
+// links runner, so runner sits below it and cannot use it; its
+// three "key value" lines need no parser of their own.
 #pragma once
 
 #include <string>

@@ -195,7 +195,7 @@ CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   r.digest = runner::run_digest(exp);
   r.value = evaluate_metric(cell.scenario, exp);
   r.scrape = runner::scrape_run(exp);
-  if (opts.on_cell) opts.on_cell(cell, exp);
+  if (opts.on_cell) opts.on_cell(cell, exp, flows);
   return r;
 }
 

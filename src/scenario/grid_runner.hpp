@@ -67,11 +67,15 @@ struct GridOptions {
   /// trace events.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;
   /// Per-cell hook, called on the WORKER thread after the cell's run
-  /// completes. Must not touch shared mutable state except through
-  /// disjoint, preallocated slots (index by cell.index) — the benches use
-  /// this to harvest extra series for their tables, and paraleon_run to
-  /// write each traced cell's dumps to its own files.
-  std::function<void(const GridCell&, runner::Experiment&)> on_cell;
+  /// completes, with the cell's installed workload (find a component by
+  /// name for its own counters, e.g. an alltoall's completed rounds).
+  /// Must not touch shared mutable state except through disjoint,
+  /// preallocated slots (index by cell.index) — the benches use this to
+  /// harvest their table values, and paraleon_run to write each traced
+  /// cell's dumps to its own files.
+  std::function<void(const GridCell&, runner::Experiment&,
+                     const FlowScheduler&)>
+      on_cell;
 };
 
 /// A finished grid: cells, per-cell results, and the wall-side facts.

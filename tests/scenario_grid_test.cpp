@@ -1,7 +1,8 @@
 // GridRunner: sweep expansion (row-major, first axis slowest), the
 // jobs-invariant deterministic half of paraleon.grid.v1, a seed sweep as a
-// `seed` axis, the wall subtree and pool timeline, and the committed
-// scenario pack staying parseable in both full and tiny form.
+// `seed` axis, the on_cell hook's view of the installed workload, the wall
+// subtree and pool timeline, and the committed scenario pack staying
+// parseable in both full and tiny form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "scenario/grid_runner.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
+#include "workload/alltoall_workload.hpp"
 
 #ifndef PARALEON_SCENARIO_DIR
 #define PARALEON_SCENARIO_DIR "scenarios"
@@ -139,6 +141,35 @@ TEST(RunGrid, RunCellReproducesTheGridCell) {
   EXPECT_EQ(lone.digest, grid.results()[2].digest);
   EXPECT_DOUBLE_EQ(lone.value, grid.results()[2].value);
   EXPECT_EQ(lone.seed, grid.results()[2].seed);
+}
+
+TEST(RunGrid, OnCellReadsAComponentThroughTheFlowScheduler) {
+  // A bench's table can need a component's own counters (an alltoall's
+  // completed rounds); on_cell hands over the cell's installed workload.
+  const Scenario sc = parse_scenario_text(R"({
+    "name": "a",
+    "seed": 5,
+    "duration_ms": 5,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+    "scheme": {"name": "default"},
+    "workload": [{"name": "collective", "kind": "alltoall", "workers": 4,
+                  "flow_kb": 16, "off_period_ms": 0.2}],
+    "sweep": {"axes": [{"key": "scheme.name",
+                        "values": ["default", "expert"]}]}
+  })");
+  std::vector<int> rounds(2, -1);
+  GridOptions opts;
+  opts.jobs = 2;
+  opts.on_cell = [&rounds](const GridCell& cell, runner::Experiment&,
+                           const FlowScheduler& flows) {
+    EXPECT_EQ(flows.find("missing"), nullptr);
+    const auto* a2a = dynamic_cast<const workload::AlltoallWorkload*>(
+        flows.find("collective"));
+    ASSERT_NE(a2a, nullptr);
+    rounds[cell.index] = a2a->rounds_completed();
+  };
+  run_grid(sc, opts);
+  for (const int r : rounds) EXPECT_GT(r, 0);
 }
 
 TEST(GridDoc, SchemaShapeAndWallSplit) {

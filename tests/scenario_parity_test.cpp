@@ -1,28 +1,37 @@
-// Parity pins: the committed fig8/fig13/fig14 scenario files must keep
-// running the experiments the original hand-wired benches ran, bit for
-// bit. The fig8/fig13 digests below are those setups' --tiny run_digests,
-// recorded before the hand-wired builders were deleted. fig14's hand-wired
-// setup had no tiny form: its three full-scale scheme digests matched the
-// scenario's before that setup was deleted, and the pin is the tiny
-// overlay's digest recorded then. The scenario files are now the only
-// definition of these experiments, and a drifting file fails here.
+// Parity pins: the committed scenario files must keep running the
+// experiments the original hand-wired benches ran, bit for bit. The
+// fig8/fig13 digests below are those setups' --tiny run_digests, recorded
+// before the hand-wired builders were deleted. fig14's hand-wired setup had
+// no tiny form: its three full-scale scheme digests matched the scenario's
+// before that setup was deleted, and the pin is the tiny overlay's digest
+// recorded then. The fig6, fig7, fig10, fig11, fig12 and table2 files were
+// checked the same way — at least one full-scale cell per file gave the
+// hand-built setup's run_digest before that setup was deleted — and each
+// pin here is one of the file's tiny cells, recorded then. The scenario
+// files are now the only definition of these experiments, and a drifting
+// file fails here.
 //
 // run_digest hashes simulator, host and switch counters only; the metric
-// window (`metric.from_ms`/`to_ms`) is applied afterwards. So each pin also
-// carries the cell's metric value — the figure's table value — read at the
-// same commit as the digest, as an exact hex-float literal.
+// window (`metric.from_ms`/`to_ms`) and every table value a bench harvests
+// in its on_cell hook are read afterwards. So each pin also carries the
+// cell's table value, read at the same commit as the digest the way the
+// bench reads it, as an exact hex-float literal.
 //
-// Runs use the --tiny shapes (16-host fig8 and fig14, 60 ms fig13) to stay
-// in unit-test budget.
+// Runs use the --tiny shapes (16-host fig8, fig14 and most of the sweep
+// files, 60 ms fig13 and fig7 LLM, 80 ms fig7 FB_Hadoop) to stay in
+// unit-test budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "scenario/grid_runner.hpp"
 #include "scenario/scenario.hpp"
+#include "stats/percentile.hpp"
+#include "workload/alltoall_workload.hpp"
 
 #ifndef PARALEON_SCENARIO_DIR
 #define PARALEON_SCENARIO_DIR "scenarios"
@@ -45,6 +54,32 @@ constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
                                    0x1.54d1e96c3fc43p+5};  // 42.602496
 constexpr Pin kFig14Paraleon = {0xf90b2277ce79e37dull,
                                 0x1.7f6724b5290f2p+3};  // 11.9813407...
+// fig6 throughput table, rpg_time_reset 30 us x kmax 20 KB (kmin 5 KB).
+constexpr Pin kFig6Corner = {0xd9886b2628300705ull,
+                             0x1.f7e4a88ba4e45p+3};  // 15.7466624
+// fig7 (a): PARALEON's mean slowdown of the <120KB band.
+constexpr Pin kFig7HadoopParaleon = {0x6b97c178a44511c7ull,
+                                     0x1.7f0e170b06337p+0};  // 1.49630875
+// fig7 (c): PARALEON's p99 FCT (ms) at 8 workers.
+constexpr Pin kFig7LlmParaleonAt8 = {0x31e110c4cd7540d3ull,
+                                     0x1.395520ae4b577p+3};  // 9.79164156
+// fig10 (a): PARALEON's FSD accuracy at load 0.3.
+constexpr Pin kFig10AccuracyParaleon = {0x1029af39a98dd51full,
+                                        0x1.f8b119528a3cfp-1};  // 0.98572616
+// fig10 (b): PARALEON's mice (<1 MB) mean slowdown.
+constexpr Pin kFig10FctParaleon = {0x92b7217897009b67ull,
+                                   0x1.874595fbd97fdp+1};  // 3.05681109
+// fig11: PARALEON's FSD accuracy at a 1 ms monitor interval.
+constexpr Pin kFig11ParaleonAt1ms = {0x219f34ee77a03271ull,
+                                     0x1.fe133f84cfe14p-1};  // 0.99624060
+// fig12: PARALEON's mean utility over the whole (tiny) run.
+constexpr Pin kFig12HadoopParaleon = {0xea3bebf94c19865eull,
+                                      0x1.1f417a4a0dd51p-1};  // 0.56104643
+constexpr Pin kFig12LlmParaleon = {0x87085587646b54baull,
+                                   0x1.06442fd90587dp-1};  // 0.51223897
+// table2: Expert's mean algbw (GB/s) at 256 KB per pair.
+constexpr Pin kTable2ExpertAt256 = {0xc458e3497df3abf3ull,
+                                    0x1.239a56ee2a786p-4};  // 0.07119211
 
 std::string pack_path(const std::string& file) {
   return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
@@ -59,6 +94,38 @@ const GridCell* find_cell(const std::vector<GridCell>& cells, Pred pred) {
   }
   ADD_FAILURE() << "no matching cell in the expanded grid";
   return nullptr;
+}
+
+using Harvest =
+    std::function<double(runner::Experiment&, const FlowScheduler&)>;
+
+/// Runs the tiny cell of `file` that `pred` picks and checks its digest
+/// and the table value `harvest` reads from the finished run (through the
+/// same on_cell hook the bench uses) against `pin`.
+template <typename Pred>
+void expect_pinned(const std::string& file, Pred pred, const Harvest& harvest,
+                   const Pin& pin, GridOptions opts = {}) {
+  SCOPED_TRACE(file);
+  const Scenario sc = load_scenario_file(pack_path(file), /*tiny=*/true);
+  const std::vector<GridCell> cells = expand_grid(sc);
+  const GridCell* cell = find_cell(cells, pred);
+  ASSERT_NE(cell, nullptr);
+  double value = 0.0;
+  opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
+                     const FlowScheduler& flows) {
+    value = harvest(exp, flows);
+  };
+  const CellResult result = run_cell(*cell, opts);
+  EXPECT_EQ(result.digest, pin.digest)
+      << file << " drifted from the pinned hand-built setup";
+  EXPECT_DOUBLE_EQ(value, pin.value) << "the table value moved";
+}
+
+bool is_paraleon(const Scenario& s) { return s.scheme.name == "paraleon"; }
+
+const workload::AlltoallWorkload& collective(const FlowScheduler& flows) {
+  return dynamic_cast<const workload::AlltoallWorkload&>(
+      *flows.find("collective"));
 }
 
 TEST(Fig8Parity, ScenarioCellsMatchTheLegacySetup) {
@@ -115,6 +182,108 @@ TEST(Fig14Parity, ParaleonCellMatchesThePinnedSetup) {
       << "setup";
   EXPECT_DOUBLE_EQ(result.value, kFig14Paraleon.value)
       << "the fig14 cell value moved";
+}
+
+TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {
+  // The bench's one-line on_config: kmin follows kmax.
+  GridOptions opts;
+  opts.on_config = [](const GridCell&, runner::ExperimentConfig& cfg) {
+    cfg.custom_params.kmin_bytes = cfg.custom_params.kmax_bytes / 4;
+  };
+  expect_pinned(
+      "fig6_inter_param.json",
+      [](const Scenario& s) {
+        const runner::ExperimentConfig cfg = to_experiment_config(s);
+        return cfg.custom_params.rpg_time_reset == microseconds(30) &&
+               cfg.custom_params.kmax_bytes == 20 << 10;
+      },
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return exp.throughput_series().mean_in(milliseconds(5),
+                                               exp.config().duration);
+      },
+      kFig6Corner, opts);
+}
+
+TEST(Fig7Parity, HadoopAndLlmCellsMatchThePinnedSetup) {
+  expect_pinned(
+      "fig7_fb_hadoop.json", is_paraleon,
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return stats::mean(exp.fct().slowdowns(0, 120 << 10));
+      },
+      kFig7HadoopParaleon);
+  expect_pinned(
+      "fig7_llm_alltoall.json",
+      [](const Scenario& s) {
+        return is_paraleon(s) && s.workload.front().workers == 8;
+      },
+      [](runner::Experiment& exp, const FlowScheduler& flows) {
+        EXPECT_GT(collective(flows).rounds_completed(), 0);
+        auto fcts = exp.fct().fct_seconds(0, 1ll << 40);
+        for (auto& f : fcts) f *= 1e3;  // ms
+        return stats::quantile(fcts, 0.99);
+      },
+      kFig7LlmParaleonAt8);
+}
+
+TEST(Fig10Parity, AccuracyAndFctCellsMatchThePinnedSetup) {
+  expect_pinned(
+      "fig10_accuracy.json",
+      [](const Scenario& s) {
+        return is_paraleon(s) && s.workload.front().load == 0.3;
+      },
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return exp.mean_fsd_accuracy();
+      },
+      kFig10AccuracyParaleon);
+  expect_pinned(
+      "fig10_fct.json", is_paraleon,
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return stats::mean(exp.fct().slowdowns(0, 1 << 20));
+      },
+      kFig10FctParaleon);
+}
+
+TEST(Fig11Parity, ParaleonAtOneMillisecondMatchesThePinnedSetup) {
+  expect_pinned(
+      "fig11_interval.json",
+      [](const Scenario& s) {
+        return is_paraleon(s) &&
+               to_experiment_config(s).controller.mi == milliseconds(1);
+      },
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return exp.mean_fsd_accuracy();
+      },
+      kFig11ParaleonAt1ms);
+}
+
+TEST(Fig12Parity, UtilityTracesMatchThePinnedSetup) {
+  const Harvest mean_utility = [](runner::Experiment& exp,
+                                  const FlowScheduler&) {
+    return exp.controller()->utility_series().mean_in(0,
+                                                      exp.config().duration);
+  };
+  expect_pinned("fig12_sa_fb_hadoop.json", is_paraleon, mean_utility,
+                kFig12HadoopParaleon);
+  expect_pinned("fig12_sa_llm.json", is_paraleon, mean_utility,
+                kFig12LlmParaleon);
+}
+
+TEST(Table2Parity, ExpertAt256KbMatchesThePinnedSetup) {
+  expect_pinned(
+      "table2_alltoall_presets.json",
+      [](const Scenario& s) {
+        return s.scheme.name == "expert" && s.workload.front().flow_kb == 256;
+      },
+      [](runner::Experiment&, const FlowScheduler& flows) {
+        const workload::AlltoallWorkload& a2a = collective(flows);
+        EXPECT_GT(a2a.rounds_completed(), 0);
+        double sum = 0.0;
+        for (int r = 0; r < a2a.rounds_completed(); ++r) {
+          sum += a2a.round_algbw_gbs(r);
+        }
+        return sum / a2a.rounds_completed();
+      },
+      kTable2ExpertAt256);
 }
 
 TEST(MixedMultitenant, ExpandsToTheThreeAxisCrossProduct) {
