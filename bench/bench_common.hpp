@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "scenario/grid_runner.hpp"
@@ -240,23 +241,25 @@ class TrendReport {
 
   /// Serializes the document (sorted metric order, so reruns diff clean).
   std::string to_json() const {
-    std::string out = "{\n  \"schema\": \"paraleon.bench.v1\",\n";
-    out += "  \"bench\": \"" + bench_ + "\",\n";
-    out += "  \"fingerprint\": {\"compiler\": \"" + compiler_id();
-    out += "\", \"build_type\": \"" + std::string(build_type());
-    out += "\", \"hardware_threads\": " + std::to_string(hardware_threads());
-    out += "},\n  \"metrics\": {";
-    bool first = true;
+    using common::Json;
+    Json metrics = Json::make_object();
     for (const auto& [name, m] : metrics_) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    \"" + name + "\": {\"value\": " + obs::format_value(m.value);
-      if (!m.unit.empty()) out += ", \"unit\": \"" + m.unit + "\"";
-      out += "}";
+      Json metric = Json::make_object({{"value", Json::make_number(m.value)}});
+      if (!m.unit.empty()) metric.set("unit", Json::make_string(m.unit));
+      metrics.members().emplace_back(name, std::move(metric));
     }
-    out += metrics_.empty() ? "}" : "\n  }";
-    out += "\n}\n";
-    return out;
+    const Json doc = Json::make_object({
+        {"schema", Json::make_string("paraleon.bench.v1")},
+        {"bench", Json::make_string(bench_)},
+        {"fingerprint",
+         Json::make_object({
+             {"compiler", Json::make_string(compiler_id())},
+             {"build_type", Json::make_string(build_type())},
+             {"hardware_threads", Json::make_uint(hardware_threads())},
+         })},
+        {"metrics", std::move(metrics)},
+    });
+    return doc.dump() + "\n";
   }
 
   bool write(const std::string& path) const {

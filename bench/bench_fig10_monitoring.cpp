@@ -47,21 +47,22 @@ int run(const scenario::Scenario& accuracy) {
   std::printf("\n(a) FSD accuracy vs load\n%-16s", "scheme");
   const auto& loads = accuracy.sweep[1].values;
   for (const auto& l : loads) std::printf("  load=%.1f", l.as_double());
+  // No_FSD keeps no flow size distribution, so it has no accuracy to
+  // measure: its row is printed, not simulated.
+  std::printf("\n%-16s", scheme_name(Scheme::kParaleonNoFsd).c_str());
+  for (std::size_t l = 0; l < loads.size(); ++l) std::printf("%10s", "n/a");
   std::printf("\n");
   const auto grid = harvest_grid(accuracy, /*jobs=*/1, harvest);
   for (std::size_t i = 0; i < grid.size(); i += loads.size()) {
     std::printf("%-16s", scheme_name(grid[i].scheme).c_str());
     for (std::size_t l = i; l < i + loads.size(); ++l) {
-      if (grid[l].scheme == Scheme::kParaleonNoFsd) {
-        std::printf("%10s", "n/a");
-      } else {
-        std::printf("%10.3f", grid[l].accuracy);
-      }
+      std::printf("%10.3f", grid[l].accuracy);
     }
     std::printf("\n");
   }
-  std::printf("\n(b) FCT slowdown @load=0.3, 700 ms\n%-16s %-12s %-12s\n",
-              "scheme", "mice_avg", "eleph_avg");
+  std::printf("\n(b) FCT slowdown @load=%.1f, %g ms\n%-16s %-12s %-12s\n",
+              fct.workload.front().load, fct.duration_ms, "scheme",
+              "mice_avg", "eleph_avg");
   for (const Result& r : harvest_grid(fct, /*jobs=*/1, harvest)) {
     std::printf("%-16s %-12.2f %-12.2f\n", scheme_name(r.scheme).c_str(),
                 r.mice_avg, r.eleph_avg);

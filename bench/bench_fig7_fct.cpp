@@ -64,7 +64,10 @@ void fb_hadoop_part(const scenario::Scenario& sc) {
   // Load is defined on host uplinks; with the 4:1 core and ~87% of pairs
   // cross-rack, 20% host load puts the fabric at ~70% — the paper's "30%"
   // regime relative to its core (see the scaling note).
-  std::printf("\n(a)(b) FB_Hadoop @20%% host load, 64 hosts, 700 ms\n");
+  const ExperimentConfig cfg = scenario::to_experiment_config(sc);
+  std::printf("\n(a)(b) FB_Hadoop @%g%% host load, %d hosts, %g ms\n",
+              sc.workload.front().load * 100,
+              cfg.clos.n_tor * cfg.clos.hosts_per_tor, sc.duration_ms);
   std::printf("%-10s %-7s | %-21s | %-21s | %-21s\n", "", "",
               "<120KB", "120KB-1MB", ">=1MB");
   std::printf("%-10s %-7s | %-10s %-10s | %-10s %-10s | %-10s %-10s\n",

@@ -227,7 +227,7 @@ bool dump_obs(const Experiment& exp, const std::string& name) {
   trace << exp.simulator().obs().trace().to_json();
   trace.close();
   std::ofstream report(base + ".obs.json");
-  report << runner::obs_report_json(exp);
+  report << runner::obs_report_json(exp).dump() << "\n";
   report.close();
   if (!trace || !report) {
     std::fprintf(stderr, "# obs: FAILED to write %s.{trace,obs}.json\n",
@@ -272,15 +272,15 @@ bool write_grid(const scenario::GridOutcome& grid, const std::string& path) {
 
 /// One experiment from a sweep-less scenario: a plain run, a
 /// --flight-fault run, or a --replay-flight run. A replay installs the
-/// scenario's workloads exactly as the original run did: the bundle stores
-/// only seed + horizon, determinism does the rest.
+/// scenario's workloads exactly as the original run did: it reads only the
+/// seed and horizon from the bundle's manifest, determinism does the rest.
 int run_single(const scenario::Scenario& sc) {
   ExperimentConfig cfg = scenario::to_experiment_config(sc);
   apply_obs_cli(cfg);
   ReplayRequest replay;
   if (!g_cli.replay_bundle.empty()) {
     if (!load_replay_request(g_cli.replay_bundle, &replay)) {
-      std::fprintf(stderr, "replay-flight: cannot read %s/replay.cfg\n",
+      std::fprintf(stderr, "replay-flight: cannot read %s/manifest.json\n",
                    g_cli.replay_bundle.c_str());
       return 1;
     }

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace paraleon::check {
 
 namespace {
@@ -18,30 +20,6 @@ std::string build_what(const std::string& expression, const std::string& file,
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 CheckFailure::CheckFailure(std::string expression, std::string file, int line,
                            std::string message)
     : std::runtime_error(build_what(expression, file, line, message)),
@@ -50,13 +28,14 @@ CheckFailure::CheckFailure(std::string expression, std::string file, int line,
       line_(line),
       message_(std::move(message)) {}
 
-std::string failure_to_json(const CheckFailure& failure) {
-  std::ostringstream os;
-  os << "{\n  \"expression\": \"" << json_escape(failure.expression())
-     << "\",\n  \"file\": \"" << json_escape(failure.file())
-     << "\",\n  \"line\": " << failure.line() << ",\n  \"message\": \""
-     << json_escape(failure.message()) << "\"\n}";
-  return os.str();
+common::Json failure_to_json(const CheckFailure& failure) {
+  using common::Json;
+  return Json::make_object({
+      {"expression", Json::make_string(failure.expression())},
+      {"file", Json::make_string(failure.file())},
+      {"line", Json::make_int(failure.line())},
+      {"message", Json::make_string(failure.message())},
+  });
 }
 
 namespace detail {

@@ -16,6 +16,10 @@
 #include <stdexcept>
 #include <string>
 
+namespace paraleon::common {
+class Json;
+}  // namespace paraleon::common
+
 namespace paraleon::check {
 
 /// Thrown by a failing PARALEON_CHECK / PARALEON_DCHECK.
@@ -38,13 +42,8 @@ class CheckFailure : public std::runtime_error {
 };
 
 /// Serialises a failure for a flight-recorder post-mortem bundle
-/// (`failure.json`): expression, file, line, and message, JSON-escaped.
-std::string failure_to_json(const CheckFailure& failure);
-
-/// JSON string escaping (quotes not included): `"`, `\`, and every
-/// control character. Shared by failure_to_json and the scenario JSON
-/// writer.
-std::string json_escape(const std::string& s);
+/// (`failure.json`): expression, file, line, and message.
+common::Json failure_to_json(const CheckFailure& failure);
 
 namespace detail {
 

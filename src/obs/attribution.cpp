@@ -1,7 +1,6 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace paraleon::obs {
 
@@ -136,79 +135,72 @@ std::vector<AttributionEngine::Victim> AttributionEngine::top_victims(
   return all;
 }
 
-std::string AttributionEngine::to_json() const {
-  std::ostringstream out;
-  out << "{\n  \"pause_spans\": [";
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const PauseSpan& s = spans_[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"id\": " << s.id << ", \"pauser\": " << s.pauser
-        << ", \"ingress_port\": " << s.ingress_port
-        << ", \"paused\": " << s.paused
-        << ", \"paused_port\": " << s.paused_port << ", \"paused_is_switch\": "
-        << (s.paused_is_switch ? "true" : "false")
-        << ", \"start_ns\": " << s.start << ", \"end_ns\": " << s.end
-        << ", \"ingress_bytes\": " << s.ingress_bytes
-        << ", \"threshold\": " << s.threshold << ", \"cause\": " << s.cause
-        << ", \"blocked_flows\": {";
-    bool first = true;
-    for (const auto& [flow, ns] : s.blocked_flows) {
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << flow << "\": " << ns;
-    }
-    out << "}}";
+namespace {
+
+/// flow id -> nanoseconds; the map is id-ordered, so keys are unique.
+common::Json flow_ns_json(const std::map<std::uint64_t, Time>& m) {
+  common::Json out = common::Json::make_object();
+  for (const auto& [flow, ns] : m) {
+    out.members().emplace_back(std::to_string(flow),
+                               common::Json::make_int(ns));
   }
-  out << (spans_.empty() ? "]" : "\n  ]");
+  return out;
+}
+
+}  // namespace
+
+common::Json AttributionEngine::to_json() const {
+  using common::Json;
+  Json spans = Json::make_array();
+  for (const PauseSpan& s : spans_) {
+    spans.push_back(Json::make_object({
+        {"id", Json::make_int(s.id)},
+        {"pauser", Json::make_int(s.pauser)},
+        {"ingress_port", Json::make_int(s.ingress_port)},
+        {"paused", Json::make_int(s.paused)},
+        {"paused_port", Json::make_int(s.paused_port)},
+        {"paused_is_switch", Json::make_bool(s.paused_is_switch)},
+        {"start_ns", Json::make_int(s.start)},
+        {"end_ns", Json::make_int(s.end)},
+        {"ingress_bytes", Json::make_int(s.ingress_bytes)},
+        {"threshold", Json::make_int(s.threshold)},
+        {"cause", Json::make_int(s.cause)},
+        {"blocked_flows", flow_ns_json(s.blocked_flows)},
+    }));
+  }
 
   // Pause trees: group root spans (cause == -1) by pausing switch; each
   // node lists the spans it directly caused.
-  out << ",\n  \"pause_trees\": [";
-  bool first_tree = true;
+  Json trees = Json::make_array();
   for (const PauseSpan& s : spans_) {
     if (s.cause != -1) continue;
-    out << (first_tree ? "\n" : ",\n");
-    first_tree = false;
-    out << "    {\"root\": " << s.id << ", \"switch\": " << s.pauser
-        << ", \"children\": [";
     // Breadth-first over `cause` back-edges; ids increase monotonically so
     // a single forward scan per level suffices.
     std::vector<int> level{s.id};
-    std::vector<int> descendants;
+    Json descendants = Json::make_array();
     while (!level.empty()) {
       std::vector<int> next;
       for (const PauseSpan& c : spans_) {
         if (std::find(level.begin(), level.end(), c.cause) != level.end()) {
           next.push_back(c.id);
-          descendants.push_back(c.id);
+          descendants.push_back(Json::make_int(c.id));
         }
       }
       level = std::move(next);
     }
-    for (std::size_t i = 0; i < descendants.size(); ++i) {
-      if (i != 0) out << ", ";
-      out << descendants[i];
-    }
-    out << "]}";
+    trees.push_back(Json::make_object({
+        {"root", Json::make_int(s.id)},
+        {"switch", Json::make_int(s.pauser)},
+        {"children", std::move(descendants)},
+    }));
   }
-  out << (first_tree ? "]" : "\n  ]");
 
-  out << ",\n  \"blocked_ns\": {";
-  bool first = true;
-  for (const auto& [flow, ns] : blocked_ns_) {
-    if (!first) out << ", ";
-    first = false;
-    out << "\"" << flow << "\": " << ns;
-  }
-  out << "},\n  \"rate_limited_ns\": {";
-  first = true;
-  for (const auto& [flow, ns] : rate_limited_ns_) {
-    if (!first) out << ", ";
-    first = false;
-    out << "\"" << flow << "\": " << ns;
-  }
-  out << "}\n}";
-  return out.str();
+  return Json::make_object({
+      {"pause_spans", std::move(spans)},
+      {"pause_trees", std::move(trees)},
+      {"blocked_ns", flow_ns_json(blocked_ns_)},
+      {"rate_limited_ns", flow_ns_json(rate_limited_ns_)},
+  });
 }
 
 void AttributionEngine::clear() {

@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/time.hpp"
 
 namespace paraleon::obs {
@@ -125,7 +126,7 @@ class AttributionEngine {
   /// (children = spans this span caused) and the per-flow blocked /
   /// rate-limited maps. runner::attribution_json wraps this with the
   /// FCT decomposition.
-  std::string to_json() const;
+  common::Json to_json() const;
 
   void clear();
 

@@ -1,8 +1,5 @@
 #include "obs/counters.hpp"
 
-#include <cmath>
-#include <cstdio>
-
 namespace paraleon::obs {
 
 Counter Registry::counter(const std::string& name) {
@@ -57,62 +54,18 @@ bool Registry::has(const std::string& name) const {
   return counters_.count(name) != 0 || gauges_.count(name) != 0;
 }
 
-std::string format_value(double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(v));
-  } else if (!std::isfinite(v)) {
-    // JSON has no Infinity/NaN literals; encode as null.
-    std::snprintf(buf, sizeof buf, "null");
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
-
-namespace {
-
-void append_section(std::string& out, const char* title,
-                    const std::vector<Registry::Sample>& samples,
-                    bool counters) {
-  out += '"';
-  out += title;
-  out += "\": {";
-  bool first = true;
-  for (const auto& s : samples) {
-    if (s.is_counter != counters) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += s.name;
-    out += "\": ";
-    out += format_value(s.value);
-  }
-  out += '}';
-}
-
-}  // namespace
-
-std::string Registry::to_json() const {
-  const auto samples = snapshot();
-  std::string out = "{";
-  append_section(out, "counters", samples, /*counters=*/true);
-  out += ", ";
-  append_section(out, "gauges", samples, /*counters=*/false);
-  out += '}';
-  return out;
-}
-
-std::string Registry::to_csv() const {
-  std::string out = "name,kind,value\n";
+common::Json Registry::to_json() const {
+  using common::Json;
+  Json counters = Json::make_object();
+  Json gauges = Json::make_object();
+  // The snapshot is name-sorted and names are unique: append, no lookup.
   for (const auto& s : snapshot()) {
-    out += s.name;
-    out += s.is_counter ? ",counter," : ",gauge,";
-    out += format_value(s.value);
-    out += '\n';
+    (s.is_counter ? counters : gauges)
+        .members()
+        .emplace_back(s.name, Json::make_number(s.value));
   }
-  return out;
+  return Json::make_object(
+      {{"counters", std::move(counters)}, {"gauges", std::move(gauges)}});
 }
 
 void ScrapeLog::record(Time t, const Registry& reg) {

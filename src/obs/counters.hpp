@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/time.hpp"
@@ -94,9 +95,7 @@ class Registry {
   /// One JSON document: {"counters": {...}, "gauges": {...}}, keys sorted.
   /// Byte-identical for identical instrument values (the determinism test
   /// relies on this).
-  std::string to_json() const;
-  /// CSV document: `name,kind,value` rows, sorted by name.
-  std::string to_csv() const;
+  common::Json to_json() const;
 
  private:
   mutable common::Mutex mu_;
@@ -107,11 +106,6 @@ class Registry {
   std::deque<std::int64_t> slots_ PARALEON_GUARDED_BY(mu_);
   std::map<std::string, ReadFn> gauges_ PARALEON_GUARDED_BY(mu_);
 };
-
-/// Formats an instrument value exactly: integral values print without a
-/// fraction, everything else with max round-trip precision. Deterministic
-/// for a given bit pattern.
-std::string format_value(double v);
 
 /// Periodic scrape sink: records a (filtered) registry snapshot per call
 /// into one stats::TimeSeries per instrument — the mechanism behind

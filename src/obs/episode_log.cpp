@@ -1,7 +1,5 @@
 #include "obs/episode_log.hpp"
 
-#include "obs/counters.hpp"
-
 namespace paraleon::obs {
 
 EpisodeLog::Episode& EpisodeLog::begin(Time t, const char* trigger,
@@ -43,69 +41,57 @@ std::size_t EpisodeLog::trial_count() const {
   return n;
 }
 
-std::string params_to_json(const dcqcn::DcqcnParams& p) {
-  std::string out = "{";
-  const auto field = [&out](const char* name, double v, bool last = false) {
-    out += '"';
-    out += name;
-    out += "\": ";
-    out += format_value(v);
-    if (!last) out += ", ";
-  };
-  field("ai_rate_mbps", to_mbps(p.ai_rate));
-  field("hai_rate_mbps", to_mbps(p.hai_rate));
-  field("rpg_time_reset_us", to_us(p.rpg_time_reset));
-  field("rpg_byte_reset", static_cast<double>(p.rpg_byte_reset));
-  field("rpg_threshold", p.rpg_threshold);
-  field("min_rate_mbps", to_mbps(p.min_rate));
-  field("rate_reduce_monitor_period_us",
-        to_us(p.rate_reduce_monitor_period));
-  field("clamp_tgt_rate", p.clamp_tgt_rate ? 1.0 : 0.0);
-  field("alpha_update_period_us", to_us(p.alpha_update_period));
-  field("g", p.g);
-  field("min_time_between_cnps_us", to_us(p.min_time_between_cnps));
-  field("kmin_kb", static_cast<double>(p.kmin_bytes) / 1024.0);
-  field("kmax_kb", static_cast<double>(p.kmax_bytes) / 1024.0);
-  field("pmax", p.pmax, /*last=*/true);
-  out += '}';
-  return out;
+common::Json params_to_json(const dcqcn::DcqcnParams& p) {
+  using common::Json;
+  const auto num = [](double v) { return Json::make_number(v); };
+  return Json::make_object({
+      {"ai_rate_mbps", num(to_mbps(p.ai_rate))},
+      {"hai_rate_mbps", num(to_mbps(p.hai_rate))},
+      {"rpg_time_reset_us", num(to_us(p.rpg_time_reset))},
+      {"rpg_byte_reset", num(static_cast<double>(p.rpg_byte_reset))},
+      {"rpg_threshold", num(p.rpg_threshold)},
+      {"min_rate_mbps", num(to_mbps(p.min_rate))},
+      {"rate_reduce_monitor_period_us",
+       num(to_us(p.rate_reduce_monitor_period))},
+      {"clamp_tgt_rate", num(p.clamp_tgt_rate ? 1.0 : 0.0)},
+      {"alpha_update_period_us", num(to_us(p.alpha_update_period))},
+      {"g", num(p.g)},
+      {"min_time_between_cnps_us", num(to_us(p.min_time_between_cnps))},
+      {"kmin_kb", num(static_cast<double>(p.kmin_bytes) / 1024.0)},
+      {"kmax_kb", num(static_cast<double>(p.kmax_bytes) / 1024.0)},
+      {"pmax", num(p.pmax)},
+  });
 }
 
-std::string EpisodeLog::to_json() const {
-  std::string out = "[";
-  bool first_ep = true;
+common::Json EpisodeLog::to_json() const {
+  using common::Json;
+  Json out = Json::make_array();
   for (const auto& ep : episodes_) {
-    if (!first_ep) out += ",";
-    first_ep = false;
-    out += "\n{\"index\": " + format_value(static_cast<double>(ep.index));
-    out += ", \"start_ms\": " + format_value(to_ms(ep.start));
-    out += ", \"end_ms\": " +
-           (ep.end < 0 ? std::string("null") : format_value(to_ms(ep.end)));
-    out += ", \"trigger\": \"";
-    out += ep.trigger;
-    out += "\", \"kl_value\": " + format_value(ep.kl_value);
-    out += ", \"reverted\": ";
-    out += ep.reverted ? "true" : "false";
-    out += ", \"start_params\": " + params_to_json(ep.start_params);
-    out += ", \"best_utility\": " + format_value(ep.best_utility);
-    out += ", \"best_params\": " + params_to_json(ep.best_params);
-    out += ", \"trials\": [";
-    bool first_tr = true;
+    Json trials = Json::make_array();
     for (const auto& tr : ep.trials) {
-      if (!first_tr) out += ",";
-      first_tr = false;
-      out += "\n  {\"t_ms\": " + format_value(to_ms(tr.t));
-      out += ", \"iteration\": " + format_value(tr.iteration);
-      out += ", \"temperature\": " + format_value(tr.temperature);
-      out += ", \"utility\": " + format_value(tr.utility);
-      out += ", \"accepted\": ";
-      out += tr.accepted ? "true" : "false";
-      out += ", \"params\": " + params_to_json(tr.params);
-      out += "}";
+      trials.push_back(Json::make_object({
+          {"t_ms", Json::make_number(to_ms(tr.t))},
+          {"iteration", Json::make_int(tr.iteration)},
+          {"temperature", Json::make_number(tr.temperature)},
+          {"utility", Json::make_number(tr.utility)},
+          {"accepted", Json::make_bool(tr.accepted)},
+          {"params", params_to_json(tr.params)},
+      }));
     }
-    out += "]}";
+    out.push_back(Json::make_object({
+        {"index", Json::make_uint(ep.index)},
+        {"start_ms", Json::make_number(to_ms(ep.start))},
+        {"end_ms",
+         ep.end < 0 ? Json::make_null() : Json::make_number(to_ms(ep.end))},
+        {"trigger", Json::make_string(ep.trigger)},
+        {"kl_value", Json::make_number(ep.kl_value)},
+        {"reverted", Json::make_bool(ep.reverted)},
+        {"start_params", params_to_json(ep.start_params)},
+        {"best_utility", Json::make_number(ep.best_utility)},
+        {"best_params", params_to_json(ep.best_params)},
+        {"trials", std::move(trials)},
+    }));
   }
-  out += "\n]";
   return out;
 }
 

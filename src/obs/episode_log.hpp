@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/time.hpp"
 #include "dcqcn/params.hpp"
 
@@ -54,7 +55,7 @@ class EpisodeLog {
 
   /// JSON array of episodes with nested trials; deterministic field order
   /// and number formatting.
-  std::string to_json() const;
+  common::Json to_json() const;
 
  private:
   std::vector<Episode> episodes_;
@@ -63,6 +64,6 @@ class EpisodeLog {
 
 /// The DCQCN parameter vector as deterministic JSON (shared by the episode
 /// log and anything else that exports candidate settings).
-std::string params_to_json(const dcqcn::DcqcnParams& p);
+common::Json params_to_json(const dcqcn::DcqcnParams& p);
 
 }  // namespace paraleon::obs

@@ -6,10 +6,11 @@
 // events/sec rate normalises against; wall data feeds the perf report's
 // "wall" subsection, never any digest.
 
-#include "obs/counters.hpp"
 #include "obs/profile.hpp"
 
 namespace paraleon::obs {
+
+using common::Json;
 
 namespace {
 
@@ -24,28 +25,25 @@ std::string layer_of(const std::string& tag) {
   return dot == std::string::npos ? tag : tag.substr(0, dot);
 }
 
-std::string histogram_json(const std::uint64_t* buckets) {
+Json count_json(std::uint64_t v) { return Json::make_uint(v); }
+
+/// The buckets up to the last nonzero one.
+Json histogram_json(const std::uint64_t* buckets) {
   int last = -1;
   for (int i = 0; i < PerfMonitor::kBuckets; ++i) {
     if (buckets[i] != 0) last = i;
   }
-  std::string out = "[";
-  for (int i = 0; i <= last; ++i) {
-    if (i != 0) out += ", ";
-    out += std::to_string(buckets[i]);
-  }
-  return out + "]";
+  Json out = Json::make_array();
+  for (int i = 0; i <= last; ++i) out.push_back(count_json(buckets[i]));
+  return out;
 }
 
-std::string counts_json(const std::map<std::string, std::uint64_t>& m) {
-  std::string out = "{";
-  bool first = true;
+Json counts_json(const std::map<std::string, std::uint64_t>& m) {
+  Json out = Json::make_object();
   for (const auto& [name, count] : m) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": " + std::to_string(count);
+    out.members().emplace_back(name, count_json(count));
   }
-  return out + "}";
+  return out;
 }
 
 }  // namespace
@@ -101,36 +99,10 @@ void PerfMonitor::reset() {
   run_start_ns_ = -1;
 }
 
-std::string perf_report_json(const PerfMonitor& perf,
-                             const LoopProfiler& profiler) {
-  std::string out = "{\"schema\": \"paraleon.perf.v1\", \"enabled\": ";
-  out += perf.enabled() ? "true" : "false";
-
-  out += ", \"events\": {\"executed\": ";
-  out += std::to_string(perf.events_executed());
-  out += ", \"scheduled\": " + std::to_string(perf.events_scheduled());
-  out += ", \"max_queue_depth\": " + std::to_string(perf.max_queue_depth());
-  out += ", \"by_tag\": " + counts_json(perf.tags_by_name());
-  out += ", \"by_layer\": " + counts_json(perf.tags_by_layer());
-  out += "}";
-
-  out += ", \"queue_depth_log2\": " + histogram_json(perf.depth_histogram());
-  out += ", \"schedule_horizon_log2_ns\": " +
-         histogram_json(perf.horizon_histogram());
-
-  out += ", \"alloc\": {\"closure_bytes\": ";
-  out += std::to_string(perf.closure_bytes());
-  out += ", \"closure_heap_allocs\": " +
-         std::to_string(perf.closure_heap_allocs());
-  out += ", \"packet_enqueues\": " + std::to_string(perf.packet_enqueues());
-  out += ", \"packet_bytes\": " + std::to_string(perf.packet_bytes());
-  out += "}";
-
+Json perf_report_json(const PerfMonitor& perf, const LoopProfiler& profiler) {
   // Wall-clock subsection: run-window totals, plus the LoopProfiler's
   // per-layer wall attribution when callback timing was also enabled.
-  // Everything below this point is nondeterministic by design.
-  out += ", \"wall\": {\"seconds\": " + format_value(perf.wall_seconds());
-  out += ", \"events_per_sec\": " + format_value(perf.events_per_sec());
+  // Everything in it is nondeterministic by design.
   std::map<std::string, std::uint64_t> layer_ns;
   if (profiler.events() > 0) {
     for (const auto& [tag, stats] : profiler.by_tag()) {
@@ -138,9 +110,33 @@ std::string perf_report_json(const PerfMonitor& perf,
           static_cast<std::uint64_t>(stats.total_ns);
     }
   }
-  out += ", \"profiled_layer_ns\": " + counts_json(layer_ns);
-  out += "}}";
-  return out;
+  return Json::make_object({
+      {"schema", Json::make_string("paraleon.perf.v1")},
+      {"enabled", Json::make_bool(perf.enabled())},
+      {"events",
+       Json::make_object({
+           {"executed", count_json(perf.events_executed())},
+           {"scheduled", count_json(perf.events_scheduled())},
+           {"max_queue_depth", count_json(perf.max_queue_depth())},
+           {"by_tag", counts_json(perf.tags_by_name())},
+           {"by_layer", counts_json(perf.tags_by_layer())},
+       })},
+      {"queue_depth_log2", histogram_json(perf.depth_histogram())},
+      {"schedule_horizon_log2_ns", histogram_json(perf.horizon_histogram())},
+      {"alloc",
+       Json::make_object({
+           {"closure_bytes", count_json(perf.closure_bytes())},
+           {"closure_heap_allocs", count_json(perf.closure_heap_allocs())},
+           {"packet_enqueues", count_json(perf.packet_enqueues())},
+           {"packet_bytes", count_json(perf.packet_bytes())},
+       })},
+      {"wall",
+       Json::make_object({
+           {"seconds", Json::make_number(perf.wall_seconds())},
+           {"events_per_sec", Json::make_number(perf.events_per_sec())},
+           {"profiled_layer_ns", counts_json(layer_ns)},
+       })},
+  });
 }
 
 }  // namespace paraleon::obs

@@ -28,6 +28,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/json.hpp"
 #include "common/unique_function.hpp"
 
 namespace paraleon::obs {
@@ -178,7 +179,7 @@ class PerfMonitor {
 /// attribution when that ran too. Only the "wall" subsection is
 /// nondeterministic; with the monitor disabled the whole section is a
 /// constant all-zero stub, so byte-identical obs reports stay identical.
-std::string perf_report_json(const PerfMonitor& perf,
-                             const LoopProfiler& profiler);
+common::Json perf_report_json(const PerfMonitor& perf,
+                              const LoopProfiler& profiler);
 
 }  // namespace paraleon::obs

@@ -1,6 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
+#include "common/json.hpp"
 
 namespace paraleon::obs {
 
@@ -139,57 +139,41 @@ void TraceRecorder::end_span(TraceCategory c, const char* name, Time ts,
   push(ev);
 }
 
-namespace {
-
-/// Nanosecond Time as a microsecond decimal with 3 fixed fraction digits —
-/// Chrome's `ts` unit is microseconds; fixed-width formatting keeps dumps
-/// byte-identical across runs.
-void append_us(std::string& out, Time ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  out += buf;
-}
-
-}  // namespace
-
 std::string TraceRecorder::to_json() const {
+  using common::Json;
+  // Chrome's `ts` unit is microseconds. ns / 1e3 is the double nearest the
+  // exact 3-decimal value, so the shortest round-trip digits spell it.
+  const auto us = [](Time ns) {
+    return Json::make_number(static_cast<double>(ns) / 1e3);
+  };
   std::string out;
   out.reserve(recorded() * 96 + 256);
   out += "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+  // One small Json value per event, streamed: a replay's million-event
+  // ring never becomes one DOM. The value is refilled in place, so its
+  // member storage is allocated once, not per event.
+  Json event = Json::make_object();
+  auto& m = event.members();
   bool first = true;
-  char buf[96];
   for_each([&](const TraceEvent& ev) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\": \"";
-    out += ev.name;
-    out += "\", \"cat\": \"";
-    out += trace_category_name(ev.cat);
-    out += "\", \"ph\": \"";
-    out += ev.ph;
-    out += "\", \"ts\": ";
-    append_us(out, ev.ts);
-    if (ev.ph == 'X') {
-      out += ", \"dur\": ";
-      append_us(out, ev.dur);
-    }
-    std::snprintf(buf, sizeof buf, ", \"pid\": %lld, \"tid\": %lld",
-                  static_cast<long long>(ev.pid),
-                  static_cast<long long>(ev.tid));
-    out += buf;
+    m.clear();
+    m.emplace_back("name", Json::make_string(ev.name));
+    m.emplace_back("cat", Json::make_string(trace_category_name(ev.cat)));
+    m.emplace_back("ph", Json::make_string(std::string(1, ev.ph)));
+    m.emplace_back("ts", us(ev.ts));
+    if (ev.ph == 'X') m.emplace_back("dur", us(ev.dur));
+    m.emplace_back("pid", Json::make_int(ev.pid));
+    m.emplace_back("tid", Json::make_int(ev.tid));
     if (ev.n_args > 0) {
-      out += ", \"args\": {";
+      Json args = Json::make_object();
       for (int i = 0; i < ev.n_args; ++i) {
-        if (i > 0) out += ", ";
-        std::snprintf(buf, sizeof buf, "\"%s\": %lld", ev.args[i].key,
-                      static_cast<long long>(ev.args[i].value));
-        out += buf;
+        args.set(ev.args[i].key, Json::make_int(ev.args[i].value));
       }
-      out += "}";
+      m.emplace_back("args", std::move(args));
     }
-    out += "}";
+    out += first ? "\n" : ",\n";
+    first = false;
+    event.dump_line(out);
   });
   out += "\n]}\n";
   return out;

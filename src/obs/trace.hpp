@@ -123,8 +123,8 @@ class TraceRecorder {
     for (std::size_t i = 0; i < n; ++i) fn(at_oldest_first(i));
   }
 
-  /// Chrome trace-event JSON. Deterministic: fixed field order, integral
-  /// microsecond timestamps with nanosecond fractions.
+  /// Chrome trace-event JSON, one event per line. Deterministic: fixed
+  /// field order, microsecond timestamps exact to the nanosecond.
   std::string to_json() const;
 
  private:

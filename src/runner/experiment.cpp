@@ -554,61 +554,64 @@ std::uint64_t run_digest(Experiment& exp) {
   return d.value();
 }
 
-std::string obs_report_json(const Experiment& exp) {
+common::Json obs_report_json(const Experiment& exp) {
+  using common::Json;
   const auto& o = exp.simulator().obs();
-  std::string out = "{\"registry\": ";
-  out += o.registry().to_json();
-  out += ", \"trace\": {\"total\": ";
-  out += std::to_string(o.trace().total());
-  out += ", \"recorded\": ";
-  out += std::to_string(o.trace().recorded());
-  out += ", \"dropped\": ";
-  out += std::to_string(o.trace().dropped());
-  out += "}, \"episodes\": [";
-  bool first = true;
+  Json episodes = Json::make_array();
   for (const auto& c : exp.controllers()) {
-    if (!first) out += ", ";
-    first = false;
-    out += c->episode_log().to_json();
+    episodes.push_back(c->episode_log().to_json());
   }
-  out += "], \"fct\": ";
-  out += fct_report_json(exp.fct());
-  // Perf section (paraleon.perf.v1): a constant all-zero stub when the
-  // monitor is off, so byte-identical obs reports stay identical; only
-  // its "wall" subsection is nondeterministic when on.
-  out += ", \"perf\": ";
-  out += obs::perf_report_json(o.perf(), o.profiler());
-  out += "}";
-  return out;
+  return Json::make_object({
+      {"registry", o.registry().to_json()},
+      {"trace",
+       Json::make_object({
+           {"total", Json::make_uint(o.trace().total())},
+           {"recorded", Json::make_uint(o.trace().recorded())},
+           {"dropped", Json::make_uint(o.trace().dropped())},
+       })},
+      {"episodes", std::move(episodes)},
+      {"fct", fct_report_json(exp.fct())},
+      // Perf section (paraleon.perf.v1): a constant all-zero stub when the
+      // monitor is off, so byte-identical obs reports stay identical; only
+      // its "wall" subsection is nondeterministic when on.
+      {"perf", obs::perf_report_json(o.perf(), o.profiler())},
+  });
 }
 
-std::string fct_report_json(const stats::FctTracker& fct) {
+common::Json slowdown_json(const stats::FctTracker::SlowdownStats& s) {
+  using common::Json;
+  return Json::make_object({
+      {"mean", Json::make_number(s.mean)},
+      {"p50", Json::make_number(s.p50)},
+      {"p95", Json::make_number(s.p95)},
+      {"p99", Json::make_number(s.p99)},
+      {"p999", Json::make_number(s.p999)},
+  });
+}
+
+common::Json fct_report_json(const stats::FctTracker& fct) {
+  using common::Json;
   const auto stats_json = [](const stats::FctTracker::SlowdownStats& s) {
-    std::string j = "{\"count\": " + std::to_string(s.count);
-    j += ", \"mean\": " + obs::format_value(s.mean);
-    j += ", \"p50\": " + obs::format_value(s.p50);
-    j += ", \"p95\": " + obs::format_value(s.p95);
-    j += ", \"p99\": " + obs::format_value(s.p99);
-    j += ", \"p999\": " + obs::format_value(s.p999);
-    j += "}";
+    Json j = slowdown_json(s);
+    auto& m = j.members();
+    m.emplace(m.begin(), "count", Json::make_uint(s.count));
     return j;
   };
-  std::string out = "{\"started\": " + std::to_string(fct.started());
-  out += ", \"finished\": " + std::to_string(fct.finished());
-  out += ", \"slowdown\": ";
-  out += stats_json(
-      fct.slowdown_stats(0, std::numeric_limits<std::int64_t>::max()));
-  out += ", \"buckets\": [";
-  bool first = true;
+  Json buckets = Json::make_array();
   for (const auto& [bucket, s] : fct.bucket_slowdowns()) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"label\": \"" + std::string(bucket.label) + "\"";
-    out += ", \"min_size\": " + std::to_string(bucket.min_size);
-    out += ", \"stats\": " + stats_json(s) + "}";
+    buckets.push_back(Json::make_object({
+        {"label", Json::make_string(bucket.label)},
+        {"min_size", Json::make_int(bucket.min_size)},
+        {"stats", stats_json(s)},
+    }));
   }
-  out += "]}";
-  return out;
+  return Json::make_object({
+      {"started", Json::make_uint(fct.started())},
+      {"finished", Json::make_uint(fct.finished())},
+      {"slowdown", stats_json(fct.slowdown_stats(
+                       0, std::numeric_limits<std::int64_t>::max()))},
+      {"buckets", std::move(buckets)},
+  });
 }
 
 }  // namespace paraleon::runner

@@ -34,6 +34,7 @@
 
 #include "baselines/acc.hpp"
 #include "check/invariant_checker.hpp"
+#include "common/json.hpp"
 #include "core/controller.hpp"
 #include "core/monitor.hpp"
 #include "obs/observability.hpp"
@@ -216,10 +217,14 @@ std::uint64_t run_digest(Experiment& exp);
 /// One deterministic JSON document per run: the full counter registry,
 /// trace-recorder totals, every controller's tuning-episode timeline and
 /// the FCT slowdown summary. Identical seeds yield byte-identical output.
-std::string obs_report_json(const Experiment& exp);
+common::Json obs_report_json(const Experiment& exp);
 
 /// The FCT slowdown summary alone: overall and per-size-bucket
 /// count/mean/p50/p95/p99/p999 of slowdown-vs-ideal.
-std::string fct_report_json(const stats::FctTracker& fct);
+common::Json fct_report_json(const stats::FctTracker& fct);
+
+/// One slowdown summary's mean/p50/p95/p99/p999 (the grid document's
+/// per-cell form; fct_report_json prepends the count).
+common::Json slowdown_json(const stats::FctTracker::SlowdownStats& s);
 
 }  // namespace paraleon::runner

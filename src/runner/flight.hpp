@@ -4,29 +4,29 @@
 // or a check::CheckFailure escapes the event loop:
 //
 //   flight_<reason>/
-//     manifest.json      schema, reason, trigger time, seed, engine state
+//     manifest.json      schema, reason, trigger time, seed, replay
+//                        horizon, engine state, file list
 //     config.json        human-readable experiment configuration
-//     replay.cfg         flat `key value` lines driving --replay-flight
 //     counters.json      full counter-registry snapshot
 //     trace.json         trace-ring tail (Perfetto-loadable)
 //     ports.json         per-switch per-port queue/pause state + host uplinks
 //     episodes.json      tuning-episode timelines
 //     attribution.json   pause spans/trees + per-flow FCT decomposition
+//     perf.json          event-loop perf section (paraleon.perf.v1)
 //     failure.json       the CheckFailure (reason "check_failure" only)
 //
-// Replay: runs are byte-deterministic in the seed, so `replay.cfg` only
-// needs (seed, horizon) — the invoking bench/test reconstructs its own
-// ExperimentConfig, applies `apply_replay`, and re-runs with every trace
-// category forced on up to just past the trigger, turning any anomaly into
-// a full Perfetto trace after the fact. replay.cfg is deliberately not
-// JSON: the one JSON parser (scenario::Json) lives in src/scenario, which
-// links runner, so runner sits below it and cannot use it; its
-// three "key value" lines need no parser of their own.
+// Replay: runs are byte-deterministic in the seed, so a replay needs only
+// the manifest's `seed` and `replay_until_ns` — the invoking bench/test
+// reconstructs its own ExperimentConfig, applies `apply_replay`, and
+// re-runs with every trace category forced on up to just past the
+// trigger, turning any anomaly into a full Perfetto trace after the fact.
+// Every file is written with common::Json and read back with its parser.
 #pragma once
 
 #include <string>
 
 #include "check/check.hpp"
+#include "common/json.hpp"
 #include "runner/experiment.hpp"
 
 namespace paraleon::runner {
@@ -36,7 +36,7 @@ namespace paraleon::runner {
 /// RP-rate-limited / PFC-blocked / residual queueing) for the top HoL
 /// victims. Flushes in-flight accumulators first; safe to call repeatedly.
 /// Deterministic for a given seed.
-std::string attribution_json(Experiment& exp, std::size_t top_k = 10);
+common::Json attribution_json(Experiment& exp, std::size_t top_k = 10);
 
 /// Writes a post-mortem bundle under config().obs.flight.dir. Returns the
 /// bundle directory, or "" if the filesystem refused. `failure` adds
@@ -51,7 +51,8 @@ struct ReplayRequest {
   Time replay_until_ns = 0;
 };
 
-/// Parses `bundle_dir`/replay.cfg. False if missing or malformed.
+/// Reads the seed, trigger time and replay horizon from
+/// `bundle_dir`/manifest.json. False if missing or malformed.
 bool load_replay_request(const std::string& bundle_dir, ReplayRequest* out);
 
 /// Rewrites `cfg` for a replay run: the bundle's seed, duration clamped to

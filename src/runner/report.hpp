@@ -1,12 +1,10 @@
 // Console reporting helpers shared by the benches and examples: aligned
-// table rows, series plots, and the standard scaling-note header.
+// table rows, number formatting, and the standard scaling-note header.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include "stats/timeseries.hpp"
 
 namespace paraleon::runner {
 
@@ -29,22 +27,6 @@ inline std::string fmt(double v, int precision = 2) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
-}
-
-/// Prints a time series as (t_ms, value) rows, downsampled to ~`points`.
-inline void print_series(const std::string& name,
-                         const stats::TimeSeries& series,
-                         std::size_t points = 25) {
-  const auto& pts = series.points();
-  if (pts.empty()) {
-    std::printf("%s: (empty)\n", name.c_str());
-    return;
-  }
-  std::printf("-- %s --\n", name.c_str());
-  const std::size_t stride = std::max<std::size_t>(1, pts.size() / points);
-  for (std::size_t i = 0; i < pts.size(); i += stride) {
-    std::printf("  t=%8.2fms  %10.3f\n", to_ms(pts[i].t), pts[i].value);
-  }
 }
 
 }  // namespace paraleon::runner

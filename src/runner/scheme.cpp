@@ -3,19 +3,8 @@
 namespace paraleon::runner {
 
 std::string scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kDefaultStatic: return "Default";
-    case Scheme::kExpertStatic: return "Expert";
-    case Scheme::kCustomStatic: return "Pretrained";
-    case Scheme::kParaleon: return "PARALEON";
-    case Scheme::kParaleonNaiveSa: return "naive_SA";
-    case Scheme::kParaleonNoFsd: return "No_FSD";
-    case Scheme::kParaleonNetflow: return "NetFlow";
-    case Scheme::kParaleonNaiveSketch: return "ElasticSketch";
-    case Scheme::kParaleonRnicCounters: return "RNIC_counters";
-    case Scheme::kParaleonPerPod: return "PerPod";
-    case Scheme::kAcc: return "ACC";
-    case Scheme::kDcqcnPlus: return "DCQCN+";
+  for (const SchemeNames& row : kSchemeTable) {
+    if (row.scheme == s) return row.display_name;
   }
   return "?";
 }

@@ -1,6 +1,7 @@
 // The tuning schemes compared throughout the evaluation.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "common/time.hpp"
@@ -24,6 +25,32 @@ enum class Scheme {
   kDcqcnPlus,       // RNIC-side incast-adaptive baseline
 };
 
+/// One row of the scheme table.
+struct SchemeNames {
+  Scheme scheme;
+  const char* file_name;     // a scenario file's "scheme.name"
+  const char* display_name;  // tables, reports and bundle manifests
+};
+
+/// Every scheme once, in enum order: the one list scheme_name() and the
+/// scenario layer's scheme_from_name()/scheme_names() read.
+inline constexpr std::array<SchemeNames, 12> kSchemeTable = {{
+    {Scheme::kDefaultStatic, "default", "Default"},
+    {Scheme::kExpertStatic, "expert", "Expert"},
+    {Scheme::kCustomStatic, "custom", "Pretrained"},
+    {Scheme::kParaleon, "paraleon", "PARALEON"},
+    {Scheme::kParaleonNaiveSa, "paraleon_naive_sa", "naive_SA"},
+    {Scheme::kParaleonNoFsd, "paraleon_no_fsd", "No_FSD"},
+    {Scheme::kParaleonNetflow, "paraleon_netflow", "NetFlow"},
+    {Scheme::kParaleonNaiveSketch, "paraleon_naive_sketch", "ElasticSketch"},
+    {Scheme::kParaleonRnicCounters, "paraleon_rnic_counters",
+     "RNIC_counters"},
+    {Scheme::kParaleonPerPod, "paraleon_per_pod", "PerPod"},
+    {Scheme::kAcc, "acc", "ACC"},
+    {Scheme::kDcqcnPlus, "dcqcn_plus", "DCQCN+"},
+}};
+
+/// The display name ("PARALEON", "DCQCN+").
 std::string scheme_name(Scheme s);
 
 /// Whether the scheme runs the PARALEON controller loop.

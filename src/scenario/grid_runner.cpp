@@ -17,19 +17,7 @@ std::string digest_hex(std::uint64_t d) {
   return buf;
 }
 
-Json slowdown_json(const stats::FctTracker::SlowdownStats& s) {
-  Json j = Json::make_object();
-  j.set("mean", Json::make_number(s.mean));
-  j.set("p50", Json::make_number(s.p50));
-  j.set("p95", Json::make_number(s.p95));
-  j.set("p99", Json::make_number(s.p99));
-  j.set("p999", Json::make_number(s.p999));
-  return j;
-}
-
-Json count_json(std::uint64_t v) {
-  return Json::make_int(static_cast<std::int64_t>(v));
-}
+Json count_json(std::uint64_t v) { return Json::make_uint(v); }
 
 /// Wall-clock nanoseconds as Chrome-trace microseconds.
 Json us_json(std::int64_t ns) {
@@ -41,13 +29,13 @@ Json seconds_json(std::int64_t ns) {
 }
 
 Json aggregate_json(const runner::FleetAggregate& a) {
-  Json j = Json::make_object();
-  j.set("min", Json::make_number(a.min));
-  j.set("mean", Json::make_number(a.mean));
-  j.set("p95", Json::make_number(a.p95));
-  j.set("max", Json::make_number(a.max));
-  j.set("n", Json::make_int(static_cast<std::int64_t>(a.n)));
-  return j;
+  return Json::make_object({
+      {"min", Json::make_number(a.min)},
+      {"mean", Json::make_number(a.mean)},
+      {"p95", Json::make_number(a.p95)},
+      {"max", Json::make_number(a.max)},
+      {"n", count_json(a.n)},
+  });
 }
 
 bool write_text(const std::string& path, const std::string& text) {
@@ -58,19 +46,19 @@ bool write_text(const std::string& path, const std::string& text) {
 
 /// A Chrome-trace event on the grid's single process track.
 Json trace_event(const std::string& name, const char* ph, std::int64_t tid) {
-  Json ev = Json::make_object();
-  ev.set("name", Json::make_string(name));
-  ev.set("ph", Json::make_string(ph));
-  ev.set("pid", Json::make_int(0));
-  ev.set("tid", Json::make_int(tid));
-  return ev;
+  return Json::make_object({
+      {"name", Json::make_string(name)},
+      {"ph", Json::make_string(ph)},
+      {"pid", Json::make_int(0)},
+      {"tid", Json::make_int(tid)},
+  });
 }
 
-Json thread_name_event(std::int64_t tid, const std::string& name) {
-  Json ev = trace_event("thread_name", "M", tid);
-  Json args = Json::make_object();
-  args.set("name", Json::make_string(name));
-  ev.set("args", std::move(args));
+/// A metadata event naming the process (`what` = "process_name") or one
+/// of its thread tracks ("thread_name").
+Json name_event(const char* what, std::int64_t tid, const std::string& name) {
+  Json ev = trace_event(what, "M", tid);
+  ev.set("args", Json::make_object({{"name", Json::make_string(name)}}));
   return ev;
 }
 
@@ -84,19 +72,20 @@ void add_pool_json(const obs::PoolTelemetry& pool, Json& wall) {
   for (const auto& w : workers) {
     busy_ns += w.busy_ns;
     idle_ns += w.idle_ns;
-    Json row = Json::make_object();
-    row.set("jobs", count_json(w.jobs));
-    row.set("busy_seconds", seconds_json(w.busy_ns));
-    row.set("idle_seconds", seconds_json(w.idle_ns));
-    rows.push_back(std::move(row));
+    rows.push_back(Json::make_object({
+        {"jobs", count_json(w.jobs)},
+        {"busy_seconds", seconds_json(w.busy_ns)},
+        {"idle_seconds", seconds_json(w.idle_ns)},
+    }));
   }
-  Json summary = Json::make_object();
-  summary.set("workers", count_json(workers.size()));
-  summary.set("pool_wall_seconds", Json::make_number(pool.wall_seconds()));
-  summary.set("busy_seconds", seconds_json(busy_ns));
-  summary.set("idle_seconds", seconds_json(idle_ns));
-  summary.set("jobs_completed", count_json(pool.jobs_completed()));
-  wall.set("pool", std::move(summary));
+  wall.set("pool",
+           Json::make_object({
+               {"workers", count_json(workers.size())},
+               {"pool_wall_seconds", Json::make_number(pool.wall_seconds())},
+               {"busy_seconds", seconds_json(busy_ns)},
+               {"idle_seconds", seconds_json(idle_ns)},
+               {"jobs_completed", count_json(pool.jobs_completed())},
+           }));
   wall.set("workers", std::move(rows));
 
   // Log2 buckets up to the last nonempty one.
@@ -110,23 +99,23 @@ void add_pool_json(const obs::PoolTelemetry& pool, Json& wall) {
   const std::vector<obs::JobSpan> spans = pool.spans();
   Json span_rows = Json::make_array();
   for (const auto& sp : spans) {
-    Json row = Json::make_object();
-    row.set("job", count_json(sp.job));
-    row.set("worker", Json::make_int(sp.worker));
-    row.set("submit_us", us_json(sp.submit_ns));
-    row.set("start_us", us_json(sp.start_ns));
-    row.set("end_us", us_json(sp.end_ns));
-    span_rows.push_back(std::move(row));
+    span_rows.push_back(Json::make_object({
+        {"job", count_json(sp.job)},
+        {"worker", Json::make_int(sp.worker)},
+        {"submit_us", us_json(sp.submit_ns)},
+        {"start_us", us_json(sp.start_ns)},
+        {"end_us", us_json(sp.end_ns)},
+    }));
   }
   wall.set("spans", std::move(span_rows));
 
   Json stragglers = Json::make_array();
   for (const auto& st : runner::find_stragglers(spans, 2.0)) {
-    Json row = Json::make_object();
-    row.set("job", count_json(st.job));
-    row.set("z", Json::make_number(st.z));
-    row.set("seconds", Json::make_number(st.seconds));
-    stragglers.push_back(std::move(row));
+    stragglers.push_back(Json::make_object({
+        {"job", count_json(st.job)},
+        {"z", Json::make_number(st.z)},
+        {"seconds", Json::make_number(st.seconds)},
+    }));
   }
   wall.set("stragglers", std::move(stragglers));
 }
@@ -260,65 +249,65 @@ std::map<std::string, runner::FleetAggregate> GridOutcome::aggregates()
 }
 
 std::string GridOutcome::to_json(bool include_wall) const {
-  Json doc = Json::make_object();
-  doc.set("schema", Json::make_string("paraleon.grid.v1"));
-  doc.set("scenario", Json::make_string(name_));
-  doc.set("seed", Json::make_int(static_cast<std::int64_t>(seed_)));
-  doc.set("metric", Json::make_string(metric_));
-
   Json axes = Json::make_array();
   for (const auto& axis : axes_) {
-    Json a = Json::make_object();
-    a.set("key", Json::make_string(axis.key));
     Json values = Json::make_array();
     for (const auto& v : axis.values) values.push_back(v);
-    a.set("values", std::move(values));
-    axes.push_back(std::move(a));
+    axes.push_back(Json::make_object({
+        {"key", Json::make_string(axis.key)},
+        {"values", std::move(values)},
+    }));
   }
-  doc.set("axes", std::move(axes));
 
   Json cells = Json::make_array();
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const CellResult& r = results_[i];
-    Json c = Json::make_object();
-    c.set("index", Json::make_int(static_cast<std::int64_t>(r.index)));
     Json coords = Json::make_object();
     for (const auto& [key, value] : cells_[i].coords) {
       coords.set(key, value);
     }
-    c.set("coords", std::move(coords));
-    c.set("seed", Json::make_int(static_cast<std::int64_t>(r.seed)));
-    c.set("digest", Json::make_string(digest_hex(r.digest)));
-    c.set("value", Json::make_number(r.value));
-    c.set("events_executed",
-          Json::make_int(static_cast<std::int64_t>(r.scrape.events_executed)));
-    Json fct = Json::make_object();
-    fct.set("finished", Json::make_int(static_cast<std::int64_t>(
-                            r.scrape.flows_finished)));
-    fct.set("started", Json::make_int(static_cast<std::int64_t>(
-                           r.scrape.flows_started)));
-    fct.set("slowdown", slowdown_json(r.scrape.slowdown));
-    c.set("fct", std::move(fct));
-    cells.push_back(std::move(c));
+    cells.push_back(Json::make_object({
+        {"index", count_json(r.index)},
+        {"coords", std::move(coords)},
+        {"seed", Json::make_uint(r.seed)},
+        {"digest", Json::make_string(digest_hex(r.digest))},
+        {"value", Json::make_number(r.value)},
+        {"events_executed", count_json(r.scrape.events_executed)},
+        {"fct",
+         Json::make_object({
+             {"finished", count_json(r.scrape.flows_finished)},
+             {"started", count_json(r.scrape.flows_started)},
+             {"slowdown", runner::slowdown_json(r.scrape.slowdown)},
+         })},
+    }));
   }
-  doc.set("cells", std::move(cells));
 
+  // aggregates() is a name-ordered map: its keys are unique.
   Json aggs = Json::make_object();
   for (const auto& [name, agg] : aggregates()) {
-    aggs.set(name, aggregate_json(agg));
+    aggs.members().emplace_back(name, aggregate_json(agg));
   }
-  doc.set("aggregates", std::move(aggs));
 
+  Json doc = Json::make_object({
+      {"schema", Json::make_string("paraleon.grid.v1")},
+      {"scenario", Json::make_string(name_)},
+      {"seed", Json::make_uint(seed_)},
+      {"metric", Json::make_string(metric_)},
+      {"axes", std::move(axes)},
+      {"cells", std::move(cells)},
+      {"aggregates", std::move(aggs)},
+  });
   if (include_wall) {
     // Everything below is OS-scheduling noise (and the requested job
     // count, which must not influence the deterministic half): never
     // digested, never byte-compared.
-    Json wall = Json::make_object();
-    wall.set("jobs", Json::make_int(jobs_));
-    wall.set("hardware_workers", Json::make_int(hardware_workers_));
-    wall.set("wall_seconds", Json::make_number(wall_seconds_));
+    Json wall = Json::make_object({
+        {"jobs", Json::make_int(jobs_)},
+        {"hardware_workers", Json::make_int(hardware_workers_)},
+        {"wall_seconds", Json::make_number(wall_seconds_)},
+    });
     if (pool_ != nullptr) add_pool_json(*pool_, wall);
-    doc.set("wall", std::move(wall));
+    doc.members().emplace_back("wall", std::move(wall));
   }
   return doc.dump() + "\n";
 }
@@ -327,15 +316,12 @@ std::string GridOutcome::timeline_json() const {
   Json events = Json::make_array();
   // Track naming: pid 0 is the grid, tid 0 the submitting thread, tid
   // w+1 worker w.
-  Json process = trace_event("process_name", "M", 0);
-  Json process_args = Json::make_object();
-  process_args.set("name", Json::make_string("grid:" + name_));
-  process.set("args", std::move(process_args));
-  events.push_back(std::move(process));
-  events.push_back(thread_name_event(0, "submit"));
+  events.push_back(name_event("process_name", 0, "grid:" + name_));
+  events.push_back(name_event("thread_name", 0, "submit"));
   const int workers = pool_ == nullptr ? 0 : pool_->workers();
   for (int w = 0; w < workers; ++w) {
-    events.push_back(thread_name_event(w + 1, "worker " + std::to_string(w)));
+    events.push_back(
+        name_event("thread_name", w + 1, "worker " + std::to_string(w)));
   }
 
   const std::vector<obs::JobSpan> spans =
@@ -364,11 +350,13 @@ std::string GridOutcome::timeline_json() const {
     span.set("cat", Json::make_string("grid"));
     span.set("ts", us_json(sp.start_ns));
     span.set("dur", us_json(sp.end_ns - sp.start_ns));
-    Json args = Json::make_object();
-    args.set("job", count_json(sp.job));
-    args.set("queue_wait_us",
-             us_json(sp.submit_ns >= 0 ? sp.start_ns - sp.submit_ns : 0));
-    span.set("args", std::move(args));
+    span.set("args",
+             Json::make_object({
+                 {"job", count_json(sp.job)},
+                 {"queue_wait_us", us_json(sp.submit_ns >= 0
+                                               ? sp.start_ns - sp.submit_ns
+                                               : 0)},
+             }));
     events.push_back(std::move(span));
     if (sp.submit_ns >= 0) {
       Json finish = trace_event("dispatch", "f", tid);
@@ -380,9 +368,10 @@ std::string GridOutcome::timeline_json() const {
     }
   }
 
-  Json doc = Json::make_object();
-  doc.set("displayTimeUnit", Json::make_string("ms"));
-  doc.set("traceEvents", std::move(events));
+  const Json doc = Json::make_object({
+      {"displayTimeUnit", Json::make_string("ms")},
+      {"traceEvents", std::move(events)},
+  });
   return doc.dump() + "\n";
 }
 

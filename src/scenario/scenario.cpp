@@ -241,13 +241,13 @@ WorkloadComponent parse_component(const Json& obj, std::size_t index) {
 }
 
 const std::vector<std::string>& scheme_names() {
-  static const std::vector<std::string> names = {
-      "default",          "expert",
-      "custom",           "paraleon",
-      "paraleon_naive_sa", "paraleon_no_fsd",
-      "paraleon_netflow", "paraleon_naive_sketch",
-      "paraleon_rnic_counters", "paraleon_per_pod",
-      "acc",              "dcqcn_plus"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& row : runner::kSchemeTable) {
+      out.emplace_back(row.file_name);
+    }
+    return out;
+  }();
   return names;
 }
 
@@ -616,22 +616,9 @@ void apply_dotted_patch(Json& doc, const std::string& key,
 }
 
 runner::Scheme scheme_from_name(const std::string& name) {
-  if (name == "default") return runner::Scheme::kDefaultStatic;
-  if (name == "expert") return runner::Scheme::kExpertStatic;
-  if (name == "custom") return runner::Scheme::kCustomStatic;
-  if (name == "paraleon") return runner::Scheme::kParaleon;
-  if (name == "paraleon_naive_sa") return runner::Scheme::kParaleonNaiveSa;
-  if (name == "paraleon_no_fsd") return runner::Scheme::kParaleonNoFsd;
-  if (name == "paraleon_netflow") return runner::Scheme::kParaleonNetflow;
-  if (name == "paraleon_naive_sketch") {
-    return runner::Scheme::kParaleonNaiveSketch;
+  for (const auto& row : runner::kSchemeTable) {
+    if (name == row.file_name) return row.scheme;
   }
-  if (name == "paraleon_rnic_counters") {
-    return runner::Scheme::kParaleonRnicCounters;
-  }
-  if (name == "paraleon_per_pod") return runner::Scheme::kParaleonPerPod;
-  if (name == "acc") return runner::Scheme::kAcc;
-  if (name == "dcqcn_plus") return runner::Scheme::kDcqcnPlus;
   unknown_key("scheme.name", name, scheme_names());
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/json.hpp"
 #include "obs/attribution.hpp"
 #include "runner/experiment.hpp"
 #include "runner/flight.hpp"
@@ -91,12 +92,13 @@ TEST(AttributionEngineTest, VictimOrderingAndJsonShape) {
   EXPECT_EQ(victims[0].blocked, 7000);
   EXPECT_EQ(victims[1].flow, 5u);
   EXPECT_EQ(victims[1].rate_limited, 250);
-  const std::string json = eng.to_json();
-  EXPECT_NE(json.find("\"pause_spans\""), std::string::npos);
-  EXPECT_NE(json.find("\"pause_trees\""), std::string::npos);
-  EXPECT_NE(json.find("\"blocked_ns\""), std::string::npos);
+  const std::string json = eng.to_json().dump();
+  const common::Json doc = common::Json::parse(json);
+  EXPECT_EQ(doc.find("pause_spans")->items().size(), 1u);
+  EXPECT_EQ(doc.find("pause_trees")->items().size(), 1u);
+  EXPECT_EQ(doc.find("blocked_ns")->find("6")->as_int64(), 7000);
   // Same inputs, same bytes.
-  EXPECT_EQ(json, eng.to_json());
+  EXPECT_EQ(json, eng.to_json().dump());
 }
 
 // ---- fabric-level cascade ----
@@ -172,11 +174,16 @@ TEST(AttributionCascadeTest, ReconstructsPauseChainAndNamesVictim) {
   EXPECT_TRUE(victim_listed);
 
   // The report names it too, with a positive PFC-blocked component.
-  const std::string report = runner::attribution_json(exp);
-  EXPECT_NE(report.find("\"flow\": " + std::to_string(victim)),
-            std::string::npos);
-  EXPECT_NE(report.find("\"pfc_blocked_ns\""), std::string::npos);
-  EXPECT_NE(report.find("\"pause_trees\""), std::string::npos);
+  const common::Json report =
+      common::Json::parse(runner::attribution_json(exp).dump());
+  const auto& listed = report.find("victims")->items();
+  const auto entry = std::find_if(
+      listed.begin(), listed.end(), [&](const common::Json& v) {
+        return v.find("flow")->as_uint64() == victim;
+      });
+  ASSERT_NE(entry, listed.end());
+  EXPECT_GT(entry->find("pfc_blocked_ns")->as_int64(), 0);
+  EXPECT_TRUE(report.find("engine")->has("pause_trees"));
 }
 
 TEST(AttributionCascadeTest, DisabledByDefaultEvenUnderPfc) {
@@ -201,7 +208,7 @@ TEST(AttributionCascadeTest, SameSeedSameAttributionReport) {
     }
     exp.inject_flow(0, 5, 64 * 1024, microseconds(100));
     exp.run();
-    return runner::attribution_json(exp);
+    return runner::attribution_json(exp).dump();
   };
   EXPECT_EQ(report_of(), report_of());
 }

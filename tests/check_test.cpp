@@ -6,7 +6,7 @@
 
 #include "check/check.hpp"
 #include "check/digest.hpp"
-#include "scenario/json.hpp"
+#include "common/json.hpp"
 
 namespace paraleon::check {
 namespace {
@@ -77,14 +77,14 @@ TEST(Check, FailureJsonEscapesQuotesBackslashesAndControlCharacters) {
   const std::string expression = "name == \"a\\b\"";
   const std::string message = std::string("tab\there\nbell") + '\x07' + "\r";
   const CheckFailure failure(expression, "dir\\file.cpp", 12, message);
-  const std::string json = failure_to_json(failure);
+  const std::string json = failure_to_json(failure).dump();
   for (const char c : json) {
     if (c == '\n') continue;  // the document's own line breaks
     EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
   }
   EXPECT_NE(json.find("\\u0007"), std::string::npos) << json;
 
-  const scenario::Json doc = scenario::Json::parse(json, "failure.json");
+  const common::Json doc = common::Json::parse(json, "failure.json");
   EXPECT_EQ(doc.find("expression")->as_string(), expression);
   EXPECT_EQ(doc.find("file")->as_string(), "dir\\file.cpp");
   EXPECT_EQ(doc.find("line")->as_int64(), 12);

@@ -1,13 +1,17 @@
-// Units, RNG and FlatTable: determinism, distribution sanity, conversion
-// exactness, lookup across growth.
+// Units, RNG, FlatTable and the JSON writer: determinism, distribution
+// sanity, conversion exactness, lookup across growth, numbers that survive
+// a dump and re-parse.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <vector>
 
 #include "common/flat_table.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 
@@ -178,6 +182,51 @@ TEST(FlatTable, EraseKeepsEveryOtherKeyReachable) {
   t[keys[0]] = 1000;
   EXPECT_EQ(*t.find(keys[0]), 1000u);
   EXPECT_EQ(t.size(), 401u);
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNullAndReparse) {
+  // JSON has no literal for NaN or the infinities.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const common::Json doc = common::Json::make_object(
+        {{"v", common::Json::make_number(v)}});
+    const common::Json back = common::Json::parse(doc.dump());
+    EXPECT_TRUE(back.find("v")->is_null()) << doc.dump();
+    std::string line;
+    doc.dump_line(line);
+    EXPECT_TRUE(common::Json::parse(line).find("v")->is_null()) << line;
+  }
+}
+
+TEST(Json, FullWidthUnsignedIntegersRoundTrip) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{9223372036854775807ull},
+        std::uint64_t{9223372036854775808ull},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const common::Json back =
+        common::Json::parse(common::Json::make_uint(v).dump());
+    EXPECT_TRUE(back.is_integer()) << v;
+    EXPECT_EQ(back.as_uint64(), v);
+  }
+  // Above INT64_MAX the value has no int64 form.
+  EXPECT_THROW(common::Json::parse("18446744073709551615").as_int64(),
+               common::JsonError);
+  EXPECT_EQ(common::Json::parse("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Json, DumpLineIsTheOneLineFormOfDump) {
+  const common::Json doc = common::Json::make_object({
+      {"a", common::Json::make_int(1)},
+      {"b", common::Json::parse("[2, {\"c\": \"q\\\"\"}, []]")},
+      {"d", common::Json::make_object()},
+  });
+  std::string line;
+  doc.dump_line(line);
+  EXPECT_EQ(line,
+            "{\"a\": 1, \"b\": [2, {\"c\": \"q\\\"\"}, []], \"d\": {}}");
+  EXPECT_EQ(common::Json::parse(line).dump(), doc.dump());
 }
 
 }  // namespace

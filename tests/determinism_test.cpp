@@ -190,8 +190,8 @@ ObsDump obs_dump_of_run(ExperimentConfig cfg, std::uint64_t wl_seed) {
   ObsDump d;
   d.digest = runner::run_digest(exp);
   d.trace_json = exp.simulator().obs().trace().to_json();
-  d.counters_json = exp.simulator().obs().registry().to_json();
-  d.report_json = runner::obs_report_json(exp);
+  d.counters_json = exp.simulator().obs().registry().to_json().dump();
+  d.report_json = runner::obs_report_json(exp).dump();
   return d;
 }
 
@@ -350,10 +350,11 @@ TEST(Determinism, ShadowFleetK1ReproducesSerialTunerEpisodeLogExactly) {
   fcfg.seed = tuner_seed;
   const auto fleet = exec::ShadowFleet(fcfg).tune(w, start);
 
-  EXPECT_EQ(fleet.episodes.to_json(), serial_log.to_json());
+  EXPECT_EQ(fleet.episodes.to_json().dump(), serial_log.to_json().dump());
   EXPECT_EQ(fleet.evaluations, serial_evals);
   EXPECT_DOUBLE_EQ(fleet.best_utility, sa.best_utility());
-  EXPECT_EQ(obs::params_to_json(fleet.best), obs::params_to_json(sa.best()));
+  EXPECT_EQ(obs::params_to_json(fleet.best).dump(),
+            obs::params_to_json(sa.best()).dump());
 }
 
 }  // namespace

@@ -233,7 +233,8 @@ TEST(ShadowFleet, FleetOutcomeIndependentOfWorkerCount) {
   EXPECT_DOUBLE_EQ(serial.best_utility, parallel.best_utility);
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
   EXPECT_EQ(serial.batches, parallel.batches);
-  EXPECT_EQ(serial.episodes.to_json(), parallel.episodes.to_json());
+  EXPECT_EQ(serial.episodes.to_json().dump(),
+            parallel.episodes.to_json().dump());
 }
 
 TEST(ShadowFleet, CountsSpeculativeEvaluations) {

@@ -1,6 +1,6 @@
 // Flight recorder: anomaly-trigger thresholds, dump-on-CheckFailure with a
 // complete replayable bundle, byte-identical same-seed bundles, and the
-// replay.cfg round trip.
+// replay request read back from manifest.json.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "common/json.hpp"
 #include "obs/flight_recorder.hpp"
 #include "runner/experiment.hpp"
 #include "runner/flight.hpp"
@@ -134,9 +135,8 @@ void add_load(Experiment& exp, std::uint64_t seed) {
 
 const std::vector<std::string>& bundle_files() {
   static const std::vector<std::string> files = {
-      "manifest.json", "config.json",   "replay.cfg",
-      "counters.json", "trace.json",    "ports.json",
-      "episodes.json", "attribution.json"};
+      "manifest.json", "config.json", "counters.json",   "trace.json",
+      "ports.json",    "episodes.json", "attribution.json"};
   return files;
 }
 
@@ -167,16 +167,17 @@ TEST(FlightRecorderTest, CheckFailureDumpsCompleteBundle) {
   }
   // The failure itself is preserved with the MMU conservation message.
   bool ok = false;
-  const std::string failure =
-      BundleWriter::read_file(bundle, "failure.json", &ok);
+  const common::Json failure = common::Json::parse(
+      BundleWriter::read_file(bundle, "failure.json", &ok));
   ASSERT_TRUE(ok);
-  EXPECT_NE(failure.find("not conserved"), std::string::npos);
+  EXPECT_NE(failure.find("message")->as_string().find("not conserved"),
+            std::string::npos);
   // And the manifest names the reason.
-  const std::string manifest =
-      BundleWriter::read_file(bundle, "manifest.json", &ok);
+  const common::Json manifest = common::Json::parse(
+      BundleWriter::read_file(bundle, "manifest.json", &ok));
   ASSERT_TRUE(ok);
-  EXPECT_NE(manifest.find("\"paraleon.flight.v1\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"check_failure\""), std::string::npos);
+  EXPECT_EQ(manifest.find("schema")->as_string(), "paraleon.flight.v1");
+  EXPECT_EQ(manifest.find("reason")->as_string(), "check_failure");
 }
 
 TEST(FlightRecorderTest, SameSeedBundlesAreByteIdentical) {
@@ -253,6 +254,26 @@ TEST(FlightRecorderTest, ReplayRequestRoundTrip) {
     const std::string content = BundleWriter::read_file(bundle, f, &ok);
     EXPECT_TRUE(ok) << f;
     EXPECT_FALSE(content.empty()) << f;
+  }
+}
+
+TEST(FlightRecorderTest, FullWidthSeedSurvivesTheManifest) {
+  // Seeds are uint64: one above INT64_MAX must come back exactly, from
+  // the replay request and from both documents that record it.
+  const std::uint64_t seed = 0xFFFFFFFFFFFFFFFFull;
+  const std::string dir = ::testing::TempDir() + "flight_wide_seed";
+  std::filesystem::remove_all(dir);
+  const std::string bundle = run_faulted(dir, seed);
+  ASSERT_FALSE(bundle.empty());
+  ReplayRequest req;
+  ASSERT_TRUE(runner::load_replay_request(bundle, &req));
+  EXPECT_EQ(req.seed, seed);
+  for (const char* f : {"manifest.json", "config.json"}) {
+    bool ok = false;
+    const common::Json doc =
+        common::Json::parse(BundleWriter::read_file(bundle, f, &ok), f);
+    ASSERT_TRUE(ok) << f;
+    EXPECT_EQ(doc.find("seed")->as_uint64(), seed) << f;
   }
 }
 

@@ -1,11 +1,12 @@
 // Unit tests for the observability layer: counter registry, trace
 // recorder ring buffer and category filter, episode log, scrape log and
-// value formatting.
+// the JSON documents they write.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "dcqcn/params.hpp"
 #include "obs/counters.hpp"
 #include "obs/episode_log.hpp"
@@ -61,25 +62,37 @@ TEST(Registry, SnapshotIsSortedByNameNotRegistrationOrder) {
   EXPECT_FALSE(snap[1].is_counter);
 }
 
-TEST(Registry, JsonAndCsvAreDeterministic) {
+TEST(Registry, JsonIsDeterministic) {
   const auto build = [] {
     Registry reg;
     reg.counter("b.count").add(7);
     reg.gauge("a.depth", [] { return 1.5; });
-    return reg.to_json() + "\n" + reg.to_csv();
+    return reg.to_json().dump();
   };
   const std::string once = build();
   EXPECT_EQ(once, build());
-  EXPECT_NE(once.find("\"b.count\": 7"), std::string::npos);
-  EXPECT_NE(once.find("a.depth"), std::string::npos);
+  const common::Json doc = common::Json::parse(once);
+  EXPECT_EQ(doc.find("counters")->find("b.count")->as_int64(), 7);
+  EXPECT_EQ(doc.find("gauges")->find("a.depth")->as_double(), 1.5);
 }
 
-TEST(Registry, FormatValuePrintsIntegersExactly) {
-  EXPECT_EQ(format_value(7.0), "7");
-  EXPECT_EQ(format_value(-3.0), "-3");
-  EXPECT_EQ(format_value(0.0), "0");
+TEST(Registry, JsonPrintsIntegersExactly) {
+  Registry reg;
+  reg.counter("seven").add(7);
+  reg.gauge("minus_three", [] { return -3.0; });
+  reg.gauge("zero", [] { return 0.0; });
+  reg.gauge("tenth", [] { return 0.1; });
+  const common::Json doc = common::Json::parse(reg.to_json().dump());
+  const common::Json& gauges = *doc.find("gauges");
+  const common::Json& seven = *doc.find("counters")->find("seven");
+  EXPECT_TRUE(seven.is_integer());
+  EXPECT_EQ(seven.as_int64(), 7);
+  EXPECT_TRUE(gauges.find("minus_three")->is_integer());
+  EXPECT_EQ(gauges.find("minus_three")->as_int64(), -3);
+  EXPECT_TRUE(gauges.find("zero")->is_integer());
+  EXPECT_EQ(gauges.find("zero")->as_int64(), 0);
   // Fractional values round-trip.
-  EXPECT_EQ(std::stod(format_value(0.1)), 0.1);
+  EXPECT_EQ(gauges.find("tenth")->as_double(), 0.1);
 }
 
 TEST(ScrapeLog, FilterRestrictsSeries) {
@@ -134,14 +147,16 @@ TEST(Trace, JsonHasChromeTraceShape) {
              {{"bytes", 1024}});
   tr.begin_span(TraceCategory::kPfc, "pfc.pause", microseconds(5), 7, 2);
   tr.end_span(TraceCategory::kPfc, "pfc.pause", microseconds(9), 7, 2);
-  const std::string json = tr.to_json();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  const common::Json doc = common::Json::parse(tr.to_json());
+  ASSERT_TRUE(doc.has("traceEvents"));
+  const auto& events = doc.find("traceEvents")->items();
+  ASSERT_EQ(events.size(), 3u);
   // ts is microseconds with a nanosecond fraction.
-  EXPECT_NE(json.find("\"ts\": 3.500"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\": 1024"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\": 7"), std::string::npos);
+  EXPECT_EQ(events[0].find("ts")->as_double(), 3.5);
+  EXPECT_EQ(events[1].find("ph")->as_string(), "B");
+  EXPECT_EQ(events[2].find("ph")->as_string(), "E");
+  EXPECT_EQ(events[0].find("args")->find("bytes")->as_int64(), 1024);
+  EXPECT_EQ(events[0].find("pid")->as_int64(), 7);
 }
 
 TEST(Trace, UnconfiguredRecorderHasNothingEnabled) {
@@ -171,10 +186,12 @@ TEST(EpisodeLog, RecordsFullEpisodeLifecycle) {
   log.mark_last_reverted();
   EXPECT_TRUE(log.episodes().front().reverted);
   EXPECT_EQ(log.trial_count(), 2u);
-  const std::string json = log.to_json();
-  EXPECT_NE(json.find("\"trigger\": \"kl\""), std::string::npos);
-  EXPECT_NE(json.find("\"reverted\": true"), std::string::npos);
-  EXPECT_EQ(json, log.to_json());  // deterministic
+  const std::string json = log.to_json().dump();
+  const common::Json doc = common::Json::parse(json);
+  ASSERT_EQ(doc.items().size(), 1u);
+  EXPECT_EQ(doc.items()[0].find("trigger")->as_string(), "kl");
+  EXPECT_TRUE(doc.items()[0].find("reverted")->as_bool());
+  EXPECT_EQ(json, log.to_json().dump());  // deterministic
 }
 
 TEST(LoopProfiler, DisabledByDefaultAndSummarizesWhenOn) {

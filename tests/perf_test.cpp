@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/json.hpp"
 #include "obs/perf.hpp"
 #include "obs/profile.hpp"
 #include "runner/experiment.hpp"
@@ -150,20 +151,25 @@ TEST(PerfMonitor, DisabledSimulatorRecordsNothing) {
 TEST(PerfReport, SchemaAndDeterministicSections) {
   obs::PerfMonitor perf;
   obs::LoopProfiler profiler;
-  const std::string off = obs::perf_report_json(perf, profiler);
-  EXPECT_NE(off.find("\"schema\": \"paraleon.perf.v1\""), std::string::npos);
-  EXPECT_NE(off.find("\"enabled\": false"), std::string::npos);
+  const std::string off = obs::perf_report_json(perf, profiler).dump();
+  const common::Json off_doc = common::Json::parse(off);
+  EXPECT_EQ(off_doc.find("schema")->as_string(), "paraleon.perf.v1");
+  EXPECT_FALSE(off_doc.find("enabled")->as_bool());
   // Disabled stub is a constant: two reads are byte-identical.
-  EXPECT_EQ(off, obs::perf_report_json(perf, profiler));
+  EXPECT_EQ(off, obs::perf_report_json(perf, profiler).dump());
 
   perf.set_enabled(true);
   perf.on_schedule(0, 5, 8);
   perf.on_execute(0);
   perf.count_tag("pkt.tx");
-  const std::string on = obs::perf_report_json(perf, profiler);
-  EXPECT_NE(on.find("\"enabled\": true"), std::string::npos);
-  EXPECT_NE(on.find("\"pkt.tx\": 1"), std::string::npos);
-  EXPECT_NE(on.find("\"by_layer\": {\"pkt\": 1}"), std::string::npos);
+  const common::Json on =
+      common::Json::parse(obs::perf_report_json(perf, profiler).dump());
+  EXPECT_TRUE(on.find("enabled")->as_bool());
+  const common::Json& events = *on.find("events");
+  EXPECT_EQ(events.find("by_tag")->find("pkt.tx")->as_int64(), 1);
+  const common::Json& by_layer = *events.find("by_layer");
+  ASSERT_EQ(by_layer.members().size(), 1u);
+  EXPECT_EQ(by_layer.find("pkt")->as_int64(), 1);
 }
 
 TEST(PerfReport, ExperimentObsReportCarriesPerfSection) {
@@ -177,10 +183,12 @@ TEST(PerfReport, ExperimentObsReportCarriesPerfSection) {
   runner::Experiment exp(cfg);
   exp.inject_flow(0, 2, 64 * 1024);
   exp.run();
-  const std::string report = runner::obs_report_json(exp);
-  EXPECT_NE(report.find("\"perf\": {\"schema\": \"paraleon.perf.v1\""),
-            std::string::npos);
-  EXPECT_NE(report.find("\"enabled\": true"), std::string::npos);
+  const common::Json report =
+      common::Json::parse(runner::obs_report_json(exp).dump());
+  const common::Json* section = report.find("perf");
+  ASSERT_NE(section, nullptr);
+  EXPECT_EQ(section->find("schema")->as_string(), "paraleon.perf.v1");
+  EXPECT_TRUE(section->find("enabled")->as_bool());
   const obs::PerfMonitor& perf = exp.simulator().obs().perf();
   EXPECT_GT(perf.events_executed(), 0u);
   EXPECT_GT(perf.packet_enqueues(), 0u);

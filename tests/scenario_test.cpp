@@ -81,14 +81,21 @@ TEST(JsonParse, RejectsContentAfterDocument) {
 }
 
 TEST(JsonNumber, CanonicalAndRoundTrip) {
-  EXPECT_EQ(json_number(1.0), "1");
-  EXPECT_EQ(json_number(-42.0), "-42");
-  EXPECT_EQ(json_number(0.1), "0.1");
-  EXPECT_EQ(json_number(2.5), "2.5");
+  const auto reparsed = [](double v) {
+    return Json::parse(Json::make_number(v).dump());
+  };
+  // Integral values are written without a fraction.
+  for (const double v : {1.0, -42.0}) {
+    EXPECT_TRUE(reparsed(v).is_integer()) << v;
+    EXPECT_EQ(reparsed(v).as_int64(), static_cast<std::int64_t>(v));
+  }
+  // Others with the shortest digits that round-trip.
+  EXPECT_EQ(Json::make_number(0.1).dump(), "0.1");
+  EXPECT_EQ(Json::make_number(2.5).dump(), "2.5");
   // Every rendering must parse back to the exact same double.
-  for (const double v : {0.1, 1.0 / 3.0, 1e-9, 9.87654321e20, 0.4}) {
-    EXPECT_EQ(std::strtod(json_number(v).c_str(), nullptr), v)
-        << json_number(v);
+  for (const double v : {0.1, 2.5, 1.0 / 3.0, 1e-9, 9.87654321e20, 0.4}) {
+    EXPECT_FALSE(reparsed(v).is_integer()) << v;
+    EXPECT_EQ(reparsed(v).as_double(), v) << Json::make_number(v).dump();
   }
 }
 

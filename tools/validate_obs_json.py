@@ -15,10 +15,12 @@ TRACE_JSON is the Chrome trace-event file; when given, it is checked for
 Perfetto-loadable shape.
 
 --bundle validates a flight-recorder post-mortem directory (manifest,
-config, replay.cfg, counters, trace, ports, episodes, attribution, perf,
-and failure.json when the reason is check_failure), including cross-file
-consistency of seed and replay horizon. --trace-only checks just a trace
-file (e.g. the replay.trace.json a --replay-flight run writes back).
+config, counters, trace, ports, episodes, attribution, perf, and
+failure.json when the reason is check_failure), including that config and
+manifest agree on the seed and that the manifest's replay horizon (what
+--replay-flight reads) extends past the trigger. --trace-only checks just
+a trace file (e.g. the replay.trace.json a --replay-flight run writes
+back).
 --bench checks a paraleon.bench.v1 document: the --perf-out artifact the
 bench binaries emit and the committed BENCH_*.json baselines that
 tools/bench_trend.py compares them against.
@@ -661,23 +663,6 @@ def check_attribution(path):
     return len(spans), len(victims)
 
 
-def parse_replay_cfg(path):
-    req = {}
-    try:
-        with open(path) as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) == 2:
-                    req[parts[0]] = parts[1]
-    except OSError as e:
-        fail(f"{path}: {e}")
-    for key in ("seed", "trigger_ns", "replay_until_ns"):
-        require(key in req, f"{path}: missing '{key}'")
-        require(req[key].lstrip("-").isdigit(),
-                f"{path}: {key} must be an integer, got {req[key]!r}")
-    return {k: int(v) for k, v in req.items()}
-
-
 def check_bundle(bundle_dir):
     require(os.path.isdir(bundle_dir), f"{bundle_dir}: not a directory")
     manifest_path = os.path.join(bundle_dir, "manifest.json")
@@ -707,11 +692,6 @@ def check_bundle(bundle_dir):
         require(key in config, f"config.json missing '{key}'")
     require(config["seed"] == manifest["seed"],
             "config.json and manifest.json disagree on the seed")
-
-    replay = parse_replay_cfg(os.path.join(bundle_dir, "replay.cfg"))
-    for key in ("seed", "trigger_ns", "replay_until_ns"):
-        require(replay[key] == manifest[key],
-                f"replay.cfg and manifest.json disagree on {key}")
 
     check_registry(load(os.path.join(bundle_dir, "counters.json")),
                    "counters.json")
