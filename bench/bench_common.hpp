@@ -155,6 +155,24 @@ auto harvest_grid(const scenario::Scenario& sc, int jobs, Harvest harvest,
   return slots;
 }
 
+/// A parameter-sweep cell's two table columns (Figs. 5 and 6): mean
+/// goodput (Gbps) and RTT (us) over the metric window, from after the
+/// ramp to the end of the run.
+struct TputRtt {
+  double tput_gbps = 0;
+  double rtt_us = 0;
+};
+
+/// harvest_grid's harvest for TputRtt.
+inline TputRtt harvest_tput_rtt(const scenario::GridCell& cell,
+                                Experiment& exp,
+                                const scenario::FlowScheduler&) {
+  const Time from = milliseconds(cell.scenario.metric.from_ms);
+  const Time to = exp.config().duration;
+  return {exp.throughput_series().mean_in(from, to),
+          exp.rtt_series().mean_in(from, to)};
+}
+
 /// The `# scaling:` note of a scenario-driven bench: the fabric of the
 /// config the file maps to, then the file's description.
 inline std::string scenario_note(const scenario::Scenario& sc) {
@@ -352,16 +370,6 @@ inline ExperimentConfig paper_fabric(Scheme scheme, std::uint64_t seed) {
   cfg.scheme = scheme;
   cfg.seed = seed;
   scenario::apply_paper_defaults(cfg);
-  return cfg;
-}
-
-/// Smaller 16-host variant for the parameter-sweep benches (Figs. 5/6),
-/// which run dozens of configurations.
-inline ExperimentConfig small_fabric(Scheme scheme, std::uint64_t seed) {
-  ExperimentConfig cfg = paper_fabric(scheme, seed);
-  cfg.clos.n_tor = 4;
-  cfg.clos.n_leaf = 2;
-  cfg.clos.hosts_per_tor = 4;
   return cfg;
 }
 

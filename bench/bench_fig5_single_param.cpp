@@ -5,8 +5,12 @@
 // others at defaults; report average throughput and RTT.
 // Reproduced shape: each parameter has a throughput-friendly direction
 // (throughput rises) that simultaneously raises RTT, and vice versa.
+//
+// The rate_reduce_monitor_period, rpg_time_reset and kmax panels are
+// scenarios/fig5_single_param.json; the hai_rate panel drives the RP state
+// machine directly, with no fabric.
 #include <cstdio>
-#include <functional>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -16,48 +20,27 @@ using namespace paraleon::runner;
 
 namespace {
 
-struct Point {
-  double tput_gbps = 0;
-  double rtt_us = 0;
-};
-
-/// The sweep cell: 16-host fabric, 60 ms, a custom static setting.
-ExperimentConfig cell_config() {
-  ExperimentConfig cfg = small_fabric(Scheme::kCustomStatic, 7);
-  cfg.duration = milliseconds(60);
-  return cfg;
-}
-
-Point run_with(const dcqcn::DcqcnParams& params) {
-  ExperimentConfig cfg = cell_config();
-  cfg.custom_params = params;
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 12; ++i) a2a.workers.push_back(i);
-  a2a.flow_size = 256 * 1024;
-  a2a.off_period = microseconds(500);
-  exp.add_alltoall(a2a);
-  exp.run();
-  Point p;
-  p.tput_gbps = exp.throughput_series().mean_in(milliseconds(10),
-                                                milliseconds(60));
-  p.rtt_us = exp.rtt_series().mean_in(milliseconds(10), milliseconds(60));
-  return p;
-}
-
-void sweep(const char* name, const std::vector<double>& values,
-           const std::function<void(dcqcn::DcqcnParams&, double)>& set,
-           const char* unit,
-           const std::function<void(dcqcn::DcqcnParams&)>& adjust_base = {}) {
-  std::printf("\n-- %s --\n%-12s %-14s %-10s\n", name, unit, "tput_Gbps",
-              "rtt_us");
-  for (double v : values) {
-    dcqcn::DcqcnParams p = dcqcn::scaled_for_line_rate(
-        dcqcn::default_params(), gbps(100), gbps(10));
-    if (adjust_base) adjust_base(p);
-    set(p, v);
-    const Point pt = run_with(p);
-    std::printf("%-12.0f %-14.2f %-10.2f\n", v, pt.tput_gbps, pt.rtt_us);
+/// The fabric panels: the file's one scheme.params axis moves one
+/// parameter per cell ({"dcqcn.kmax_kb": 20}), and a panel starts where
+/// the moved key changes. "dcqcn.rpg_time_reset_us" prints as
+/// "rpg_time_reset (us)".
+void print_panels(const scenario::Scenario& sc,
+                  const std::vector<TputRtt>& grid) {
+  std::string panel;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto& [key, value] = sc.sweep[0].values[i].members().front();
+    if (key != panel) {
+      panel = key;
+      const std::size_t dot = key.find('.') + 1;
+      const std::size_t unit_at = key.rfind('_');
+      const std::string name = key.substr(dot, unit_at - dot);
+      std::string unit = key.substr(unit_at + 1);
+      if (unit == "kb") unit = "KB";
+      std::printf("\n-- %s (%s) --\n%-12s %-14s %-10s\n", name.c_str(),
+                  unit.c_str(), unit.c_str(), "tput_Gbps", "rtt_us");
+    }
+    std::printf("%-12.0f %-14.2f %-10.2f\n", value.as_double(),
+                grid[i].tput_gbps, grid[i].rtt_us);
   }
 }
 
@@ -109,39 +92,20 @@ void hai_recovery_sweep() {
 
 int main(int argc, char** argv) {
   const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
-  const WallTimer wall;
-  print_header("Fig. 5: single-parameter impacts on throughput & RTT",
-               scaling_note(cell_config(),
-                            "12x12 alltoall, parameter units scaled to 10G "
-                            "(paper: 20x20 alltoall on 100G NS3)"));
-  // hai_rate governs ramp-up after congestion clears (the hyper-increase
-  // stage), so it is measured on a recovery scenario: two flows share a
-  // bottleneck, one finishes, and the survivor must re-claim the line
-  // rate. Higher hai_rate -> faster ramp -> more bytes in the recovery
-  // window (throughput-friendly), at the cost of deeper queues when
-  // congestion returns.
-  hai_recovery_sweep();
-  sweep("rate_reduce_monitor_period (us)", {1, 4, 20, 80, 200},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.rate_reduce_monitor_period = microseconds(v);
-        },
-        "us");
-  sweep("rpg_time_reset (us)", {30, 100, 300, 900, 1800},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.rpg_time_reset = microseconds(v);
-        },
-        "us");
-  sweep("kmax (KB)", {20, 40, 80, 160, 640},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.kmax_bytes = static_cast<std::int64_t>(v * 1024);
-          if (p.kmin_bytes > p.kmax_bytes / 2) {
-            p.kmin_bytes = p.kmax_bytes / 4;
-          }
-        },
-        "KB");
-  std::printf(
-      "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
-      "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
-  write_wall_trend(cli.perf_out, "fig5_single_param", wall);
-  return 0;
+  return run_with_scenario(
+      "fig5_single_param.json", false, [&](const scenario::Scenario& sc) {
+        const WallTimer wall;
+        print_header("Fig. 5: single-parameter impacts on throughput & RTT",
+                     scenario_note(sc));
+        // hai_rate governs ramp-up after congestion clears (the
+        // hyper-increase stage), so it is measured on the RP state machine
+        // alone; the other three panels are the file's fabric sweep.
+        hai_recovery_sweep();
+        print_panels(sc, harvest_grid(sc, /*jobs=*/1, harvest_tput_rtt));
+        std::printf(
+            "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
+            "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
+        write_wall_trend(cli.perf_out, "fig5_single_param", wall);
+        return 0;
+      });
 }

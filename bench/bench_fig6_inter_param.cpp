@@ -8,7 +8,8 @@
 //
 // The grid is scenarios/fig6_inter_param.json: a 4:1 fabric with a scaled
 // shallow buffer, so over-aggressive injection drives fabric queues into
-// PFC — the mechanism behind the paper's artefacts.
+// PFC — the mechanism behind the paper's artefacts. Each kmax axis value
+// also sets kmin to a quarter of kmax, as in the paper.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -21,19 +22,21 @@ namespace {
 
 BenchCli g_cli;
 
-struct Point {
-  double tput_gbps = 0;
-  double rtt_us = 0;
-};
-
-/// One table: rows are the rpg_time_reset axis, columns the kmax axis.
+/// One table: rows are the rpg_time_reset axis, columns the kmax axis
+/// (each value moves kmax and kmin together).
 void print_table(const scenario::Scenario& sc, const char* title,
-                 const std::vector<Point>& grid, double Point::*field) {
+                 const std::vector<TputRtt>& grid,
+                 double TputRtt::*field) {
   const auto& resets = sc.sweep[0].values;
   const auto& kmaxes = sc.sweep[1].values;
   std::printf("\n%s:\n%-18s", title, "t_reset \\ kmax");
   for (const auto& k : kmaxes) {
-    std::printf("%8lldKB", static_cast<long long>(k.as_int64()));
+    const common::Json* kmax = k.find("dcqcn.kmax_kb");
+    if (kmax == nullptr) {
+      throw scenario::ScenarioError(
+          sc.name + ": each kmax axis value needs \"dcqcn.kmax_kb\"");
+    }
+    std::printf("%8lldKB", static_cast<long long>(kmax->as_int64()));
   }
   std::printf("\n");
   for (std::size_t r = 0; r < resets.size(); ++r) {
@@ -45,27 +48,13 @@ void print_table(const scenario::Scenario& sc, const char* title,
   }
 }
 
-/// Both tables cover the metric window: after the ramp, to the end.
-Point harvest(const scenario::GridCell& cell, Experiment& exp,
-              const scenario::FlowScheduler&) {
-  const Time from = milliseconds(cell.scenario.metric.from_ms);
-  const Time to = exp.config().duration;
-  return {exp.throughput_series().mean_in(from, to),
-          exp.rtt_series().mean_in(from, to)};
-}
-
-/// The sweep moves kmax; kmin stays a quarter of it, as in the paper.
-void kmin_follows_kmax(const scenario::GridCell&, ExperimentConfig& cfg) {
-  cfg.custom_params.kmin_bytes = cfg.custom_params.kmax_bytes / 4;
-}
-
 int run(const scenario::Scenario& sc) {
   const WallTimer wall;
   print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
                scenario_note(sc));
-  const auto grid = harvest_grid(sc, /*jobs=*/1, harvest, kmin_follows_kmax);
-  print_table(sc, "Throughput (Gbps)", grid, &Point::tput_gbps);
-  print_table(sc, "RTT (us)", grid, &Point::rtt_us);
+  const auto grid = harvest_grid(sc, /*jobs=*/1, harvest_tput_rtt);
+  print_table(sc, "Throughput (Gbps)", grid, &TputRtt::tput_gbps);
+  print_table(sc, "RTT (us)", grid, &TputRtt::rtt_us);
   std::printf(
       "\nPaper Fig. 6 shape: along the 'both throughput-friendly' diagonal\n"
       "(towards top-right: small t_reset, large kmax) throughput is NOT\n"

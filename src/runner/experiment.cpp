@@ -415,12 +415,10 @@ void Experiment::run_until(Time t) {
     sim_.run_until(t);
   } catch (const check::CheckFailure& failure) {
     // The invariant checker (or any PARALEON_CHECK) caught the run in a
-    // corrupt state: capture it before the stack unwinds it away.
-    if (flight_bundle_dir_.empty()) {
-      flight_trigger_count_.inc();
-      flight_bundle_dir_ =
-          write_flight_bundle(*this, "check_failure", &failure);
-    }
+    // corrupt state: capture it before the stack unwinds it away, in its
+    // own bundle even when an anomaly trigger already wrote one.
+    flight_trigger_count_.inc();
+    flight_bundle_dir_ = write_flight_bundle(*this, "check_failure", &failure);
     throw;
   }
 }
@@ -562,6 +560,7 @@ common::Json obs_report_json(const Experiment& exp) {
     episodes.push_back(c->episode_log().to_json());
   }
   return Json::make_object({
+      {"scheme", Json::make_string(scheme_name(exp.config().scheme))},
       {"registry", o.registry().to_json()},
       {"trace",
        Json::make_object({

@@ -156,9 +156,11 @@ class Experiment {
   /// All per-hop host hosts convenience: ids 0..host_count-1.
   std::vector<int> all_hosts() const;
 
-  /// Directory of the post-mortem bundle this run wrote ("" when none).
-  /// One bundle per run — the first trigger wins; later fires only bump
-  /// the `flight.triggers` counter.
+  /// Directory of the post-mortem bundle this run wrote last ("" when
+  /// none). Anomaly triggers write one bundle per run — the first trigger
+  /// wins; later fires only bump the `flight.triggers` counter. A
+  /// CheckFailure always writes its own `flight_check_failure` bundle,
+  /// which this then names.
   const std::string& flight_bundle_dir() const { return flight_bundle_dir_; }
   /// Anomaly-trigger fires this run (including ones after the bundle).
   std::uint64_t flight_triggers_fired() const {

@@ -127,7 +127,11 @@ std::string coords_label(const GridCell& cell) {
   for (const auto& [key, value] : cell.coords) {
     if (!out.empty()) out += " ";
     out += key + "=";
-    out += value.is_string() ? value.as_string() : value.dump();
+    if (value.is_string()) {
+      out += value.as_string();
+    } else {
+      value.dump_line(out);
+    }
   }
   return out.empty() ? std::string("-") : out;
 }
@@ -151,12 +155,25 @@ std::vector<GridCell> expand_grid(const Scenario& base) {
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const Json& value = axes[a].values[odo[a]];
       cell.coords.emplace_back(axes[a].key, value);
-      apply_dotted_patch(doc, axes[a].key, value);
+      if (value.is_object()) {
+        // An object value is a set of dotted patches under the axis key:
+        // its members merge into the cell, so another axis's patch to a
+        // sibling key survives in either axis order.
+        for (const auto& [key, member] : value.members()) {
+          apply_dotted_patch(doc, axes[a].key + "." + key, member);
+        }
+      } else {
+        apply_dotted_patch(doc, axes[a].key, value);
+      }
     }
     // Strict reparse: an axis that patched in an unknown key fails here
-    // with the usual "did you mean" error.
-    cell.scenario = parse_scenario(
-        doc, base.name + " cell " + std::to_string(index));
+    // with the usual "did you mean" error, prefixed with the cell.
+    try {
+      cell.scenario = parse_scenario(doc, base.name);
+    } catch (const ScenarioError& e) {
+      throw ScenarioError(base.name + " cell " + std::to_string(index) +
+                          " (" + coords_label(cell) + "): " + e.what());
+    }
     cells.push_back(std::move(cell));
 
     for (std::size_t a = axes.size(); a-- > 0;) {

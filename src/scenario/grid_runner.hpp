@@ -40,8 +40,9 @@ struct GridCell {
   Scenario scenario;
 };
 
-/// Renders a cell's coordinates as "key=value key=value" ("-" for the
-/// single cell of a sweep-less scenario).
+/// Renders a cell's coordinates as "key=value key=value" on one line, an
+/// object value as one-line JSON ("-" for the single cell of a sweep-less
+/// scenario).
 std::string coords_label(const GridCell& cell);
 
 /// The deterministic facts of one finished cell.
@@ -130,10 +131,12 @@ class GridOutcome {
 };
 
 /// Expands the sweep cross-product. Each cell's doc is the base doc with
-/// the sweep section dropped and the axis patches applied, then strictly
+/// the sweep section dropped and the axis patches applied (an object
+/// value patches each of its members under the axis key), then strictly
 /// re-parsed — an axis over an unknown key fails with the usual
-/// "did you mean" ScenarioError. A scenario without a sweep expands to
-/// one cell with empty coords.
+/// "did you mean" ScenarioError, prefixed with the cell's index and
+/// coordinates. A scenario without a sweep expands to one cell with empty
+/// coords.
 std::vector<GridCell> expand_grid(const Scenario& base);
 
 /// Runs one cell to completion: config, experiment, FlowScheduler,

@@ -309,6 +309,12 @@ std::vector<SweepAxis> parse_sweep(const Json& obj) {
         values->items().empty()) {
       throw ScenarioError(ctx + ".values: expected a non-empty array");
     }
+    for (const Json& v : values->items()) {
+      if (v.is_object() && v.members().empty()) {
+        throw ScenarioError(ctx + ".values: an object value needs at least "
+                            "one dotted patch");
+      }
+    }
     axis.values = values->items();
     out.push_back(std::move(axis));
   }

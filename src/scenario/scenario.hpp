@@ -122,6 +122,11 @@ struct MetricSpec {
   double to_ms = -1.0;
 };
 
+/// One sweep axis: a dotted `key` and its values. A scalar (or array)
+/// value replaces the key's value; an object value is a set of dotted
+/// patches under `key` ({"dcqcn.kmax_kb": 20, "dcqcn.kmin_kb": 5} under
+/// "scheme.params"), each applied like a tiny-overlay patch, so one axis
+/// can move several keys together.
 struct SweepAxis {
   std::string key;
   std::vector<Json> values;

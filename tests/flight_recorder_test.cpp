@@ -180,6 +180,35 @@ TEST(FlightRecorderTest, CheckFailureDumpsCompleteBundle) {
   EXPECT_EQ(manifest.find("reason")->as_string(), "check_failure");
 }
 
+TEST(FlightRecorderTest, CheckFailureAfterATriggerWritesItsOwnBundle) {
+  const std::string dir = ::testing::TempDir() + "flight_after_trigger";
+  std::filesystem::remove_all(dir);
+  ExperimentConfig cfg = armed_config(/*seed=*/3, dir);
+  cfg.obs.flight.pause_ns_per_sec = 1;  // any PFC pause fires
+  cfg.clos.switch_cfg.buffer_bytes = 256 << 10;
+  Experiment exp(cfg);
+  // A 7-to-1 incast into a shallow buffer pauses the fabric well before
+  // the fault; it starts after the first scan, which only seeds the rate.
+  for (int src = 1; src < 8; ++src) {
+    exp.inject_flow(src, 0, 4 << 20, milliseconds(2));
+  }
+  exp.simulator().schedule_at(milliseconds(10), [&exp] {
+    exp.topology().tor(0).inject_buffer_accounting_fault(4096);
+  });
+  EXPECT_THROW(exp.run(), check::CheckFailure);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/flight_pfc_pause_rate/manifest.json"))
+      << "the anomaly trigger should have fired first";
+  // The failure gets its own bundle, and the run names that one.
+  EXPECT_EQ(exp.flight_bundle_dir(), dir + "/flight_check_failure");
+  bool ok = false;
+  const common::Json manifest = common::Json::parse(BundleWriter::read_file(
+      exp.flight_bundle_dir(), "manifest.json", &ok));
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(manifest.find("reason")->as_string(), "check_failure");
+  EXPECT_TRUE(std::filesystem::exists(exp.flight_bundle_dir() +
+                                      "/failure.json"));
+}
+
 TEST(FlightRecorderTest, SameSeedBundlesAreByteIdentical) {
   const std::string dir_a = ::testing::TempDir() + "flight_det_a";
   const std::string dir_b = ::testing::TempDir() + "flight_det_b";

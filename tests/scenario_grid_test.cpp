@@ -1,4 +1,5 @@
-// GridRunner: sweep expansion (row-major, first axis slowest), the
+// GridRunner: sweep expansion (row-major, first axis slowest; object
+// values as dotted patches under their axis key), the
 // jobs-invariant deterministic half of paraleon.grid.v1, a seed sweep as a
 // `seed` axis, the on_cell hook's view of the installed workload, the wall
 // subtree and pool timeline, and the committed scenario pack staying
@@ -110,6 +111,91 @@ TEST(ExpandGrid, AxisOverAnUnknownKeyFailsWithSuggestion) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// A custom-scheme dumbbell whose sweep is `axes` (a JSON array body):
+/// the shape of fig6, whose kmax axis moves kmax and kmin together.
+Scenario custom_scenario(const std::string& axes) {
+  return parse_scenario_text(R"({
+    "name": "obj",
+    "duration_ms": 5,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+    "scheme": {"name": "custom", "params": {"dcqcn.rpg_time_reset_us": 300}},
+    "workload": [{"name": "rpc", "kind": "poisson", "load": 0.3}],
+    "sweep": {"axes": )" + axes + "}}");
+}
+
+const char* kRpgAxis =
+    R"({"key": "scheme.params.dcqcn.rpg_time_reset_us", "values": [30, 100]})";
+const char* kKmaxAxis =
+    R"({"key": "scheme.params", "values": [{"dcqcn.kmax_kb": 20, "dcqcn.kmin_kb": 5}]})";
+
+/// The cell's scheme.params as key -> value.
+std::map<std::string, double> params_of(const GridCell& cell) {
+  std::map<std::string, double> out;
+  for (const auto& [k, v] : cell.scenario.scheme.params) {
+    out[k] = v.as_double();
+  }
+  return out;
+}
+
+TEST(ExpandGrid, ObjectValueMergesWithASiblingAxisInEitherOrder) {
+  for (const bool object_first : {true, false}) {
+    SCOPED_TRACE(object_first ? "object axis first" : "object axis last");
+    const std::string axes =
+        object_first ? std::string("[") + kKmaxAxis + ", " + kRpgAxis + "]"
+                     : std::string("[") + kRpgAxis + ", " + kKmaxAxis + "]";
+    const std::vector<GridCell> cells = expand_grid(custom_scenario(axes));
+    ASSERT_EQ(cells.size(), 2u);
+    const double rpgs[] = {30, 100};
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::map<std::string, double> want = {
+          {"dcqcn.kmax_kb", 20},
+          {"dcqcn.kmin_kb", 5},
+          {"dcqcn.rpg_time_reset_us", rpgs[i]}};
+      EXPECT_EQ(params_of(cells[i]), want);
+      const runner::ExperimentConfig cfg =
+          to_experiment_config(cells[i].scenario);
+      EXPECT_EQ(cfg.custom_params.kmax_bytes, 20 << 10);
+      EXPECT_EQ(cfg.custom_params.kmin_bytes, 5 << 10);
+    }
+  }
+}
+
+TEST(ExpandGrid, ObjectValueWithAnUnknownMemberNamesTheCell) {
+  const Scenario sc = custom_scenario(
+      R"([{"key": "scheme.params", "values": [{"dcqcn.kmax_kb": 20},
+                                              {"dcqcn.kmaxx_kb": 80}]}])");
+  try {
+    expand_grid(sc);
+    FAIL() << "expected a ScenarioError";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("obj cell 1 (scheme.params={\"dcqcn.kmaxx_kb\": 80})"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("did you mean \"dcqcn.kmax_kb\""), std::string::npos)
+        << what;
+  }
+}
+
+TEST(ParseSweep, RejectsAnEmptyObjectValue) {
+  try {
+    custom_scenario(R"([{"key": "scheme.params", "values": [{}]}])");
+    FAIL() << "expected a ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep.axes[0].values"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CoordsLabel, PrintsAnObjectValueOnOneLine) {
+  const std::vector<GridCell> cells = expand_grid(
+      custom_scenario(std::string("[") + kRpgAxis + ", " + kKmaxAxis + "]"));
+  EXPECT_EQ(coords_label(cells[0]),
+            "scheme.params.dcqcn.rpg_time_reset_us=30 "
+            "scheme.params={\"dcqcn.kmax_kb\": 20, \"dcqcn.kmin_kb\": 5}");
 }
 
 TEST(RunGrid, DeterministicHalfIsJobsInvariant) {

@@ -7,7 +7,10 @@
 // recorded then. The fig6, fig7, fig10, fig11, fig12 and table2 files were
 // checked the same way — at least one full-scale cell per file gave the
 // hand-built setup's run_digest before that setup was deleted — and each
-// pin here is one of the file's tiny cells, recorded then. The scenario
+// pin here is one of the file's tiny cells, recorded then. fig5's file
+// matched its hand-built setup in all 15 full-scale cells, and fig6's
+// object-valued kmax axis matched the bench's old kmin hook in all 16
+// cells at both scales; the fig5 pin is a full-scale cell. The scenario
 // files are now the only definition of these experiments, and a drifting
 // file fails here.
 //
@@ -54,6 +57,11 @@ constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
                                    0x1.54d1e96c3fc43p+5};  // 42.602496
 constexpr Pin kFig14Paraleon = {0xf90b2277ce79e37dull,
                                 0x1.7f6724b5290f2p+3};  // 11.9813407...
+// fig5 rpg_time_reset panel, 30 us (full scale: the file has no tiny
+// form): digest plus the bench's throughput and RTT columns.
+constexpr std::uint64_t kFig5Rpg30Digest = 0x6a80f14d9412a6d6ull;
+constexpr double kFig5Rpg30Tput = 0x1.03cce9274b735p+4;  // 16.2375...
+constexpr double kFig5Rpg30Rtt = 0x1.1185014e9f015p+7;   // 136.760...
 // fig6 throughput table, rpg_time_reset 30 us x kmax 20 KB (kmin 5 KB).
 constexpr Pin kFig6Corner = {0xd9886b2628300705ull,
                              0x1.f7e4a88ba4e45p+3};  // 15.7466624
@@ -104,13 +112,14 @@ using Harvest =
 /// same on_cell hook the bench uses) against `pin`.
 template <typename Pred>
 void expect_pinned(const std::string& file, Pred pred, const Harvest& harvest,
-                   const Pin& pin, GridOptions opts = {}) {
+                   const Pin& pin) {
   SCOPED_TRACE(file);
   const Scenario sc = load_scenario_file(pack_path(file), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
   const GridCell* cell = find_cell(cells, pred);
   ASSERT_NE(cell, nullptr);
   double value = 0.0;
+  GridOptions opts;
   opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
                      const FlowScheduler& flows) {
     value = harvest(exp, flows);
@@ -184,12 +193,34 @@ TEST(Fig14Parity, ParaleonCellMatchesThePinnedSetup) {
       << "the fig14 cell value moved";
 }
 
-TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {
-  // The bench's one-line on_config: kmin follows kmax.
+TEST(Fig5Parity, RpgTimeResetCellMatchesThePinnedSetup) {
+  const Scenario sc =
+      load_scenario_file(pack_path("fig5_single_param.json"), /*tiny=*/true);
+  const std::vector<GridCell> cells = expand_grid(sc);
+  ASSERT_EQ(cells.size(), 15u);
+  const GridCell* cell = find_cell(cells, [](const Scenario& s) {
+    return to_experiment_config(s).custom_params.rpg_time_reset ==
+           microseconds(30);
+  });
+  ASSERT_NE(cell, nullptr);
+  double tput = 0.0;
+  double rtt = 0.0;
   GridOptions opts;
-  opts.on_config = [](const GridCell&, runner::ExperimentConfig& cfg) {
-    cfg.custom_params.kmin_bytes = cfg.custom_params.kmax_bytes / 4;
+  opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
+                     const FlowScheduler&) {
+    tput = exp.throughput_series().mean_in(milliseconds(10),
+                                           exp.config().duration);
+    rtt = exp.rtt_series().mean_in(milliseconds(10), exp.config().duration);
   };
+  const CellResult result = run_cell(*cell, opts);
+  EXPECT_EQ(result.digest, kFig5Rpg30Digest)
+      << "scenarios/fig5_single_param.json drifted from the pinned setup";
+  EXPECT_DOUBLE_EQ(tput, kFig5Rpg30Tput) << "the throughput column moved";
+  EXPECT_DOUBLE_EQ(rtt, kFig5Rpg30Rtt) << "the RTT column moved";
+}
+
+TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {
+  // Each kmax axis value sets kmin to a quarter of kmax: no hook.
   expect_pinned(
       "fig6_inter_param.json",
       [](const Scenario& s) {
@@ -201,7 +232,7 @@ TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {
         return exp.throughput_series().mean_in(milliseconds(5),
                                                exp.config().duration);
       },
-      kFig6Corner, opts);
+      kFig6Corner);
 }
 
 TEST(Fig7Parity, HadoopAndLlmCellsMatchThePinnedSetup) {

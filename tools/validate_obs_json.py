@@ -8,8 +8,8 @@ Usage:
   validate_obs_json.py --bench BENCH_JSON
   validate_obs_json.py --grid GRID_JSON [TIMELINE_JSON]
 
-OBS_JSON is the per-run obs report (runner::obs_report_json): the full
-counter registry, trace-recorder totals, tuning-episode timelines, the
+OBS_JSON is the per-run obs report (runner::obs_report_json): the scheme,
+the full counter registry, trace-recorder totals, tuning-episode timelines, the
 FCT slowdown summary and the event-loop perf section (paraleon.perf.v1).
 TRACE_JSON is the Chrome trace-event file; when given, it is checked for
 Perfetto-loadable shape.
@@ -65,10 +65,10 @@ def load(path):
         fail(f"{path}: {e}")
 
 
-# Instrument names every traced kParaleon run must register: MMU, PFC,
-# ECN, DCQCN RP stages, CNP pacing, sketch and the SA controller (the
-# ISSUE acceptance list). Checked against counters+gauges together —
-# whether a subsystem surfaces as a slot or a callback is its own choice.
+# Instrument names every traced run must register: MMU, PFC, ECN, DCQCN
+# RP stages, CNP pacing and the simulator. Checked against counters+gauges
+# together — whether a subsystem surfaces as a slot or a callback is its
+# own choice.
 REQUIRED_INSTRUMENTS = [
     (r"^switch\.\d+\.mmu\.drops$", "MMU drop counters"),
     (r"^switch\.\d+\.mmu\.buffer_used$", "MMU occupancy gauges"),
@@ -82,10 +82,19 @@ REQUIRED_INSTRUMENTS = [
     (r"^host\.\d+\.rp\.hyper_increase$", "DCQCN RP stage counters"),
     (r"^host\.\d+\.cnp\.sent$", "CNP counters"),
     (r"^host\.\d+\.cnp\.suppressed$", "CNP pacing counters"),
+    (r"^sim\.events_executed$", "simulator gauges"),
+]
+
+# What a scheme whose controller drains an ElasticSketch per ToR registers
+# on top: the sketch and the SA controller. The obs document's "scheme" is
+# the display name (runner::kSchemeTable); only these schemes build that
+# controller.
+SKETCH_CONTROLLER_SCHEMES = {"PARALEON", "naive_SA", "ElasticSketch",
+                             "PerPod"}
+SKETCH_CONTROLLER_INSTRUMENTS = [
     (r"^sketch\.tor\.\d+\.insertions$", "sketch gauges"),
     (r"^sketch\.tor\.\d+\.ostracism_votes$", "sketch ostracism gauges"),
     (r"^controller\.\d+\.sa\.episodes$", "SA controller gauges"),
-    (r"^sim\.events_executed$", "simulator gauges"),
 ]
 
 PARAM_KEYS = {
@@ -559,12 +568,15 @@ def check_grid(path):
 
 def check_obs(path):
     doc = load(path)
-    for key in ("registry", "trace", "episodes", "fct", "perf"):
+    for key in ("scheme", "registry", "trace", "episodes", "fct", "perf"):
         require(key in doc, f"{path}: missing top-level key '{key}'")
 
     counters, gauges = check_registry(doc["registry"], path)
     instruments = set(counters) | set(gauges)
-    for pattern, what in REQUIRED_INSTRUMENTS:
+    required = REQUIRED_INSTRUMENTS
+    if doc["scheme"] in SKETCH_CONTROLLER_SCHEMES:
+        required = required + SKETCH_CONTROLLER_INSTRUMENTS
+    for pattern, what in required:
         require(any(re.match(pattern, n) for n in instruments),
                 f"no {what} in the registry (pattern {pattern})")
 
