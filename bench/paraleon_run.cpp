@@ -18,8 +18,10 @@
 // <name>.cell<i>.* per grid cell), --perf turns on the event-loop
 // PerfMonitor and --perf-out writes a paraleon.bench.v1 document.
 // A flag the chosen mode does not use exits 2; a failed write exits 1.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -324,8 +326,8 @@ int run_single(const scenario::Scenario& sc) {
   const double seconds = wall.seconds();
   const double value = scenario::evaluate_metric(sc, exp);
   std::printf("%-24s %14s %18s\n", "metric", "value", "digest");
-  std::printf("%-24s %14.4f %18llx\n", sc.metric.name.c_str(), value,
-              static_cast<unsigned long long>(run_digest(exp)));
+  std::printf("%-24s %14.4f %18s\n", sc.metric.name.c_str(), value,
+              scenario::digest_hex(run_digest(exp)).c_str());
   std::printf("# run: %llu events in %.2fs wall\n",
               static_cast<unsigned long long>(
                   exp.simulator().events_executed()),
@@ -387,13 +389,20 @@ int run_grid_mode(const scenario::Scenario& sc) {
   const double grid_seconds = wall.seconds();
   grid.set_wall_seconds(grid_seconds);
 
-  std::printf("%-5s %-44s %14s %18s\n", "cell", "coords",
+  // The coords column is as wide as the run's widest label.
+  std::vector<std::string> labels;
+  int width = static_cast<int>(std::strlen("coords"));
+  for (const scenario::GridCell& cell : grid.cells()) {
+    labels.push_back(scenario::coords_label(cell));
+    width = std::max(width, static_cast<int>(labels.back().size()));
+  }
+  std::printf("%-5s %-*s %14s %18s\n", "cell", width, "coords",
               sc.metric.name.c_str(), "digest");
   for (std::size_t i = 0; i < grid.results().size(); ++i) {
     const scenario::CellResult& r = grid.results()[i];
-    std::printf("%-5zu %-44s %14.4f %18llx\n", r.index,
-                scenario::coords_label(grid.cells()[i]).c_str(), r.value,
-                static_cast<unsigned long long>(r.digest));
+    std::printf("%-5zu %-*s %14.4f %18s\n", r.index, width,
+                labels[i].c_str(), r.value,
+                scenario::digest_hex(r.digest).c_str());
   }
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);

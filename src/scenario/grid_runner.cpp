@@ -8,14 +8,14 @@
 
 namespace paraleon::scenario {
 
-namespace {
-
 std::string digest_hex(std::uint64_t d) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(d));
   return buf;
 }
+
+namespace {
 
 Json count_json(std::uint64_t v) { return Json::make_uint(v); }
 

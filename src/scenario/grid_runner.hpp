@@ -45,6 +45,10 @@ struct GridCell {
 /// scenario).
 std::string coords_label(const GridCell& cell);
 
+/// A run_digest as the 16 lowercase hex digits, leading zeros kept, that
+/// the grid document and paraleon_run's tables print.
+std::string digest_hex(std::uint64_t digest);
+
 /// The deterministic facts of one finished cell.
 struct CellResult {
   std::size_t index = 0;

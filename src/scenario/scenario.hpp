@@ -174,12 +174,12 @@ void apply_dotted_patch(Json& doc, const std::string& key,
                         const Json& value);
 
 /// "did you mean" helper: the closest known key within a small edit
-/// distance, or "" when nothing is close. Exposed for the validator tests.
+/// distance, or "" when nothing is close. Exposed for the scenario tests.
 std::string suggest_key(const std::string& bad,
                         const std::vector<std::string>& known);
 
-/// Every legal scheme.params override key, sorted (schema docs + the
-/// Python validator mirror this list).
+/// Every legal scheme.params override key, sorted: the one list, which
+/// docs/SCENARIOS.md points to and "did you mean" searches.
 const std::vector<std::string>& param_override_keys();
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "doc_checks.hpp"
 #include "obs/attribution.hpp"
 #include "runner/experiment.hpp"
 #include "runner/flight.hpp"
@@ -183,7 +184,10 @@ TEST(AttributionCascadeTest, ReconstructsPauseChainAndNamesVictim) {
       });
   ASSERT_NE(entry, listed.end());
   EXPECT_GT(entry->find("pfc_blocked_ns")->as_int64(), 0);
-  EXPECT_TRUE(report.find("engine")->has("pause_trees"));
+  // The whole report passes its schema checks: causes name earlier spans,
+  // tree roots are causality roots, victims are sorted.
+  EXPECT_EQ(doc_checks::check_attribution(report), spans.size());
+  EXPECT_FALSE(report.find("engine")->find("pause_trees")->items().empty());
 }
 
 TEST(AttributionCascadeTest, DisabledByDefaultEvenUnderPfc) {

@@ -111,6 +111,9 @@ TEST(PoolTelemetry, BusyPlusIdleStaysInsideWallWindow) {
   // total cannot exceed workers x window (small slack for the final
   // clock reads landing after the join).
   EXPECT_LE(busy + idle, 2.0 * tm.wall_seconds() + 0.05);
+  // An attached worker is always busy or idle, so the two also cover most
+  // of the window (half, leaving room for the attach and join edges).
+  EXPECT_GE(busy + idle, 0.5 * 2.0 * tm.wall_seconds() - 0.05);
 }
 
 // ---- JobSet failure recording ----

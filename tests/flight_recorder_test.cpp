@@ -1,5 +1,6 @@
 // Flight recorder: anomaly-trigger thresholds, dump-on-CheckFailure with a
-// complete replayable bundle, byte-identical same-seed bundles, and the
+// complete replayable bundle whose files pass their schema checks (each on
+// its own and across files), byte-identical same-seed bundles, and the
 // replay request read back from manifest.json.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "check/check.hpp"
 #include "common/json.hpp"
+#include "doc_checks.hpp"
 #include "obs/flight_recorder.hpp"
 #include "runner/experiment.hpp"
 #include "runner/flight.hpp"
@@ -17,6 +19,8 @@
 namespace paraleon {
 namespace {
 
+using common::Json;
+using doc_checks::at;
 using obs::AnomalyTriggers;
 using obs::BundleWriter;
 using obs::FlightConfig;
@@ -153,6 +157,110 @@ std::string run_faulted(const std::string& dir, std::uint64_t seed) {
   return exp.flight_bundle_dir();
 }
 
+/// Reads and parses `file` of `bundle`.
+Json read_doc(const std::string& bundle, const std::string& file) {
+  bool ok = false;
+  const std::string text = BundleWriter::read_file(bundle, file, &ok);
+  EXPECT_TRUE(ok) << file << " missing from " << bundle;
+  return Json::parse(text, file);
+}
+
+/// A paraleon.ports.v1 snapshot of the fabric `config` describes: one
+/// entry per ToR and leaf with every port's queue and pause state, and one
+/// uplink per host.
+void check_ports(const Json& ports, const Json& config) {
+  EXPECT_EQ(at(ports, "schema").as_string(), "paraleon.ports.v1");
+  std::int64_t tors = 0;
+  std::int64_t leaves = 0;
+  for (const Json& sw : at(ports, "switches").items()) {
+    const std::string& kind = at(sw, "kind").as_string();
+    tors += kind == "tor" ? 1 : 0;
+    leaves += kind == "leaf" ? 1 : 0;
+    for (const char* key : {"index", "id", "buffer_used"}) {
+      EXPECT_TRUE(at(sw, key).is_integer()) << key;
+    }
+    EXPECT_FALSE(at(sw, "ports").items().empty());
+    for (const Json& port : at(sw, "ports").items()) {
+      for (const char* key : {"port", "queue_bytes", "paused_ns",
+                              "ingress_bytes", "tx_data_bytes"}) {
+        EXPECT_TRUE(at(port, key).is_integer()) << key;
+      }
+      EXPECT_TRUE(at(port, "data_paused").is_bool());
+      EXPECT_TRUE(at(port, "pause_latched").is_bool());
+    }
+  }
+  EXPECT_EQ(tors, at(config, "n_tor").as_int64());
+  EXPECT_EQ(leaves, at(config, "n_leaf").as_int64());
+  const auto& hosts = at(ports, "hosts").items();
+  EXPECT_EQ(static_cast<std::int64_t>(hosts.size()),
+            at(config, "n_tor").as_int64() *
+                at(config, "hosts_per_tor").as_int64());
+  for (const Json& host : hosts) {
+    at(host, "id").as_int64();
+    const Json& uplink = at(host, "uplink");
+    for (const char* key : {"queue_bytes", "paused_ns", "tx_data_bytes"}) {
+      EXPECT_TRUE(at(uplink, key).is_integer()) << key;
+    }
+    EXPECT_TRUE(at(uplink, "data_paused").is_bool());
+  }
+}
+
+/// A post-mortem bundle written for `reason`, across its files: the
+/// manifest lists only files that exist, failure.json exactly when the
+/// reason is check_failure, a replay horizon past the trigger and the
+/// config's seed; every file passes its own schema check. The ring tail
+/// may be empty: the original run need not trace, which is what replay is
+/// for.
+void check_bundle(const std::string& bundle, const std::string& reason) {
+  SCOPED_TRACE(bundle);
+  const Json manifest = read_doc(bundle, "manifest.json");
+  EXPECT_EQ(at(manifest, "schema").as_string(), "paraleon.flight.v1");
+  EXPECT_EQ(at(manifest, "reason").as_string(), reason);
+  for (const char* key : {"events_executed", "queue_depth"}) {
+    EXPECT_TRUE(doc_checks::is_count(at(manifest, key))) << key;
+  }
+  at(manifest, "next_event_ns").as_int64();
+  EXPECT_GT(at(manifest, "replay_until_ns").as_int64(),
+            at(manifest, "trigger_ns").as_int64())
+      << "the replay horizon does not extend past the trigger";
+  bool lists_failure = false;
+  for (const Json& file : at(manifest, "files").items()) {
+    const std::string& name = file.as_string();
+    EXPECT_TRUE(std::filesystem::is_regular_file(bundle + "/" + name))
+        << "the manifest lists " << name << " but the bundle lacks it";
+    lists_failure |= name == "failure.json";
+  }
+  EXPECT_EQ(lists_failure, reason == "check_failure");
+
+  const Json config = read_doc(bundle, "config.json");
+  for (const char* key : {"duration_ns", "n_tor", "n_leaf", "hosts_per_tor",
+                          "prop_delay_ns", "buffer_bytes",
+                          "pfc_pause_duration_ns"}) {
+    EXPECT_TRUE(at(config, key).is_integer()) << key;
+  }
+  for (const char* key : {"host_link_bps", "fabric_link_bps", "pfc_alpha"}) {
+    EXPECT_TRUE(at(config, key).is_number()) << key;
+  }
+  EXPECT_EQ(at(config, "seed").as_uint64(), at(manifest, "seed").as_uint64());
+  EXPECT_EQ(at(config, "scheme").as_string(),
+            at(manifest, "scheme").as_string());
+
+  doc_checks::check_registry(read_doc(bundle, "counters.json"));
+  doc_checks::check_trace(read_doc(bundle, "trace.json"),
+                          /*allow_empty=*/true);
+  check_ports(read_doc(bundle, "ports.json"), config);
+  doc_checks::check_episodes(read_doc(bundle, "episodes.json"));
+  doc_checks::check_attribution(read_doc(bundle, "attribution.json"));
+  doc_checks::check_perf(read_doc(bundle, "perf.json"));
+  if (lists_failure) {
+    const Json failure = read_doc(bundle, "failure.json");
+    for (const char* key : {"expression", "file", "message"}) {
+      at(failure, key).as_string();
+    }
+    EXPECT_GT(at(failure, "line").as_int64(), 0);
+  }
+}
+
 TEST(FlightRecorderTest, CheckFailureDumpsCompleteBundle) {
   const std::string dir = ::testing::TempDir() + "flight_dump";
   std::filesystem::remove_all(dir);
@@ -166,18 +274,12 @@ TEST(FlightRecorderTest, CheckFailureDumpsCompleteBundle) {
     EXPECT_FALSE(content.empty()) << f << " is empty";
   }
   // The failure itself is preserved with the MMU conservation message.
-  bool ok = false;
-  const common::Json failure = common::Json::parse(
-      BundleWriter::read_file(bundle, "failure.json", &ok));
-  ASSERT_TRUE(ok);
-  EXPECT_NE(failure.find("message")->as_string().find("not conserved"),
+  EXPECT_NE(at(read_doc(bundle, "failure.json"), "message")
+                .as_string()
+                .find("not conserved"),
             std::string::npos);
   // And the manifest names the reason.
-  const common::Json manifest = common::Json::parse(
-      BundleWriter::read_file(bundle, "manifest.json", &ok));
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(manifest.find("schema")->as_string(), "paraleon.flight.v1");
-  EXPECT_EQ(manifest.find("reason")->as_string(), "check_failure");
+  check_bundle(bundle, "check_failure");
 }
 
 TEST(FlightRecorderTest, CheckFailureAfterATriggerWritesItsOwnBundle) {
@@ -198,15 +300,11 @@ TEST(FlightRecorderTest, CheckFailureAfterATriggerWritesItsOwnBundle) {
   EXPECT_THROW(exp.run(), check::CheckFailure);
   EXPECT_TRUE(std::filesystem::exists(dir + "/flight_pfc_pause_rate/manifest.json"))
       << "the anomaly trigger should have fired first";
-  // The failure gets its own bundle, and the run names that one.
+  // The failure gets its own bundle, and the run names that one; each
+  // bundle's manifest names its own reason.
   EXPECT_EQ(exp.flight_bundle_dir(), dir + "/flight_check_failure");
-  bool ok = false;
-  const common::Json manifest = common::Json::parse(BundleWriter::read_file(
-      exp.flight_bundle_dir(), "manifest.json", &ok));
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(manifest.find("reason")->as_string(), "check_failure");
-  EXPECT_TRUE(std::filesystem::exists(exp.flight_bundle_dir() +
-                                      "/failure.json"));
+  check_bundle(dir + "/flight_pfc_pause_rate", "pfc_pause_rate");
+  check_bundle(exp.flight_bundle_dir(), "check_failure");
 }
 
 TEST(FlightRecorderTest, SameSeedBundlesAreByteIdentical) {
@@ -284,6 +382,10 @@ TEST(FlightRecorderTest, ReplayRequestRoundTrip) {
     EXPECT_TRUE(ok) << f;
     EXPECT_FALSE(content.empty()) << f;
   }
+  // The replay traced every category: its trace holds the window.
+  EXPECT_GT(doc_checks::check_trace(read_doc(bundle, "replay.trace.json")),
+            0u);
+  doc_checks::check_attribution(read_doc(bundle, "replay.attribution.json"));
 }
 
 TEST(FlightRecorderTest, FullWidthSeedSurvivesTheManifest) {

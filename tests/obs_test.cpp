@@ -8,6 +8,7 @@
 
 #include "common/json.hpp"
 #include "dcqcn/params.hpp"
+#include "doc_checks.hpp"
 #include "obs/counters.hpp"
 #include "obs/episode_log.hpp"
 #include "obs/profile.hpp"
@@ -72,6 +73,7 @@ TEST(Registry, JsonIsDeterministic) {
   const std::string once = build();
   EXPECT_EQ(once, build());
   const common::Json doc = common::Json::parse(once);
+  doc_checks::check_registry(doc);
   EXPECT_EQ(doc.find("counters")->find("b.count")->as_int64(), 7);
   EXPECT_EQ(doc.find("gauges")->find("a.depth")->as_double(), 1.5);
 }
@@ -148,7 +150,7 @@ TEST(Trace, JsonHasChromeTraceShape) {
   tr.begin_span(TraceCategory::kPfc, "pfc.pause", microseconds(5), 7, 2);
   tr.end_span(TraceCategory::kPfc, "pfc.pause", microseconds(9), 7, 2);
   const common::Json doc = common::Json::parse(tr.to_json());
-  ASSERT_TRUE(doc.has("traceEvents"));
+  doc_checks::check_trace(doc);
   const auto& events = doc.find("traceEvents")->items();
   ASSERT_EQ(events.size(), 3u);
   // ts is microseconds with a nanosecond fraction.
@@ -188,6 +190,10 @@ TEST(EpisodeLog, RecordsFullEpisodeLifecycle) {
   EXPECT_EQ(log.trial_count(), 2u);
   const std::string json = log.to_json().dump();
   const common::Json doc = common::Json::parse(json);
+  // The obs report and a bundle hold one such log per controller.
+  common::Json per_controller = common::Json::make_array();
+  per_controller.push_back(doc);
+  EXPECT_EQ(doc_checks::check_episodes(per_controller), 2u);
   ASSERT_EQ(doc.items().size(), 1u);
   EXPECT_EQ(doc.items()[0].find("trigger")->as_string(), "kl");
   EXPECT_TRUE(doc.items()[0].find("reverted")->as_bool());

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "doc_checks.hpp"
 #include "obs/perf.hpp"
 #include "obs/profile.hpp"
 #include "runner/experiment.hpp"
@@ -153,7 +154,7 @@ TEST(PerfReport, SchemaAndDeterministicSections) {
   obs::LoopProfiler profiler;
   const std::string off = obs::perf_report_json(perf, profiler).dump();
   const common::Json off_doc = common::Json::parse(off);
-  EXPECT_EQ(off_doc.find("schema")->as_string(), "paraleon.perf.v1");
+  EXPECT_EQ(doc_checks::check_perf(off_doc), 0u);
   EXPECT_FALSE(off_doc.find("enabled")->as_bool());
   // Disabled stub is a constant: two reads are byte-identical.
   EXPECT_EQ(off, obs::perf_report_json(perf, profiler).dump());
@@ -164,6 +165,7 @@ TEST(PerfReport, SchemaAndDeterministicSections) {
   perf.count_tag("pkt.tx");
   const common::Json on =
       common::Json::parse(obs::perf_report_json(perf, profiler).dump());
+  EXPECT_EQ(doc_checks::check_perf(on), 1u);
   EXPECT_TRUE(on.find("enabled")->as_bool());
   const common::Json& events = *on.find("events");
   EXPECT_EQ(events.find("by_tag")->find("pkt.tx")->as_int64(), 1);
@@ -187,9 +189,11 @@ TEST(PerfReport, ExperimentObsReportCarriesPerfSection) {
       common::Json::parse(runner::obs_report_json(exp).dump());
   const common::Json* section = report.find("perf");
   ASSERT_NE(section, nullptr);
-  EXPECT_EQ(section->find("schema")->as_string(), "paraleon.perf.v1");
   EXPECT_TRUE(section->find("enabled")->as_bool());
   const obs::PerfMonitor& perf = exp.simulator().obs().perf();
+  // Every executed and scheduled event of the run sits in one histogram
+  // bucket each.
+  EXPECT_EQ(doc_checks::check_perf(*section), perf.events_executed());
   EXPECT_GT(perf.events_executed(), 0u);
   EXPECT_GT(perf.packet_enqueues(), 0u);
   EXPECT_EQ(perf.events_executed(), exp.simulator().events_executed());

@@ -2,16 +2,21 @@
 // values as dotted patches under their axis key), the
 // jobs-invariant deterministic half of paraleon.grid.v1, a seed sweep as a
 // `seed` axis, the on_cell hook's view of the installed workload, the wall
-// subtree and pool timeline, and the committed scenario pack staying
-// parseable in both full and tiny form.
+// subtree and pool timeline (both checked against their schema below), and
+// the committed scenario pack staying parseable in both full and tiny form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <map>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "doc_checks.hpp"
 #include "obs/fleet.hpp"
 #include "scenario/grid_runner.hpp"
 #include "scenario/json.hpp"
@@ -24,6 +29,240 @@
 
 namespace paraleon::scenario {
 namespace {
+
+using doc_checks::at;
+using doc_checks::is_count;
+
+/// The "wall" subtree's pool facts: per-worker job counts that sum to the
+/// pool's, busy+idle accounted against workers x the pool's wall window
+/// (with slack for attach/join edges and clock granularity), one
+/// queue-wait sample and one ordered span per job, and stragglers.
+void check_grid_pool(const Json& wall) {
+  const Json& pool = at(wall, "pool");
+  const std::int64_t workers = at(pool, "workers").as_int64();
+  const std::int64_t jobs = at(pool, "jobs_completed").as_int64();
+  EXPECT_TRUE(is_count(at(pool, "workers")));
+  EXPECT_TRUE(is_count(at(pool, "jobs_completed")));
+  const double pool_wall = at(pool, "pool_wall_seconds").as_double();
+  const double accounted = at(pool, "busy_seconds").as_double() +
+                           at(pool, "idle_seconds").as_double();
+  EXPECT_GE(pool_wall, 0.0);
+  EXPECT_GE(at(pool, "busy_seconds").as_double(), 0.0);
+  EXPECT_GE(at(pool, "idle_seconds").as_double(), 0.0);
+
+  const auto& rows = at(wall, "workers").items();
+  EXPECT_EQ(static_cast<std::int64_t>(rows.size()), workers);
+  std::int64_t row_jobs = 0;
+  for (const Json& w : rows) {
+    row_jobs += at(w, "jobs").as_int64();
+    EXPECT_GE(at(w, "busy_seconds").as_double(), 0.0);
+    EXPECT_GE(at(w, "idle_seconds").as_double(), 0.0);
+  }
+  EXPECT_EQ(row_jobs, jobs) << "per-worker job counts";
+  if (workers > 0 && pool_wall > 0.0) {
+    const double window = static_cast<double>(workers) * pool_wall;
+    EXPECT_LE(accounted, window * 1.15 + 0.05);
+    EXPECT_GE(accounted, window * 0.5 - 0.05);
+  }
+
+  EXPECT_EQ(static_cast<std::int64_t>(
+                doc_checks::sum_of(at(wall, "queue_wait_log2_us"))),
+            jobs)
+      << "one queue-wait sample per job";
+  const auto& spans = at(wall, "spans").items();
+  EXPECT_EQ(static_cast<std::int64_t>(spans.size()), jobs);
+  for (const Json& sp : spans) {
+    const std::int64_t job = at(sp, "job").as_int64();
+    EXPECT_LE(at(sp, "submit_us").as_double(), at(sp, "start_us").as_double())
+        << "job " << job;
+    EXPECT_LE(at(sp, "start_us").as_double(), at(sp, "end_us").as_double())
+        << "job " << job;
+    const std::int64_t worker = at(sp, "worker").as_int64();
+    EXPECT_TRUE(worker >= 0 && worker < workers) << "job " << job;
+  }
+  for (const Json& st : at(wall, "stragglers").items()) {
+    at(st, "job").as_int64();
+    at(st, "seconds").as_double();
+    EXPECT_GT(at(st, "z").as_double(), 0.0);
+  }
+}
+
+/// The cell-row field that the reserved aggregate `name` of
+/// GridOutcome::aggregates() summarizes.
+double reserved_row(const Json& cell, const std::string& name) {
+  const Json& fct = at(cell, "fct");
+  if (name == "metric_value") return at(cell, "value").as_double();
+  if (name == "events_executed") {
+    return at(cell, "events_executed").as_double();
+  }
+  if (name == "fct.finished") return at(fct, "finished").as_double();
+  // fct.slowdown_<quantile>
+  return at(at(fct, "slowdown"), name.substr(std::strlen("fct.slowdown_")))
+      .as_double();
+}
+
+/// A paraleon.grid.v1 document: one cell per point of the axes' cross
+/// product, in row-major order with the first axis slowest (so each
+/// cell's coords follow from its index, and no two cells share them);
+/// 16-hex-digit digests and per-cell FCT summaries; aggregates that
+/// summarize the cell rows; and nondeterministic facts under "wall" only.
+void check_grid(const Json& doc) {
+  EXPECT_EQ(at(doc, "schema").as_string(), "paraleon.grid.v1");
+  EXPECT_FALSE(at(doc, "scenario").as_string().empty());
+  EXPECT_FALSE(at(doc, "metric").as_string().empty());
+  EXPECT_TRUE(is_count(at(doc, "seed")));
+  std::set<std::string> top = doc_checks::keys_of(doc);
+  top.erase("wall");
+  EXPECT_EQ(top, (std::set<std::string>{"schema", "scenario", "seed",
+                                        "metric", "axes", "cells",
+                                        "aggregates"}));
+
+  const auto& axes = at(doc, "axes").items();
+  std::size_t expected = 1;
+  for (const Json& axis : axes) {
+    EXPECT_EQ(doc_checks::keys_of(axis),
+              (std::set<std::string>{"key", "values"}));
+    EXPECT_FALSE(at(axis, "key").as_string().empty());
+    EXPECT_FALSE(at(axis, "values").items().empty());
+    expected *= at(axis, "values").items().size();
+  }
+  const auto& cells = at(doc, "cells").items();
+  ASSERT_EQ(cells.size(), expected) << "cells vs the axes' cross product";
+
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    const Json& cell = cells[i];
+    EXPECT_EQ(at(cell, "index").as_uint64(), i);
+    EXPECT_TRUE(is_count(at(cell, "seed")));
+    const std::string& digest = at(cell, "digest").as_string();
+    EXPECT_EQ(digest.size(), 16u) << digest;
+    EXPECT_EQ(digest.find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+        << digest;
+    EXPECT_TRUE(at(cell, "value").is_number());
+    EXPECT_TRUE(is_count(at(cell, "events_executed")));
+    EXPECT_GT(at(cell, "events_executed").as_uint64(), 0u);
+
+    const auto& coords = at(cell, "coords").members();
+    ASSERT_EQ(coords.size(), axes.size());
+    std::size_t stride = expected;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      const auto& values = at(axes[a], "values").items();
+      stride /= values.size();
+      EXPECT_EQ(coords[a].first, at(axes[a], "key").as_string());
+      EXPECT_EQ(coords[a].second.dump(),
+                values[(i / stride) % values.size()].dump())
+          << "row-major order";
+    }
+    EXPECT_TRUE(seen.insert(at(cell, "coords").dump()).second)
+        << "duplicate coords";
+
+    const Json& fct = at(cell, "fct");
+    const std::uint64_t finished = at(fct, "finished").as_uint64();
+    EXPECT_LE(finished, at(fct, "started").as_uint64());
+    doc_checks::check_slowdown_stats(at(fct, "slowdown"),
+                                     /*with_count=*/false, finished > 0);
+  }
+
+  const Json& aggregates = at(doc, "aggregates");
+  for (const auto& [name, agg] : aggregates.members()) {
+    SCOPED_TRACE("aggregate " + name);
+    EXPECT_EQ(doc_checks::keys_of(agg),
+              (std::set<std::string>{"min", "mean", "p95", "max", "n"}));
+    // An instrument covers only the cells whose scheme registered it.
+    const std::uint64_t n = at(agg, "n").as_uint64();
+    EXPECT_TRUE(n >= 1 && n <= cells.size()) << n;
+    const double min = at(agg, "min").as_double();
+    const double max = at(agg, "max").as_double();
+    EXPECT_LE(min, at(agg, "mean").as_double());
+    EXPECT_LE(at(agg, "mean").as_double(), max);
+    EXPECT_LE(min, at(agg, "p95").as_double());
+    EXPECT_LE(at(agg, "p95").as_double(), max);
+  }
+  for (const std::string name :
+       {"metric_value", "events_executed", "fct.finished",
+        "fct.slowdown_mean", "fct.slowdown_p95", "fct.slowdown_p999"}) {
+    SCOPED_TRACE("reserved aggregate " + name);
+    const Json& agg = at(aggregates, name);
+    EXPECT_EQ(at(agg, "n").as_uint64(), cells.size());
+    std::vector<double> values;
+    for (const Json& cell : cells) values.push_back(reserved_row(cell, name));
+    const double mean =
+        std::accumulate(values.begin(), values.end(), 0.0) /
+        static_cast<double>(values.size());
+    EXPECT_DOUBLE_EQ(at(agg, "min").as_double(),
+                     *std::min_element(values.begin(), values.end()));
+    EXPECT_DOUBLE_EQ(at(agg, "max").as_double(),
+                     *std::max_element(values.begin(), values.end()));
+    EXPECT_NEAR(at(agg, "mean").as_double(), mean,
+                1e-6 * std::max(1.0, std::fabs(mean)));
+  }
+
+  if (const Json* wall = doc.find("wall")) {
+    EXPECT_TRUE(is_count(at(*wall, "jobs")));
+    EXPECT_TRUE(is_count(at(*wall, "hardware_workers")));
+    EXPECT_GE(at(*wall, "wall_seconds").as_double(), 0.0);
+    if (wall->has("pool")) check_grid_pool(*wall);
+  }
+}
+
+/// A grid's pool timeline against its grid document: metadata-named
+/// tracks (the submit track plus one per worker), one 'X' span per
+/// executed job on a worker track, and an 's' on the submit track for
+/// every 'f' flow arrow.
+void check_grid_timeline(const Json& timeline, const Json& grid) {
+  const auto& events = at(timeline, "traceEvents").items();
+  EXPECT_FALSE(events.empty());
+  std::map<std::int64_t, std::string> tracks;
+  std::set<std::int64_t> span_tids;
+  std::set<std::uint64_t> flow_starts;
+  std::set<std::uint64_t> flow_ends;
+  std::size_t spans = 0;
+  for (const Json& ev : events) {
+    at(ev, "name").as_string();
+    at(ev, "pid").as_int64();
+    const std::int64_t tid = at(ev, "tid").as_int64();
+    const std::string& ph = at(ev, "ph").as_string();
+    if (ph == "M") {
+      const std::string& name = at(ev, "name").as_string();
+      EXPECT_TRUE(name == "process_name" || name == "thread_name") << name;
+      if (name == "thread_name") {
+        tracks[tid] = at(at(ev, "args"), "name").as_string();
+      }
+      continue;
+    }
+    EXPECT_EQ(at(ev, "cat").as_string(), "grid");
+    EXPECT_GE(at(ev, "ts").as_double(), 0.0);
+    if (ph == "X") {
+      EXPECT_GE(at(ev, "dur").as_double(), 0.0);
+      EXPECT_GE(tid, 1) << "a job span off the worker tracks";
+      span_tids.insert(tid);
+      ++spans;
+    } else if (ph == "s") {
+      EXPECT_EQ(tid, 0) << "a flow start off the submit track";
+      flow_starts.insert(at(ev, "id").as_uint64());
+    } else if (ph == "f") {
+      EXPECT_EQ(at(ev, "bp").as_string(), "e");
+      flow_ends.insert(at(ev, "id").as_uint64());
+    } else {
+      ADD_FAILURE() << "unknown timeline phase " << ph;
+    }
+  }
+  for (const std::uint64_t id : flow_ends) {
+    EXPECT_TRUE(flow_starts.count(id)) << "flow " << id << " has no start";
+  }
+  EXPECT_TRUE(tracks.count(0) && tracks.at(0) == "submit");
+  for (const std::int64_t tid : span_tids) {
+    EXPECT_TRUE(tracks.count(tid)) << "track " << tid << " has no name";
+  }
+  if (const Json* wall = grid.find("wall"); wall && wall->has("pool")) {
+    const Json& pool = at(*wall, "pool");
+    EXPECT_EQ(static_cast<std::int64_t>(tracks.size()),
+              at(pool, "workers").as_int64() + 1);
+    EXPECT_EQ(spans, at(pool, "jobs_completed").as_uint64());
+  }
+}
 
 /// Tiny dumbbell grid: 2x2 sweep, milliseconds of simulated time per
 /// cell — cheap enough to run the whole cross-product twice.
@@ -273,23 +512,15 @@ TEST(GridDoc, SchemaShapeAndWallSplit) {
   const Json* cells = det.find("cells");
   ASSERT_NE(cells, nullptr);
   ASSERT_EQ(cells->items().size(), 4u);
-  for (const Json& cell : cells->items()) {
-    // Digests are fixed-width lowercase hex strings (json numbers cannot
-    // carry 64 bits losslessly).
-    const std::string& digest = cell.find("digest")->as_string();
-    ASSERT_EQ(digest.size(), 16u);
-    for (const char c : digest) {
-      EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
-    }
-    EXPECT_TRUE(cell.find("coords")->is_object());
-    EXPECT_TRUE(cell.has("fct"));
-  }
-  EXPECT_TRUE(det.has("aggregates"));
+  // Digests are fixed-width lowercase hex strings (json numbers cannot
+  // carry 64 bits losslessly); check_grid checks that and the rest.
+  check_grid(det);
 
   const Json wall = Json::parse(grid.to_json(true));
   ASSERT_TRUE(wall.has("wall"));
   EXPECT_DOUBLE_EQ(wall.find("wall")->find("wall_seconds")->as_double(),
                    1.5);
+  check_grid(wall);
 }
 
 TEST(GridDoc, AggregatesSummarizeTheCells) {
@@ -386,6 +617,7 @@ TEST(GridDoc, WallCarriesPerWorkerStatsAndSpans) {
               sp.find("end_us")->as_double());
   }
   EXPECT_TRUE(wall->find("stragglers")->is_array());
+  check_grid(doc);
 }
 
 TEST(GridDoc, TimelineHasOneTrackPerWorkerAndOneSpanPerCell) {
@@ -401,11 +633,23 @@ TEST(GridDoc, TimelineHasOneTrackPerWorkerAndOneSpanPerCell) {
   EXPECT_EQ(count_events(trace, "f"), 3u);
   EXPECT_EQ(count_events(trace, "X", "cell 0 seed=21"), 1u);
   EXPECT_EQ(count_events(trace, "X", "cell 2 seed=23"), 1u);
-  for (const Json& ev : trace.find("traceEvents")->items()) {
-    if (ev.find("ph")->as_string() != "X") continue;
-    EXPECT_GE(ev.find("tid")->as_int64(), 1);  // on a worker track
-    EXPECT_GE(ev.find("dur")->as_double(), 0.0);
-  }
+  check_grid_timeline(trace, Json::parse(pooled.grid.to_json(true)));
+}
+
+TEST(GridDoc, TwoAxisPooledGridPassesTheSchemaChecks) {
+  // Two axes on two workers: row-major coords over a real cross product,
+  // and pool facts from a fan-out that really ran.
+  obs::PoolTelemetry pool;
+  GridOptions opts;
+  opts.jobs = 2;
+  opts.telemetry = &pool;
+  GridOutcome grid = run_grid(grid_scenario(), opts);
+  grid.set_wall_seconds(pool.wall_seconds());
+  const Json doc = Json::parse(grid.to_json(true), "g.grid.json");
+  check_grid(doc);
+  EXPECT_EQ(at(at(at(doc, "wall"), "pool"), "jobs_completed").as_int64(), 4);
+  check_grid_timeline(Json::parse(grid.timeline_json(), "g.timeline.json"),
+                      doc);
 }
 
 TEST(GridDoc, TimelineWithoutPoolIsJustTheHeader) {
@@ -422,7 +666,9 @@ runner::RunScrape synthetic_scrape(double counter, std::uint64_t events,
   s.events_executed = events;
   s.slowdown.count = 10;
   s.slowdown.mean = slow_mean;
+  s.slowdown.p50 = slow_mean;
   s.slowdown.p95 = slow_mean * 2;
+  s.slowdown.p99 = slow_mean * 2.5;
   s.slowdown.p999 = slow_mean * 3;
   s.flows_finished = 10;
   s.flows_started = 12;
@@ -457,6 +703,8 @@ TEST(GridDoc, AggregatesMinMeanP95MaxOverCells) {
   EXPECT_DOUBLE_EQ(aggs.at("fct.slowdown_mean").max, 2.0);
   EXPECT_DOUBLE_EQ(aggs.at("fct.slowdown_p999").min, 3.0);
   EXPECT_DOUBLE_EQ(aggs.at("fct.finished").min, 10.0);
+  // The document's reserved aggregates restate its own cell rows.
+  check_grid(Json::parse(grid.to_json(false)));
 }
 
 TEST(GridDoc, WritesReportFailure) {
