@@ -44,8 +44,7 @@ void run_variant(const scenario::Scenario& sc, const Variant& v) {
               static_cast<unsigned long long>(c.reverts()));
 }
 
-int run(const scenario::Scenario& sc, const BenchCli& cli) {
-  const WallTimer wall;
+int run(const scenario::Scenario& sc) {
   print_header(
       "Engineering ablation: Algorithm 1 additions (Fig. 8 scenario)",
       scaling_note(scenario::to_experiment_config(sc),
@@ -65,15 +64,12 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
       "\nExpectation: utility climbs (or holds with lower variance) as the\n"
       "safeguards come in; 'plain_alg1' shows the exploration damage an\n"
       "unguarded 1-MI-evaluation loop inflicts at this fabric scale.\n");
-  write_wall_trend(cli.perf_out, "ablation_engineering", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
-  return run_with_scenario(
-      "fig8_influx.json", false,
-      [&cli](const scenario::Scenario& sc) { return run(sc, cli); });
+  parse_bench_cli(argc, argv, 0);
+  return run_with_scenario("fig8_influx.json", false, run);
 }

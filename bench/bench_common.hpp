@@ -1,10 +1,13 @@
-// Shared configuration for the paper-reproduction benches.
+// Shared helpers for the paper-reproduction benches: the command line,
+// scenario loading and per-cell harvesting, scaling notes, and the
+// paraleon.bench.v1 trend document.
 //
-// The paper's NS3 fabric is 8 ToR x 4 leaf x 128 hosts, all 100 Gbps, 4:1
-// oversubscribed, 5 us links, 12 MB switch buffers. The benches keep the
-// topology shape and oversubscription but scale to 64 hosts at 10/20 Gbps
-// so every table and figure regenerates on a laptop in minutes. DCQCN
-// presets are rescaled with dcqcn::scaled_for_line_rate (see DESIGN.md).
+// The experiments themselves are the scenarios/ files. The paper's NS3
+// fabric is 8 ToR x 4 leaf x 128 hosts, all 100 Gbps, 4:1 oversubscribed,
+// 5 us links, 12 MB switch buffers; the files keep the topology shape and
+// oversubscription but scale to 64 hosts at 10/5 Gbps so every table and
+// figure regenerates on a laptop in minutes. DCQCN presets are rescaled
+// with dcqcn::scaled_for_line_rate (see DESIGN.md).
 #pragma once
 
 #include <charconv>
@@ -96,7 +99,7 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 enum BenchFlag : unsigned {
   kTiny = 1u << 0,     // --tiny: the bench's smallest configuration (CI)
   kJobs = 1u << 1,     // --jobs N: worker threads, 0 = one per hw thread
-  kPerfOut = 1u << 2,  // --perf-out FILE: a paraleon.bench.v1 document
+  kPerfOut = 1u << 2,  // --perf-out FILE: a paraleon.bench.v1 baseline
 };
 
 struct BenchCli {
@@ -342,47 +345,6 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// --perf-out for a bench whose only trend row is its wall time.
-inline void write_wall_trend(const std::string& path,
-                             const std::string& bench_name,
-                             const WallTimer& wall) {
-  TrendReport trend(bench_name);
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(path, trend);
-}
-
-/// Paper-shaped fabric at laptop scale: 8 ToR, 4 leaf, 8 hosts/ToR
-/// (64 hosts), 10 Gbps host links, 5 Gbps fabric links — per ToR 80G down
-/// vs 20G up = the paper's 4:1 oversubscription. The controller/agent
-/// block comes from scenario::apply_paper_defaults — the SAME function
-/// every scenario file routes through, so a scenario spelling out this
-/// fabric is byte-identical to the hand-built config.
-inline ExperimentConfig paper_fabric(Scheme scheme, std::uint64_t seed) {
-  ExperimentConfig cfg;
-  cfg.clos.n_tor = 8;
-  cfg.clos.n_leaf = 4;
-  cfg.clos.hosts_per_tor = 8;
-  cfg.clos.host_link = gbps(10);
-  cfg.clos.fabric_link = gbps(5);
-  cfg.clos.prop_delay = microseconds(5);  // paper value
-  cfg.clos.switch_cfg.buffer_bytes = 12ll * 1024 * 1024;  // paper value
-  cfg.scheme = scheme;
-  cfg.seed = seed;
-  scenario::apply_paper_defaults(cfg);
-  return cfg;
-}
-
-inline workload::PoissonConfig fb_hadoop(const Experiment& exp, double load,
-                                         Time stop, std::uint64_t seed) {
-  workload::PoissonConfig w;
-  w.hosts = exp.all_hosts();
-  w.sizes = &workload::fb_hadoop_distribution();
-  w.load = load;
-  w.stop = stop;
-  w.seed = seed;
-  return w;
-}
 
 /// The burst of an influx scenario (Figs. 8, 9, 14): the [start, stop) of
 /// its only workload component with a finite stop_ms. The background runs

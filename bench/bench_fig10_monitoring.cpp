@@ -22,8 +22,6 @@ using namespace paraleon::runner;
 
 namespace {
 
-BenchCli g_cli;
-
 struct Result {
   Scheme scheme = Scheme::kParaleon;
   double accuracy = 0;
@@ -39,7 +37,6 @@ Result harvest(const scenario::GridCell&, Experiment& exp,
 }
 
 int run(const scenario::Scenario& accuracy) {
-  const WallTimer wall;
   const scenario::Scenario fct =
       scenario::load_scenario_file(scenario_path("fig10_fct.json"));
   print_header("Fig. 10: monitoring designs — FSD accuracy and FCT",
@@ -70,13 +67,12 @@ int run(const scenario::Scenario& accuracy) {
   std::printf(
       "\nPaper Fig. 10 shape: accuracy PARALEON > ElasticSketch > NetFlow\n"
       "at every load; FCT follows the same order with No_FSD worst.\n");
-  write_wall_trend(g_cli.perf_out, "fig10_monitoring", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario("fig10_accuracy.json", false, run);
 }

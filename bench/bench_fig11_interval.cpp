@@ -18,8 +18,6 @@ using namespace paraleon::runner;
 
 namespace {
 
-BenchCli g_cli;
-
 struct Result {
   Time mi = 0;
   double accuracy = 0;
@@ -33,7 +31,6 @@ Result harvest(const scenario::GridCell&, Experiment& exp,
 }
 
 int run(const scenario::Scenario& sc) {
-  const WallTimer wall;
   print_header("Fig. 11: monitor interval vs FSD accuracy and FCT",
                scenario_note(sc));
   std::printf("%-10s | %-24s | %-24s\n", "", "accuracy", "FCT avg slowdown");
@@ -51,13 +48,12 @@ int run(const scenario::Scenario& sc) {
       "\nPaper Fig. 11 shape: PARALEON accuracy ~100%% at every interval;\n"
       "naive sketch accuracy rises with the interval but stays below;\n"
       "PARALEON FCT <= naive-sketch FCT throughout.\n");
-  write_wall_trend(g_cli.perf_out, "fig11_interval", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario("fig11_interval.json", false, run);
 }

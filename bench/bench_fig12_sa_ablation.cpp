@@ -55,7 +55,7 @@ void compare(const char* title, const scenario::Scenario& sc) {
 /// it); K=4 shows the wall-clock win of speculative parallel evaluation.
 /// The window is the FB_Hadoop file's fabric and workload under a custom
 /// static setting (the fleet installs each candidate).
-void shadow_fleet_section(const scenario::Scenario& sc, TrendReport* trend) {
+void shadow_fleet_section(const scenario::Scenario& sc) {
   std::printf("\n-- shadow-fleet SA: K candidates per temperature step --\n");
   exec::ShadowWindow w;
   w.base = scenario::to_experiment_config(sc);
@@ -92,13 +92,6 @@ void shadow_fleet_section(const scenario::Scenario& sc, TrendReport* trend) {
                 static_cast<long long>(sp.accepted),
                 static_cast<long long>(sp.wasted),
                 static_cast<unsigned long long>(sp.events_wasted));
-    if (trend != nullptr) {
-      const std::string prefix = "shadow_k" + std::to_string(k) + "_";
-      trend->add(prefix + "wasted_evals", static_cast<double>(sp.wasted),
-                 "evals");
-      trend->add(prefix + "wasted_events",
-                 static_cast<double>(sp.events_wasted), "events");
-    }
   }
   std::printf(
       "K=1 reproduces the serial tuner exactly (nothing wasted); K=4\n"
@@ -107,31 +100,27 @@ void shadow_fleet_section(const scenario::Scenario& sc, TrendReport* trend) {
 }
 
 int run(const scenario::Scenario& fb) {
-  const WallTimer wall;
   const scenario::Scenario llm = scenario::load_scenario_file(
       scenario_path("fig12_sa_llm.json"), g_cli.tiny);
   print_header("Fig. 12: SA ablation — utility convergence, naive vs guided",
                scenario_note(fb));
-  TrendReport trend("fig12_sa_ablation");
   if (!g_cli.tiny) {
     compare("(a) FB_Hadoop @30%", fb);
     compare("(b) LLM training alltoall", llm);
   }
-  shadow_fleet_section(fb, &trend);
+  shadow_fleet_section(fb);
   std::printf(
       "\nPaper Fig. 12 shape: PARALEON reaches a higher utility plateau\n"
       "within dozens of MIs; naive_SA stays lower/slower. The FB_Hadoop\n"
       "half reproduces strongly; the alltoall half is close to a tie at\n"
       "this fabric scale (its utility landscape is flat — see\n"
       "EXPERIMENTS.md).\n");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli.perf_out, trend);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs);
   return run_with_scenario("fig12_sa_fb_hadoop.json", g_cli.tiny, run);
 }

@@ -29,33 +29,36 @@ struct CellSlot {
   std::uint64_t events = 0;  // 0 unless --perf-out enabled the PerfMonitor
 };
 
-constexpr int kScales[] = {8, 16, 32};
-constexpr const char* kSchemes[] = {"default", "expert", "paraleon"};
-
 void print_grid_header(const scenario::Scenario& sc) {
   print_header("Fig. 13: alltoall bandwidth vs collective scale",
                scaling_note(scenario::to_experiment_config(sc),
                             "8..32 workers, 512KB flows (paper: 8..32 H100 "
                             "nodes @400G testbed)"));
   std::printf("%-10s", "scheme");
-  for (int n : kScales) std::printf("%8dx%-4d", n, n);
+  for (const auto& v : sc.sweep[1].values) {
+    const long long n = v.as_int64();
+    std::printf("%8lldx%-4lld", n, n);
+  }
   std::printf("\n");
 }
 
-/// Prints the scheme x scale table from cell-ordered slots and fills the
-/// trend rows. Returns the total event count (0 unless --perf-out).
-std::uint64_t print_grid(const std::vector<CellSlot>& slots,
+/// Prints the scheme x scale table from cell-ordered slots (rows are the
+/// scheme axis, columns the worker axis) and fills the trend rows.
+/// Returns the total event count (0 unless --perf-out).
+std::uint64_t print_grid(const scenario::Scenario& sc,
+                         const std::vector<CellSlot>& slots,
                          TrendReport& trend) {
   std::size_t cell = 0;
   std::uint64_t total_events = 0;
-  for (const char* s : kSchemes) {
-    std::printf("%-10s",
-                scheme_name(scenario::scheme_from_name(s)).c_str());
-    for (int scale : kScales) {
+  for (const auto& s : sc.sweep[0].values) {
+    const std::string scheme =
+        scheme_name(scenario::scheme_from_name(s.as_string()));
+    std::printf("%-10s", scheme.c_str());
+    for (const auto& scale : sc.sweep[1].values) {
       const CellSlot& r = slots[cell++];
       std::printf("%10.2f  ", r.bw_gbps);
-      trend.add("bw_" + scheme_name(scenario::scheme_from_name(s)) + "_" +
-                    std::to_string(scale) + "_gbps",
+      trend.add("bw_" + scheme + "_" + std::to_string(scale.as_int64()) +
+                    "_gbps",
                 r.bw_gbps, "Gbps");
       total_events += r.events;
     }
@@ -89,7 +92,7 @@ int run_scenario_grid(const scenario::Scenario& sc) {
   const double grid_seconds = wall.seconds();
 
   TrendReport trend("fig13_alltoall_scale");
-  const std::uint64_t total_events = print_grid(slots, trend);
+  const std::uint64_t total_events = print_grid(sc, slots, trend);
   if (total_events > 0) {
     trend.add("events_executed", static_cast<double>(total_events), "events");
   }

@@ -18,8 +18,6 @@ using namespace paraleon::runner;
 
 namespace {
 
-BenchCli g_cli;
-
 /// Per-cell table row harvested by the grid's on_cell hook.
 struct Fig14Slot {
   Scheme scheme = Scheme::kParaleon;
@@ -28,7 +26,6 @@ struct Fig14Slot {
 };
 
 int run(const scenario::Scenario& sc) {
-  const WallTimer wall;
   print_header("Fig. 14: runtime bandwidth & latency with SolarRPC influx",
                scenario_note(sc));
   std::printf("%-10s | %8s %8s | %8s %8s | %8s %8s | %10s\n", "", "before",
@@ -57,13 +54,12 @@ int run(const scenario::Scenario& sc) {
       "\nPaper Fig. 14 shape: PARALEON has the lowest latency (and best\n"
       "RPC tail) during the burst and recovers bandwidth fastest after\n"
       "it.\n");
-  write_wall_trend(g_cli.perf_out, "fig14_rpc_influx", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario("fig14_rpc_influx.json", false, run);
 }

@@ -91,10 +91,9 @@ void hai_recovery_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario(
-      "fig5_single_param.json", false, [&](const scenario::Scenario& sc) {
-        const WallTimer wall;
+      "fig5_single_param.json", false, [](const scenario::Scenario& sc) {
         print_header("Fig. 5: single-parameter impacts on throughput & RTT",
                      scenario_note(sc));
         // hai_rate governs ramp-up after congestion clears (the
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
         std::printf(
             "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
             "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
-        write_wall_trend(cli.perf_out, "fig5_single_param", wall);
         return 0;
       });
 }

@@ -20,8 +20,6 @@ using namespace paraleon::runner;
 
 namespace {
 
-BenchCli g_cli;
-
 /// One table: rows are the rpg_time_reset axis, columns the kmax axis
 /// (each value moves kmax and kmin together).
 void print_table(const scenario::Scenario& sc, const char* title,
@@ -49,7 +47,6 @@ void print_table(const scenario::Scenario& sc, const char* title,
 }
 
 int run(const scenario::Scenario& sc) {
-  const WallTimer wall;
   print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
                scenario_note(sc));
   const auto grid = harvest_grid(sc, /*jobs=*/1, harvest_tput_rtt);
@@ -60,13 +57,12 @@ int run(const scenario::Scenario& sc) {
       "(towards top-right: small t_reset, large kmax) throughput is NOT\n"
       "monotone — the most aggressive corner should underperform some\n"
       "interior cell, and RTT grows sharply there.\n");
-  write_wall_trend(g_cli.perf_out, "fig6_inter_param", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario("fig6_inter_param.json", false, run);
 }

@@ -95,7 +95,6 @@ void llm_part(const scenario::Scenario& sc) {
 }
 
 int run(const scenario::Scenario& fb) {
-  const WallTimer wall;
   const scenario::Scenario llm = scenario::load_scenario_file(
       scenario_path("fig7_llm_alltoall.json"), g_cli.tiny);
   print_header("Fig. 7: FCT of 5 tuning schemes (FB_Hadoop + LLM alltoall)",
@@ -109,13 +108,12 @@ int run(const scenario::Scenario& fb) {
       "PARALEON ahead of Default/ACC/DCQCN+ here; the scaled Expert preset\n"
       "is a strong static baseline at this fabric scale (see\n"
       "EXPERIMENTS.md).\n");
-  write_wall_trend(g_cli.perf_out, "fig7_fct", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs | kPerfOut);
+  g_cli = parse_bench_cli(argc, argv, kTiny | kJobs);
   return run_with_scenario("fig7_fb_hadoop.json", g_cli.tiny, run);
 }

@@ -1,10 +1,11 @@
 // Fig. 9 reproduction: PARALEON vs offline-pretrained static settings.
 //
 // Pretrained 1 is frozen from an offline PARALEON run on the LLM alltoall
-// workload; Pretrained 2 from an offline run on FB_Hadoop. Both are then
-// replayed as static settings on the Fig. 8 influx scenario against live
-// PARALEON. Reproduced shape: each pretrained setting is good for "its"
-// phase but cannot adapt; live PARALEON wins across phases.
+// workload (scenarios/fig9_pretrain_alltoall.json); Pretrained 2 from an
+// offline run on FB_Hadoop (scenarios/fig9_pretrain_fb_hadoop.json). Both
+// are then replayed as static settings on the Fig. 8 influx scenario
+// against live PARALEON. Reproduced shape: each pretrained setting is good
+// for "its" phase but cannot adapt; live PARALEON wins across phases.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -30,28 +31,15 @@ ExperimentConfig live_cfg(const scenario::Scenario& sc,
   return cfg;
 }
 
-dcqcn::DcqcnParams pretrain_on_alltoall() {
-  ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 71);
-  cfg.duration = milliseconds(200);
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-  a2a.flow_size = 512 * 1024;
-  a2a.off_period = milliseconds(1);
-  exp.add_alltoall(a2a);
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.learned_params();
-}
-
-dcqcn::DcqcnParams pretrain_on_fb_hadoop() {
-  ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 72);
-  cfg.duration = milliseconds(200);
-  Experiment exp(cfg);
-  exp.add_poisson(fb_hadoop(exp, 0.4, milliseconds(190), 72));
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.learned_params();
+/// An offline pretraining run: the parameters PARALEON learned on the
+/// sweep-less scenarios/`file`, frozen for replay as a static setting.
+dcqcn::DcqcnParams pretrain(const std::string& file) {
+  const scenario::Scenario sc =
+      scenario::load_scenario_file(scenario_path(file));
+  return harvest_grid(sc, /*jobs=*/1, [](const auto&, Experiment& exp,
+                                         const auto&) {
+           return exp.learned_params();
+         }).front();
 }
 
 void run_influx(const char* name, const scenario::Scenario& sc,
@@ -65,15 +53,14 @@ void run_influx(const char* name, const scenario::Scenario& sc,
   std::printf("\n");
 }
 
-int run(const scenario::Scenario& sc, const BenchCli& cli) {
-  const WallTimer wall;
+int run(const scenario::Scenario& sc) {
   const InfluxWindow influx = influx_window(sc);
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
                scaling_note(live_cfg(sc),
                             "pretraining: 200 ms offline episodes; "
                             "evaluation: the Fig. 8 influx scenario"));
-  const dcqcn::DcqcnParams pre1 = pretrain_on_alltoall();
-  const dcqcn::DcqcnParams pre2 = pretrain_on_fb_hadoop();
+  const dcqcn::DcqcnParams pre1 = pretrain("fig9_pretrain_alltoall.json");
+  const dcqcn::DcqcnParams pre2 = pretrain("fig9_pretrain_fb_hadoop.json");
   std::printf("Pretrained1 (alltoall):  %s\n", dcqcn::to_string(pre1).c_str());
   std::printf("Pretrained2 (fb_hadoop): %s\n\n",
               dcqcn::to_string(pre2).c_str());
@@ -87,15 +74,12 @@ int run(const scenario::Scenario& sc, const BenchCli& cli) {
       "\nPaper Fig. 9 shape: the pretrained settings capture only their\n"
       "training workload; live PARALEON achieves lower RTT during the\n"
       "influx AND higher throughput afterwards.\n");
-  write_wall_trend(cli.perf_out, "fig9_pretrained", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchCli cli = parse_bench_cli(argc, argv, kPerfOut);
-  return run_with_scenario(
-      "fig8_influx.json", false,
-      [&cli](const scenario::Scenario& sc) { return run(sc, cli); });
+  parse_bench_cli(argc, argv, 0);
+  return run_with_scenario("fig8_influx.json", false, run);
 }

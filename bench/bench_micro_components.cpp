@@ -229,16 +229,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // No fabric is simulated here; the note documents the reference config
-  // the component costs feed into (paper_fabric is what the experiment
-  // benches run).
-  const bench::ExperimentConfig ref =
-      bench::paper_fabric(bench::Scheme::kParaleon, /*seed=*/1);
-  std::printf("# bench_micro_components: Table IV component costs\n");
-  std::printf("# %s\n",
-              bench::scaling_note(
-                  ref, "component micros only; fabric shown for reference")
-                  .c_str());
+  // No fabric is simulated here; the note documents the reference fabric
+  // the component costs feed into, the one scenarios/fig8_influx.json runs.
+  const int rc = bench::run_with_scenario(
+      "fig8_influx.json", false, [](const paraleon::scenario::Scenario& sc) {
+        std::printf("# bench_micro_components: Table IV component costs\n");
+        std::printf("# %s\n",
+                    bench::scaling_note(
+                        paraleon::scenario::to_experiment_config(sc),
+                        "component micros only; fabric shown for reference")
+                        .c_str());
+        return 0;
+      });
+  if (rc != 0) return rc;
 
   benchmark::RunSpecifiedBenchmarks();
   // The bench-trend artifact is measured outside google-benchmark so the

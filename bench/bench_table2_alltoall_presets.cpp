@@ -20,8 +20,6 @@ using namespace paraleon::runner;
 
 namespace {
 
-BenchCli g_cli;
-
 /// The cell's table value: mean algbw (GB/s) over the collective's
 /// completed rounds, 0 when none completed.
 double mean_algbw(const scenario::GridCell&, Experiment&,
@@ -36,7 +34,6 @@ double mean_algbw(const scenario::GridCell&, Experiment&,
 }
 
 int run(const scenario::Scenario& sc) {
-  const WallTimer wall;
   print_header(
       "Table II: alltoall out-of-place algbw (GB/s), Default vs Expert",
       scenario_note(sc));
@@ -61,13 +58,12 @@ int run(const scenario::Scenario& sc) {
       "\nPaper Table II shape: Expert exceeds Default at every size, by\n"
       "2-6x (e.g. 25.69 vs 6.37 GB/s at 512MB). Expect the same ordering\n"
       "with a growing absolute gap here.\n");
-  write_wall_trend(g_cli.perf_out, "table2_alltoall_presets", wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_bench_cli(argc, argv, kPerfOut);
+  parse_bench_cli(argc, argv, 0);
   return run_with_scenario("table2_alltoall_presets.json", false, run);
 }

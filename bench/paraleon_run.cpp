@@ -251,22 +251,40 @@ bool dump_obs(const Experiment& exp, const std::string& name) {
   return true;
 }
 
-/// Writes a grid document to `path` and its Chrome-trace timeline next to
-/// it (`x.grid.json` -> `x.grid.timeline.json`). Returns false (after
-/// naming the files on stderr) when either could not be written.
-bool write_grid(const scenario::GridOutcome& grid, const std::string& path) {
+/// Where a grid document's Chrome-trace timeline goes: next to it,
+/// `x.grid.json` -> `x.grid.timeline.json`.
+std::string timeline_path(const std::string& grid_path) {
   const std::string suffix = ".json";
-  std::string timeline = path;
+  std::string timeline = grid_path;
   if (timeline.size() > suffix.size() &&
       timeline.compare(timeline.size() - suffix.size(), suffix.size(),
                        suffix) == 0) {
     timeline.resize(timeline.size() - suffix.size());
   }
-  timeline += ".timeline.json";
+  return timeline + ".timeline.json";
+}
+
+/// Names a grid document and timeline that could not be written; false.
+bool grid_write_failed(const std::string& path) {
+  std::fprintf(stderr, "# grid: FAILED to write %s and %s\n", path.c_str(),
+               timeline_path(path).c_str());
+  return false;
+}
+
+/// Creates both grid outputs before the first cell runs, so an unwritable
+/// path fails at once instead of after the whole grid.
+bool open_grid_outputs(const std::string& path) {
+  return (std::ofstream(path) && std::ofstream(timeline_path(path))) ||
+         grid_write_failed(path);
+}
+
+/// Writes a grid document to `path` and its timeline next to it. Returns
+/// false (after naming the files on stderr) when either could not be
+/// written.
+bool write_grid(const scenario::GridOutcome& grid, const std::string& path) {
+  const std::string timeline = timeline_path(path);
   if (!grid.write(path) || !grid.write_timeline(timeline)) {
-    std::fprintf(stderr, "# grid: FAILED to write %s and %s\n", path.c_str(),
-                 timeline.c_str());
-    return false;
+    return grid_write_failed(path);
   }
   std::printf("# grid: wrote %s and %s\n", path.c_str(), timeline.c_str());
   return true;
@@ -380,6 +398,11 @@ int run_grid_mode(const scenario::Scenario& sc) {
     };
   }
 
+  const std::string grid_path =
+      g_cli.grid_out.empty() ? g_cli.out_dir + "/" + sc.name + ".grid.json"
+                             : g_cli.grid_out;
+  if (!open_grid_outputs(grid_path)) return 1;
+
   print_header("scenario grid: " + sc.name,
                scaling_note(scenario::to_experiment_config(sc),
                             sc.description.empty() ? "scenario grid"
@@ -407,9 +430,6 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
 
-  const std::string grid_path =
-      g_cli.grid_out.empty() ? g_cli.out_dir + "/" + sc.name + ".grid.json"
-                             : g_cli.grid_out;
   if (!write_grid(grid, grid_path) || !dumps_ok) return 1;
 
   if (!g_cli.perf_out.empty()) {

@@ -68,22 +68,4 @@ common::Json Registry::to_json() const {
       {{"counters", std::move(counters)}, {"gauges", std::move(gauges)}});
 }
 
-void ScrapeLog::record(Time t, const Registry& reg) {
-  common::MutexLock lock(mu_);
-  if (filter_.empty()) {
-    for (const auto& s : reg.snapshot()) series_[s.name].add(t, s.value);
-    return;
-  }
-  for (const auto& name : filter_) {
-    series_[name].add(t, reg.value_of(name));
-  }
-}
-
-const stats::TimeSeries& ScrapeLog::series(const std::string& name) const {
-  static const stats::TimeSeries kEmpty;
-  common::MutexLock lock(mu_);
-  const auto it = series_.find(name);
-  return it == series_.end() ? kEmpty : it->second;
-}
-
 }  // namespace paraleon::obs

@@ -38,7 +38,6 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/time.hpp"
-#include "stats/timeseries.hpp"
 
 namespace paraleon::obs {
 
@@ -105,40 +104,6 @@ class Registry {
   // must never move once handed out.
   std::deque<std::int64_t> slots_ PARALEON_GUARDED_BY(mu_);
   std::map<std::string, ReadFn> gauges_ PARALEON_GUARDED_BY(mu_);
-};
-
-/// Periodic scrape sink: records a (filtered) registry snapshot per call
-/// into one stats::TimeSeries per instrument — the mechanism behind
-/// sim::QueueTelemetry.
-class ScrapeLog {
- public:
-  /// Restricts future record() calls to these instrument names
-  /// (empty = scrape everything).
-  void set_filter(std::vector<std::string> names) PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    filter_ = std::move(names);
-  }
-
-  void record(Time t, const Registry& reg) PARALEON_EXCLUDES(mu_);
-
-  /// The returned references stay valid while the log lives; read them
-  /// only after recording has quiesced (post-run, like every dump).
-  const stats::TimeSeries& series(const std::string& name) const
-      PARALEON_EXCLUDES(mu_);
-  const std::map<std::string, stats::TimeSeries>& all() const
-      PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return series_;
-  }
-  bool empty() const PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return series_.empty();
-  }
-
- private:
-  mutable common::Mutex mu_;
-  std::vector<std::string> filter_ PARALEON_GUARDED_BY(mu_);
-  std::map<std::string, stats::TimeSeries> series_ PARALEON_GUARDED_BY(mu_);
 };
 
 }  // namespace paraleon::obs

@@ -721,6 +721,10 @@ Scenario load_scenario_file(const std::string& path, bool tiny) {
   return parse_scenario_text(buf.str(), path, tiny);
 }
 
+namespace {
+
+/// The paper-default block (Table III controller, SA schedule, agent
+/// thresholds), applied on top of an already-shaped clos config.
 void apply_paper_defaults(runner::ExperimentConfig& cfg) {
   cfg.controller.mi = milliseconds(1);       // Table III
   cfg.controller.kl_theta = 0.01;            // Table III
@@ -747,6 +751,8 @@ void apply_paper_defaults(runner::ExperimentConfig& cfg) {
   // post-episode check rolls back regressions.
   cfg.controller.steady_retrigger_mi = 40;
 }
+
+}  // namespace
 
 runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
   runner::ExperimentConfig cfg;

@@ -10,11 +10,10 @@
 // remove). Sweeps are re-validated per cell: an axis over an unknown key
 // fails the same way.
 //
-// Parity contract: `to_experiment_config` routes through the same
-// `apply_paper_defaults` the benches' paper_fabric() uses, so a scenario
-// that spells out the paper fabric produces a byte-identical
-// ExperimentConfig (tests/scenario_parity_test pins the fig8/fig13
-// digests).
+// Parity contract: the committed scenarios/ files are the only definition
+// of the paper's experiments; tests/scenario_parity_test pins one cell of
+// each, digest and table value, recorded from the hand-built setups the
+// files replaced.
 #pragma once
 
 #include <cstdint>
@@ -186,17 +185,11 @@ const std::vector<std::string>& param_override_keys();
 // Mapping onto the experiment harness
 // ---------------------------------------------------------------------
 
-/// The shared paper-default block (Table III controller, SA schedule,
-/// agent thresholds) applied on top of an already-shaped clos config —
-/// the single source both bench::paper_fabric and scenarios route
-/// through, which is what makes scenario and hand-built configs
-/// byte-identical.
-void apply_paper_defaults(runner::ExperimentConfig& cfg);
-
 runner::Scheme scheme_from_name(const std::string& name);
 
 /// Builds the full ExperimentConfig: topology generator, scheme, paper
-/// defaults, then the scenario's parameter overrides, duration and seed.
+/// defaults (Table III controller, SA schedule, agent thresholds), then
+/// the scenario's parameter overrides, duration and seed.
 runner::ExperimentConfig to_experiment_config(const Scenario& sc);
 
 /// Evaluates the scenario's headline metric on a finished run.

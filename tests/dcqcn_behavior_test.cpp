@@ -1,9 +1,8 @@
 // Network-level DCQCN behaviour: fairness, queue control by ECN
-// thresholds, CNP pacing, and queue telemetry.
+// thresholds and CNP pacing.
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
-#include "sim/telemetry.hpp"
 #include "sim/topology.hpp"
 
 namespace paraleon::sim {
@@ -25,6 +24,37 @@ ClosConfig behaviour_clos() {
   cfg.dcqcn.rate_reduce_monitor_period = microseconds(50);
   return cfg;
 }
+
+/// Samples one device's data-queue depth at construction and then every
+/// 100 us through `until`, keeping the deepest sample and its time.
+class QueuePeakSampler {
+ public:
+  QueuePeakSampler(Simulator* sim, const NetDevice* dev, Time until)
+      : sim_(sim), dev_(dev), until_(until) {
+    sample();
+  }
+
+  double depth_bytes = 0.0;
+  Time at = 0;
+
+ private:
+  static constexpr Time kInterval = microseconds(100);
+
+  void sample() {
+    const double depth = static_cast<double>(dev_->data_queue_bytes());
+    if (depth > depth_bytes) {
+      depth_bytes = depth;
+      at = sim_->now();
+    }
+    if (sim_->now() + kInterval <= until_) {
+      sim_->schedule_in(kInterval, [this] { sample(); });
+    }
+  }
+
+  Simulator* sim_;
+  const NetDevice* dev_;
+  Time until_;
+};
 
 TEST(DcqcnBehaviour, TwoFlowsShareBottleneckFairly) {
   Simulator sim;
@@ -62,15 +92,12 @@ TEST(DcqcnBehaviour, EcnThresholdsBoundQueueDepth) {
   cfg.dcqcn.kmax_bytes = 60 << 10;
   cfg.dcqcn.pmax = 0.5;
   ClosTopology topo(&sim, cfg);
-  QueueTelemetry telemetry(&sim, microseconds(100));
   // Host 0's downlink is ToR0 port 0.
-  telemetry.watch("bottleneck", &topo.tor(0).port(0));
-  telemetry.start(milliseconds(50));
+  QueuePeakSampler peak(&sim, &topo.tor(0).port(0), milliseconds(50));
   for (int src = 1; src < 4; ++src) {
     topo.host(src).start_flow(static_cast<std::uint64_t>(src), 0, 64 << 20);
   }
   sim.run_until(milliseconds(50));
-  const QueueTelemetry::Peak peak = telemetry.peak("bottleneck");
   EXPECT_GT(peak.depth_bytes, 10 << 10);  // congestion actually built up
   EXPECT_LT(peak.depth_bytes, naive_cap());  // and ECN kept it bounded
   EXPECT_GT(peak.at, 0);  // the peak was not the immediate t=0 sample
@@ -83,15 +110,13 @@ TEST(DcqcnBehaviour, HigherKmaxDeeperQueues) {
     cfg.dcqcn.kmin_bytes = kmax / 4;
     cfg.dcqcn.kmax_bytes = kmax;
     ClosTopology topo(&sim, cfg);
-    QueueTelemetry telemetry(&sim, microseconds(100));
-    telemetry.watch("q", &topo.tor(0).port(0));
-    telemetry.start(milliseconds(40));
+    QueuePeakSampler peak(&sim, &topo.tor(0).port(0), milliseconds(40));
     for (int src = 1; src < 4; ++src) {
       topo.host(src).start_flow(static_cast<std::uint64_t>(src), 0,
                                 64 << 20);
     }
     sim.run_until(milliseconds(40));
-    return telemetry.max_depth("q");
+    return peak.depth_bytes;
   };
   EXPECT_LT(peak_for(40 << 10), peak_for(640 << 10));
 }
@@ -134,42 +159,6 @@ TEST(DcqcnBehaviour, LongerCutPeriodSustainsHigherRate) {
            topo.host(2).uplink().tx_data_bytes();
   };
   EXPECT_GT(goodput_for(microseconds(80)), goodput_for(microseconds(2)));
-}
-
-TEST(QueueTelemetrySampling, SamplesAtInterval) {
-  Simulator sim;
-  ClosTopology topo(&sim, behaviour_clos());
-  QueueTelemetry telemetry(&sim, milliseconds(1));
-  telemetry.watch("p0", &topo.tor(0).port(0));
-  telemetry.start(milliseconds(10));
-  sim.run_until(milliseconds(12));
-  // Immediate t=0 sample plus one per interval through t=10ms inclusive.
-  EXPECT_EQ(telemetry.series("p0").points().size(), 11u);
-  EXPECT_EQ(telemetry.series("p0").points().front().t, 0);
-  EXPECT_EQ(telemetry.series("unknown").points().size(), 0u);
-}
-
-TEST(QueueTelemetrySampling, ShortRunStillSamplesAtStart) {
-  // Regression: the first sample used to land at t+interval, so a run
-  // shorter than one interval recorded nothing.
-  Simulator sim;
-  ClosTopology topo(&sim, behaviour_clos());
-  QueueTelemetry telemetry(&sim, milliseconds(1));
-  telemetry.watch("p0", &topo.tor(0).port(0));
-  telemetry.start(microseconds(500));
-  sim.run_until(microseconds(500));
-  EXPECT_EQ(telemetry.series("p0").points().size(), 1u);
-}
-
-TEST(QueueTelemetrySampling, IdleQueueReadsZero) {
-  Simulator sim;
-  ClosTopology topo(&sim, behaviour_clos());
-  QueueTelemetry telemetry(&sim, milliseconds(1));
-  telemetry.watch("p0", &topo.tor(0).port(0));
-  telemetry.start(milliseconds(5));
-  sim.run_until(milliseconds(6));
-  EXPECT_EQ(telemetry.max_depth("p0"), 0.0);
-  EXPECT_EQ(telemetry.peak("p0").at, 0);
 }
 
 }  // namespace

@@ -97,21 +97,6 @@ TEST(Registry, JsonPrintsIntegersExactly) {
   EXPECT_EQ(gauges.find("tenth")->as_double(), 0.1);
 }
 
-TEST(ScrapeLog, FilterRestrictsSeries) {
-  Registry reg;
-  Counter a = reg.counter("keep");
-  reg.counter("skip").inc();
-  ScrapeLog log;
-  log.set_filter({"keep"});
-  log.record(0, reg);
-  a.add(5);
-  log.record(10, reg);
-  ASSERT_EQ(log.series("keep").points().size(), 2u);
-  EXPECT_EQ(log.series("keep").points()[1].value, 5.0);
-  EXPECT_EQ(log.series("skip").points().size(), 0u);
-  EXPECT_EQ(log.series("absent").points().size(), 0u);
-}
-
 TEST(Trace, DisabledCategoryRecordsNothing) {
   TraceRecorder tr;
   TraceConfig cfg;

@@ -10,9 +10,12 @@
 // pin here is one of the file's tiny cells, recorded then. fig5's file
 // matched its hand-built setup in all 15 full-scale cells, and fig6's
 // object-valued kmax axis matched the bench's old kmin hook in all 16
-// cells at both scales; the fig5 pin is a full-scale cell. The scenario
-// files are now the only definition of these experiments, and a drifting
-// file fails here.
+// cells at both scales; the fig5 pin is a full-scale cell. The table4
+// and two fig9 pretraining files are sweep-less: each gave its hand-built
+// run's digest at full scale, and its pin is the tiny run, recorded from
+// the hand-built setup built with the tiny overlay's overrides before that
+// setup was deleted. The scenario files are now the only definition of
+// these experiments, and a drifting file fails here.
 //
 // run_digest hashes simulator, host and switch counters only; the metric
 // window (`metric.from_ms`/`to_ms`) and every table value a bench harvests
@@ -88,6 +91,13 @@ constexpr Pin kFig12LlmParaleon = {0x87085587646b54baull,
 // table2: Expert's mean algbw (GB/s) at 256 KB per pair.
 constexpr Pin kTable2ExpertAt256 = {0xc458e3497df3abf3ull,
                                     0x1.239a56ee2a786p-4};  // 0.07119211
+// table4: the RNIC->controller bytes of the tiny run.
+constexpr Pin kTable4Tiny = {0x1461b3a78dda103dull, 0x1.5cp+12};  // 5568 B
+// fig9 pretraining: the learned pmax of each tiny run.
+constexpr Pin kFig9PretrainAlltoall = {0xf8897f3985e19bbeull,
+                                       0x1.7358769ae7c85p-2};  // 0.36...
+constexpr Pin kFig9PretrainFbHadoop = {0x61f2f3a80c2d161cull,
+                                       0x1.7df032258acf2p-2};  // 0.37...
 
 std::string pack_path(const std::string& file) {
   return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
@@ -315,6 +325,27 @@ TEST(Table2Parity, ExpertAt256KbMatchesThePinnedSetup) {
         return sum / a2a.rounds_completed();
       },
       kTable2ExpertAt256);
+}
+
+TEST(Table4Parity, TinyRunMatchesThePinnedSetup) {
+  expect_pinned(
+      "table4_overheads.json", is_paraleon,
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return static_cast<double>(
+            exp.controller()->overheads().rnic_to_controller_bytes);
+      },
+      kTable4Tiny);
+}
+
+TEST(Fig9Parity, PretrainingRunsMatchThePinnedSetup) {
+  const Harvest learned_pmax = [](runner::Experiment& exp,
+                                  const FlowScheduler&) {
+    return exp.learned_params().pmax;
+  };
+  expect_pinned("fig9_pretrain_alltoall.json", is_paraleon, learned_pmax,
+                kFig9PretrainAlltoall);
+  expect_pinned("fig9_pretrain_fb_hadoop.json", is_paraleon, learned_pmax,
+                kFig9PretrainFbHadoop);
 }
 
 TEST(MixedMultitenant, ExpandsToTheThreeAxisCrossProduct) {

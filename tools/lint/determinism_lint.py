@@ -27,13 +27,9 @@ contract into static rules:
                         serialized output (reinterpret_cast to integer,
                         std::hash<T*>)
 
-Two frontends produce identical diagnostics:
-
-  * cindex — libclang (clang.cindex) AST walk; used when the bindings and
-    a libclang shared library are importable (the CI static-analysis job
-    installs them).
-  * tokens — a dependency-free C++ lexer built in here; the fallback for
-    containers without libclang, and the frontend the golden tests pin.
+The frontend is a dependency-free C++ lexer built in here, so the lint
+behaves identically on every machine and the golden tests pin its output
+byte for byte.
 
 Suppressions (all carry the rule id, so every waiver is grep-able):
 
@@ -260,7 +256,7 @@ def lex(text):
 
 
 # --------------------------------------------------------------------------
-# Token-stream rule engine (shared by both frontends).
+# Token-stream rule engine.
 
 
 def _prev(tokens, i):
@@ -448,7 +444,7 @@ def rule_mutable_global(path, tokens, findings):
             # Function declarations/definitions have a parameter list
             # before any initializer; variables either have none or an
             # initializer first. `static Foo x(args);` is conservatively
-            # treated as a function (the cindex frontend resolves it).
+            # treated as a function.
             is_function = paren != -1 and paren < assign
             name = None
             for d in decl[:assign if has_assign else len(decl)]:
@@ -611,7 +607,7 @@ def rule_pointer_digest(path, tokens, findings):
 
 
 # --------------------------------------------------------------------------
-# Frontends.
+# Per-file driver.
 
 
 def sibling_sources(path):
@@ -666,139 +662,6 @@ def apply_suppressions(findings, line_allows, file_allows):
             f.suppressed = True
         elif f.rule in line_allows.get(f.line, set()):
             f.suppressed = True
-
-
-def try_import_cindex():
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-    except Exception:
-        # Bindings present but no libclang shared library.
-        for name in ("libclang.so", "libclang-18.so", "libclang-17.so",
-                     "libclang-16.so", "libclang-15.so", "libclang-14.so"):
-            try:
-                cindex.Config.set_library_file(name)
-                cindex.Index.create()
-                break
-            except Exception:
-                cindex.Config.loaded = False
-        else:
-            return None
-    return cindex
-
-
-def lint_file_cindex(cindex, index, path, rel, cfg, src_root):
-    """libclang frontend: AST where it is strictly better, the shared
-    token rules (over libclang's own lexer) everywhere else."""
-    args = ["-x", "c++", "-std=c++20", f"-I{src_root}"]
-    tu = index.parse(path, args=args,
-                     options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        text = f.read()
-    tokens, line_allows, file_allows, includes = lex(text)
-    findings = []
-    if cfg.rule_applies("banned-rng", rel):
-        rule_banned_rng(rel, tokens, includes, findings)
-    if cfg.rule_applies("wall-clock", rel):
-        rule_wall_clock(rel, tokens, findings)
-    if cfg.rule_applies("mutable-global-state", rel):
-        _cindex_mutable_global(cindex, tu, path, rel, findings)
-    if cfg.rule_applies("unordered-iteration", rel):
-        _cindex_unordered_iteration(cindex, tu, path, rel, findings)
-    if cfg.rule_applies("hot-alloc", rel):
-        rule_hot_alloc(rel, tokens, findings)
-    if cfg.rule_applies("pointer-digest", rel):
-        rule_pointer_digest(rel, tokens, findings)
-    apply_suppressions(findings, line_allows, file_allows)
-    return findings
-
-
-def _in_main_file(cursor, path):
-    loc = cursor.location
-    return loc.file is not None and os.path.samefile(loc.file.name, path)
-
-
-def _cindex_mutable_global(cindex, tu, path, rel, findings):
-    K = cindex.CursorKind
-    S = cindex.StorageClass
-
-    def walk(c, in_function):
-        for ch in c.get_children():
-            if not _in_main_file(ch, path) and ch.kind != K.NAMESPACE:
-                continue
-            if ch.kind == K.VAR_DECL:
-                static = ch.storage_class == S.STATIC
-                ns_scope = c.kind in (K.TRANSLATION_UNIT, K.NAMESPACE)
-                record = c.kind in (K.CLASS_DECL, K.STRUCT_DECL,
-                                    K.UNION_DECL, K.CLASS_TEMPLATE)
-                local = in_function and static
-                if not (ns_scope or (record and static) or local):
-                    continue
-                t = ch.type.get_canonical()
-                if t.is_const_qualified():
-                    continue
-                where = ("namespace-scope" if ns_scope else
-                         "class-static" if record else
-                         "function-local static")
-                kw = "static"
-                findings.append(Finding(
-                    path if path == rel else rel, ch.location.line,
-                    "mutable-global-state",
-                    f"mutable {where} state '{ch.spelling}' ({kw}, "
-                    "non-const: shared state breaks the "
-                    "two-experiments-two-threads contract)"))
-            is_fn = ch.kind in (K.FUNCTION_DECL, K.CXX_METHOD,
-                                K.CONSTRUCTOR, K.DESTRUCTOR, K.LAMBDA_EXPR,
-                                K.FUNCTION_TEMPLATE)
-            walk(ch, in_function or is_fn)
-
-    walk(tu.cursor, False)
-
-
-def _cindex_unordered_iteration(cindex, tu, path, rel, findings):
-    K = cindex.CursorKind
-
-    def range_hits_unordered(c):
-        for ch in c.walk_preorder():
-            t = ch.type.get_canonical().spelling if ch.type else ""
-            if "unordered_map" in t or "unordered_set" in t:
-                return ch.spelling or "<expr>"
-        return None
-
-    for c in tu.cursor.walk_preorder():
-        if not _in_main_file(c, path):
-            continue
-        if c.kind == K.CXX_FOR_RANGE_STMT:
-            children = list(c.get_children())
-            if len(children) >= 2:
-                hit = range_hits_unordered(children[-2])
-                if hit is None:
-                    # Range init is typically the second-to-last child,
-                    # but walk everything except the body to be safe.
-                    for ch in children[:-1]:
-                        hit = range_hits_unordered(ch)
-                        if hit:
-                            break
-                if hit:
-                    findings.append(Finding(
-                        rel, c.location.line, "unordered-iteration",
-                        f"iteration over unordered container '{hit}' in "
-                        "a digest-feeding TU (hash order leaks into "
-                        "output; sort into a vector or use std::map)"))
-        elif c.kind == K.CALL_EXPR and c.spelling in ("begin", "cbegin"):
-            base = next(iter(c.get_children()), None)
-            if base is not None:
-                t = base.type.get_canonical().spelling if base.type else ""
-                if "unordered_map" in t or "unordered_set" in t:
-                    findings.append(Finding(
-                        rel, c.location.line, "unordered-iteration",
-                        f"iteration over unordered container "
-                        f"'{base.spelling or '<expr>'}' in a "
-                        "digest-feeding TU (hash order leaks into "
-                        "output; sort into a vector or use std::map)"))
 
 
 # --------------------------------------------------------------------------
@@ -871,8 +734,6 @@ def main(argv):
     ap.add_argument("--root", default=None,
                     help="repo root for relative paths (default: two "
                          "levels above this script)")
-    ap.add_argument("--frontend", choices=("auto", "cindex", "tokens"),
-                    default="auto")
     ap.add_argument("--json", dest="json_out", default=None,
                     help="write machine-readable findings here")
     ap.add_argument("--advisory-as-error", action="store_true",
@@ -893,24 +754,10 @@ def main(argv):
     paths = args.paths or ["src"]
     files = collect_files(paths, root)
 
-    cindex = None
-    if args.frontend in ("auto", "cindex"):
-        cindex = try_import_cindex()
-        if cindex is None and args.frontend == "cindex":
-            print("determinism_lint: clang.cindex/libclang unavailable",
-                  file=sys.stderr)
-            return 2
-    frontend = "cindex" if cindex is not None else "tokens"
-
     findings = []
-    index = cindex.Index.create() if cindex is not None else None
     for path in files:
         rel = os.path.relpath(path, root).replace(os.sep, "/")
-        if cindex is not None:
-            fs = lint_file_cindex(cindex, index, path, rel, cfg,
-                                  os.path.join(root, "src"))
-        else:
-            fs = lint_file_tokens(path, rel, cfg)
+        fs = lint_file_tokens(path, rel, cfg)
         for f in fs:
             f.severity = cfg.severity(f.rule)
         findings.extend(fs)
@@ -938,7 +785,6 @@ def main(argv):
     if args.json_out:
         doc = {
             "schema": "paraleon.lint.v1",
-            "frontend": frontend,
             "files_scanned": len(files),
             "counts": {"errors": errors, "advisories": advisories,
                        "suppressed": suppressed},
@@ -953,7 +799,7 @@ def main(argv):
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
 
-    print(f"determinism_lint [{frontend}]: {len(files)} files, "
+    print(f"determinism_lint: {len(files)} files, "
           f"{errors} errors, {advisories} advisories, "
           f"{suppressed} suppressed", file=sys.stderr)
     if errors > 0 or (advisories > 0 and args.advisory_as_error):

@@ -2,12 +2,8 @@
 """Golden tests for determinism_lint.py.
 
 Runs the linter over the fixture corpus and compares diagnostics against
-golden/fixtures.txt. The token frontend is pinned for the byte-exact
-comparison (it has no external dependencies, so it behaves identically
-everywhere); when clang.cindex is importable the suite additionally
-re-runs with the cindex frontend and checks the (file, line, rule)
-triples agree — message wording may differ between AST and token
-analyses, locations must not.
+golden/fixtures.txt byte for byte (the lint has no external
+dependencies, so it behaves identically everywhere).
 
 Also covered: exit codes (0 clean / 1 findings / 2 config error),
 advisory severity semantics, --advisory-as-error, and the --json report.
@@ -36,30 +32,18 @@ def check(name, ok, detail=""):
             print(detail)
 
 
-def run(*extra, frontend="tokens", paths=(".",)):
-    cmd = [sys.executable, LINT, "--frontend", frontend,
-           "--root", FIXTURES,
+def run(*extra, paths=(".",)):
+    cmd = [sys.executable, LINT, "--root", FIXTURES,
            "--config", os.path.join(FIXTURES, "lint.json"),
            *extra, *paths]
     return subprocess.run(cmd, capture_output=True, text=True)
-
-
-def triples(text):
-    out = set()
-    for line in text.splitlines():
-        loc, _, _ = line.partition(": ")
-        parts = loc.split(":")
-        rule = line.split("[", 1)[1].split("]", 1)[0] if "[" in line else "?"
-        if len(parts) == 2:
-            out.add((parts[0], parts[1], rule))
-    return out
 
 
 def main():
     with open(GOLDEN, "r", encoding="utf-8") as f:
         golden = f.read()
 
-    # 1. Token-frontend diagnostics are byte-identical to the golden file.
+    # 1. Diagnostics are byte-identical to the golden file.
     r = run()
     check("fixtures exit code is 1", r.returncode == 1,
           f"got {r.returncode}, stderr: {r.stderr}")
@@ -87,7 +71,6 @@ def main():
         with open(out, "r", encoding="utf-8") as f:
             doc = json.load(f)
         check("json schema tag", doc.get("schema") == "paraleon.lint.v1")
-        check("json frontend tag", doc.get("frontend") == "tokens")
         n_err = sum(1 for x in doc["findings"]
                     if x["severity"] == "error" and not x["suppressed"])
         n_adv = sum(1 for x in doc["findings"]
@@ -110,28 +93,11 @@ def main():
         with open(bad, "w", encoding="utf-8") as f:
             f.write('{"rules": {"no-such-rule": {}}}')
         r = subprocess.run(
-            [sys.executable, LINT, "--frontend", "tokens",
-             "--root", FIXTURES, "--config", bad, "."],
+            [sys.executable, LINT, "--root", FIXTURES, "--config", bad,
+             "."],
             capture_output=True, text=True)
         check("unknown rule in config exits 2", r.returncode == 2,
               f"got {r.returncode}: {r.stderr}")
-
-    # 6. If libclang is available, the cindex frontend must agree on
-    #    finding locations (message wording may differ).
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "from clang import cindex; cindex.Index.create()"],
-        capture_output=True)
-    if probe.returncode == 0:
-        r = run(frontend="cindex")
-        check("cindex exit code is 1", r.returncode == 1,
-              f"got {r.returncode}: {r.stderr}")
-        check("cindex agrees with golden on (file, line, rule)",
-              triples(r.stdout) == triples(golden),
-              f"cindex-only: {sorted(triples(r.stdout) - triples(golden))}\n"
-              f"golden-only: {sorted(triples(golden) - triples(r.stdout))}")
-    else:
-        print("[skip] cindex frontend (clang bindings not importable)")
 
     if failures:
         print(f"\n{len(failures)} check(s) failed: {failures}")
