@@ -32,14 +32,26 @@ ExperimentConfig live_cfg(const scenario::Scenario& sc,
 }
 
 /// An offline pretraining run: the parameters PARALEON learned on the
-/// sweep-less scenarios/`file`, frozen for replay as a static setting.
-dcqcn::DcqcnParams pretrain(const std::string& file) {
-  const scenario::Scenario sc =
-      scenario::load_scenario_file(scenario_path(file));
-  return harvest_grid(sc, /*jobs=*/1, [](const auto&, Experiment& exp,
-                                         const auto&) {
+/// sweep-less `pre`, frozen for replay as a static setting.
+dcqcn::DcqcnParams pretrain(const scenario::Scenario& pre) {
+  return harvest_grid(pre, /*jobs=*/1, [](const auto&, Experiment& exp,
+                                          const auto&) {
            return exp.learned_params();
          }).front();
+}
+
+/// The pretraining runs' duration as the scaling note states it: "200 ms",
+/// or "A ms / B ms" when the two files differ.
+std::string pretrain_duration(const scenario::Scenario& pre1,
+                              const scenario::Scenario& pre2) {
+  char buf[64];
+  if (pre1.duration_ms == pre2.duration_ms) {
+    std::snprintf(buf, sizeof buf, "%g ms", pre1.duration_ms);
+  } else {
+    std::snprintf(buf, sizeof buf, "%g ms / %g ms", pre1.duration_ms,
+                  pre2.duration_ms);
+  }
+  return buf;
 }
 
 void run_influx(const char* name, const scenario::Scenario& sc,
@@ -55,12 +67,18 @@ void run_influx(const char* name, const scenario::Scenario& sc,
 
 int run(const scenario::Scenario& sc) {
   const InfluxWindow influx = influx_window(sc);
+  const scenario::Scenario alltoall = scenario::load_scenario_file(
+      scenario_path("fig9_pretrain_alltoall.json"));
+  const scenario::Scenario fb_hadoop = scenario::load_scenario_file(
+      scenario_path("fig9_pretrain_fb_hadoop.json"));
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
                scaling_note(live_cfg(sc),
-                            "pretraining: 200 ms offline episodes; "
-                            "evaluation: the Fig. 8 influx scenario"));
-  const dcqcn::DcqcnParams pre1 = pretrain("fig9_pretrain_alltoall.json");
-  const dcqcn::DcqcnParams pre2 = pretrain("fig9_pretrain_fb_hadoop.json");
+                            "pretraining: " +
+                                pretrain_duration(alltoall, fb_hadoop) +
+                                " offline episodes; evaluation: the Fig. 8 "
+                                "influx scenario"));
+  const dcqcn::DcqcnParams pre1 = pretrain(alltoall);
+  const dcqcn::DcqcnParams pre2 = pretrain(fb_hadoop);
   std::printf("Pretrained1 (alltoall):  %s\n", dcqcn::to_string(pre1).c_str());
   std::printf("Pretrained2 (fb_hadoop): %s\n\n",
               dcqcn::to_string(pre2).c_str());

@@ -79,8 +79,8 @@ int run(const scenario::Scenario& sc) {
                " B")
                   .c_str(),
               "520 B");
-  const double tuning_mi = std::max(
-      1.0, static_cast<double>(oh.rnic_to_controller_bytes) / (12.0 * hosts));
+  const double tuning_mi =
+      std::max(1.0, static_cast<double>(oh.tuning_mi_ticks));
   std::printf("%-34s %-18s %-18s\n", "RNIC->controller per MI (tuning)",
               (runner::fmt(static_cast<double>(oh.rnic_to_controller_bytes) /
                                (tuning_mi * hosts),
@@ -88,8 +88,15 @@ int run(const scenario::Scenario& sc) {
                " B")
                   .c_str(),
               "12 B");
+  const double dispatches =
+      std::max(1.0, static_cast<double>(oh.device_dispatches));
   std::printf("%-34s %-18s %-18s\n", "controller->device per dispatch",
-              "76 B", "76 B");
+              (runner::fmt(static_cast<double>(oh.controller_to_devices_bytes) /
+                               dispatches,
+                           0) +
+               " B")
+                  .c_str(),
+              "76 B");
   std::printf("\nTotals over the %.0f ms run: switch->ctrl %lld B, "
               "rnic->ctrl %lld B, ctrl->devices %lld B, episodes %llu\n",
               sc.duration_ms,

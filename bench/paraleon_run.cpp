@@ -1,27 +1,29 @@
 // paraleon_run: execute any scenarios/*.json file through the scenario
-// engine — the one front door, and the only binary with run modes.
+// engine — the one front door.
 //
 //   paraleon_run scenarios/mixed_multitenant.json --tiny --jobs 4
 //
-// A scenario WITHOUT a sweep section runs as one experiment. --flight arms
-// the anomaly triggers (bundles land under <obs-out>/flight); --flight-fault
-// also injects a buffer-accounting fault into ToR 0 at half the duration
-// under full invariants, and exits 0 only when the bundle landed;
-// --replay-flight BUNDLE re-runs the bundle's seed with every trace category
-// on and writes the trace of the anomaly window back into the bundle.
-// A scenario WITH a sweep runs the whole cross-product through the
-// GridRunner and writes one paraleon.grid.v1 document (default
+// Every file runs as a grid through the GridRunner: a file WITH a sweep
+// runs its whole cross-product, a sweep-less file is a grid of one cell.
+// Every run prints one row per cell (coords "-" for the one cell of a
+// sweep-less file) and writes one paraleon.grid.v1 document (default
 // <obs-out>/<name>.grid.json, override with --grid-out) plus its Perfetto
 // timeline next to it (<grid>.timeline.json); --grid-check re-runs the grid
-// serially and byte-compares the deterministic half. In both modes --trace
-// writes every run's dumps to <obs-out> (<name>.* for one run,
-// <name>.cell<i>.* per grid cell), --perf turns on the event-loop
-// PerfMonitor and --perf-out writes a paraleon.bench.v1 document.
-// A flag the chosen mode does not use exits 2; a failed write exits 1.
+// serially and byte-compares the deterministic half. --trace turns on
+// every trace category and the PerfMonitor, and writes every cell's dumps
+// to <obs-out> as <name>.cell<i>.*.
+//
+// --flight arms the anomaly triggers (bundles land under <obs-out>/flight);
+// --replay-flight BUNDLE re-runs the bundle's seed with every trace
+// category on and writes the trace of the anomaly window back into the
+// bundle. Both need a one-cell grid, since the cells of a bigger one would
+// share one flight/ directory. A bad flag exits 2; a failed write or an
+// invariant CheckFailure exits 1.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -37,76 +39,50 @@ using namespace paraleon::runner;
 
 namespace {
 
-/// The run modes; each flag names the modes that use it.
-enum Mode : unsigned {
-  kSingle = 1u << 0,  // a sweep-less scenario
-  kReplay = 1u << 1,  // a sweep-less scenario with --replay-flight
-  kGrid = 1u << 2,    // a scenario with a sweep section
-  kAnyMode = kSingle | kReplay | kGrid,
-};
-
 struct FlagSpec {
   const char* name;
   const char* value;  // nullptr for a switch, else the value's usage name
-  unsigned modes;
 };
 
 constexpr FlagSpec kFlags[] = {
-    {"--tiny", nullptr, kAnyMode},
-    {"--obs-out", "DIR", kAnyMode},
-    {"--trace", nullptr, kAnyMode},
-    {"--perf", nullptr, kAnyMode},
-    {"--perf-out", "FILE", kAnyMode},
-    {"--flight", nullptr, kSingle},
-    {"--flight-fault", nullptr, kSingle},
-    {"--replay-flight", "BUNDLE", kReplay},
-    {"--jobs", "N", kGrid},
-    {"--grid-out", "FILE", kGrid},
-    {"--grid-check", nullptr, kGrid},
+    {"--tiny", nullptr},
+    {"--obs-out", "DIR"},
+    {"--trace", nullptr},
+    {"--flight", nullptr},
+    {"--replay-flight", "BUNDLE"},
+    {"--jobs", "N"},
+    {"--grid-out", "FILE"},
+    {"--grid-check", nullptr},
 };
 
 struct ObsCli {
   std::string scenario;
   bool tiny = false;
   bool trace = false;
-  bool perf = false;
   bool flight = false;
-  bool flight_fault = false;
   bool grid_check = false;
   std::string out_dir = ".";
-  std::string perf_out;       // empty = no bench-trend artifact
   std::string replay_bundle;  // empty = no replay
   std::string grid_out;       // empty = <obs-out>/<name>.grid.json
   int jobs = 1;
-  std::vector<const FlagSpec*> given;
 };
 
 ObsCli g_cli;
 
-/// " [--flag VALUE]..." for the flags used by exactly `modes`.
-std::string flag_list(unsigned modes) {
-  std::string out;
-  for (const FlagSpec& f : kFlags) {
-    if (f.modes != modes) continue;
-    out += std::string(" [") + f.name;
-    if (f.value != nullptr) out += std::string(" ") + f.value;
-    out += "]";
-  }
-  return out;
-}
-
 int usage(const char* argv0) {
+  std::string flags;
+  for (const FlagSpec& f : kFlags) {
+    flags += std::string(" [") + f.name;
+    if (f.value != nullptr) flags += std::string(" ") + f.value;
+    flags += "]";
+  }
   std::fprintf(stderr,
-               "usage: %s SCENARIO.json [FLAG]...\n"
-               "  any scenario:%s\n"
-               "  without a sweep:%s\n"
-               "  without a sweep, replaying a bundle:%s\n"
-               "  with a sweep:%s\n"
-               "N is a non-negative integer.\n"
+               "usage: %s SCENARIO.json%s\n"
+               "--flight and --replay-flight need a sweep-less scenario. N "
+               "is a non-negative integer.\n"
                "See docs/SCENARIOS.md for the scenario schema and grid "
                "semantics.\n",
-               argv0, flag_list(kAnyMode).c_str(), flag_list(kSingle).c_str(),
-               flag_list(kReplay).c_str(), flag_list(kGrid).c_str());
+               argv0, flags.c_str());
   return 2;
 }
 
@@ -118,20 +94,14 @@ bool set_flag(std::string_view a, const char* value) {
     g_cli.tiny = true;
   } else if (a == "--trace") {
     g_cli.trace = true;
-  } else if (a == "--perf") {
-    g_cli.perf = true;
   } else if (a == "--flight") {
     g_cli.flight = true;
-  } else if (a == "--flight-fault") {
-    g_cli.flight = g_cli.flight_fault = true;
   } else if (a == "--grid-check") {
     g_cli.grid_check = true;
   } else if (value == nullptr) {
     return false;
   } else if (a == "--obs-out") {
     g_cli.out_dir = value;
-  } else if (a == "--perf-out") {
-    g_cli.perf_out = value;
   } else if (a == "--replay-flight") {
     g_cli.replay_bundle = value;
   } else if (a == "--grid-out") {
@@ -166,45 +136,19 @@ bool parse_cli(int argc, char** argv) {
                    static_cast<int>(a.size()), a.data());
       return false;
     }
-    g_cli.given.push_back(flag);
   }
   return !g_cli.scenario.empty();
 }
 
-/// Exits 2 (via usage) on the first given flag that `mode` does not use.
-int check_mode(unsigned mode, const std::string& name, const char* argv0) {
-  for (const FlagSpec* f : g_cli.given) {
-    if ((f->modes & mode) != 0) continue;
-    if (mode == kGrid) {
-      std::fprintf(stderr,
-                   "paraleon_run: %s is a single-run flag, but %s has a "
-                   "sweep section and a grid runs many cells. Run the "
-                   "interesting cell as its own sweep-less scenario.\n",
-                   f->name, name.c_str());
-    } else if (f->modes == kGrid) {
-      std::fprintf(stderr,
-                   "paraleon_run: %s needs a grid "
-                   "(--jobs/--grid-out/--grid-check are grid flags), but %s "
-                   "has no sweep section. Add a sweep or drop the flag.\n",
-                   f->name, name.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "paraleon_run: %s does not combine with --replay-flight, "
-                   "which disarms the triggers for the replay.\n",
-                   f->name);
-    }
-    return usage(argv0);
-  }
-  return 0;
-}
-
-/// Applies the CLI to an experiment config: every trace category on with
-/// --trace, the PerfMonitor with --perf or --perf-out, and with --flight
-/// the anomaly triggers armed at thresholds that stay silent on a healthy
-/// run but fire on a pause storm or drop burst.
+/// Applies the CLI to an experiment config: every trace category and the
+/// event-loop PerfMonitor on with --trace, and with --flight the anomaly
+/// triggers armed at thresholds that stay silent on a healthy run but fire
+/// on a pause storm or drop burst.
 void apply_obs_cli(ExperimentConfig& cfg) {
-  if (g_cli.trace) cfg.obs.trace = obs::TraceConfig::all_on();
-  if (g_cli.perf || !g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+  if (g_cli.trace) {
+    cfg.obs.trace = obs::TraceConfig::all_on();
+    cfg.obs.perf_counters = true;
+  }
   if (g_cli.flight) {
     cfg.obs.flight.armed = true;
     cfg.obs.flight.dir = g_cli.out_dir + "/flight";
@@ -220,10 +164,9 @@ void apply_obs_cli(ExperimentConfig& cfg) {
 /// loadable), `<name>.obs.json` (counter registry + episode timelines)
 /// and, for offline plotting, `<name>.throughput.csv`, `<name>.rtt.csv`
 /// (per-MI `t_ms,value`) and `<name>.flows.csv` (completed flows) under
-/// <obs-out> for a finished run. No-op unless --trace was given. Returns
-/// false (after naming the files on stderr) when any could not be written.
+/// <obs-out> for a finished run. Returns false (after naming the files on
+/// stderr) when any could not be written.
 bool dump_obs(const Experiment& exp, const std::string& name) {
-  if (!g_cli.trace) return true;
   const std::string base = g_cli.out_dir + "/" + name;
   std::ofstream trace(base + ".trace.json");
   trace << exp.simulator().obs().trace().to_json();
@@ -290,113 +233,53 @@ bool write_grid(const scenario::GridOutcome& grid, const std::string& path) {
   return true;
 }
 
-/// One experiment from a sweep-less scenario: a plain run, a
-/// --flight-fault run, or a --replay-flight run. A replay installs the
-/// scenario's workloads exactly as the original run did: it reads only the
-/// seed and horizon from the bundle's manifest, determinism does the rest.
-int run_single(const scenario::Scenario& sc) {
-  ExperimentConfig cfg = scenario::to_experiment_config(sc);
-  apply_obs_cli(cfg);
+/// Runs `sc` as a grid. A replay installs the scenario's workloads exactly
+/// as the original run did: it reads only the seed and horizon from the
+/// bundle's manifest, determinism does the rest.
+int run(const scenario::Scenario& sc) {
   ReplayRequest replay;
-  if (!g_cli.replay_bundle.empty()) {
-    if (!load_replay_request(g_cli.replay_bundle, &replay)) {
-      std::fprintf(stderr, "replay-flight: cannot read %s/manifest.json\n",
-                   g_cli.replay_bundle.c_str());
-      return 1;
-    }
-    apply_replay(cfg, replay);
-  }
-  if (g_cli.flight_fault) cfg.invariants.level = check::CheckLevel::kFull;
-  Experiment exp(cfg);
-  scenario::FlowScheduler flows(sc, &exp);
-  flows.install_all();
-  if (sc.scheme.force_trigger && exp.controller() != nullptr) {
-    exp.controller()->force_trigger();
-  }
-  if (g_cli.flight_fault) {
-    // Corrupt ToR 0's MMU accounting mid-run: the kFull invariant checker
-    // throws CheckFailure and the armed recorder dumps a check_failure
-    // bundle, which CI validates and replays.
-    exp.simulator().schedule_at(cfg.duration / 2, [&exp] {
-      exp.topology().tor(0).inject_buffer_accounting_fault(4096);
-    });
-  }
-  print_header("scenario: " + sc.name,
-               scaling_note(cfg, sc.description.empty() ? "scenario run"
-                                                        : sc.description));
-  const WallTimer wall;
-  try {
-    exp.run();
-  } catch (const check::CheckFailure&) {
-    // The checker printed the diagnostic before throwing.
-    const std::string& bundle = exp.flight_bundle_dir();
-    if (!bundle.empty()) std::printf("# flight bundle: %s\n", bundle.c_str());
-    if (g_cli.flight_fault && !bundle.empty()) return 0;
-    std::fprintf(stderr, "paraleon_run: %s failed an invariant check%s\n",
-                 sc.name.c_str(),
-                 g_cli.flight_fault ? " but wrote no flight bundle" : "");
+  const bool replaying = !g_cli.replay_bundle.empty();
+  if (replaying && !load_replay_request(g_cli.replay_bundle, &replay)) {
+    std::fprintf(stderr, "replay-flight: cannot read %s/manifest.json\n",
+                 g_cli.replay_bundle.c_str());
     return 1;
   }
-  if (g_cli.flight_fault) {
-    std::fprintf(stderr, "flight-fault: injected fault was not detected\n");
-    return 1;
-  }
-  const double seconds = wall.seconds();
-  const double value = scenario::evaluate_metric(sc, exp);
-  std::printf("%-24s %14s %18s\n", "metric", "value", "digest");
-  std::printf("%-24s %14.4f %18s\n", sc.metric.name.c_str(), value,
-              scenario::digest_hex(run_digest(exp)).c_str());
-  std::printf("# run: %llu events in %.2fs wall\n",
-              static_cast<unsigned long long>(
-                  exp.simulator().events_executed()),
-              seconds);
-  if (!exp.flight_bundle_dir().empty()) {
-    std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
-  }
-  if (!g_cli.replay_bundle.empty()) {
-    if (!write_replay_outputs(exp, g_cli.replay_bundle)) {
-      std::fprintf(stderr, "replay-flight: cannot write replay outputs\n");
-      return 1;
-    }
-    std::printf(
-        "# replay: wrote %s/replay.trace.json (trigger at %lld ns, window "
-        "0..%lld ns)\n",
-        g_cli.replay_bundle.c_str(),
-        static_cast<long long>(replay.trigger_ns),
-        static_cast<long long>(replay.replay_until_ns));
-  }
-  if (!dump_obs(exp, sc.name)) return 1;
-  if (!g_cli.perf_out.empty()) {
-    TrendReport trend(sc.name);
-    trend.add("metric_" + sc.metric.name, value);
-    trend.add("fct_finished", static_cast<double>(exp.fct().finished()),
-              "flows");
-    add_perf_metrics(trend, exp);
-    write_trend(g_cli.perf_out, trend);
-  }
-  return 0;
-}
 
-int run_grid_mode(const scenario::Scenario& sc) {
   obs::PoolTelemetry pool;
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
   opts.telemetry = &pool;
-  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+  opts.on_config = [&](const scenario::GridCell&, ExperimentConfig& cfg) {
     apply_obs_cli(cfg);
+    if (replaying) apply_replay(cfg, replay);
   };
-  // With --trace every cell writes its own dumps, so concurrent cells
-  // never share a file; cell 4 of fig8_influx is its paraleon cell.
-  std::atomic<bool> dumps_ok{true};
-  if (g_cli.trace) {
-    opts.on_cell = [&sc, &dumps_ok](const scenario::GridCell& cell,
-                                    Experiment& exp,
-                                    const scenario::FlowScheduler&) {
-      if (!dump_obs(exp, sc.name + ".cell" + std::to_string(cell.index))) {
-        dumps_ok = false;
+  // Every cell writes its own dumps, so concurrent cells never share a
+  // file; cell 4 of fig8_influx is its paraleon cell. Bundles and replays
+  // belong to the one cell of a sweep-less file.
+  std::atomic<bool> outputs_ok{true};
+  opts.on_cell = [&](const scenario::GridCell& cell, Experiment& exp,
+                     const scenario::FlowScheduler&) {
+    if (!exp.flight_bundle_dir().empty()) {
+      std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
+    }
+    if (replaying) {
+      if (!write_replay_outputs(exp, g_cli.replay_bundle)) {
+        std::fprintf(stderr, "replay-flight: cannot write replay outputs\n");
+        outputs_ok = false;
+      } else {
+        std::printf(
+            "# replay: wrote %s/replay.trace.json (trigger at %lld ns, "
+            "window 0..%lld ns)\n",
+            g_cli.replay_bundle.c_str(),
+            static_cast<long long>(replay.trigger_ns),
+            static_cast<long long>(replay.replay_until_ns));
       }
-    };
-  }
+    }
+    if (g_cli.trace &&
+        !dump_obs(exp, sc.name + ".cell" + std::to_string(cell.index))) {
+      outputs_ok = false;
+    }
+  };
 
   const std::string grid_path =
       g_cli.grid_out.empty() ? g_cli.out_dir + "/" + sc.name + ".grid.json"
@@ -430,22 +313,10 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
 
-  if (!write_grid(grid, grid_path) || !dumps_ok) return 1;
-
-  if (!g_cli.perf_out.empty()) {
-    TrendReport trend(sc.name);
-    trend.add("grid_wall_seconds", grid_seconds, "s");
-    trend.add("grid_cells", static_cast<double>(grid.results().size()),
-              "cells");
-    for (const auto& r : grid.results()) {
-      trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
-                r.value);
-    }
-    write_trend(g_cli.perf_out, trend);
-  }
+  if (!write_grid(grid, grid_path) || !outputs_ok) return 1;
 
   if (g_cli.grid_check) {
-    // Same config hook (tracing moves the digests), no second dump.
+    // Same config hook (tracing moves the digests), no second output.
     scenario::GridOptions serial = opts;
     serial.jobs = 1;
     serial.telemetry = nullptr;
@@ -472,15 +343,30 @@ int main(int argc, char** argv) {
   try {
     const scenario::Scenario sc =
         scenario::load_scenario_file(g_cli.scenario, g_cli.tiny);
-    const unsigned mode = !sc.sweep.empty()               ? kGrid
-                          : g_cli.replay_bundle.empty() ? kSingle
-                                                          : kReplay;
-    if (const int rc = check_mode(mode, sc.name, argv[0]); rc != 0) {
-      return rc;
+    std::size_t cells = 1;
+    for (const auto& axis : sc.sweep) cells *= axis.values.size();
+    if (cells > 1 && (g_cli.flight || !g_cli.replay_bundle.empty())) {
+      std::fprintf(stderr,
+                   "paraleon_run: %s is a single-run flag, but %s has %zu "
+                   "cells, which would share one flight/ directory. Run the "
+                   "interesting cell as its own sweep-less scenario.\n",
+                   g_cli.flight ? "--flight" : "--replay-flight",
+                   sc.name.c_str(), cells);
+      return usage(argv[0]);
     }
-    return mode == kGrid ? run_grid_mode(sc) : run_single(sc);
+    return run(sc);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  } catch (const check::CheckFailure&) {
+    // The checker printed the diagnostic before throwing; an armed
+    // recorder wrote its bundle before the run unwound.
+    const std::string bundle = g_cli.out_dir + "/flight/flight_check_failure";
+    if (g_cli.flight && std::filesystem::exists(bundle + "/manifest.json")) {
+      std::printf("# flight bundle: %s\n", bundle.c_str());
+    }
+    std::fprintf(stderr, "paraleon_run: %s failed an invariant check\n",
+                 g_cli.scenario.c_str());
+    return 1;
   }
 }

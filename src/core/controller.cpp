@@ -46,6 +46,7 @@ void ParaleonController::dispatch(const dcqcn::DcqcnParams& p) {
                        collector_.leaves().size();
   overheads_.controller_to_devices_bytes +=
       kDispatchBytes * static_cast<std::int64_t>(devices);
+  overheads_.device_dispatches += devices;
 }
 
 void ParaleonController::tick() {
@@ -57,6 +58,7 @@ void ParaleonController::tick() {
   // is only incurred while a tuning episode needs feedback (event-driven).
   const NetworkMetrics metrics = collector_.collect(cfg_.mi);
   if (sa_.active()) {
+    ++overheads_.tuning_mi_ticks;
     overheads_.rnic_to_controller_bytes +=
         kRnicUploadBytes * static_cast<std::int64_t>(collector_.hosts().size());
   }

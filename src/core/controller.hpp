@@ -107,6 +107,11 @@ class ParaleonController {
     std::int64_t rnic_to_controller_bytes = 0;
     std::int64_t controller_to_devices_bytes = 0;
     std::uint64_t mi_ticks = 0;
+    /// MI ticks during a tuning episode (the ticks that upload RNIC
+    /// metrics).
+    std::uint64_t tuning_mi_ticks = 0;
+    /// Parameter settings sent, one per device per dispatch.
+    std::uint64_t device_dispatches = 0;
   };
   const Overheads& overheads() const { return overheads_; }
 

@@ -256,63 +256,16 @@ void Experiment::schedule_probe() {
   if (controllers_.size() != 1) {
     // Record the runtime series the controller would otherwise provide.
     probe_collector_ = std::make_unique<core::MetricCollector>(topo_.get());
-    // `self` recursion via a schedule lambda owned by this Experiment (a
-    // shared_ptr capturing itself would cycle and leak).
-    probe_ticks_.push_back(std::make_unique<std::function<void()>>());
-    auto* tick = probe_ticks_.back().get();
-    *tick = [this, mi, tick] {
-      const core::NetworkMetrics m = probe_collector_->collect(mi);
-      probe_tput_.add(sim_.now(), m.total_tx_gbps);
-      probe_rtt_.add(sim_.now(), m.avg_rtt_us);
-      sim_.schedule_in(mi, *tick);
-    };
-    sim_.schedule_at(mi, *tick);
+    sim_.schedule_at(mi, [this] { probe_tick(); });
   }
 
   if (cfg_.obs.flight.armed) {
     flight_triggers_.configure(cfg_.obs.flight);
-    const Time iv = std::max<Time>(1, cfg_.obs.flight.check_interval);
-    // The scan is strictly read-only on the network: it samples cumulative
-    // telemetry and (at most) writes a bundle, so arming the recorder
-    // cannot change what the fabric does — which is exactly what makes a
-    // later --replay-flight of the same seed reproduce the anomaly.
-    probe_ticks_.push_back(std::make_unique<std::function<void()>>());
-    auto* tick = probe_ticks_.back().get();
-    *tick = [this, iv, tick] {
-      obs::AnomalyTriggers::Sample s;
-      s.t = sim_.now();
-      s.total_paused_ns = topo_->total_paused_time();
-      s.drops = static_cast<std::int64_t>(topo_->total_drops());
-      for (const auto& c : controllers_) {
-        s.reverts += static_cast<std::int64_t>(c->reverts());
-      }
-      if (!controllers_.empty()) {
-        const auto& pts = controllers_.front()->utility_series().points();
-        if (!pts.empty()) {
-          s.utility = pts.back().value;
-          s.utility_valid = true;
-        }
-      }
-      const char* fired = flight_triggers_.update(s);
-      if (fired != nullptr) {
-        flight_trigger_count_.inc();
-        if (flight_bundle_dir_.empty()) {
-          flight_bundle_dir_ = write_flight_bundle(*this, fired);
-        }
-      }
-      sim_.schedule_in(iv, *tick, "obs.flight_scan");
-    };
-    sim_.schedule_at(iv, *tick, "obs.flight_scan");
+    sim_.schedule_at(flight_scan_interval(), [this] { flight_scan_tick(); },
+                     "obs.flight_scan");
   }
 
   if (cfg_.track_fsd_accuracy) {
-    // Runs 1 ns after the controller/agent tick of the same interval so
-    // the agents have already advanced. Accuracy is per-flow elephant/mice
-    // classification over the flows truly active in the interval: a flow
-    // whose final size is >= tau counts as an elephant; the monitor's
-    // estimate is its likelihood (TOS dedup means at most one agent saw
-    // the flow; without dedup every agent saw all of its bytes, so the
-    // max across agents is the scheme's belief either way).
     for (int h = 0; h < topo_->host_count(); ++h) {
       topo_->host(h).enable_tx_counters(/*channel=*/1);
     }
@@ -320,33 +273,82 @@ void Experiment::schedule_probe() {
     // tick; the ledger keeps such flows findable until the tick releases
     // them.
     fct_->hold_finished();
-    probe_ticks_.push_back(std::make_unique<std::function<void()>>());
-    auto* tick = probe_ticks_.back().get();
-    *tick = [this, mi, tick] {
-      const std::int64_t tau = cfg_.agent.ternary.tau_bytes;
-      double sum = 0.0;
-      int n = 0;
-      for (int h = 0; h < topo_->host_count(); ++h) {
-        for (const auto& [flow_id, bytes] :
-             topo_->host(h).drain_tx_bytes_per_flow(/*channel=*/1)) {
-          if (bytes <= 0) continue;
-          const stats::FlowRecord* rec = fct_->find(flow_id);
-          if (rec == nullptr) continue;
-          const double truth = rec->size_bytes >= tau ? 1.0 : 0.0;
-          double est = 0.0;
-          for (const auto& a : agents_) {
-            est = std::max(est, a->elephant_likelihood(rec->qp_key));
-          }
-          sum += 1.0 - std::abs(est - truth);
-          ++n;
-        }
-      }
-      fct_->release_finished();
-      if (n > 0) accuracy_series_.add(sim_.now(), sum / n);
-      sim_.schedule_in(mi, *tick);
-    };
-    sim_.schedule_at(mi + 1, *tick);
+    // Runs 1 ns after the controller/agent tick of the same interval so
+    // the agents have already advanced.
+    sim_.schedule_at(mi + 1, [this] { fsd_accuracy_tick(); });
   }
+}
+
+void Experiment::probe_tick() {
+  const Time mi = cfg_.controller.mi;
+  const core::NetworkMetrics m = probe_collector_->collect(mi);
+  probe_tput_.add(sim_.now(), m.total_tx_gbps);
+  probe_rtt_.add(sim_.now(), m.avg_rtt_us);
+  sim_.schedule_in(mi, [this] { probe_tick(); });
+}
+
+Time Experiment::flight_scan_interval() const {
+  return std::max<Time>(1, cfg_.obs.flight.check_interval);
+}
+
+void Experiment::flight_scan_tick() {
+  // The scan is strictly read-only on the network: it samples cumulative
+  // telemetry and (at most) writes a bundle, so arming the recorder
+  // cannot change what the fabric does — which is exactly what makes a
+  // later --replay-flight of the same seed reproduce the anomaly.
+  obs::AnomalyTriggers::Sample s;
+  s.t = sim_.now();
+  s.total_paused_ns = topo_->total_paused_time();
+  s.drops = static_cast<std::int64_t>(topo_->total_drops());
+  for (const auto& c : controllers_) {
+    s.reverts += static_cast<std::int64_t>(c->reverts());
+  }
+  if (!controllers_.empty()) {
+    const auto& pts = controllers_.front()->utility_series().points();
+    if (!pts.empty()) {
+      s.utility = pts.back().value;
+      s.utility_valid = true;
+    }
+  }
+  const char* fired = flight_triggers_.update(s);
+  if (fired != nullptr) {
+    flight_trigger_count_.inc();
+    if (flight_bundle_dir_.empty()) {
+      flight_bundle_dir_ = write_flight_bundle(*this, fired);
+    }
+  }
+  sim_.schedule_in(flight_scan_interval(), [this] { flight_scan_tick(); },
+                   "obs.flight_scan");
+}
+
+void Experiment::fsd_accuracy_tick() {
+  // Accuracy is per-flow elephant/mice classification over the flows
+  // truly active in the interval: a flow whose final size is >= tau
+  // counts as an elephant; the monitor's estimate is its likelihood (TOS
+  // dedup means at most one agent saw the flow; without dedup every agent
+  // saw all of its bytes, so the max across agents is the scheme's belief
+  // either way).
+  const std::int64_t tau = cfg_.agent.ternary.tau_bytes;
+  double sum = 0.0;
+  int n = 0;
+  for (int h = 0; h < topo_->host_count(); ++h) {
+    for (const auto& [flow_id, bytes] :
+         topo_->host(h).drain_tx_bytes_per_flow(/*channel=*/1)) {
+      if (bytes <= 0) continue;
+      const stats::FlowRecord* rec = fct_->find(flow_id);
+      if (rec == nullptr) continue;
+      const double truth = rec->size_bytes >= tau ? 1.0 : 0.0;
+      double est = 0.0;
+      for (const auto& a : agents_) {
+        est = std::max(est, a->elephant_likelihood(rec->qp_key));
+      }
+      sum += 1.0 - std::abs(est - truth);
+      ++n;
+    }
+  }
+  fct_->release_finished();
+  if (n > 0) accuracy_series_.add(sim_.now(), sum / n);
+  sim_.schedule_in(cfg_.controller.mi, [this] { fsd_accuracy_tick(); });
 }
 
 void Experiment::start_flow(const workload::FlowSpec& spec) {

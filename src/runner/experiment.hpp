@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -171,6 +170,11 @@ class Experiment {
   void start_flow(const workload::FlowSpec& spec);
   void wire_scheme();
   void schedule_probe();
+  // The probe's self-rescheduling ticks, scheduled as `[this] { ... }`.
+  void probe_tick();
+  void flight_scan_tick();
+  Time flight_scan_interval() const;
+  void fsd_accuracy_tick();
 
   ExperimentConfig cfg_;
   sim::Simulator sim_;
@@ -188,11 +192,7 @@ class Experiment {
   std::vector<std::unique_ptr<core::ParaleonController>> controllers_;
   std::vector<std::unique_ptr<baselines::AccAgent>> acc_agents_;
 
-  // Probe for schemes without a controller + accuracy tracking. The tick
-  // closures reschedule themselves by pointer, so they must outlive the
-  // simulator events that copy that pointer — owned here, not by the
-  // closure (self-capture of a shared_ptr would cycle and leak).
-  std::vector<std::unique_ptr<std::function<void()>>> probe_ticks_;
+  // Probe for schemes without a controller + accuracy tracking.
   std::unique_ptr<core::MetricCollector> probe_collector_;
   stats::TimeSeries probe_tput_;
   stats::TimeSeries probe_rtt_;

@@ -66,8 +66,9 @@ struct GridOptions {
   obs::PoolTelemetry* telemetry = nullptr;
   /// Last-mile config hook, applied after the scenario's own mapping,
   /// before the Experiment is built — how paraleon_run layers its
-  /// --trace/--perf flags and the benches their perf counters (wall data;
-  /// the digest never sees it) onto every cell.
+  /// --trace/--flight flags and a bundle's replay settings, and the
+  /// benches their perf counters (wall data; the digest never sees it),
+  /// onto every cell.
   /// Tracing changes the cells' digests: run_digest hashes the retained
   /// trace events.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;
@@ -77,7 +78,8 @@ struct GridOptions {
   /// Must not touch shared mutable state except through disjoint,
   /// preallocated slots (index by cell.index) — the benches use this to
   /// harvest their table values, and paraleon_run to write each traced
-  /// cell's dumps to its own files.
+  /// cell's dumps to its own files and a one-cell grid's flight bundle
+  /// and replay outputs.
   std::function<void(const GridCell&, runner::Experiment&,
                      const FlowScheduler&)>
       on_cell;

@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "doc_checks.hpp"
-#include "scenario/scenario.hpp"
 
 #ifndef PARALEON_SOURCE_DIR
 #define PARALEON_SOURCE_DIR "."
@@ -88,19 +87,6 @@ TEST(BenchDoc, TrendReportPassesTheSchemaChecks) {
   for (const auto& [name, m] : at(doc, "metrics").members()) {
     EXPECT_FALSE(m.has("direction") || m.has("gate")) << name;
   }
-}
-
-TEST(BenchDoc, QuotedScenarioNameRoundTrips) {
-  // paraleon_run --perf-out names the document after the scenario; a
-  // quote and a backslash in that name must come back out of the parser.
-  const scenario::Scenario sc = scenario::load_scenario_file(
-      std::string(PARALEON_SOURCE_DIR) + "/tests/fixtures/quoted_name.json");
-  ASSERT_EQ(sc.name, "quote\"back\\slash");
-  bench::TrendReport trend(sc.name);
-  trend.add("fct_finished", 3.0, "flows");
-  const Json doc = Json::parse(trend.to_json(), sc.name);
-  EXPECT_EQ(check_bench(doc), 1u);
-  EXPECT_EQ(at(doc, "bench").as_string(), sc.name);
 }
 
 TEST(BenchDoc, CommittedBaselinesPassTheSchemaChecks) {

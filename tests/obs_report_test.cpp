@@ -91,8 +91,8 @@ struct TracedCell {
   bool has_controller = false;
 };
 
-/// Runs the tiny fig8 cell of `scheme` with every trace category on (and
-/// the PerfMonitor with `perf`), as paraleon_run --trace [--perf] does.
+/// Runs the tiny fig8 cell of `scheme` with every trace category on, and
+/// the PerfMonitor with `perf` (paraleon_run --trace turns on both).
 TracedCell run_fig8_cell(const std::string& scheme, bool perf) {
   const scenario::Scenario sc = scenario::load_scenario_file(
       std::string(PARALEON_SCENARIO_DIR) + "/fig8_influx.json",

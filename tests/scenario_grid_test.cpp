@@ -2,8 +2,9 @@
 // values as dotted patches under their axis key), the
 // jobs-invariant deterministic half of paraleon.grid.v1, a seed sweep as a
 // `seed` axis, the on_cell hook's view of the installed workload, the wall
-// subtree and pool timeline (both checked against their schema below), and
-// the committed scenario pack staying parseable in both full and tiny form.
+// subtree and pool timeline (both checked against their schema below, on
+// many-cell grids and on the one-cell grid of a sweep-less file), and the
+// committed scenario pack staying parseable in both full and tiny form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,9 @@
 
 #ifndef PARALEON_SCENARIO_DIR
 #define PARALEON_SCENARIO_DIR "scenarios"
+#endif
+#ifndef PARALEON_FIXTURE_DIR
+#define PARALEON_FIXTURE_DIR "tests/fixtures"
 #endif
 
 namespace paraleon::scenario {
@@ -705,6 +709,48 @@ TEST(GridDoc, AggregatesMinMeanP95MaxOverCells) {
   EXPECT_DOUBLE_EQ(aggs.at("fct.finished").min, 10.0);
   // The document's reserved aggregates restate its own cell rows.
   check_grid(Json::parse(grid.to_json(false)));
+}
+
+TEST(GridDoc, SweeplessFileIsAOneCellDocument) {
+  // paraleon_run runs a sweep-less file as a grid of one cell: no axes,
+  // one cell with empty coords, and the same checks as any grid, its
+  // timeline included (a one-item fan-out runs no pool).
+  const Scenario sc = load_scenario_file(std::string(PARALEON_FIXTURE_DIR) +
+                                         "/sweepless.json");
+  ASSERT_TRUE(sc.sweep.empty());
+  obs::PoolTelemetry pool;
+  GridOptions opts;
+  opts.jobs = 2;
+  opts.telemetry = &pool;
+  GridOutcome grid = run_grid(sc, opts);
+  grid.set_wall_seconds(0.25);
+  ASSERT_EQ(grid.results().size(), 1u);
+  EXPECT_EQ(coords_label(grid.cells()[0]), "-");
+  const Json doc = Json::parse(grid.to_json(true), "sweepless.grid.json");
+  check_grid(doc);
+  EXPECT_TRUE(at(doc, "axes").items().empty());
+  EXPECT_TRUE(at(at(doc, "cells").items()[0], "coords").members().empty());
+  const Json timeline =
+      Json::parse(grid.timeline_json(), "sweepless.grid.timeline.json");
+  check_grid_timeline(timeline, doc);
+  EXPECT_EQ(count_events(timeline, "X"), 0u);
+}
+
+TEST(GridDoc, QuotedScenarioNameRoundTrips) {
+  // The grid document and its timeline carry the scenario's name; a quote
+  // and a backslash in it must come back out of the parser.
+  const Scenario sc = load_scenario_file(std::string(PARALEON_FIXTURE_DIR) +
+                                         "/quoted_name.json");
+  ASSERT_EQ(sc.name, "quote\"back\\slash");
+  const GridOutcome grid = run_grid(sc, {});
+  const Json doc = Json::parse(grid.to_json(true), sc.name);
+  check_grid(doc);
+  EXPECT_EQ(at(doc, "scenario").as_string(), sc.name);
+  const Json timeline = Json::parse(grid.timeline_json(), sc.name);
+  EXPECT_EQ(at(at(timeline, "traceEvents").items()[0], "args")
+                .find("name")
+                ->as_string(),
+            "grid:" + sc.name);
 }
 
 TEST(GridDoc, WritesReportFailure) {
