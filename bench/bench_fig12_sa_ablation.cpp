@@ -83,7 +83,7 @@ void shadow_fleet_section(const scenario::Scenario& sc) {
     fcfg.jobs = g_cli.jobs == 1 ? 0 : g_cli.jobs;
     fcfg.seed = 77;
     const exec::ShadowFleetResult res = exec::ShadowFleet(fcfg).tune(w, start);
-    const obs::SpeculationStats& sp = res.speculation;
+    const exec::SpeculationStats& sp = res.speculation;
     std::printf("%-4d %-7d %-7d %-12.4f %-8.2f %-9lld %-9lld %-9lld %-7lld "
                 "%-12llu\n",
                 k, res.evaluations, res.batches, res.best_utility,

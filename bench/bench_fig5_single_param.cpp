@@ -9,8 +9,11 @@
 // The rate_reduce_monitor_period, rpg_time_reset and kmax panels are
 // scenarios/fig5_single_param.json; the hai_rate panel drives the RP state
 // machine directly, with no fabric.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -21,26 +24,38 @@ using namespace paraleon::runner;
 namespace {
 
 /// The fabric panels: the file's one scheme.params axis moves one
-/// parameter per cell ({"dcqcn.kmax_kb": 20}), and a panel starts where
-/// the moved key changes. "dcqcn.rpg_time_reset_us" prints as
-/// "rpg_time_reset (us)".
+/// parameter per cell ({"dcqcn.kmax_kb": 20}), except its first cell, the
+/// scaled default, which names all three and so joins every panel. Each
+/// member of a cell's object is a row of its key's panel; panels come in
+/// the order their keys first appear, rows in ascending value.
+/// "dcqcn.rpg_time_reset_us" prints as "rpg_time_reset (us)".
 void print_panels(const scenario::Scenario& sc,
                   const std::vector<TputRtt>& grid) {
-  std::string panel;
+  using Rows = std::vector<std::pair<double, std::size_t>>;  // value, cell
+  std::vector<std::pair<std::string, Rows>> panels;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto& [key, value] = sc.sweep[0].values[i].members().front();
-    if (key != panel) {
-      panel = key;
-      const std::size_t dot = key.find('.') + 1;
-      const std::size_t unit_at = key.rfind('_');
-      const std::string name = key.substr(dot, unit_at - dot);
-      std::string unit = key.substr(unit_at + 1);
-      if (unit == "kb") unit = "KB";
-      std::printf("\n-- %s (%s) --\n%-12s %-14s %-10s\n", name.c_str(),
-                  unit.c_str(), unit.c_str(), "tput_Gbps", "rtt_us");
+    for (const auto& [key, value] : sc.sweep[0].values[i].members()) {
+      auto panel = std::find_if(panels.begin(), panels.end(),
+                                [&](const auto& p) { return p.first == key; });
+      if (panel == panels.end()) {
+        panel = panels.insert(panels.end(), {key, Rows{}});
+      }
+      panel->second.emplace_back(value.as_double(), i);
     }
-    std::printf("%-12.0f %-14.2f %-10.2f\n", value.as_double(),
-                grid[i].tput_gbps, grid[i].rtt_us);
+  }
+  for (auto& [key, rows] : panels) {
+    const std::size_t dot = key.find('.') + 1;
+    const std::size_t unit_at = key.rfind('_');
+    const std::string name = key.substr(dot, unit_at - dot);
+    std::string unit = key.substr(unit_at + 1);
+    if (unit == "kb") unit = "KB";
+    std::printf("\n-- %s (%s) --\n%-12s %-14s %-10s\n", name.c_str(),
+                unit.c_str(), unit.c_str(), "tput_Gbps", "rtt_us");
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [value, i] : rows) {
+      std::printf("%-12.0f %-14.2f %-10.2f\n", value, grid[i].tput_gbps,
+                  grid[i].rtt_us);
+    }
   }
 }
 

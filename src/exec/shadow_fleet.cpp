@@ -89,7 +89,7 @@ ShadowFleetResult ShadowFleet::tune(const ShadowWindow& window,
         [&window](const dcqcn::DcqcnParams& c) {
           return evaluate_run(window, c);
         },
-        jobs, cfg_.telemetry);
+        jobs);
     std::vector<double> utils;
     utils.reserve(evals.size());
     for (const auto& e : evals) utils.push_back(e.utility);

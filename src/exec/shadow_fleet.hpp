@@ -20,7 +20,6 @@
 #include "core/sa_tuner.hpp"
 #include "core/utility.hpp"
 #include "obs/episode_log.hpp"
-#include "obs/fleet.hpp"
 #include "runner/experiment.hpp"
 
 namespace paraleon::exec {
@@ -50,9 +49,20 @@ struct ShadowFleetConfig {
   /// the window since a recorded window has one traffic pattern.
   double elephant_share = 0.5;
   std::uint64_t seed = 1;
-  /// When non-null, every batch's evaluation pool reports into this fleet
-  /// telemetry (the per-batch pools attach sequentially to one object).
-  obs::PoolTelemetry* telemetry = nullptr;
+};
+
+/// Speculation accounting: how much shadow work the batched SA episode
+/// bought and wasted versus the serial chain. Pure function of window +
+/// config (simulated-event totals, not wall time).
+struct SpeculationStats {
+  std::int64_t proposed = 0;   // candidates from propose_batch
+  std::int64_t evaluated = 0;  // shadow experiments run (incl. the seed)
+  std::int64_t accepted = 0;   // Metropolis-accepted candidates
+  /// Evaluated but discarded: the SA schedule finished mid-batch, so the
+  /// remaining sibling measurements never reached the Metropolis test.
+  std::int64_t wasted = 0;
+  std::uint64_t events_total = 0;   // simulator events across shadow runs
+  std::uint64_t events_wasted = 0;  // events of the discarded runs
 };
 
 struct ShadowFleetResult {
@@ -70,7 +80,7 @@ struct ShadowFleetResult {
   /// schedule ended mid-batch, plus their simulated-event cost). A pure
   /// function of window + config, like the episode log; with K == 1
   /// nothing is ever wasted.
-  obs::SpeculationStats speculation;
+  SpeculationStats speculation;
   /// Wall-clock of the whole tune, reported next to the result — never
   /// part of the episode log or any digest.
   double wall_seconds = 0.0;

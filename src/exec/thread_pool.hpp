@@ -8,13 +8,12 @@
 // scheduled the workers.
 //
 // A pool can report into an obs::PoolTelemetry (the fleet observatory):
-// each worker has a stable index, each job a pool-wide submission id, and
-// the pool calls the telemetry hooks around every job so the grid document
-// can reconstruct per-worker utilization, queue-wait latency, and a
-// merged grid timeline. The hooks are out-of-line calls into
-// obs/fleet.cpp — this header performs no clock reads itself, keeping the
-// wall-clock lint waiver confined to that TU. A null telemetry pointer
-// costs one predictable branch per job.
+// each worker has a stable index, and the pool calls the telemetry hooks
+// around every job so the grid document can reconstruct per-worker
+// utilization, queue waits and a merged grid timeline. The hooks are
+// out-of-line calls into obs/fleet.cpp — this header performs no clock
+// reads itself, keeping the wall-clock lint waiver confined to that TU. A
+// null telemetry pointer costs one predictable branch per job.
 //
 // Lock discipline is compiler-checked: queue state is PARALEON_GUARDED_BY
 // the pool mutex and Clang's `-Wthread-safety` (an error in the
@@ -28,7 +27,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -42,9 +40,8 @@ namespace paraleon::exec {
 class ThreadPool {
  public:
   /// Spawns `workers` threads (clamped to >= 1). When `telemetry` is
-  /// non-null the pool attaches to it for its whole lifetime; sequential
-  /// pools may share one telemetry (ShadowFleet's per-batch pools do),
-  /// concurrent pools must not.
+  /// non-null the pool attaches to it for its whole lifetime; one
+  /// telemetry records one pool.
   explicit ThreadPool(int workers,
                       obs::PoolTelemetry* telemetry = nullptr)
       : telemetry_(telemetry) {
@@ -67,7 +64,7 @@ class ThreadPool {
     cv_.notify_all();
     for (auto& t : threads_) t.join();
     // Workers are joined: every submitted job ran, so the telemetry's
-    // idle tails and wall window can be finalized.
+    // wall window ends here.
     if (telemetry_ != nullptr) telemetry_->detach();
   }
 
@@ -75,20 +72,18 @@ class ThreadPool {
 
   obs::PoolTelemetry* telemetry() const { return telemetry_; }
 
-  /// Enqueues a job and returns its pool-wide submission id (the span id
-  /// in the fleet telemetry; a plain local counter when untracked). The
-  /// pool never drops jobs; everything enqueued before destruction runs
-  /// to completion (the destructor only stops the intake).
-  std::uint64_t submit(std::function<void()> job) PARALEON_EXCLUDES(mu_) {
-    std::uint64_t id = 0;
-    if (telemetry_ != nullptr) id = telemetry_->on_submit();
+  /// Enqueues a job. The pool never drops jobs; everything enqueued
+  /// before destruction runs to completion (the destructor only stops the
+  /// intake).
+  void submit(std::function<void()> job) PARALEON_EXCLUDES(mu_) {
+    // The telemetry span index; unused when the pool is untracked.
+    const std::uint64_t span =
+        telemetry_ != nullptr ? telemetry_->on_submit() : 0;
     {
       common::MutexLock lock(mu_);
-      if (telemetry_ == nullptr) id = next_id_++;
-      queue_.push_back(Job{std::move(job), id});
+      queue_.push_back(Job{std::move(job), span});
     }
     cv_.notify_one();
-    return id;
   }
 
   /// The machine's usable worker count (>= 1 even when the runtime cannot
@@ -101,7 +96,7 @@ class ThreadPool {
  private:
   struct Job {
     std::function<void()> fn;
-    std::uint64_t id = 0;
+    std::uint64_t span = 0;
   };
 
   void worker_loop(int worker) PARALEON_EXCLUDES(mu_) {
@@ -116,9 +111,9 @@ class ThreadPool {
         job = std::move(queue_.front());
         queue_.pop_front();
       }
-      if (telemetry_ != nullptr) telemetry_->on_job_start(worker, job.id);
+      if (telemetry_ != nullptr) telemetry_->on_job_start(worker, job.span);
       job.fn();
-      if (telemetry_ != nullptr) telemetry_->on_job_end(worker, job.id);
+      if (telemetry_ != nullptr) telemetry_->on_job_end(job.span);
     }
   }
 
@@ -126,19 +121,15 @@ class ThreadPool {
   common::CondVar cv_;
   std::deque<Job> queue_ PARALEON_GUARDED_BY(mu_);
   bool stopping_ PARALEON_GUARDED_BY(mu_) = false;
-  std::uint64_t next_id_ PARALEON_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> threads_;
   obs::PoolTelemetry* telemetry_;
 };
 
 /// A batch of jobs whose results come back in submission order, so callers
 /// observe scheduling-independent output. Exceptions propagate: wait_all()
-/// finishes every job, records EVERY failure (count plus the first
-/// obs::PoolTelemetry::kMaxFailureMessages messages, forwarded to the
-/// pool's telemetry when one is attached), then rethrows the exception of
-/// the earliest submitted job that failed. Nothing is silently dropped any
-/// more: later failures survive as counted, messaged records even though
-/// only the first propagates as an exception.
+/// finishes every job, counts every failure in the pool's telemetry (when
+/// one is attached), then rethrows the exception of the earliest submitted
+/// job that failed.
 ///
 /// The future list is mutex-guarded so a JobSet tolerates submissions from
 /// several producer threads; waiting stays a single-consumer operation.
@@ -154,14 +145,11 @@ class JobSet {
     auto task = std::make_shared<std::packaged_task<T()>>(std::forward<F>(fn));
     std::size_t index;
     {
-      // The pool submit happens under the set lock so futures_ and ids_
-      // stay index-aligned under concurrent producers (pool and set use
-      // different mutexes; the pool never takes this one).
       common::MutexLock lock(mu_);
       futures_.push_back(task->get_future());
       index = futures_.size() - 1;
-      ids_.push_back(pool_->submit([task] { (*task)(); }));
     }
+    pool_->submit([task] { (*task)(); });
     return index;
   }
 
@@ -172,73 +160,35 @@ class JobSet {
 
   /// Blocks until every submitted job finished, then returns the results
   /// in submission order or rethrows the first (by submission order)
-  /// failure. The set is drained afterwards and may be reused; failure
-  /// records accumulate across batches.
+  /// failure. The set is drained afterwards and may be reused.
   std::vector<T> wait_all() PARALEON_EXCLUDES(mu_) {
     std::vector<std::future<T>> pending;
-    std::vector<std::uint64_t> ids;
     {
       // Detach the batch under the lock, then block on the futures outside
       // it so a slow job never holds up a concurrent submit().
       common::MutexLock lock(mu_);
       pending.swap(futures_);
-      ids.swap(ids_);
     }
     std::vector<T> results;
     results.reserve(pending.size());
     std::exception_ptr first_error;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
+    obs::PoolTelemetry* const telemetry = pool_->telemetry();
+    for (auto& future : pending) {
       try {
-        results.push_back(pending[i].get());
-      } catch (const std::exception& e) {
-        if (!first_error) first_error = std::current_exception();
-        record_failure(ids[i], e.what());
+        results.push_back(future.get());
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
-        record_failure(ids[i], "(non-std exception)");
+        if (telemetry != nullptr) telemetry->on_job_failure();
       }
     }
     if (first_error) std::rethrow_exception(first_error);
     return results;
   }
 
-  /// Failures seen by wait_all so far (all of them, not just the one that
-  /// was rethrown).
-  std::uint64_t failure_count() const PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return failure_count_;
-  }
-
-  /// The first kMaxFailureMessages failure records, in submission order
-  /// within each batch. `job` is the pool-wide submission id.
-  std::vector<obs::JobFailure> failures() const PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return failures_;
-  }
-
  private:
-  void record_failure(std::uint64_t pool_job, const std::string& message)
-      PARALEON_EXCLUDES(mu_) {
-    {
-      common::MutexLock lock(mu_);
-      ++failure_count_;
-      if (failures_.size() < obs::PoolTelemetry::kMaxFailureMessages) {
-        failures_.push_back(obs::JobFailure{pool_job, message});
-      }
-    }
-    if (pool_->telemetry() != nullptr) {
-      pool_->telemetry()->on_job_failure(pool_job, message);
-    }
-  }
-
   ThreadPool* pool_;
   mutable common::Mutex mu_;
   std::vector<std::future<T>> futures_ PARALEON_GUARDED_BY(mu_);
-  // Pool submission id of futures_[i]; maps a failed result back to its
-  // telemetry span.
-  std::vector<std::uint64_t> ids_ PARALEON_GUARDED_BY(mu_);
-  std::uint64_t failure_count_ PARALEON_GUARDED_BY(mu_) = 0;
-  std::vector<obs::JobFailure> failures_ PARALEON_GUARDED_BY(mu_);
 };
 
 }  // namespace paraleon::exec

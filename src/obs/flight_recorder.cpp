@@ -27,8 +27,8 @@ const char* AnomalyTriggers::update(const Sample& s) {
       fired = "sa_revert";
     }
   }
-  if (fired == nullptr && cfg_.utility_floor_set && s.utility_valid &&
-      s.utility < cfg_.utility_floor) {
+  if (fired == nullptr && cfg_.utility_floor && s.utility_valid &&
+      s.utility < *cfg_.utility_floor) {
     fired = "utility_collapse";
   }
   prev_ = s;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/mutex.hpp"
@@ -24,6 +25,11 @@
 
 namespace paraleon::obs {
 
+/// Simulated-time interval between trigger scans.
+inline constexpr Time kFlightScanInterval = 1'000'000;  // 1 ms
+/// Replay horizon: trigger time plus this margin.
+inline constexpr Time kFlightReplayMargin = 2'000'000;  // 2 ms
+
 /// Flight-recorder arming knobs. Everything defaults off / disarmed.
 struct FlightConfig {
   /// Master switch: scan for anomalies and dump a bundle on trigger or on
@@ -31,8 +37,6 @@ struct FlightConfig {
   bool armed = false;
   /// Directory under which `flight_<reason>/` bundles are written.
   std::string dir = "flight";
-  /// Simulated-time interval between trigger scans.
-  Time check_interval = 1'000'000;  // 1 ms
   /// Fire when total PFC pause time grows faster than this many ns of
   /// pause per second of simulated time (<= 0: disabled).
   std::int64_t pause_ns_per_sec = 0;
@@ -41,11 +45,9 @@ struct FlightConfig {
   std::int64_t drop_burst = 0;
   /// Fire on any simulated-annealing revert.
   bool on_sa_revert = false;
-  /// Fire when controller utility falls below this floor (NaN: disabled).
-  double utility_floor = -1.0;
-  bool utility_floor_set = false;
-  /// Replay horizon: trigger time plus this margin.
-  Time replay_margin = 2'000'000;  // 2 ms
+  /// Fire when controller utility falls below this floor (unset:
+  /// disabled).
+  std::optional<double> utility_floor;
 };
 
 /// Stateful threshold detectors over cumulative health samples.

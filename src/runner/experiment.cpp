@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "check/check.hpp"
 #include "check/digest.hpp"
 #include "runner/flight.hpp"
 
@@ -13,6 +14,10 @@ namespace paraleon::runner {
 
 Experiment::Experiment(ExperimentConfig cfg)
     : cfg_(std::move(cfg)), sim_(cfg_.event_queue) {
+  // Every per-interval tick reschedules itself one interval ahead: a zero
+  // interval would spin forever at one instant.
+  PARALEON_CHECK(cfg_.controller.mi > 0,
+                 "controller.mi must be > 0 ns, got ", cfg_.controller.mi);
   // Observability knobs first so construction-time registrations and the
   // earliest events already see the final configuration. An armed flight
   // recorder implies attribution: its bundles carry attribution.json.
@@ -261,7 +266,7 @@ void Experiment::schedule_probe() {
 
   if (cfg_.obs.flight.armed) {
     flight_triggers_.configure(cfg_.obs.flight);
-    sim_.schedule_at(flight_scan_interval(), [this] { flight_scan_tick(); },
+    sim_.schedule_at(obs::kFlightScanInterval, [this] { flight_scan_tick(); },
                      "obs.flight_scan");
   }
 
@@ -285,10 +290,6 @@ void Experiment::probe_tick() {
   probe_tput_.add(sim_.now(), m.total_tx_gbps);
   probe_rtt_.add(sim_.now(), m.avg_rtt_us);
   sim_.schedule_in(mi, [this] { probe_tick(); });
-}
-
-Time Experiment::flight_scan_interval() const {
-  return std::max<Time>(1, cfg_.obs.flight.check_interval);
 }
 
 void Experiment::flight_scan_tick() {
@@ -317,7 +318,7 @@ void Experiment::flight_scan_tick() {
       flight_bundle_dir_ = write_flight_bundle(*this, fired);
     }
   }
-  sim_.schedule_in(flight_scan_interval(), [this] { flight_scan_tick(); },
+  sim_.schedule_in(obs::kFlightScanInterval, [this] { flight_scan_tick(); },
                    "obs.flight_scan");
 }
 

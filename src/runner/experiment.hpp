@@ -173,7 +173,6 @@ class Experiment {
   // The probe's self-rescheduling ticks, scheduled as `[this] { ... }`.
   void probe_tick();
   void flight_scan_tick();
-  Time flight_scan_interval() const;
   void fsd_accuracy_tick();
 
   ExperimentConfig cfg_;

@@ -153,7 +153,7 @@ std::string write_flight_bundle(Experiment& exp, const std::string& reason,
           {"next_event_ns",
            Json::make_int(next_event == kTimeNever ? -1 : next_event)},
           {"replay_until_ns",
-           Json::make_int(now + cfg.obs.flight.replay_margin)},
+           Json::make_int(now + obs::kFlightReplayMargin)},
           {"files", std::move(files)},
       }));
   const sim::ClosConfig& clos = cfg.clos;

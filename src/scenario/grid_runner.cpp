@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "exec/parallel_map.hpp"
 #include "stats/percentile.hpp"
@@ -28,7 +29,7 @@ Json seconds_json(std::int64_t ns) {
   return Json::make_number(static_cast<double>(ns) / 1e9);
 }
 
-Json aggregate_json(const runner::FleetAggregate& a) {
+Json aggregate_json(const FleetAggregate& a) {
   return Json::make_object({
       {"min", Json::make_number(a.min)},
       {"mean", Json::make_number(a.mean)},
@@ -62,14 +63,16 @@ Json name_event(const char* what, std::int64_t tid, const std::string& name) {
   return ev;
 }
 
-/// The wall-side pool facts: per-worker busy/idle, queue-wait histogram,
-/// job spans and z-score stragglers, added to `wall`.
+/// The wall-side pool facts, added to `wall`: the pool's totals and one
+/// jobs/busy/idle row per worker.
 void add_pool_json(const obs::PoolTelemetry& pool, Json& wall) {
-  const auto workers = pool.worker_stats();
+  const std::vector<obs::WorkerStats> workers = pool.worker_stats();
+  std::uint64_t jobs = 0;
   std::int64_t busy_ns = 0;
   std::int64_t idle_ns = 0;
   Json rows = Json::make_array();
   for (const auto& w : workers) {
+    jobs += w.jobs;
     busy_ns += w.busy_ns;
     idle_ns += w.idle_ns;
     rows.push_back(Json::make_object({
@@ -84,43 +87,25 @@ void add_pool_json(const obs::PoolTelemetry& pool, Json& wall) {
                {"pool_wall_seconds", Json::make_number(pool.wall_seconds())},
                {"busy_seconds", seconds_json(busy_ns)},
                {"idle_seconds", seconds_json(idle_ns)},
-               {"jobs_completed", count_json(pool.jobs_completed())},
+               {"jobs_completed", count_json(jobs)},
            }));
   wall.set("workers", std::move(rows));
-
-  // Log2 buckets up to the last nonempty one.
-  const std::vector<std::uint64_t> buckets = pool.queue_wait_log2_us();
-  std::size_t used = buckets.size();
-  while (used > 0 && buckets[used - 1] == 0) --used;
-  Json hist = Json::make_array();
-  for (std::size_t i = 0; i < used; ++i) hist.push_back(count_json(buckets[i]));
-  wall.set("queue_wait_log2_us", std::move(hist));
-
-  const std::vector<obs::JobSpan> spans = pool.spans();
-  Json span_rows = Json::make_array();
-  for (const auto& sp : spans) {
-    span_rows.push_back(Json::make_object({
-        {"job", count_json(sp.job)},
-        {"worker", Json::make_int(sp.worker)},
-        {"submit_us", us_json(sp.submit_ns)},
-        {"start_us", us_json(sp.start_ns)},
-        {"end_us", us_json(sp.end_ns)},
-    }));
-  }
-  wall.set("spans", std::move(span_rows));
-
-  Json stragglers = Json::make_array();
-  for (const auto& st : runner::find_stragglers(spans, 2.0)) {
-    stragglers.push_back(Json::make_object({
-        {"job", count_json(st.job)},
-        {"z", Json::make_number(st.z)},
-        {"seconds", Json::make_number(st.seconds)},
-    }));
-  }
-  wall.set("stragglers", std::move(stragglers));
 }
 
 }  // namespace
+
+RunScrape scrape_run(const runner::Experiment& exp) {
+  RunScrape scrape;
+  for (const auto& sample : exp.simulator().obs().registry().snapshot()) {
+    scrape.instruments[sample.name] = sample.value;
+  }
+  scrape.events_executed = exp.simulator().events_executed();
+  scrape.slowdown =
+      exp.fct().slowdown_stats(0, std::numeric_limits<std::int64_t>::max());
+  scrape.flows_finished = static_cast<std::uint64_t>(exp.fct().finished());
+  scrape.flows_started = static_cast<std::uint64_t>(exp.fct().started());
+  return scrape;
+}
 
 std::string coords_label(const GridCell& cell) {
   std::string out;
@@ -200,7 +185,7 @@ CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   r.seed = cell.scenario.seed;
   r.digest = runner::run_digest(exp);
   r.value = evaluate_metric(cell.scenario, exp);
-  r.scrape = runner::scrape_run(exp);
+  r.scrape = scrape_run(exp);
   if (opts.on_cell) opts.on_cell(cell, exp, flows);
   return r;
 }
@@ -232,7 +217,7 @@ void GridOutcome::set_wall_shape(int jobs, int hardware_workers,
   pool_ = pool;
 }
 
-std::map<std::string, runner::FleetAggregate> GridOutcome::aggregates()
+std::map<std::string, FleetAggregate> GridOutcome::aggregates()
     const {
   std::map<std::string, std::vector<double>> samples;
   for (const auto& r : results_) {
@@ -248,9 +233,9 @@ std::map<std::string, runner::FleetAggregate> GridOutcome::aggregates()
     samples["fct.slowdown_p95"].push_back(r.scrape.slowdown.p95);
     samples["fct.slowdown_p999"].push_back(r.scrape.slowdown.p999);
   }
-  std::map<std::string, runner::FleetAggregate> out;
+  std::map<std::string, FleetAggregate> out;
   for (const auto& [name, values] : samples) {
-    runner::FleetAggregate agg;
+    FleetAggregate agg;
     agg.n = values.size();
     agg.min = values.front();
     agg.max = values.front();

@@ -7,11 +7,11 @@
 // deterministic half — per-cell seed, run_digest, metric value, scrape
 // and the aggregates over them — is byte-identical at any --jobs setting
 // (jobs<=1 is exec::parallel_map's exact serial path; cells never share
-// state). The requested job count, pool utilization, per-worker busy/idle,
-// queue waits, job spans, stragglers and wall seconds live only under the
-// "wall" subtree, which to_json(false) omits entirely — the form the grid
-// determinism test byte-compares across worker counts. timeline_json()
-// renders the same pool spans as one Chrome-trace document.
+// state). The requested job count, pool utilization, per-worker busy/idle
+// and wall seconds live only under the "wall" subtree, which
+// to_json(false) omits entirely — the form the grid determinism test
+// byte-compares across worker counts. timeline_json() renders the pool's
+// job spans, with their queue waits, as one Chrome-trace document.
 //
 // Cell enumeration is row-major with the FIRST axis slowest, giving fig13
 // its scheme-outer / scale-inner table order.
@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "obs/fleet.hpp"
-#include "runner/sweep_report.hpp"
 #include "scenario/flow_scheduler.hpp"
 #include "scenario/scenario.hpp"
+#include "stats/fct_tracker.hpp"
 
 namespace paraleon::scenario {
 
@@ -49,13 +49,37 @@ std::string coords_label(const GridCell& cell);
 /// the grid document and paraleon_run's tables print.
 std::string digest_hex(std::uint64_t digest);
 
+/// The per-cell facts the grid document keeps: a deterministic scrape of
+/// one finished Experiment, cheap enough to take for every cell.
+struct RunScrape {
+  /// Full counter-registry snapshot (sorted map: name -> value).
+  std::map<std::string, double> instruments;
+  std::uint64_t events_executed = 0;
+  stats::FctTracker::SlowdownStats slowdown;
+  std::uint64_t flows_finished = 0;
+  std::uint64_t flows_started = 0;
+};
+
+/// Scrapes a finished Experiment (registry snapshot, event count, FCT
+/// slowdown stats). Deterministic for a given seed.
+RunScrape scrape_run(const runner::Experiment& exp);
+
+/// min/mean/p95/max over one scraped quantity across the cells.
+struct FleetAggregate {
+  double min = 0.0;
+  double mean = 0.0;
+  double p95 = 0.0;
+  double max = 0.0;
+  std::size_t n = 0;
+};
+
 /// The deterministic facts of one finished cell.
 struct CellResult {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   std::uint64_t digest = 0;
   double value = 0.0;
-  runner::RunScrape scrape;
+  RunScrape scrape;
 };
 
 struct GridOptions {
@@ -105,7 +129,7 @@ class GridOutcome {
   /// min/mean/p95/max over every scraped instrument plus the reserved
   /// names metric_value, events_executed, fct.finished and
   /// fct.slowdown_mean / _p95 / _p999.
-  std::map<std::string, runner::FleetAggregate> aggregates() const;
+  std::map<std::string, FleetAggregate> aggregates() const;
 
   /// The paraleon.grid.v1 document. include_wall=false omits the "wall"
   /// subtree — byte-deterministic at any job count.

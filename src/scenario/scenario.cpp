@@ -123,6 +123,9 @@ TopologySpec parse_topology(const Json& obj) {
                 "prop_delay_us", "buffer_mb"});
     t.hosts_per_side =
         get_int(obj, "topology", "hosts_per_side", t.hosts_per_side);
+    if (t.hosts_per_side < 1) {
+      throw ScenarioError("topology.hosts_per_side must be >= 1");
+    }
     t.bottleneck_gbps =
         get_double(obj, "topology", "bottleneck_gbps", t.bottleneck_gbps);
     require_positive(t.bottleneck_gbps, "topology.bottleneck_gbps");
@@ -229,9 +232,30 @@ WorkloadComponent parse_component(const Json& obj, std::size_t index) {
   }
   c.load = get_double(obj, named, "load", c.load);
 
+  // An empty window, a negative time or count, or a flow of no bytes
+  // would run nothing (and report 0) or fail deep inside a workload.
+  if (c.start_ms < 0.0) throw ScenarioError(named + ".start_ms must be >= 0");
+  if (c.stop_ms >= 0.0 && c.stop_ms <= c.start_ms) {
+    throw ScenarioError(named + ".stop_ms must be > start_ms (or < 0 for "
+                        "the end of the run)");
+  }
+  require_positive(c.flow_kb, named + ".flow_kb");
+  require_positive(c.period_ms, named + ".period_ms");
+  if (c.off_period_ms < 0.0) {
+    throw ScenarioError(named + ".off_period_ms must be >= 0");
+  }
+  if (c.max_rounds < 0) {
+    throw ScenarioError(named + ".max_rounds must be >= 0");
+  }
+
   const bool collective = c.kind != WorkloadComponent::Kind::kPoisson;
   if (collective && c.hosts.empty() && c.workers < 1) {
     throw ScenarioError(named + ": collective components need workers >= 1");
+  }
+  const std::size_t workers =
+      c.hosts.empty() ? static_cast<std::size_t>(c.workers) : c.hosts.size();
+  if (c.kind == WorkloadComponent::Kind::kAlltoall && workers < 2) {
+    throw ScenarioError(named + ".workers: an alltoall needs at least 2");
   }
   if (c.kind == WorkloadComponent::Kind::kPoisson &&
       !(c.load > 0.0 && c.load <= 1.0)) {
@@ -285,6 +309,10 @@ MetricSpec parse_metric(const Json& obj) {
   }
   m.from_ms = get_double(obj, "metric", "from_ms", 0.0);
   m.to_ms = get_double(obj, "metric", "to_ms", -1.0);
+  if (m.to_ms >= 0.0 && m.to_ms <= m.from_ms) {
+    throw ScenarioError(
+        "metric.to_ms must be > from_ms (or < 0 for the end of the run)");
+  }
   return m;
 }
 
@@ -395,6 +423,9 @@ const std::vector<ParamEntry>& param_table() {
       {"controller.mi_us",
        [](runner::ExperimentConfig& c, const Json& v, const std::string& x) {
          c.controller.mi = microseconds(v.as_double(x));
+         if (c.controller.mi < 1) {
+           throw ScenarioError(x + " must be at least 0.001 (1 ns)");
+         }
        }},
       {"controller.post_check_window_mi",
        [](runner::ExperimentConfig& c, const Json& v, const std::string& x) {
@@ -529,6 +560,17 @@ const std::vector<ParamEntry>& param_table() {
        }},
   };
   return table;
+}
+
+void apply_params(const SchemeSpec& scheme, runner::ExperimentConfig& cfg) {
+  for (const auto& [key, value] : scheme.params) {
+    for (const auto& entry : param_table()) {
+      if (key == entry.key) {
+        entry.apply(cfg, value, "scheme.params." + key);
+        break;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -677,6 +719,10 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
   }
   for (std::size_t i = 0; i < wl->items().size(); ++i) {
     WorkloadComponent c = parse_component(wl->items()[i], i);
+    if (c.start_ms >= sc.duration_ms) {
+      throw ScenarioError("workload." + c.name +
+                          ".start_ms must be before duration_ms");
+    }
     for (const auto& prev : sc.workload) {
       if (prev.name == c.name) {
         throw ScenarioError(ctx + ".workload: duplicate component name \"" +
@@ -702,6 +748,10 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
       }
     }
   }
+  // Apply the overrides once to a scratch config, so a bad value fails
+  // here, naming its key, rather than when a cell runs.
+  runner::ExperimentConfig scratch;
+  apply_params(sc.scheme, scratch);
   sc.doc = std::move(work);
   return sc;
 }
@@ -799,14 +849,7 @@ runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
     cfg.custom_params = runner::initial_params_for(
         runner::Scheme::kDefaultStatic, cfg.clos.host_link);
   }
-  for (const auto& [key, value] : sc.scheme.params) {
-    for (const auto& entry : param_table()) {
-      if (key == entry.key) {
-        entry.apply(cfg, value, "scheme.params." + key);
-        break;
-      }
-    }
-  }
+  apply_params(sc.scheme, cfg);
   cfg.duration = milliseconds(sc.duration_ms);
   cfg.seed = sc.seed;
   return cfg;

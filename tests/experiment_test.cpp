@@ -2,6 +2,7 @@
 // fabric, accuracy tracking, determinism.
 #include <gtest/gtest.h>
 
+#include "check/check.hpp"
 #include "runner/experiment.hpp"
 #include "stats/percentile.hpp"
 
@@ -102,6 +103,16 @@ TEST(Experiment, CustomStaticUsesProvidedParams) {
   Experiment e(cfg);
   EXPECT_EQ(e.topology().host(0).dcqcn_params().kmin_bytes, 12345);
   EXPECT_EQ(e.topology().tor(0).ecn().kmin_bytes, 12345);
+}
+
+TEST(Experiment, ZeroMonitorIntervalFailsAtConstruction) {
+  // Every per-interval tick reschedules itself one interval ahead, so a
+  // zero interval would spin forever at t = 0 instead of failing.
+  for (const Scheme scheme : {Scheme::kParaleon, Scheme::kDefaultStatic}) {
+    ExperimentConfig cfg = small_config(scheme);
+    cfg.controller.mi = 0;
+    EXPECT_THROW(Experiment{cfg}, check::CheckFailure);
+  }
 }
 
 class PerFlowStateTest : public ::testing::TestWithParam<bool> {};

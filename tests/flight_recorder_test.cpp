@@ -73,7 +73,6 @@ TEST(AnomalyTriggersTest, DropBurstAndRevertAndUtilityFloor) {
   cfg.drop_burst = 8;
   cfg.on_sa_revert = true;
   cfg.utility_floor = 0.5;
-  cfg.utility_floor_set = true;
   trig.configure(cfg);
   EXPECT_EQ(trig.update(sample(0, 0, 0, 0)), nullptr);
   // 8 new drops == threshold: silent. 9: fires.
@@ -357,7 +356,7 @@ TEST(FlightRecorderTest, ReplayRequestRoundTrip) {
   ASSERT_TRUE(runner::load_replay_request(bundle, &req));
   EXPECT_EQ(req.seed, 9u);
   EXPECT_EQ(req.trigger_ns, milliseconds(5));
-  EXPECT_EQ(req.replay_until_ns, req.trigger_ns + FlightConfig{}.replay_margin);
+  EXPECT_EQ(req.replay_until_ns, req.trigger_ns + obs::kFlightReplayMargin);
 
   // apply_replay rewires the config for a full-tracing window re-run.
   ExperimentConfig cfg = armed_config(/*seed=*/1, dir);

@@ -38,9 +38,8 @@ using doc_checks::at;
 using doc_checks::is_count;
 
 /// The "wall" subtree's pool facts: per-worker job counts that sum to the
-/// pool's, busy+idle accounted against workers x the pool's wall window
-/// (with slack for attach/join edges and clock granularity), one
-/// queue-wait sample and one ordered span per job, and stragglers.
+/// pool's, and each worker's busy+idle equal to the pool's wall window
+/// (to the rounding of the seconds the document prints).
 void check_grid_pool(const Json& wall) {
   const Json& pool = at(wall, "pool");
   const std::int64_t workers = at(pool, "workers").as_int64();
@@ -48,11 +47,12 @@ void check_grid_pool(const Json& wall) {
   EXPECT_TRUE(is_count(at(pool, "workers")));
   EXPECT_TRUE(is_count(at(pool, "jobs_completed")));
   const double pool_wall = at(pool, "pool_wall_seconds").as_double();
-  const double accounted = at(pool, "busy_seconds").as_double() +
-                           at(pool, "idle_seconds").as_double();
   EXPECT_GE(pool_wall, 0.0);
   EXPECT_GE(at(pool, "busy_seconds").as_double(), 0.0);
   EXPECT_GE(at(pool, "idle_seconds").as_double(), 0.0);
+  EXPECT_NEAR(at(pool, "busy_seconds").as_double() +
+                  at(pool, "idle_seconds").as_double(),
+              static_cast<double>(workers) * pool_wall, 1e-6);
 
   const auto& rows = at(wall, "workers").items();
   EXPECT_EQ(static_cast<std::int64_t>(rows.size()), workers);
@@ -61,34 +61,11 @@ void check_grid_pool(const Json& wall) {
     row_jobs += at(w, "jobs").as_int64();
     EXPECT_GE(at(w, "busy_seconds").as_double(), 0.0);
     EXPECT_GE(at(w, "idle_seconds").as_double(), 0.0);
+    EXPECT_NEAR(at(w, "busy_seconds").as_double() +
+                    at(w, "idle_seconds").as_double(),
+                pool_wall, 1e-6);
   }
   EXPECT_EQ(row_jobs, jobs) << "per-worker job counts";
-  if (workers > 0 && pool_wall > 0.0) {
-    const double window = static_cast<double>(workers) * pool_wall;
-    EXPECT_LE(accounted, window * 1.15 + 0.05);
-    EXPECT_GE(accounted, window * 0.5 - 0.05);
-  }
-
-  EXPECT_EQ(static_cast<std::int64_t>(
-                doc_checks::sum_of(at(wall, "queue_wait_log2_us"))),
-            jobs)
-      << "one queue-wait sample per job";
-  const auto& spans = at(wall, "spans").items();
-  EXPECT_EQ(static_cast<std::int64_t>(spans.size()), jobs);
-  for (const Json& sp : spans) {
-    const std::int64_t job = at(sp, "job").as_int64();
-    EXPECT_LE(at(sp, "submit_us").as_double(), at(sp, "start_us").as_double())
-        << "job " << job;
-    EXPECT_LE(at(sp, "start_us").as_double(), at(sp, "end_us").as_double())
-        << "job " << job;
-    const std::int64_t worker = at(sp, "worker").as_int64();
-    EXPECT_TRUE(worker >= 0 && worker < workers) << "job " << job;
-  }
-  for (const Json& st : at(wall, "stragglers").items()) {
-    at(st, "job").as_int64();
-    at(st, "seconds").as_double();
-    EXPECT_GT(at(st, "z").as_double(), 0.0);
-  }
 }
 
 /// The cell-row field that the reserved aggregate `name` of
@@ -207,7 +184,12 @@ void check_grid(const Json& doc) {
     EXPECT_TRUE(is_count(at(*wall, "jobs")));
     EXPECT_TRUE(is_count(at(*wall, "hardware_workers")));
     EXPECT_GE(at(*wall, "wall_seconds").as_double(), 0.0);
-    if (wall->has("pool")) check_grid_pool(*wall);
+    std::set<std::string> keys{"jobs", "hardware_workers", "wall_seconds"};
+    if (wall->has("pool")) {
+      check_grid_pool(*wall);
+      keys.insert({"pool", "workers"});
+    }
+    EXPECT_EQ(doc_checks::keys_of(*wall), keys);
   }
 }
 
@@ -529,7 +511,7 @@ TEST(GridDoc, SchemaShapeAndWallSplit) {
 
 TEST(GridDoc, AggregatesSummarizeTheCells) {
   const GridOutcome grid = run_grid(grid_scenario(), {});
-  const std::map<std::string, runner::FleetAggregate> agg =
+  const std::map<std::string, FleetAggregate> agg =
       grid.aggregates();
   ASSERT_TRUE(agg.count("metric_value"));
   EXPECT_EQ(agg.at("metric_value").n, 4u);
@@ -566,7 +548,7 @@ TEST(RunGrid, SeedAxisDeterministicHalfIsJobsInvariant) {
   const GridOutcome one = run_grid(sc, {});
   const GridOutcome four = run_grid(sc, fanned);
   EXPECT_EQ(one.to_json(false), four.to_json(false));
-  EXPECT_EQ(pool.jobs_completed(), 3u);  // the fan-out really ran
+  EXPECT_EQ(pool.spans().size(), 3u);  // the fan-out really ran
 }
 
 /// A seed sweep on a real pool of 2 workers, with telemetry.
@@ -602,25 +584,15 @@ TEST(GridDoc, WallCarriesPerWorkerStatsAndSpans) {
   }
   EXPECT_EQ(jobs, 3);
 
-  std::int64_t waits = 0;
-  for (const Json& b : wall->find("queue_wait_log2_us")->items()) {
-    waits += b.as_int64();
+  // The spans themselves, with their queue waits, are the timeline's.
+  const Json timeline = Json::parse(pooled.grid.timeline_json());
+  std::size_t spans = 0;
+  for (const Json& ev : at(timeline, "traceEvents").items()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    ++spans;
+    EXPECT_GE(at(at(ev, "args"), "queue_wait_us").as_double(), 0.0);
   }
-  EXPECT_EQ(waits, 3);
-
-  const auto& spans = wall->find("spans")->items();
-  ASSERT_EQ(spans.size(), 3u);
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Json& sp = spans[i];
-    EXPECT_EQ(sp.find("job")->as_int64(), static_cast<std::int64_t>(i));
-    const std::int64_t worker = sp.find("worker")->as_int64();
-    EXPECT_TRUE(worker == 0 || worker == 1) << worker;
-    EXPECT_LE(sp.find("submit_us")->as_double(),
-              sp.find("start_us")->as_double());
-    EXPECT_LE(sp.find("start_us")->as_double(),
-              sp.find("end_us")->as_double());
-  }
-  EXPECT_TRUE(wall->find("stragglers")->is_array());
+  EXPECT_EQ(spans, 3u);
   check_grid(doc);
 }
 
@@ -663,9 +635,9 @@ TEST(GridDoc, TimelineWithoutPoolIsJustTheHeader) {
   EXPECT_EQ(count_events(trace, "X"), 0u);
 }
 
-runner::RunScrape synthetic_scrape(double counter, std::uint64_t events,
+RunScrape synthetic_scrape(double counter, std::uint64_t events,
                                    double slow_mean) {
-  runner::RunScrape s;
+  RunScrape s;
   s.instruments["pfc.pause_total"] = counter;
   s.events_executed = events;
   s.slowdown.count = 10;

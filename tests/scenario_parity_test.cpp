@@ -8,7 +8,8 @@
 // checked the same way — at least one full-scale cell per file gave the
 // hand-built setup's run_digest before that setup was deleted — and each
 // pin here is one of the file's tiny cells, recorded then. fig5's file
-// matched its hand-built setup in all 15 full-scale cells, and fig6's
+// matched its hand-built setup in all 15 full-scale cells (its three
+// cells of the scaled default have since become one), and fig6's
 // object-valued kmax axis matched the bench's old kmin hook in all 16
 // cells at both scales; the fig5 pin is a full-scale cell. The table4
 // and two fig9 pretraining files are sweep-less: each gave its hand-built
@@ -207,7 +208,7 @@ TEST(Fig5Parity, RpgTimeResetCellMatchesThePinnedSetup) {
   const Scenario sc =
       load_scenario_file(pack_path("fig5_single_param.json"), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
-  ASSERT_EQ(cells.size(), 15u);
+  ASSERT_EQ(cells.size(), 13u);
   const GridCell* cell = find_cell(cells, [](const Scenario& s) {
     return to_experiment_config(s).custom_params.rpg_time_reset ==
            microseconds(30);

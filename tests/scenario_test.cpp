@@ -271,6 +271,108 @@ TEST(ScenarioParse, OversubscriptionAndFabricGbpsAreExclusive) {
   EXPECT_TRUE(contains(msg, "not both")) << msg;
 }
 
+/// minimal() with `component` as its one workload component.
+std::string with_component(const std::string& component) {
+  return R"({
+    "name": "t",
+    "duration_ms": 10,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+    "workload": [)" +
+         component + "]\n}";
+}
+
+/// The ScenarioError message of parsing `doc` ("" when it parses).
+std::string parse_error(const std::string& doc) {
+  return error_of([&doc] { parse_scenario_text(doc); });
+}
+
+TEST(ScenarioParse, MonitorIntervalUnderOneNanosecondRejected) {
+  // A 0 ns interval made every MI tick reschedule itself at +0 ns.
+  for (const char* mi : {"0", "0.0004", "-1"}) {
+    const std::string msg = parse_error(minimal(
+        std::string(R"("scheme": {"name": "default", "params": )") +
+        R"({"controller.mi_us": )" + mi + "}}"));
+    EXPECT_TRUE(contains(msg, "scheme.params.controller.mi_us")) << msg;
+  }
+  const Scenario sc = parse_scenario_text(minimal(
+      R"("scheme": {"name": "default", "params": {"controller.mi_us": 0.001}})"));
+  EXPECT_EQ(to_experiment_config(sc).controller.mi, 1);
+}
+
+TEST(ScenarioParse, StopAtOrBeforeStartRejected) {
+  for (const char* stop : {"2", "1", "0"}) {
+    const std::string msg = parse_error(with_component(
+        std::string(R"({"name": "p", "kind": "poisson", "start_ms": 2, )") +
+        R"("stop_ms": )" + stop + "}"));
+    EXPECT_TRUE(contains(msg, "workload.p.stop_ms")) << msg;
+  }
+  // A negative stop means "until the end of the run".
+  (void)parse_scenario_text(with_component(
+      R"({"name": "p", "kind": "poisson", "start_ms": 2, "stop_ms": -1})"));
+}
+
+TEST(ScenarioParse, StartAtOrAfterDurationRejected) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "p", "kind": "poisson", "start_ms": 10})"));
+  EXPECT_TRUE(contains(msg, "workload.p.start_ms")) << msg;
+}
+
+TEST(ScenarioParse, EmptyMetricWindowRejected) {
+  const std::string msg = parse_error(
+      minimal(R"("metric": {"name": "tput_mean_gbps", "from_ms": 5,
+                            "to_ms": 5})"));
+  EXPECT_TRUE(contains(msg, "metric.to_ms")) << msg;
+}
+
+TEST(ScenarioParse, NegativeOffPeriodRejected) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "a", "kind": "alltoall", "workers": 4,
+          "off_period_ms": -1})"));
+  EXPECT_TRUE(contains(msg, "workload.a.off_period_ms")) << msg;
+}
+
+TEST(ScenarioParse, NegativeMaxRoundsRejected) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "a", "kind": "alltoall", "workers": 4, "max_rounds": -1})"));
+  EXPECT_TRUE(contains(msg, "workload.a.max_rounds")) << msg;
+}
+
+TEST(ScenarioParse, NegativeStartRejected) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "p", "kind": "poisson", "start_ms": -1})"));
+  EXPECT_TRUE(contains(msg, "workload.p.start_ms")) << msg;
+}
+
+TEST(ScenarioParse, FlowSizeMustBePositive) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "a", "kind": "alltoall", "workers": 4, "flow_kb": 0})"));
+  EXPECT_TRUE(contains(msg, "workload.a.flow_kb")) << msg;
+}
+
+TEST(ScenarioParse, PeriodMustBePositive) {
+  const std::string msg = parse_error(with_component(
+      R"({"name": "i", "kind": "incast", "workers": 4, "period_ms": 0})"));
+  EXPECT_TRUE(contains(msg, "workload.i.period_ms")) << msg;
+}
+
+TEST(ScenarioParse, AlltoallNeedsTwoWorkers) {
+  std::string msg = parse_error(
+      with_component(R"({"name": "a", "kind": "alltoall", "workers": 1})"));
+  EXPECT_TRUE(contains(msg, "workload.a.workers")) << msg;
+  msg = parse_error(
+      with_component(R"({"name": "a", "kind": "alltoall", "hosts": [3]})"));
+  EXPECT_TRUE(contains(msg, "workload.a.workers")) << msg;
+}
+
+TEST(ScenarioParse, DumbbellNeedsAHostPerSide) {
+  const std::string msg = parse_error(R"({
+    "name": "t",
+    "topology": {"kind": "dumbbell", "hosts_per_side": 0},
+    "workload": [{"name": "p", "kind": "poisson"}]
+  })");
+  EXPECT_TRUE(contains(msg, "topology.hosts_per_side")) << msg;
+}
+
 TEST(Topology, SpineLeafOversubscriptionDerivesFabricRate) {
   // Paper shape: 8 hosts x 10G per ToR over 4 spines at 4:1 -> 5G uplinks.
   const Scenario sc = parse_scenario_text(R"({
