@@ -343,8 +343,9 @@ int main(int argc, char** argv) {
   try {
     const scenario::Scenario sc =
         scenario::load_scenario_file(g_cli.scenario, g_cli.tiny);
-    std::size_t cells = 1;
-    for (const auto& axis : sc.sweep) cells *= axis.values.size();
+    // Expanding checks every cell, its placement on its own fabric
+    // included, before any output is opened.
+    const std::size_t cells = scenario::expand_grid(sc).size();
     if (cells > 1 && (g_cli.flight || !g_cli.replay_bundle.empty())) {
       std::fprintf(stderr,
                    "paraleon_run: %s is a single-run flag, but %s has %zu "

@@ -25,6 +25,12 @@
 // the lock, and increments follow the single-writer-per-instrument
 // contract (one owning layer per counter), which keeps the hot path at
 // one pointer indirection.
+//
+// Gauges are appended at registration and sorted by name at the first read
+// after it (snapshot, value_of, has, size and to_json all read), so a
+// fabric's hundreds of registrations cost a vector push each, not an
+// ordered-map insert. A read therefore writes: it sorts under the lock,
+// on mutable members the lock guards.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -71,7 +78,8 @@ class Registry {
   /// slot, so several sites may share one logical counter.
   Counter counter(const std::string& name) PARALEON_EXCLUDES(mu_);
 
-  /// Registers (or replaces) a callback-backed gauge.
+  /// Registers (or replaces) a callback-backed gauge: when one name is
+  /// registered twice, the later callback is the one read.
   void gauge(std::string name, ReadFn read) PARALEON_EXCLUDES(mu_);
 
   struct Sample {
@@ -86,10 +94,7 @@ class Registry {
   /// Current value of one instrument (0.0 if absent).
   double value_of(const std::string& name) const PARALEON_EXCLUDES(mu_);
   bool has(const std::string& name) const PARALEON_EXCLUDES(mu_);
-  std::size_t size() const PARALEON_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return counters_.size() + gauges_.size();
-  }
+  std::size_t size() const PARALEON_EXCLUDES(mu_);
 
   /// One JSON document: {"counters": {...}, "gauges": {...}}, keys sorted.
   /// Byte-identical for identical instrument values (the determinism test
@@ -97,13 +102,24 @@ class Registry {
   common::Json to_json() const;
 
  private:
+  using NamedGauge = std::pair<std::string, ReadFn>;
+
+  /// Sorts gauges_ by name if a registration came since the last sort,
+  /// keeping only the last registration of each name.
+  void sort_gauges() const PARALEON_REQUIRES(mu_);
+  /// The gauge registered under `name`, or nullptr. Sorts first.
+  const NamedGauge* find_gauge(const std::string& name) const
+      PARALEON_REQUIRES(mu_);
+
   mutable common::Mutex mu_;
   // name -> index in slots_
   std::map<std::string, std::size_t> counters_ PARALEON_GUARDED_BY(mu_);
   // Stable addresses: Counter handles point into this deque, so slots
   // must never move once handed out.
   std::deque<std::int64_t> slots_ PARALEON_GUARDED_BY(mu_);
-  std::map<std::string, ReadFn> gauges_ PARALEON_GUARDED_BY(mu_);
+  // Registration order until sort_gauges() runs; name order after it.
+  mutable std::vector<NamedGauge> gauges_ PARALEON_GUARDED_BY(mu_);
+  mutable bool gauges_sorted_ PARALEON_GUARDED_BY(mu_) = true;
 };
 
 }  // namespace paraleon::obs

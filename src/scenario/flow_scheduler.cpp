@@ -72,6 +72,33 @@ std::vector<int> FlowScheduler::resolve_hosts(const WorkloadComponent& c,
   return out;
 }
 
+std::vector<int> FlowScheduler::incast_senders(const WorkloadComponent& c,
+                                               int host_count) {
+  const std::string ctx = "workload." + c.name;
+  if (c.receiver < 0 || c.receiver >= host_count) {
+    throw ScenarioError(ctx + ".receiver is outside the fabric");
+  }
+  std::vector<int> senders;
+  for (const int h : resolve_hosts(c, host_count)) {
+    if (h != c.receiver) senders.push_back(h);
+  }
+  if (senders.empty()) {
+    throw ScenarioError(ctx + ": no senders besides the receiver");
+  }
+  return senders;
+}
+
+void FlowScheduler::check_placement(const Scenario& sc) {
+  const int hosts = host_count(sc.topology);
+  for (const WorkloadComponent& c : sc.workload) {
+    if (c.kind == WorkloadComponent::Kind::kIncast) {
+      incast_senders(c, hosts);
+    } else {
+      resolve_hosts(c, hosts);
+    }
+  }
+}
+
 workload::Workload* FlowScheduler::find(const std::string& name) const {
   for (const auto& inst : installed_) {
     if (inst.name == name) return inst.workload;
@@ -81,7 +108,6 @@ workload::Workload* FlowScheduler::find(const std::string& name) const {
 
 void FlowScheduler::install_one(const WorkloadComponent& c) {
   const int host_count = exp_->topology().host_count();
-  const std::string ctx = "workload." + c.name;
   Installed inst;
   inst.name = c.name;
   inst.tenant = c.tenant;
@@ -114,16 +140,8 @@ void FlowScheduler::install_one(const WorkloadComponent& c) {
       break;
     }
     case WorkloadComponent::Kind::kIncast: {
-      if (c.receiver < 0 || c.receiver >= host_count) {
-        throw ScenarioError(ctx + ".receiver is outside the fabric");
-      }
       workload::IncastConfig in;
-      for (const int h : resolve_hosts(c, host_count)) {
-        if (h != c.receiver) in.senders.push_back(h);
-      }
-      if (in.senders.empty()) {
-        throw ScenarioError(ctx + ": no senders besides the receiver");
-      }
+      in.senders = incast_senders(c, host_count);
       in.receiver = c.receiver;
       in.flow_size = flow_bytes(c);
       in.period = milliseconds(c.period_ms);

@@ -57,8 +57,19 @@ class FlowScheduler {
   static std::vector<int> resolve_hosts(const WorkloadComponent& c,
                                         int host_count);
 
+  /// Throws the ScenarioError install_all() would for a placement the
+  /// scenario's fabric cannot hold (more workers than hosts, a host or
+  /// receiver outside it, an incast with no sender), without building the
+  /// fabric. expand_grid runs it on every cell, so a bad cell fails before
+  /// any cell runs.
+  static void check_placement(const Scenario& sc);
+
  private:
   void install_one(const WorkloadComponent& c);
+  /// An incast's senders: its hosts without the receiver. Throws when the
+  /// receiver is off the fabric or no sender is left.
+  static std::vector<int> incast_senders(const WorkloadComponent& c,
+                                         int host_count);
 
   const Scenario& scenario_;
   runner::Experiment* exp_;

@@ -152,9 +152,12 @@ std::vector<GridCell> expand_grid(const Scenario& base) {
       }
     }
     // Strict reparse: an axis that patched in an unknown key fails here
-    // with the usual "did you mean" error, prefixed with the cell.
+    // with the usual "did you mean" error, prefixed with the cell, and so
+    // does a placement this cell's fabric cannot hold (an axis may have
+    // changed the topology).
     try {
       cell.scenario = parse_scenario(doc, base.name);
+      FlowScheduler::check_placement(cell.scenario);
     } catch (const ScenarioError& e) {
       throw ScenarioError(base.name + " cell " + std::to_string(index) +
                           " (" + coords_label(cell) + "): " + e.what());

@@ -165,8 +165,9 @@ class GridOutcome {
 /// value patches each of its members under the axis key), then strictly
 /// re-parsed — an axis over an unknown key fails with the usual
 /// "did you mean" ScenarioError, prefixed with the cell's index and
-/// coordinates. A scenario without a sweep expands to one cell with empty
-/// coords.
+/// coordinates. Every cell's placement is checked against its own fabric
+/// (FlowScheduler::check_placement) the same way. A scenario without a
+/// sweep expands to one cell with empty coords.
 std::vector<GridCell> expand_grid(const Scenario& base);
 
 /// Runs one cell to completion: config, experiment, FlowScheduler,

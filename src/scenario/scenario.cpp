@@ -802,28 +802,40 @@ void apply_paper_defaults(runner::ExperimentConfig& cfg) {
   cfg.controller.steady_retrigger_mi = 40;
 }
 
+/// Sets the Clos shape (ToRs, leaves, hosts per ToR) the topology kind
+/// generates.
+void set_clos_shape(const TopologySpec& t, sim::ClosConfig& clos) {
+  switch (t.kind) {
+    case TopologySpec::Kind::kSpineLeaf:
+      clos.n_tor = t.tors;
+      clos.n_leaf = t.spines;
+      clos.hosts_per_tor = t.hosts_per_tor;
+      break;
+    case TopologySpec::Kind::kFatTree:
+      clos.n_tor = t.k;
+      clos.n_leaf = t.k / 2;
+      clos.hosts_per_tor = t.k / 2;
+      break;
+    case TopologySpec::Kind::kDumbbell:
+      clos.n_tor = 2;
+      clos.n_leaf = 1;
+      clos.hosts_per_tor = t.hosts_per_side;
+      break;
+  }
+}
+
 }  // namespace
+
+int host_count(const TopologySpec& t) {
+  sim::ClosConfig clos;
+  set_clos_shape(t, clos);
+  return clos.n_tor * clos.hosts_per_tor;
+}
 
 runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
   runner::ExperimentConfig cfg;
   const TopologySpec& t = sc.topology;
-  switch (t.kind) {
-    case TopologySpec::Kind::kSpineLeaf:
-      cfg.clos.n_tor = t.tors;
-      cfg.clos.n_leaf = t.spines;
-      cfg.clos.hosts_per_tor = t.hosts_per_tor;
-      break;
-    case TopologySpec::Kind::kFatTree:
-      cfg.clos.n_tor = t.k;
-      cfg.clos.n_leaf = t.k / 2;
-      cfg.clos.hosts_per_tor = t.k / 2;
-      break;
-    case TopologySpec::Kind::kDumbbell:
-      cfg.clos.n_tor = 2;
-      cfg.clos.n_leaf = 1;
-      cfg.clos.hosts_per_tor = t.hosts_per_side;
-      break;
-  }
+  set_clos_shape(t, cfg.clos);
   cfg.clos.host_link = gbps(t.host_gbps);
   if (t.kind == TopologySpec::Kind::kDumbbell) {
     cfg.clos.fabric_link = gbps(t.bottleneck_gbps);

@@ -187,6 +187,10 @@ const std::vector<std::string>& param_override_keys();
 
 runner::Scheme scheme_from_name(const std::string& name);
 
+/// Hosts on the fabric to_experiment_config's Clos shape builds, known
+/// without building it.
+int host_count(const TopologySpec& t);
+
 /// Builds the full ExperimentConfig: topology generator, scheme, paper
 /// defaults (Table III controller, SA schedule, agent thresholds), then
 /// the scenario's parameter overrides, duration and seed.

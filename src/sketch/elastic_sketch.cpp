@@ -1,5 +1,8 @@
 #include "sketch/elastic_sketch.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "check/check.hpp"
 
 namespace paraleon::sketch {
@@ -14,21 +17,34 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1u;
+}
+
+void set_bit(std::vector<std::uint64_t>& bits, std::size_t i) {
+  bits[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+std::size_t words_for(std::size_t entries) { return (entries + 63) / 64; }
+
 }  // namespace
 
-ElasticSketch::ElasticSketch(const ElasticSketchConfig& cfg)
-    : cfg_(cfg), heavy_(cfg.heavy_buckets), light_(cfg.light_counters, 0) {
+ElasticSketch::ElasticSketch(const ElasticSketchConfig& cfg) : cfg_(cfg) {
   PARALEON_CHECK(cfg.heavy_buckets > 0 && cfg.light_counters > 0,
                  "degenerate sketch geometry: heavy=", cfg.heavy_buckets,
                  " light=", cfg.light_counters);
+  heavy_ = std::make_unique_for_overwrite<Bucket[]>(cfg.heavy_buckets);
+  light_ = std::make_unique_for_overwrite<std::int64_t[]>(cfg.light_counters);
+  heavy_occ_.assign(words_for(cfg.heavy_buckets), 0);
+  light_occ_.assign(words_for(cfg.light_counters), 0);
 }
 
 std::size_t ElasticSketch::heavy_index(std::uint64_t key) const {
-  return mix(key) % heavy_.size();
+  return mix(key) % cfg_.heavy_buckets;
 }
 
 std::size_t ElasticSketch::light_index(std::uint64_t key) const {
-  return mix(key ^ 0x9E3779B97F4A7C15ull) % light_.size();
+  return mix(key ^ 0x9E3779B97F4A7C15ull) % cfg_.light_counters;
 }
 
 bool ElasticSketch::on_data_packet(const sim::Packet& pkt) {
@@ -38,9 +54,11 @@ bool ElasticSketch::on_data_packet(const sim::Packet& pkt) {
 
 void ElasticSketch::insert(std::uint64_t flow_id, std::int64_t bytes) {
   ++insertions_;
-  Bucket& b = heavy_[heavy_index(flow_id)];
-  if (!b.occupied) {
-    b = Bucket{flow_id, bytes, 0, false, true};
+  const std::size_t i = heavy_index(flow_id);
+  Bucket& b = heavy_[i];
+  if (!test_bit(heavy_occ_, i)) {
+    set_bit(heavy_occ_, i);
+    b = Bucket{flow_id, bytes, 0, false};
     return;
   }
   if (b.key == flow_id) {
@@ -56,46 +74,63 @@ void ElasticSketch::insert(std::uint64_t flow_id, std::int64_t bytes) {
     // earlier bytes (if any) are already in the light part, hence flag.
     light_add(b.key, b.vote_pos);
     ++evictions_;
-    b = Bucket{flow_id, bytes, 0, /*flag=*/true, true};
+    b = Bucket{flow_id, bytes, 0, /*flag=*/true};
   } else {
     light_add(flow_id, bytes);
   }
 }
 
 void ElasticSketch::light_add(std::uint64_t key, std::int64_t bytes) {
-  light_[light_index(key)] += bytes;
+  const std::size_t i = light_index(key);
+  if (test_bit(light_occ_, i)) {
+    light_[i] += bytes;
+  } else {
+    set_bit(light_occ_, i);
+    light_[i] = bytes;
+  }
 }
 
 std::int64_t ElasticSketch::light_query(std::uint64_t key) const {
-  return light_[light_index(key)];
+  const std::size_t i = light_index(key);
+  return test_bit(light_occ_, i) ? light_[i] : 0;
 }
 
 std::int64_t ElasticSketch::query(std::uint64_t flow_id) const {
-  const Bucket& b = heavy_[heavy_index(flow_id)];
-  if (b.occupied && b.key == flow_id) {
+  const std::size_t i = heavy_index(flow_id);
+  const Bucket& b = heavy_[i];
+  if (test_bit(heavy_occ_, i) && b.key == flow_id) {
     return b.vote_pos + (b.flag ? light_query(flow_id) : 0);
   }
   return light_query(flow_id);
 }
 
 std::vector<HeavyRecord> ElasticSketch::heavy_flows() const {
+  std::size_t resident = 0;
+  for (const std::uint64_t word : heavy_occ_) {
+    resident += static_cast<std::size_t>(std::popcount(word));
+  }
   std::vector<HeavyRecord> out;
-  out.reserve(heavy_.size() / 4);
-  for (const Bucket& b : heavy_) {
-    if (!b.occupied) continue;
-    out.push_back({b.key, b.vote_pos + (b.flag ? light_query(b.key) : 0)});
+  out.reserve(resident);
+  // Set bits in index order: the same order as a scan of every bucket.
+  for (std::size_t w = 0; w < heavy_occ_.size(); ++w) {
+    for (std::uint64_t bits = heavy_occ_[w]; bits != 0; bits &= bits - 1) {
+      const Bucket& b =
+          heavy_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      out.push_back({b.key, b.vote_pos + (b.flag ? light_query(b.key) : 0)});
+    }
   }
   return out;
 }
 
 void ElasticSketch::reset() {
-  for (Bucket& b : heavy_) b = Bucket{};
-  for (auto& c : light_) c = 0;
+  std::fill(heavy_occ_.begin(), heavy_occ_.end(), 0);
+  std::fill(light_occ_.begin(), light_occ_.end(), 0);
   if (reset_hook_) reset_hook_();
 }
 
 std::size_t ElasticSketch::memory_bytes() const {
-  return heavy_.size() * sizeof(Bucket) + light_.size() * sizeof(std::int64_t);
+  return cfg_.heavy_buckets * sizeof(Bucket) +
+         cfg_.light_counters * sizeof(std::int64_t);
 }
 
 }  // namespace paraleon::sketch

@@ -8,6 +8,17 @@
 // set (meaning: part of this flow's bytes may live in the light part).
 // Light part: a d=1 count array (a one-row count-min), pure overestimate.
 //
+// Storage is governed by two validity bitmaps, one bit per heavy bucket
+// and one per light counter: a set bit says the entry holds a value, a
+// clear one that it reads as empty (a bucket with no resident, a light
+// counter of 0) whatever bytes the uninitialised array holds there. So
+// building a sketch and the control plane's per-interval reset() write
+// only the bitmaps (64 + 512 words at the default geometry), not the
+// 384 KB of buckets and counters, and a drain costs what the interval
+// inserted. memory_bytes() models the switch SRAM the data structure
+// needs and leaves the bitmaps out: they are simulator bookkeeping
+// (hardware clears its registers in place).
+//
 // PARALEON attaches one instance per ToR as the data-plane measurement
 // point; `use_tos_marking` selects whether the instance participates in the
 // network-wide single-insertion scheme of §III-B Keypoint 1 (PARALEON) or
@@ -16,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/sketch_hook.hpp"
@@ -77,12 +89,13 @@ class ElasticSketch final : public sim::SketchHook {
   const ElasticSketchConfig& config() const { return cfg_; }
 
  private:
+  // Trivial on purpose: the arrays are allocated uninitialised, and only
+  // an entry whose validity bit is set is ever read.
   struct Bucket {
-    std::uint64_t key = 0;
-    std::int64_t vote_pos = 0;
-    std::int64_t vote_neg = 0;
-    bool flag = false;      // part of the flow's bytes may be in light part
-    bool occupied = false;
+    std::uint64_t key;
+    std::int64_t vote_pos;
+    std::int64_t vote_neg;
+    bool flag;  // part of the flow's bytes may be in light part
   };
 
   std::size_t heavy_index(std::uint64_t key) const;
@@ -91,8 +104,11 @@ class ElasticSketch final : public sim::SketchHook {
   std::int64_t light_query(std::uint64_t key) const;
 
   ElasticSketchConfig cfg_;
-  std::vector<Bucket> heavy_;
-  std::vector<std::int64_t> light_;
+  std::unique_ptr<Bucket[]> heavy_;
+  std::unique_ptr<std::int64_t[]> light_;
+  // Validity bitmaps: bit i of word i / 64 is set iff entry i holds a value.
+  std::vector<std::uint64_t> heavy_occ_;
+  std::vector<std::uint64_t> light_occ_;
   std::uint64_t insertions_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t ostracism_votes_ = 0;

@@ -180,6 +180,40 @@ TEST(Incast, ReceiverOnlyPlacementIsUnsatisfiable) {
   EXPECT_THROW(flows.install_all(), ScenarioError);
 }
 
+TEST(CheckPlacement, RejectsWhatInstallAllRejectsWithoutAFabric) {
+  for (const char* component : {
+           R"({"name": "a", "kind": "alltoall", "workers": 9})",
+           R"({"name": "a", "kind": "alltoall", "hosts": [0, 8]})",
+           R"({"name": "i", "kind": "incast", "workers": 2, "receiver": 8})",
+           R"({"name": "i", "kind": "incast", "hosts": [1], "receiver": 1})",
+       }) {
+    SCOPED_TRACE(component);
+    const Scenario sc = make_scenario(component);
+    EXPECT_THROW(FlowScheduler::check_placement(sc), ScenarioError);
+    runner::Experiment exp(to_experiment_config(sc));
+    FlowScheduler flows(sc, &exp);
+    EXPECT_THROW(flows.install_all(), ScenarioError);
+  }
+  EXPECT_NO_THROW(FlowScheduler::check_placement(make_scenario(
+      R"({"name": "a", "kind": "alltoall", "workers": 8})")));
+}
+
+TEST(CheckPlacement, HostCountMatchesTheBuiltFabric) {
+  for (const char* topology : {
+           R"({"kind": "dumbbell", "hosts_per_side": 3})",
+           R"({"kind": "spine_leaf", "tors": 3, "spines": 2, "hosts_per_tor": 5})",
+           R"({"kind": "fat_tree", "k": 6})",
+       }) {
+    SCOPED_TRACE(topology);
+    const Scenario sc = parse_scenario_text(
+        std::string(R"({"name": "t", "topology": )") + topology +
+        R"(, "scheme": {"name": "default"}, "workload": [
+            {"name": "rpc", "kind": "poisson"}]})");
+    runner::Experiment exp(to_experiment_config(sc));
+    EXPECT_EQ(host_count(sc.topology), exp.topology().host_count());
+  }
+}
+
 TEST(Permutation, EveryRoundIsADerangement) {
   const Scenario sc = make_scenario(R"({
     "name": "shuffle", "kind": "permutation", "workers": 4,

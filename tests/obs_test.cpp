@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -61,6 +62,101 @@ TEST(Registry, SnapshotIsSortedByNameNotRegistrationOrder) {
   EXPECT_EQ(snap[2].name, "zz");
   EXPECT_TRUE(snap[0].is_counter);
   EXPECT_FALSE(snap[1].is_counter);
+}
+
+TEST(Registry, ReRegisteredGaugeReadsItsLastCallbackAroundAFirstRead) {
+  for (const bool read_between : {false, true}) {
+    SCOPED_TRACE(read_between ? "read between" : "no read between");
+    Registry reg;
+    reg.gauge("b", [] { return 1.0; });
+    reg.gauge("a", [] { return 2.0; });
+    if (read_between) {
+      ASSERT_EQ(reg.snapshot().size(), 2u);
+    }
+    reg.gauge("b", [] { return 3.0; });
+    reg.gauge("b", [] { return 4.0; });
+    const auto snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    EXPECT_EQ(snap[0].name, "a");
+    EXPECT_EQ(snap[1].name, "b");
+    EXPECT_EQ(snap[1].value, 4.0);
+    EXPECT_EQ(reg.value_of("b"), 4.0);
+  }
+}
+
+TEST(Registry, GaugeRegisteredAfterAReadJoinsTheNextSnapshotInNameOrder) {
+  Registry reg;
+  reg.gauge("m", [] { return 1.0; });
+  reg.gauge("z", [] { return 2.0; });
+  reg.counter("c").inc();
+  ASSERT_EQ(reg.snapshot().size(), 3u);
+  reg.gauge("a", [] { return 3.0; });
+  reg.gauge("n", [] { return 4.0; });
+  std::vector<std::string> names;
+  for (const auto& sample : reg.snapshot()) names.push_back(sample.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "m", "n", "z"}));
+}
+
+TEST(Registry, LookupsAgreeWithTheSnapshot) {
+  Registry reg;
+  reg.gauge("q", [] { return 5.0; });
+  reg.counter("k").add(6);
+  reg.gauge("d", [] { return 7.0; });
+  reg.gauge("q", [] { return 8.0; });
+  // Every read sorts first, so each is checked on a fresh registry state.
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_TRUE(reg.has("q"));
+  EXPECT_FALSE(reg.has("nope"));
+  EXPECT_EQ(reg.value_of("nope"), 0.0);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.size(), reg.size());
+  for (const auto& sample : snap) {
+    EXPECT_TRUE(reg.has(sample.name)) << sample.name;
+    EXPECT_EQ(reg.value_of(sample.name), sample.value) << sample.name;
+  }
+}
+
+TEST(Registry, CounterAndGaugeSharingANameBothAppear) {
+  Registry reg;
+  reg.counter("x").add(2);
+  reg.gauge("x", [] { return 3.0; });
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(reg.size(), 2u);
+  // The gauge sorts first among equal names; value_of reads the counter.
+  EXPECT_FALSE(snap[0].is_counter);
+  EXPECT_EQ(snap[0].value, 3.0);
+  EXPECT_TRUE(snap[1].is_counter);
+  EXPECT_EQ(snap[1].value, 2.0);
+  EXPECT_EQ(reg.value_of("x"), 2.0);
+  const common::Json doc = reg.to_json();
+  EXPECT_EQ(doc.find("counters")->find("x")->as_int64(), 2);
+  EXPECT_EQ(doc.find("gauges")->find("x")->as_int64(), 3);
+}
+
+TEST(Registry, ConcurrentFirstReadsAgree) {
+  // The first read sorts the gauge table under the lock: two readers
+  // racing to be first must see the same, fully sorted table.
+  Registry reg;
+  for (int i = 99; i >= 0; --i) {
+    reg.gauge("g." + std::to_string(i), [i] { return i; });
+    reg.counter("c." + std::to_string(i)).add(i);
+  }
+  std::vector<Registry::Sample> first;
+  std::vector<Registry::Sample> second;
+  std::thread a([&] { first = reg.snapshot(); });
+  std::thread b([&] { second = reg.snapshot(); });
+  a.join();
+  b.join();
+  ASSERT_EQ(first.size(), 200u);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].name, second[i].name);
+    EXPECT_EQ(first[i].value, second[i].value);
+    if (i > 0) {
+      EXPECT_LE(first[i - 1].name, first[i].name);
+    }
+  }
 }
 
 TEST(Registry, JsonIsDeterministic) {

@@ -404,6 +404,30 @@ TEST(ExpandGrid, ObjectValueWithAnUnknownMemberNamesTheCell) {
   }
 }
 
+TEST(ExpandGrid, PlacementIsCheckedOnEachCellsOwnFabric) {
+  // Cell 0's dumbbell has 16 hosts, cell 1's 8: only cell 1 cannot hold
+  // the 10-worker alltoall, and expansion names it before any cell runs.
+  const Scenario sc = parse_scenario_text(R"({
+    "name": "hosts",
+    "duration_ms": 2,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 8},
+    "scheme": {"name": "default"},
+    "workload": [{"name": "a2a", "kind": "alltoall", "workers": 10}],
+    "sweep": {"axes": [
+      {"key": "topology.hosts_per_side", "values": [8, 4]}]}})");
+  try {
+    expand_grid(sc);
+    FAIL() << "expected a ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "hosts cell 1 (topology.hosts_per_side=4): workload.a2a: 10 "
+              "workers exceed the fabric's 8 hosts");
+  }
+  Scenario fits = sc;
+  fits.sweep[0].values.pop_back();
+  EXPECT_EQ(expand_grid(fits).size(), 1u);
+}
+
 TEST(ParseSweep, RejectsAnEmptyObjectValue) {
   try {
     custom_scenario(R"([{"key": "scheme.params", "values": [{}]}])");
