@@ -133,6 +133,13 @@ int run_with_scenario(const std::string& file, bool tiny, Body body) {
   }
 }
 
+/// The number of cells in `sc`'s grid: its sweep's cross-product.
+inline std::size_t cell_count(const scenario::Scenario& sc) {
+  std::size_t cells = 1;
+  for (const auto& axis : sc.sweep) cells *= axis.values.size();
+  return cells;
+}
+
 /// Runs `sc`'s grid on `jobs` workers and returns one slot per cell, in
 /// cell order: `harvest(cell, exp, flows)` builds it on the cell's worker
 /// thread once the run completes. Slots are preallocated and indexed by
@@ -141,12 +148,10 @@ int run_with_scenario(const std::string& file, bool tiny, Body body) {
 template <typename Harvest>
 auto harvest_grid(const scenario::Scenario& sc, int jobs, Harvest harvest,
                   decltype(scenario::GridOptions::on_config) on_config = {}) {
-  std::size_t cells = 1;  // the sweep's cross-product
-  for (const auto& axis : sc.sweep) cells *= axis.values.size();
   std::vector<decltype(harvest(std::declval<const scenario::GridCell&>(),
                                std::declval<Experiment&>(),
                                std::declval<const scenario::FlowScheduler&>()))>
-      slots(cells);
+      slots(cell_count(sc));
   scenario::GridOptions opts;
   opts.jobs = jobs;
   opts.on_config = std::move(on_config);
@@ -158,22 +163,16 @@ auto harvest_grid(const scenario::Scenario& sc, int jobs, Harvest harvest,
   return slots;
 }
 
-/// A parameter-sweep cell's two table columns (Figs. 5 and 6): mean
-/// goodput (Gbps) and RTT (us) over the metric window, from after the
-/// ramp to the end of the run.
-struct TputRtt {
-  double tput_gbps = 0;
-  double rtt_us = 0;
-};
-
-/// harvest_grid's harvest for TputRtt.
-inline TputRtt harvest_tput_rtt(const scenario::GridCell& cell,
-                                Experiment& exp,
-                                const scenario::FlowScheduler&) {
-  const Time from = milliseconds(cell.scenario.metric.from_ms);
-  const Time to = exp.config().duration;
-  return {exp.throughput_series().mean_in(from, to),
-          exp.rtt_series().mean_in(from, to)};
+/// A cell's named metric `name` (the file's `metrics` section). A file
+/// that does not name it cannot feed the bench's table.
+inline double cell_metric(const scenario::CellResult& r,
+                          const std::string& name) {
+  const auto it = r.metrics.find(name);
+  if (it == r.metrics.end()) {
+    throw scenario::ScenarioError("the scenario names no metric \"" + name +
+                                  "\"");
+  }
+  return it->second;
 }
 
 /// The `# scaling:` note of a scenario-driven bench: the fabric of the
@@ -346,62 +345,13 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// The burst of an influx scenario (Figs. 8, 9, 14): the [start, stop) of
-/// its only workload component with a finite stop_ms. The background runs
-/// to the end of the run, so any other count is a malformed influx file.
-struct InfluxWindow {
-  Time start = 0;
-  Time stop = 0;
-};
-
-inline InfluxWindow influx_window(const scenario::Scenario& sc) {
-  const scenario::WorkloadComponent* burst = nullptr;
-  int finite = 0;
-  for (const auto& c : sc.workload) {
-    if (c.stop_ms < 0.0) continue;
-    burst = &c;
-    ++finite;
+/// The three " | Gbps rtt_us" column pairs of an influx table row (Figs.
+/// 8, 9, 14): the before / influx / after metrics its file names.
+inline void print_phase_metrics(const scenario::CellResult& r) {
+  for (const std::string phase : {"before", "influx", "after"}) {
+    std::printf(" | %8.2f %8.2f", cell_metric(r, phase + "_tput_gbps"),
+                cell_metric(r, phase + "_rtt_us"));
   }
-  if (finite != 1) {
-    throw scenario::ScenarioError(
-        sc.name + ": an influx scenario needs exactly one workload "
-        "component with a finite stop_ms, found " + std::to_string(finite));
-  }
-  return {milliseconds(burst->start_ms), milliseconds(burst->stop_ms)};
-}
-
-/// Mean goodput (Gbps) and RTT (us) before, during and after the influx.
-struct PhaseMeans {
-  double before_tput = 0, before_rtt = 0;
-  double influx_tput = 0, influx_rtt = 0;
-  double after_tput = 0, after_rtt = 0;
-};
-
-/// The phase windows: before = [before_start, burst start), influx =
-/// [burst start + 2 ms, burst stop) (the first 2 ms are the burst's
-/// ramp-up), after = [after_start, end of the run). Each figure picks its
-/// own before_start and after_start.
-inline PhaseMeans phase_means(const Experiment& exp, InfluxWindow influx,
-                              Time before_start, Time after_start) {
-  const auto& tput = exp.throughput_series();
-  const auto& rtt = exp.rtt_series();
-  const Time influx_from = influx.start + milliseconds(2);
-  const Time end = exp.config().duration;
-  PhaseMeans m;
-  m.before_tput = tput.mean_in(before_start, influx.start);
-  m.before_rtt = rtt.mean_in(before_start, influx.start);
-  m.influx_tput = tput.mean_in(influx_from, influx.stop);
-  m.influx_rtt = rtt.mean_in(influx_from, influx.stop);
-  m.after_tput = tput.mean_in(after_start, end);
-  m.after_rtt = rtt.mean_in(after_start, end);
-  return m;
-}
-
-/// The three " | Gbps rtt_us" column pairs of an influx table row.
-inline void print_phase_means(const PhaseMeans& m) {
-  std::printf(" | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f", m.before_tput,
-              m.before_rtt, m.influx_tput, m.influx_rtt, m.after_tput,
-              m.after_rtt);
 }
 
 }  // namespace paraleon::bench

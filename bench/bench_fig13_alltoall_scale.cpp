@@ -8,7 +8,7 @@
 //
 // The scheme x scale grid comes from scenarios/fig13_alltoall.json: the
 // scenario engine's GridRunner expands the two sweep axes (scheme outer,
-// scale inner — the order print_grid reads the slots in) and fans
+// scale inner — the order print_grid reads the results in) and fans
 // the cells through exec::parallel_map (`--jobs N`). The printed table is
 // identical at any worker count because results come back in cell order.
 #include <cstdio>
@@ -24,11 +24,6 @@ namespace {
 
 BenchCli g_cli;
 
-struct CellSlot {
-  double bw_gbps = 0;
-  std::uint64_t events = 0;  // 0 unless --perf-out enabled the PerfMonitor
-};
-
 void print_grid_header(const scenario::Scenario& sc) {
   print_header("Fig. 13: alltoall bandwidth vs collective scale",
                scaling_note(scenario::to_experiment_config(sc),
@@ -42,11 +37,12 @@ void print_grid_header(const scenario::Scenario& sc) {
   std::printf("\n");
 }
 
-/// Prints the scheme x scale table from cell-ordered slots (rows are the
-/// scheme axis, columns the worker axis) and fills the trend rows.
-/// Returns the total event count (0 unless --perf-out).
+/// Prints the scheme x scale table from the cell-ordered results (rows
+/// are the scheme axis, columns the worker axis; a cell's value is the
+/// file's metric, the steady-tail mean goodput) and fills the trend rows.
+/// Returns the total event count.
 std::uint64_t print_grid(const scenario::Scenario& sc,
-                         const std::vector<CellSlot>& slots,
+                         const std::vector<scenario::CellResult>& results,
                          TrendReport& trend) {
   std::size_t cell = 0;
   std::uint64_t total_events = 0;
@@ -55,12 +51,12 @@ std::uint64_t print_grid(const scenario::Scenario& sc,
         scheme_name(scenario::scheme_from_name(s.as_string()));
     std::printf("%-10s", scheme.c_str());
     for (const auto& scale : sc.sweep[1].values) {
-      const CellSlot& r = slots[cell++];
-      std::printf("%10.2f  ", r.bw_gbps);
+      const scenario::CellResult& r = results[cell++];
+      std::printf("%10.2f  ", r.value);
       trend.add("bw_" + scheme + "_" + std::to_string(scale.as_int64()) +
                     "_gbps",
-                r.bw_gbps, "Gbps");
-      total_events += r.events;
+                r.value, "Gbps");
+      total_events += r.scrape.events_executed;
     }
     std::printf("\n");
   }
@@ -78,24 +74,15 @@ void print_footer() {
 int run_scenario_grid(const scenario::Scenario& sc) {
   print_grid_header(sc);
 
+  scenario::GridOptions opts;
+  opts.jobs = g_cli.jobs;
   const WallTimer wall;
-  // The scenario metric IS the table value: steady-tail mean goodput.
-  const auto slots = harvest_grid(
-      sc, g_cli.jobs,
-      [](const auto& cell, auto& exp, const auto&) {
-        return CellSlot{scenario::evaluate_metric(cell.scenario, exp),
-                        exp.simulator().obs().perf().events_executed()};
-      },
-      [](const scenario::GridCell&, ExperimentConfig& cfg) {
-        if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
-      });
+  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
   const double grid_seconds = wall.seconds();
 
   TrendReport trend("fig13_alltoall_scale");
-  const std::uint64_t total_events = print_grid(sc, slots, trend);
-  if (total_events > 0) {
-    trend.add("events_executed", static_cast<double>(total_events), "events");
-  }
+  const std::uint64_t total_events = print_grid(sc, grid.results(), trend);
+  trend.add("events_executed", static_cast<double>(total_events), "events");
   trend.add("wall_seconds", grid_seconds, "s");
   trend.add("grid_wall_seconds", grid_seconds, "s");
   print_footer();

@@ -7,8 +7,9 @@
 //
 // The scheme table runs scenarios/fig14_rpc_influx.json through the
 // scenario engine's GridRunner; the header's note is the file's
-// description.
+// description, and the phase columns are its named metrics.
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -17,13 +18,6 @@ using namespace paraleon::bench;
 using namespace paraleon::runner;
 
 namespace {
-
-/// Per-cell table row harvested by the grid's on_cell hook.
-struct Fig14Slot {
-  Scheme scheme = Scheme::kParaleon;
-  PhaseMeans phases;
-  double rpc_p99_slowdown = 0;
-};
 
 int run(const scenario::Scenario& sc) {
   print_header("Fig. 14: runtime bandwidth & latency with SolarRPC influx",
@@ -34,21 +28,22 @@ int run(const scenario::Scenario& sc) {
               "Gbps", "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us",
               "p99_slow");
 
-  // The scheme axis leaves the burst where the base file puts it.
-  const InfluxWindow burst = influx_window(sc);
-  const auto slots = harvest_grid(
-      sc, /*jobs=*/1, [&](const auto&, auto& exp, const auto&) {
-        // The RPC tail: every SolarRPC flow is a mouse under 128 KB.
-        return Fig14Slot{
-            exp.config().scheme,
-            phase_means(exp, burst, milliseconds(60),
-                        burst.stop + milliseconds(20)),
-            stats::quantile(exp.fct().slowdowns(0, 128 << 10), 0.99)};
-      });
-  for (const Fig14Slot& slot : slots) {
-    std::printf("%-10s", scheme_name(slot.scheme).c_str());
-    print_phase_means(slot.phases);
-    std::printf(" | %10.2f\n", slot.rpc_p99_slowdown);
+  // The phase columns are the file's named metrics; the RPC tail is every
+  // SolarRPC flow, each a mouse under 128 KB.
+  std::vector<double> rpc_p99_slowdown(cell_count(sc));
+  scenario::GridOptions opts;
+  opts.on_cell = [&](const scenario::GridCell& cell, Experiment& exp,
+                     const scenario::FlowScheduler&) {
+    rpc_p99_slowdown[cell.index] =
+        stats::quantile(exp.fct().slowdowns(0, 128 << 10), 0.99);
+  };
+  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
+  for (const scenario::CellResult& r : grid.results()) {
+    const Scheme scheme =
+        scenario::scheme_from_name(grid.cells()[r.index].scenario.scheme.name);
+    std::printf("%-10s", scheme_name(scheme).c_str());
+    print_phase_metrics(r);
+    std::printf(" | %10.2f\n", rpc_p99_slowdown[r.index]);
   }
   std::printf(
       "\nPaper Fig. 14 shape: PARALEON has the lowest latency (and best\n"

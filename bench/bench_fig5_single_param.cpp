@@ -28,9 +28,10 @@ namespace {
 /// scaled default, which names all three and so joins every panel. Each
 /// member of a cell's object is a row of its key's panel; panels come in
 /// the order their keys first appear, rows in ascending value.
-/// "dcqcn.rpg_time_reset_us" prints as "rpg_time_reset (us)".
+/// "dcqcn.rpg_time_reset_us" prints as "rpg_time_reset (us)". A row's
+/// columns are the cell's metric (throughput) and its named `rtt_us`.
 void print_panels(const scenario::Scenario& sc,
-                  const std::vector<TputRtt>& grid) {
+                  const std::vector<scenario::CellResult>& grid) {
   using Rows = std::vector<std::pair<double, std::size_t>>;  // value, cell
   std::vector<std::pair<std::string, Rows>> panels;
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -53,8 +54,8 @@ void print_panels(const scenario::Scenario& sc,
                 unit.c_str(), unit.c_str(), "tput_Gbps", "rtt_us");
     std::sort(rows.begin(), rows.end());
     for (const auto& [value, i] : rows) {
-      std::printf("%-12.0f %-14.2f %-10.2f\n", value, grid[i].tput_gbps,
-                  grid[i].rtt_us);
+      std::printf("%-12.0f %-14.2f %-10.2f\n", value, grid[i].value,
+                  cell_metric(grid[i], "rtt_us"));
     }
   }
 }
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
         // hyper-increase stage), so it is measured on the RP state machine
         // alone; the other three panels are the file's fabric sweep.
         hai_recovery_sweep();
-        print_panels(sc, harvest_grid(sc, /*jobs=*/1, harvest_tput_rtt));
+        print_panels(sc, scenario::run_grid(sc).results());
         std::printf(
             "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
             "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");

@@ -21,10 +21,12 @@ using namespace paraleon::runner;
 namespace {
 
 /// One table: rows are the rpg_time_reset axis, columns the kmax axis
-/// (each value moves kmax and kmin together).
+/// (each value moves kmax and kmin together); `column` reads a cell's
+/// value.
+template <typename Column>
 void print_table(const scenario::Scenario& sc, const char* title,
-                 const std::vector<TputRtt>& grid,
-                 double TputRtt::*field) {
+                 const std::vector<scenario::CellResult>& grid,
+                 Column column) {
   const auto& resets = sc.sweep[0].values;
   const auto& kmaxes = sc.sweep[1].values;
   std::printf("\n%s:\n%-18s", title, "t_reset \\ kmax");
@@ -40,7 +42,7 @@ void print_table(const scenario::Scenario& sc, const char* title,
   for (std::size_t r = 0; r < resets.size(); ++r) {
     std::printf("%-16.0fus", resets[r].as_double());
     for (std::size_t c = 0; c < kmaxes.size(); ++c) {
-      std::printf("%10.2f", grid[r * kmaxes.size() + c].*field);
+      std::printf("%10.2f", column(grid[r * kmaxes.size() + c]));
     }
     std::printf("\n");
   }
@@ -49,9 +51,13 @@ void print_table(const scenario::Scenario& sc, const char* title,
 int run(const scenario::Scenario& sc) {
   print_header("Fig. 6: inter-parameter impact grid (rpg_time_reset x kmax)",
                scenario_note(sc));
-  const auto grid = harvest_grid(sc, /*jobs=*/1, harvest_tput_rtt);
-  print_table(sc, "Throughput (Gbps)", grid, &TputRtt::tput_gbps);
-  print_table(sc, "RTT (us)", grid, &TputRtt::rtt_us);
+  const std::vector<scenario::CellResult> grid =
+      scenario::run_grid(sc).results();
+  print_table(sc, "Throughput (Gbps)", grid,
+              [](const scenario::CellResult& r) { return r.value; });
+  print_table(sc, "RTT (us)", grid, [](const scenario::CellResult& r) {
+    return cell_metric(r, "rtt_us");
+  });
   std::printf(
       "\nPaper Fig. 6 shape: along the 'both throughput-friendly' diagonal\n"
       "(towards top-right: small t_reset, large kmax) throughput is NOT\n"

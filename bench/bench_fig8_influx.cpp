@@ -33,59 +33,46 @@ void print_table_header(const ExperimentConfig& cfg) {
               "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us");
 }
 
-/// Per-cell phase means harvested by the grid's on_cell hook.
-struct Fig8Slot {
-  Scheme scheme = Scheme::kParaleon;
-  PhaseMeans phases;
-  double episodes = -1;  // -1 = scheme has no controller
-  std::uint64_t fct_finished = 0;
-};
-
 /// The scheme table. The scheme axis runs through the GridRunner (--jobs
-/// fans cells out).
+/// fans cells out); each row's phase columns are the file's named metrics.
 int run_scenario_table(const scenario::Scenario& sc) {
   print_table_header(scenario::to_experiment_config(sc));
 
   TrendReport trend("fig8_influx");
-  // The scheme axis leaves the burst where the base file puts it.
-  const InfluxWindow influx = influx_window(sc);
-  const Time before_start = milliseconds(g_cli.tiny ? 5 : 60);
-  const Time tail = milliseconds(g_cli.tiny ? 20 : 100);
-
+  scenario::GridOptions opts;
+  opts.jobs = g_cli.jobs;
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
+  };
+  opts.on_cell = [&trend](const scenario::GridCell&, Experiment& exp,
+                          const scenario::FlowScheduler&) {
+    if (exp.config().scheme == Scheme::kParaleon) add_perf_metrics(trend, exp);
+  };
   const WallTimer wall;
-  const auto slots = harvest_grid(
-      sc, g_cli.jobs,
-      [&](const auto&, auto& exp, const auto&) {
-        Fig8Slot slot{exp.config().scheme,
-                      phase_means(exp, influx, before_start,
-                                  exp.config().duration - tail),
-                      -1, exp.fct().finished()};
-        if (exp.controller() != nullptr) {
-          slot.episodes = static_cast<double>(exp.controller()->episodes());
-        }
-        if (slot.scheme == Scheme::kParaleon) add_perf_metrics(trend, exp);
-        return slot;
-      },
-      [](const scenario::GridCell&, ExperimentConfig& cfg) {
-        if (!g_cli.perf_out.empty()) cfg.obs.perf_counters = true;
-      });
+  const scenario::GridOutcome grid = scenario::run_grid(sc, opts);
   const double grid_seconds = wall.seconds();
 
-  for (const Fig8Slot& slot : slots) {
-    std::printf("%-10s", scheme_name(slot.scheme).c_str());
-    print_phase_means(slot.phases);
-    if (slot.episodes >= 0) {
-      std::printf("  (episodes=%.0f)", slot.episodes);
+  for (const scenario::CellResult& r : grid.results()) {
+    const Scheme scheme =
+        scenario::scheme_from_name(grid.cells()[r.index].scenario.scheme.name);
+    std::printf("%-10s", scheme_name(scheme).c_str());
+    print_phase_metrics(r);
+    // A scheme with a controller registers its episode count.
+    const auto episodes = r.scrape.instruments.find("controller.0.sa.episodes");
+    if (episodes != r.scrape.instruments.end()) {
+      std::printf("  (episodes=%.0f)", episodes->second);
     }
     std::printf("\n");
-    if (slot.scheme == Scheme::kParaleon) {
-      trend.add("before_tput_gbps", slot.phases.before_tput, "Gbps");
-      trend.add("influx_rtt_us", slot.phases.influx_rtt, "us");
-      trend.add("after_tput_gbps", slot.phases.after_tput, "Gbps");
-      trend.add("fct_finished", static_cast<double>(slot.fct_finished),
+    if (scheme == Scheme::kParaleon) {
+      trend.add("before_tput_gbps", cell_metric(r, "before_tput_gbps"),
+                "Gbps");
+      trend.add("influx_rtt_us", cell_metric(r, "influx_rtt_us"), "us");
+      trend.add("after_tput_gbps", cell_metric(r, "after_tput_gbps"), "Gbps");
+      trend.add("fct_finished", static_cast<double>(r.scrape.flows_finished),
                 "flows");
-      if (slot.episodes >= 0) trend.add("episodes", slot.episodes,
-                                        "episodes");
+      if (episodes != r.scrape.instruments.end()) {
+        trend.add("episodes", episodes->second, "episodes");
+      }
     }
   }
   std::printf(

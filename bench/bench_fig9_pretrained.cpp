@@ -17,18 +17,21 @@ using namespace paraleon::runner;
 namespace {
 
 /// The live runs replay the PARALEON cell of scenarios/fig8_influx.json,
-/// shortened to 260 ms and with one MI per SA candidate. A pretrained
-/// setting replaces PARALEON with that static setting.
-ExperimentConfig live_cfg(const scenario::Scenario& sc,
-                          const dcqcn::DcqcnParams* pretrained = nullptr) {
-  ExperimentConfig cfg = scenario::to_experiment_config(sc);
-  cfg.duration = milliseconds(260);
-  cfg.controller.eval_mi_per_candidate = 1;
-  if (pretrained != nullptr) {
-    cfg.scheme = Scheme::kCustomStatic;
-    cfg.custom_params = *pretrained;
+/// shortened to 260 ms and with one MI per SA candidate; the after-influx
+/// window starts 20 ms after the burst stops.
+scenario::GridCell live_cell(const scenario::Scenario& fig8) {
+  common::Json doc = fig8.doc;
+  doc.erase("sweep");
+  const common::Json patches = common::Json::parse(R"({
+    "duration_ms": 260,
+    "scheme.params.controller.eval_mi_per_candidate": 1,
+    "metrics.after_tput_gbps.from_ms": 170,
+    "metrics.after_rtt_us.from_ms": 170
+  })");
+  for (const auto& [key, value] : patches.members()) {
+    scenario::apply_dotted_patch(doc, key, value);
   }
-  return cfg;
+  return {0, {}, scenario::parse_scenario(doc, fig8.name)};
 }
 
 /// An offline pretraining run: the parameters PARALEON learned on the
@@ -54,25 +57,32 @@ std::string pretrain_duration(const scenario::Scenario& pre1,
   return buf;
 }
 
-void run_influx(const char* name, const scenario::Scenario& sc,
-                InfluxWindow influx, const ExperimentConfig& cfg) {
-  Experiment exp(cfg);
-  scenario::FlowScheduler(sc, &exp).install_all();
-  exp.run();
+/// Runs the live cell, under `pretrained` as a static setting when given,
+/// and prints its row.
+void run_live(const char* name, const scenario::GridCell& live,
+              const dcqcn::DcqcnParams* pretrained = nullptr) {
+  scenario::GridOptions opts;
+  if (pretrained != nullptr) {
+    opts.on_config = [pretrained](const scenario::GridCell&,
+                                  ExperimentConfig& cfg) {
+      cfg.scheme = Scheme::kCustomStatic;
+      cfg.custom_params = *pretrained;
+    };
+  }
+  const scenario::CellResult r = scenario::run_cell(live, opts);
   std::printf("%-14s", name);
-  print_phase_means(phase_means(exp, influx, milliseconds(60),
-                                influx.stop + milliseconds(20)));
+  print_phase_metrics(r);
   std::printf("\n");
 }
 
 int run(const scenario::Scenario& sc) {
-  const InfluxWindow influx = influx_window(sc);
+  const scenario::GridCell live = live_cell(sc);
   const scenario::Scenario alltoall = scenario::load_scenario_file(
       scenario_path("fig9_pretrain_alltoall.json"));
   const scenario::Scenario fb_hadoop = scenario::load_scenario_file(
       scenario_path("fig9_pretrain_fb_hadoop.json"));
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
-               scaling_note(live_cfg(sc),
+               scaling_note(scenario::to_experiment_config(live.scenario),
                             "pretraining: " +
                                 pretrain_duration(alltoall, fb_hadoop) +
                                 " offline episodes; evaluation: the Fig. 8 "
@@ -85,9 +95,9 @@ int run(const scenario::Scenario& sc) {
   std::printf("%-14s | %8s %8s | %8s %8s | %8s %8s\n", "scheme",
               "pre_Gbps", "pre_rtt", "inf_Gbps", "inf_rtt", "post_Gbps",
               "post_rtt");
-  run_influx("Pretrained1", sc, influx, live_cfg(sc, &pre1));
-  run_influx("Pretrained2", sc, influx, live_cfg(sc, &pre2));
-  run_influx("PARALEON", sc, influx, live_cfg(sc));
+  run_live("Pretrained1", live, &pre1);
+  run_live("Pretrained2", live, &pre2);
+  run_live("PARALEON", live);
   std::printf(
       "\nPaper Fig. 9 shape: the pretrained settings capture only their\n"
       "training workload; live PARALEON achieves lower RTT during the\n"

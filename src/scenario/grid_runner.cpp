@@ -187,7 +187,10 @@ CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   r.index = cell.index;
   r.seed = cell.scenario.seed;
   r.digest = runner::run_digest(exp);
-  r.value = evaluate_metric(cell.scenario, exp);
+  r.value = evaluate_metric(cell.scenario.metric, exp);
+  for (const auto& [name, metric] : cell.scenario.metrics) {
+    r.metrics[name] = evaluate_metric(metric, exp);
+  }
   r.scrape = scrape_run(exp);
   if (opts.on_cell) opts.on_cell(cell, exp, flows);
   return r;
@@ -271,12 +274,17 @@ std::string GridOutcome::to_json(bool include_wall) const {
     for (const auto& [key, value] : cells_[i].coords) {
       coords.set(key, value);
     }
+    Json metrics = Json::make_object();
+    for (const auto& [name, value] : r.metrics) {
+      metrics.members().emplace_back(name, Json::make_number(value));
+    }
     cells.push_back(Json::make_object({
         {"index", count_json(r.index)},
         {"coords", std::move(coords)},
         {"seed", Json::make_uint(r.seed)},
         {"digest", Json::make_string(digest_hex(r.digest))},
         {"value", Json::make_number(r.value)},
+        {"metrics", std::move(metrics)},
         {"events_executed", count_json(r.scrape.events_executed)},
         {"fct",
          Json::make_object({

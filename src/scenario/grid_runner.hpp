@@ -4,14 +4,15 @@
 // a grid with a `seed` axis.
 //
 // Determinism contract (the same split paraleon.bench.v1 uses): the
-// deterministic half — per-cell seed, run_digest, metric value, scrape
-// and the aggregates over them — is byte-identical at any --jobs setting
-// (jobs<=1 is exec::parallel_map's exact serial path; cells never share
-// state). The requested job count, pool utilization, per-worker busy/idle
-// and wall seconds live only under the "wall" subtree, which
-// to_json(false) omits entirely — the form the grid determinism test
-// byte-compares across worker counts. timeline_json() renders the pool's
-// job spans, with their queue waits, as one Chrome-trace document.
+// deterministic half — per-cell seed, run_digest, metric value, named
+// metrics, scrape and the aggregates over them — is byte-identical at any
+// --jobs setting (jobs<=1 is exec::parallel_map's exact serial path; cells
+// never share state). The requested job count, pool utilization,
+// per-worker busy/idle and wall seconds live only under the "wall"
+// subtree, which to_json(false) omits entirely — the form the grid
+// determinism test byte-compares across worker counts. timeline_json()
+// renders the pool's job spans, with their queue waits, as one
+// Chrome-trace document.
 //
 // Cell enumeration is row-major with the FIRST axis slowest, giving fig13
 // its scheme-outer / scale-inner table order.
@@ -78,7 +79,10 @@ struct CellResult {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   std::uint64_t digest = 0;
+  /// The headline `metric`.
   double value = 0.0;
+  /// Every named metric of the cell's `metrics` section.
+  std::map<std::string, double> metrics;
   RunScrape scrape;
 };
 
@@ -171,7 +175,7 @@ class GridOutcome {
 std::vector<GridCell> expand_grid(const Scenario& base);
 
 /// Runs one cell to completion: config, experiment, FlowScheduler,
-/// forced trigger when requested, run, digest + metric + scrape. Exposed
+/// forced trigger when requested, run, digest + metrics + scrape. Exposed
 /// for the parity tests; run_grid fans exactly this out.
 CellResult run_cell(const GridCell& cell, const GridOptions& opts);
 

@@ -297,23 +297,58 @@ SchemeSpec parse_scheme(const Json& obj) {
   return s;
 }
 
-MetricSpec parse_metric(const Json& obj) {
-  check_keys(obj, "metric", {"name", "from_ms", "to_ms"});
+/// One metric spec under `ctx` ("metric" or "metrics.<name>"). A window
+/// must lie within the run and apply to a windowed metric: anything else
+/// would read 0, a truncated mean, or silently ignore the window.
+MetricSpec parse_metric(const Json& obj, const std::string& ctx,
+                        double duration_ms) {
+  check_keys(obj, ctx, {"name", "from_ms", "to_ms"});
   MetricSpec m;
-  m.name = get_string(obj, "metric", "name", m.name);
+  m.name = get_string(obj, ctx, "name", m.name);
   const std::vector<std::string> metrics = {
       "tput_mean_gbps", "rtt_mean_us", "fct_p99_slowdown",
       "fct_mean_slowdown", "flows_finished"};
   if (std::find(metrics.begin(), metrics.end(), m.name) == metrics.end()) {
-    unknown_key("metric.name", m.name, metrics);
+    unknown_key(ctx + ".name", m.name, metrics);
   }
-  m.from_ms = get_double(obj, "metric", "from_ms", 0.0);
-  m.to_ms = get_double(obj, "metric", "to_ms", -1.0);
+  const bool windowed = m.name == "tput_mean_gbps" || m.name == "rtt_mean_us";
+  for (const char* key : {"from_ms", "to_ms"}) {
+    if (!windowed && obj.has(key)) {
+      throw ScenarioError(ctx + "." + key + ": " + m.name +
+                          " covers the whole run and takes no window");
+    }
+  }
+  m.from_ms = get_double(obj, ctx, "from_ms", 0.0);
+  m.to_ms = get_double(obj, ctx, "to_ms", -1.0);
   if (m.to_ms >= 0.0 && m.to_ms <= m.from_ms) {
-    throw ScenarioError(
-        "metric.to_ms must be > from_ms (or < 0 for the end of the run)");
+    throw ScenarioError(ctx + ".to_ms must be > from_ms (or < 0 for the "
+                        "end of the run)");
+  }
+  if (m.from_ms >= duration_ms) {
+    throw ScenarioError(ctx + ".from_ms must be before duration_ms");
+  }
+  if (m.to_ms > duration_ms) {
+    throw ScenarioError(ctx + ".to_ms must not be after duration_ms");
   }
   return m;
+}
+
+std::map<std::string, MetricSpec> parse_metrics(const Json& obj,
+                                                 double duration_ms) {
+  if (!obj.is_object()) {
+    throw ScenarioError("metrics: expected an object of named metrics");
+  }
+  std::map<std::string, MetricSpec> out;
+  for (const auto& [name, spec] : obj.members()) {
+    if (name.empty() ||
+        name.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_") !=
+            std::string::npos) {
+      throw ScenarioError("metrics.\"" + name +
+                          "\": a metric name is [a-z0-9_]+");
+    }
+    out[name] = parse_metric(spec, "metrics." + name, duration_ms);
+  }
+  return out;
 }
 
 std::vector<SweepAxis> parse_sweep(const Json& obj) {
@@ -692,7 +727,7 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
 
   check_keys(work, ctx,
              {"name", "description", "seed", "duration_ms", "topology",
-              "scheme", "workload", "metric", "sweep"});
+              "scheme", "workload", "metric", "metrics", "sweep"});
 
   Scenario sc;
   sc.name = get_string(work, ctx, "name", "");
@@ -732,7 +767,10 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
     sc.workload.push_back(std::move(c));
   }
   if (const Json* metric = work.find("metric")) {
-    sc.metric = parse_metric(*metric);
+    sc.metric = parse_metric(*metric, "metric", sc.duration_ms);
+  }
+  if (const Json* metrics = work.find("metrics")) {
+    sc.metrics = parse_metrics(*metrics, sc.duration_ms);
   }
   if (const Json* sweep = work.find("sweep")) {
     sc.sweep = parse_sweep(*sweep);
@@ -867,27 +905,27 @@ runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
   return cfg;
 }
 
-double evaluate_metric(const Scenario& sc, runner::Experiment& exp) {
-  const Time from = milliseconds(sc.metric.from_ms);
-  const Time to =
-      sc.metric.to_ms < 0.0 ? exp.config().duration
-                            : milliseconds(sc.metric.to_ms);
-  if (sc.metric.name == "tput_mean_gbps") {
+double evaluate_metric(const MetricSpec& metric,
+                       const runner::Experiment& exp) {
+  const Time from = milliseconds(metric.from_ms);
+  const Time to = metric.to_ms < 0.0 ? exp.config().duration
+                                     : milliseconds(metric.to_ms);
+  if (metric.name == "tput_mean_gbps") {
     return exp.throughput_series().mean_in(from, to);
   }
-  if (sc.metric.name == "rtt_mean_us") {
+  if (metric.name == "rtt_mean_us") {
     return exp.rtt_series().mean_in(from, to);
   }
-  if (sc.metric.name == "fct_p99_slowdown") {
+  if (metric.name == "fct_p99_slowdown") {
     return exp.fct().slowdown_stats(0, INT64_MAX).p99;
   }
-  if (sc.metric.name == "fct_mean_slowdown") {
+  if (metric.name == "fct_mean_slowdown") {
     return exp.fct().slowdown_stats(0, INT64_MAX).mean;
   }
-  if (sc.metric.name == "flows_finished") {
+  if (metric.name == "flows_finished") {
     return static_cast<double>(exp.fct().finished());
   }
-  throw ScenarioError("metric.name: unknown metric \"" + sc.metric.name +
+  throw ScenarioError("metric.name: unknown metric \"" + metric.name +
                       "\"");
 }
 

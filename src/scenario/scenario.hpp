@@ -1,7 +1,8 @@
 // Declarative scenario schema (ROADMAP item 3): one JSON file describes a
 // complete experiment — generated topology, named workload components per
 // tenant, tuning scheme with full parameter overrides, the headline
-// metric, and an optional sweep grid over any dotted config key.
+// metric plus named windowed metrics, and an optional sweep grid over any
+// dotted config key.
 //
 // Strictness is the design center: every object is validated against its
 // known key set and an unknown or misspelled key anywhere is a hard
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -114,8 +116,10 @@ struct SchemeSpec {
 
 struct MetricSpec {
   /// tput_mean_gbps | rtt_mean_us | fct_p99_slowdown | fct_mean_slowdown
-  /// | flows_finished.
+  /// | flows_finished. Only the first two take a window; the FCT and flow
+  /// counts cover the whole run.
   std::string name = "tput_mean_gbps";
+  /// The window, within [0, duration_ms].
   double from_ms = 0.0;
   /// < 0 = end of the run.
   double to_ms = -1.0;
@@ -139,7 +143,11 @@ struct Scenario {
   TopologySpec topology;
   SchemeSpec scheme;
   std::vector<WorkloadComponent> workload;
+  /// The headline metric: each grid cell's `value`.
   MetricSpec metric;
+  /// Named table values ([a-z0-9_]+ -> spec), e.g. an influx figure's
+  /// before / influx / after windows; each cell reports every one.
+  std::map<std::string, MetricSpec> metrics;
   std::vector<SweepAxis> sweep;
 
   /// The validated document this scenario was parsed from, with the tiny
@@ -196,7 +204,8 @@ int host_count(const TopologySpec& t);
 /// the scenario's parameter overrides, duration and seed.
 runner::ExperimentConfig to_experiment_config(const Scenario& sc);
 
-/// Evaluates the scenario's headline metric on a finished run.
-double evaluate_metric(const Scenario& sc, runner::Experiment& exp);
+/// Evaluates one metric (the headline or a named one) on a finished run.
+double evaluate_metric(const MetricSpec& metric,
+                       const runner::Experiment& exp);
 
 }  // namespace paraleon::scenario

@@ -4,6 +4,7 @@
 // without perturbing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -236,14 +237,19 @@ TEST(Determinism, TracingIsObservationOnly) {
     w.seed = 9;
     exp.add_poisson(w);
     exp.run();
-    std::string out = std::to_string(exp.fct().finished()) + "/" +
-                      std::to_string(exp.fct().started());
+    // Finished and started flows, each host's CNPs, then each ToR's ECN
+    // marks and drops.
+    std::vector<std::uint64_t> out = {
+        static_cast<std::uint64_t>(exp.fct().finished()),
+        static_cast<std::uint64_t>(exp.fct().started())};
     for (int h = 0; h < exp.topology().host_count(); ++h) {
-      out += " " + std::to_string(exp.topology().host(h).cnps_sent());
+      out.push_back(
+          static_cast<std::uint64_t>(exp.topology().host(h).cnps_sent()));
     }
     for (int t = 0; t < exp.topology().tor_count(); ++t) {
-      out += " " + std::to_string(exp.topology().tor(t).ecn_marks()) + ":" +
-             std::to_string(exp.topology().tor(t).drops());
+      out.push_back(
+          static_cast<std::uint64_t>(exp.topology().tor(t).ecn_marks()));
+      out.push_back(static_cast<std::uint64_t>(exp.topology().tor(t).drops()));
     }
     return out;
   };

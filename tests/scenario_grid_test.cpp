@@ -85,8 +85,9 @@ double reserved_row(const Json& cell, const std::string& name) {
 /// A paraleon.grid.v1 document: one cell per point of the axes' cross
 /// product, in row-major order with the first axis slowest (so each
 /// cell's coords follow from its index, and no two cells share them);
-/// 16-hex-digit digests and per-cell FCT summaries; aggregates that
-/// summarize the cell rows; and nondeterministic facts under "wall" only.
+/// 16-hex-digit digests, per-cell named metrics and FCT summaries;
+/// aggregates that summarize the cell rows; and nondeterministic facts
+/// under "wall" only.
 void check_grid(const Json& doc) {
   EXPECT_EQ(at(doc, "schema").as_string(), "paraleon.grid.v1");
   EXPECT_FALSE(at(doc, "scenario").as_string().empty());
@@ -114,6 +115,10 @@ void check_grid(const Json& doc) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
     const Json& cell = cells[i];
+    EXPECT_EQ(doc_checks::keys_of(cell),
+              (std::set<std::string>{"index", "coords", "seed", "digest",
+                                     "value", "metrics", "events_executed",
+                                     "fct"}));
     EXPECT_EQ(at(cell, "index").as_uint64(), i);
     EXPECT_TRUE(is_count(at(cell, "seed")));
     const std::string& digest = at(cell, "digest").as_string();
@@ -122,6 +127,17 @@ void check_grid(const Json& doc) {
               std::string::npos)
         << digest;
     EXPECT_TRUE(at(cell, "value").is_number());
+    // Every cell names the same metrics: the file's `metrics` section.
+    const Json& metrics = at(cell, "metrics");
+    EXPECT_EQ(doc_checks::keys_of(metrics),
+              doc_checks::keys_of(at(cells[0], "metrics")));
+    for (const auto& [name, value] : metrics.members()) {
+      EXPECT_EQ(name.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                        "0123456789_"),
+                std::string::npos)
+          << name;
+      EXPECT_TRUE(value.is_number()) << name;
+    }
     EXPECT_TRUE(is_count(at(cell, "events_executed")));
     EXPECT_GT(at(cell, "events_executed").as_uint64(), 0u);
 
@@ -448,24 +464,34 @@ TEST(CoordsLabel, PrintsAnObjectValueOnOneLine) {
 }
 
 TEST(RunGrid, DeterministicHalfIsJobsInvariant) {
-  const Scenario sc = grid_scenario();
-  GridOptions serial;
-  serial.jobs = 1;
-  GridOptions fanned;
-  fanned.jobs = 4;
-  GridOutcome one = run_grid(sc, serial);
-  GridOutcome four = run_grid(sc, fanned);
-  // Wall halves differ (jobs is recorded there); the deterministic halves
-  // must not, byte for byte.
-  EXPECT_EQ(one.to_json(false), four.to_json(false));
-  EXPECT_NE(one.to_json(true), four.to_json(true));
-  ASSERT_EQ(four.results().size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(four.results()[i].index, i);  // cell order, not finish order
-    EXPECT_NE(four.results()[i].digest, 0u);
+  // The 2x2 grid, and a file with named metrics (a per-cell `metrics`
+  // object in the deterministic half).
+  const Scenario named = load_scenario_file(
+      std::string(PARALEON_FIXTURE_DIR) + "/named_metrics.json");
+  ASSERT_EQ(named.metrics.size(), 4u);
+  for (const Scenario& sc : {grid_scenario(), named}) {
+    SCOPED_TRACE(sc.name);
+    GridOptions serial;
+    serial.jobs = 1;
+    GridOptions fanned;
+    fanned.jobs = 4;
+    GridOutcome one = run_grid(sc, serial);
+    GridOutcome four = run_grid(sc, fanned);
+    // Wall halves differ (jobs is recorded there); the deterministic
+    // halves must not, byte for byte.
+    EXPECT_EQ(one.to_json(false), four.to_json(false));
+    EXPECT_NE(one.to_json(true), four.to_json(true));
+    check_grid(Json::parse(four.to_json(true)));
+    const std::size_t cells = expand_grid(sc).size();
+    ASSERT_EQ(four.results().size(), cells);
+    for (std::size_t i = 0; i < cells; ++i) {
+      EXPECT_EQ(four.results()[i].index, i);  // cell order, not finish order
+      EXPECT_NE(four.results()[i].digest, 0u);
+      EXPECT_EQ(four.results()[i].metrics.size(), sc.metrics.size());
+    }
+    // Different cells are genuinely different runs.
+    EXPECT_NE(four.results()[0].digest, four.results()[cells - 1].digest);
   }
-  // Different scheme/load cells are genuinely different runs.
-  EXPECT_NE(four.results()[0].digest, four.results()[3].digest);
 }
 
 TEST(RunGrid, RunCellReproducesTheGridCell) {
@@ -475,6 +501,7 @@ TEST(RunGrid, RunCellReproducesTheGridCell) {
   const CellResult lone = run_cell(cells[2], {});
   EXPECT_EQ(lone.digest, grid.results()[2].digest);
   EXPECT_DOUBLE_EQ(lone.value, grid.results()[2].value);
+  EXPECT_EQ(lone.metrics, grid.results()[2].metrics);
   EXPECT_EQ(lone.seed, grid.results()[2].seed);
 }
 

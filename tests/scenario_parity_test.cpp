@@ -19,10 +19,12 @@
 // these experiments, and a drifting file fails here.
 //
 // run_digest hashes simulator, host and switch counters only; the metric
-// window (`metric.from_ms`/`to_ms`) and every table value a bench harvests
-// in its on_cell hook are read afterwards. So each pin also carries the
-// cell's table value, read at the same commit as the digest the way the
-// bench reads it, as an exact hex-float literal.
+// windows (`metric` and the named `metrics`) and every table value a bench
+// harvests in its on_cell hook are read afterwards. So each pin also
+// carries the cell's table value, read at the same commit as the digest
+// the way the bench reads it, as an exact hex-float literal. The influx
+// files' six phase metrics were recorded from the benches' former
+// hand-coded phase windows, before those moved into the files.
 //
 // Runs use the --tiny shapes (16-host fig8, fig14 and most of the sweep
 // files, 60 ms fig13 and fig7 LLM, 80 ms fig7 FB_Hadoop) to stay in
@@ -31,8 +33,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "scenario/grid_runner.hpp"
@@ -56,6 +58,33 @@ constexpr Pin kFig8Paraleon = {0xd80b5525d90defafull,
                                0x1.f69ebed32139p+3};  // 15.7068781...
 constexpr Pin kFig8Default = {0x604992f50220dfd2ull,
                               0x1.9dcd5fe28f555p+2};  // 6.46566006...
+// The influx files' named phase metrics on their tiny runs: before =
+// [5, 20) ms, influx = [22 ms, burst stop), after = [40 ms, end).
+using PhasePins = std::map<std::string, double>;
+const PhasePins kFig8ParaleonPhases = {
+    {"before_tput_gbps", 0x1.9fbe2f33829ccp+3},  // 12.9919659
+    {"before_rtt_us", 0x1.6c73cb8a28da4p+8},     // 364.452325
+    {"influx_tput_gbps", 0x1.0fb415da8e671p+5},  // 33.9629323
+    {"influx_rtt_us", 0x1.e37299441a6bep+10},    // 1933.7906
+    {"after_tput_gbps", 0x1.6b36064c4a5b7p+2},   // 5.6751724
+    {"after_rtt_us", 0x1.77071efe01d8ep+10},     // 1500.11127
+};
+const PhasePins kFig8DefaultPhases = {
+    {"before_tput_gbps", 0x1.bddac18215ef5p+0},  // 1.7416192
+    {"before_rtt_us", 0x1.3158749ac26cbp+5},     // 38.1681912
+    {"influx_tput_gbps", 0x1.7fd8cf398e971p+3},  // 11.995216
+    {"influx_rtt_us", 0x1.1ddea5fcce60ep+6},     // 71.4674301
+    {"after_tput_gbps", 0x1.91d59fda257aep+2},   // 6.2786636
+    {"after_rtt_us", 0x1.686b0d7473d8fp+5},      // 45.0522718
+};
+const PhasePins kFig14ParaleonPhases = {
+    {"before_tput_gbps", 0x1.4b599aa60913bp+2},  // 5.177344
+    {"before_rtt_us", 0x1.18c946595b511p+6},     // 70.1965574
+    {"influx_tput_gbps", 0x1.61e0ba78c59cep+4},  // 22.1173653
+    {"influx_rtt_us", 0x1.2c023d25dd7f3p+8},     // 300.008746
+    {"after_tput_gbps", 0x1.4f7281fd9ba1dp+1},   // 2.620682
+    {"after_rtt_us", 0x1.73fe6bc07d6f2p+5},      // 46.499229
+};
 // Mean throughput over the steady tail [20 ms, 60 ms) of the tiny run.
 constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
                                    0x1.54d1e96c3fc43p+5};  // 42.602496
@@ -143,6 +172,17 @@ void expect_pinned(const std::string& file, Pred pred, const Harvest& harvest,
 
 bool is_paraleon(const Scenario& s) { return s.scheme.name == "paraleon"; }
 
+/// The cell's named metrics are exactly `pins`.
+void expect_phases(const CellResult& result, const PhasePins& pins) {
+  ASSERT_EQ(result.metrics.size(), pins.size());
+  for (const auto& [name, value] : pins) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(result.metrics.count(name), 1u);
+    EXPECT_DOUBLE_EQ(result.metrics.at(name), value)
+        << "the phase window moved";
+  }
+}
+
 const workload::AlltoallWorkload& collective(const FlowScheduler& flows) {
   return dynamic_cast<const workload::AlltoallWorkload&>(
       *flows.find("collective"));
@@ -153,9 +193,13 @@ TEST(Fig8Parity, ScenarioCellsMatchTheLegacySetup) {
       load_scenario_file(pack_path("fig8_influx.json"), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
 
-  const std::pair<const char*, Pin> pins[] = {
-      {"paraleon", kFig8Paraleon}, {"default", kFig8Default}};
-  for (const auto& [scheme, pin] : pins) {
+  const struct {
+    const char* scheme;
+    Pin pin;
+    const PhasePins& phases;
+  } pins[] = {{"paraleon", kFig8Paraleon, kFig8ParaleonPhases},
+              {"default", kFig8Default, kFig8DefaultPhases}};
+  for (const auto& [scheme, pin, phases] : pins) {
     const GridCell* cell = find_cell(cells, [&](const Scenario& s) {
       return s.scheme.name == scheme;
     });
@@ -166,6 +210,8 @@ TEST(Fig8Parity, ScenarioCellsMatchTheLegacySetup) {
         << "pinned fig8 setup";
     EXPECT_DOUBLE_EQ(result.value, pin.value)
         << scheme << ": the fig8 table value moved";
+    SCOPED_TRACE(scheme);
+    expect_phases(result, phases);
   }
 }
 
@@ -202,6 +248,7 @@ TEST(Fig14Parity, ParaleonCellMatchesThePinnedSetup) {
       << "setup";
   EXPECT_DOUBLE_EQ(result.value, kFig14Paraleon.value)
       << "the fig14 cell value moved";
+  expect_phases(result, kFig14ParaleonPhases);
 }
 
 TEST(Fig5Parity, RpgTimeResetCellMatchesThePinnedSetup) {
@@ -214,20 +261,14 @@ TEST(Fig5Parity, RpgTimeResetCellMatchesThePinnedSetup) {
            microseconds(30);
   });
   ASSERT_NE(cell, nullptr);
-  double tput = 0.0;
-  double rtt = 0.0;
-  GridOptions opts;
-  opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
-                     const FlowScheduler&) {
-    tput = exp.throughput_series().mean_in(milliseconds(10),
-                                           exp.config().duration);
-    rtt = exp.rtt_series().mean_in(milliseconds(10), exp.config().duration);
-  };
-  const CellResult result = run_cell(*cell, opts);
+  const CellResult result = run_cell(*cell, {});
   EXPECT_EQ(result.digest, kFig5Rpg30Digest)
       << "scenarios/fig5_single_param.json drifted from the pinned setup";
-  EXPECT_DOUBLE_EQ(tput, kFig5Rpg30Tput) << "the throughput column moved";
-  EXPECT_DOUBLE_EQ(rtt, kFig5Rpg30Rtt) << "the RTT column moved";
+  EXPECT_DOUBLE_EQ(result.value, kFig5Rpg30Tput)
+      << "the throughput column moved";
+  ASSERT_EQ(result.metrics.count("rtt_us"), 1u);
+  EXPECT_DOUBLE_EQ(result.metrics.at("rtt_us"), kFig5Rpg30Rtt)
+      << "the RTT column moved";
 }
 
 TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {

@@ -5,8 +5,10 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "scenario/grid_runner.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
 
@@ -322,6 +324,89 @@ TEST(ScenarioParse, EmptyMetricWindowRejected) {
       minimal(R"("metric": {"name": "tput_mean_gbps", "from_ms": 5,
                             "to_ms": 5})"));
   EXPECT_TRUE(contains(msg, "metric.to_ms")) << msg;
+}
+
+TEST(ScenarioParse, WholeRunMetricsRejectAWindow) {
+  // The FCT and flow-count metrics cover the whole run: a window on them
+  // would be silently ignored.
+  for (const char* name :
+       {"fct_p99_slowdown", "fct_mean_slowdown", "flows_finished"}) {
+    for (const char* key : {"from_ms", "to_ms"}) {
+      SCOPED_TRACE(std::string(name) + "." + key);
+      const std::string spec = std::string(R"({"name": ")") + name +
+                               R"(", ")" + key + R"(": 5})";
+      std::string msg = parse_error(minimal(R"("metric": )" + spec));
+      EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
+      msg = parse_error(minimal(R"("metrics": {"m": )" + spec + "}"));
+      EXPECT_TRUE(contains(msg, std::string("metrics.m.") + key)) << msg;
+    }
+  }
+  const Scenario sc = parse_scenario_text(
+      minimal(R"("metrics": {"finished": {"name": "flows_finished"}})"));
+  EXPECT_EQ(sc.metrics.at("finished").name, "flows_finished");
+}
+
+TEST(ScenarioParse, MetricWindowOutsideTheRunRejected) {
+  // minimal() runs 10 ms: a window starting at or after the end would
+  // read 0, and one ending after it a truncated mean.
+  const std::pair<const char*, const char*> bad[] = {
+      {R"("from_ms": 10)", "from_ms"},
+      {R"("from_ms": 12, "to_ms": 14)", "from_ms"},
+      {R"("to_ms": 11)", "to_ms"},
+      {R"("from_ms": 5, "to_ms": 10.5)", "to_ms"}};
+  for (const auto& [window, key] : bad) {
+    SCOPED_TRACE(window);
+    const std::string spec =
+        std::string(R"({"name": "rtt_mean_us", )") + window + "}";
+    std::string msg = parse_error(minimal(R"("metric": )" + spec));
+    EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
+    msg = parse_error(minimal(R"("metrics": {"late": )" + spec + "}"));
+    EXPECT_TRUE(contains(msg, std::string("metrics.late.") + key)) << msg;
+  }
+  // A window may end exactly at the end of the run.
+  const Scenario sc = parse_scenario_text(minimal(
+      R"("metrics": {"tail": {"name": "rtt_mean_us", "from_ms": 9.5,
+                              "to_ms": 10}})"));
+  EXPECT_DOUBLE_EQ(sc.metrics.at("tail").to_ms, 10.0);
+}
+
+TEST(ScenarioParse, MetricWindowsAreCheckedPerCell) {
+  // A sweep that shortens the run fails the cell whose window it cuts,
+  // naming the cell and the key.
+  const std::string msg = error_of([] {
+    expand_grid(parse_scenario_text(minimal(
+        R"("metrics": {"tail": {"name": "tput_mean_gbps", "from_ms": 6}},
+           "sweep": {"axes": [{"key": "duration_ms", "values": [10, 5]}]})")));
+  });
+  EXPECT_TRUE(contains(msg, "cell 1 (duration_ms=5)")) << msg;
+  EXPECT_TRUE(contains(msg, "metrics.tail.from_ms")) << msg;
+}
+
+TEST(ScenarioParse, NamedMetricsParseAndTakeTinyPatches) {
+  const std::string doc = minimal(R"("metrics": {
+      "influx_rtt_us": {"name": "rtt_mean_us", "from_ms": 2, "to_ms": 8},
+      "after_tput_gbps": {"name": "tput_mean_gbps", "from_ms": 8}},
+    "tiny": {"duration_ms": 5, "metrics.influx_rtt_us.to_ms": 4,
+             "metrics.after_tput_gbps.from_ms": 4})");
+  const Scenario full = parse_scenario_text(doc);
+  ASSERT_EQ(full.metrics.size(), 2u);
+  EXPECT_EQ(full.metrics.at("influx_rtt_us").name, "rtt_mean_us");
+  EXPECT_DOUBLE_EQ(full.metrics.at("influx_rtt_us").from_ms, 2.0);
+  EXPECT_DOUBLE_EQ(full.metrics.at("influx_rtt_us").to_ms, 8.0);
+  EXPECT_DOUBLE_EQ(full.metrics.at("after_tput_gbps").to_ms, -1.0);
+  const Scenario tiny = parse_scenario_text(doc, "", /*tiny=*/true);
+  EXPECT_DOUBLE_EQ(tiny.metrics.at("influx_rtt_us").to_ms, 4.0);
+  EXPECT_DOUBLE_EQ(tiny.metrics.at("after_tput_gbps").from_ms, 4.0);
+
+  std::string msg = parse_error(
+      minimal(R"("metrics": {"Influx-RTT": {"name": "rtt_mean_us"}})"));
+  EXPECT_TRUE(contains(msg, "[a-z0-9_]+")) << msg;
+  msg = parse_error(minimal(R"("metrics": {"m": {"name": "rtt_mean"}})"));
+  EXPECT_TRUE(contains(msg, "metrics.m.name")) << msg;
+  EXPECT_TRUE(contains(msg, "did you mean \"rtt_mean_us\"")) << msg;
+  msg = parse_error(minimal(R"("metrics": {"m": {"name": "rtt_mean_us",
+                                                 "from": 1}})"));
+  EXPECT_TRUE(contains(msg, "did you mean \"from_ms\"")) << msg;
 }
 
 TEST(ScenarioParse, NegativeOffPeriodRejected) {
