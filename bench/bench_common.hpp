@@ -346,7 +346,7 @@ class WallTimer {
 };
 
 /// The three " | Gbps rtt_us" column pairs of an influx table row (Figs.
-/// 8, 9, 14): the before / influx / after metrics its file names.
+/// 8 and 9): the before / influx / after metrics its file names.
 inline void print_phase_metrics(const scenario::CellResult& r) {
   for (const std::string phase : {"before", "influx", "after"}) {
     std::printf(" | %8.2f %8.2f", cell_metric(r, phase + "_tput_gbps"),

@@ -5,11 +5,12 @@
 //
 // Every file runs as a grid through the GridRunner: a file WITH a sweep
 // runs its whole cross-product, a sweep-less file is a grid of one cell.
-// Every run prints one row per cell (coords "-" for the one cell of a
-// sweep-less file) and writes one paraleon.grid.v1 document (default
-// <obs-out>/<name>.grid.json, override with --grid-out) plus its Perfetto
-// timeline next to it (<grid>.timeline.json); --grid-check re-runs the grid
-// serially and byte-compares the deterministic half. --trace turns on
+// Every run prints one row per cell: its coords ("-" for the one cell of
+// a sweep-less file), headline metric, named metrics and digest. It
+// writes one paraleon.grid.v1 document (default <obs-out>/<name>.grid.json,
+// override with --grid-out) plus its Perfetto timeline next to it
+// (<grid>.timeline.json); --grid-check re-runs the grid serially and
+// byte-compares the deterministic half. --trace turns on
 // every trace category and the PerfMonitor, and writes every cell's dumps
 // to <obs-out> as <name>.cell<i>.*.
 //
@@ -302,13 +303,27 @@ int run(const scenario::Scenario& sc) {
     labels.push_back(scenario::coords_label(cell));
     width = std::max(width, static_cast<int>(labels.back().size()));
   }
-  std::printf("%-5s %-*s %14s %18s\n", "cell", width, "coords",
-              sc.metric.name.c_str(), "digest");
+  // Then one column per metric, the headline and the file's named metrics
+  // in name order, each at least as wide as its name.
+  std::vector<std::string> columns = {sc.metric.name};
+  for (const auto& [name, spec] : sc.metrics) columns.push_back(name);
+  const auto column_width = [](const std::string& name) {
+    return std::max(14, static_cast<int>(name.size()));
+  };
+  std::printf("%-5s %-*s", "cell", width, "coords");
+  for (const std::string& name : columns) {
+    std::printf(" %*s", column_width(name), name.c_str());
+  }
+  std::printf(" %18s\n", "digest");
   for (std::size_t i = 0; i < grid.results().size(); ++i) {
     const scenario::CellResult& r = grid.results()[i];
-    std::printf("%-5zu %-*s %14.4f %18s\n", r.index, width,
-                labels[i].c_str(), r.value,
-                scenario::digest_hex(r.digest).c_str());
+    std::printf("%-5zu %-*s %*.4f", r.index, width, labels[i].c_str(),
+                column_width(columns[0]), r.value);
+    for (std::size_t c = 1; c < columns.size(); ++c) {
+      std::printf(" %*.4f", column_width(columns[c]),
+                  r.metrics.at(columns[c]));
+    }
+    std::printf(" %18s\n", scenario::digest_hex(r.digest).c_str());
   }
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);

@@ -187,9 +187,9 @@ CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   r.index = cell.index;
   r.seed = cell.scenario.seed;
   r.digest = runner::run_digest(exp);
-  r.value = evaluate_metric(cell.scenario.metric, exp);
+  r.value = evaluate_metric(cell.scenario.metric, exp, flows);
   for (const auto& [name, metric] : cell.scenario.metrics) {
-    r.metrics[name] = evaluate_metric(metric, exp);
+    r.metrics[name] = evaluate_metric(metric, exp, flows);
   }
   r.scrape = scrape_run(exp);
   if (opts.on_cell) opts.on_cell(cell, exp, flows);

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "scenario/flow_scheduler.hpp"
+#include "workload/alltoall_workload.hpp"
 #include "workload/size_distribution.hpp"
 
 namespace paraleon::scenario {
@@ -298,25 +300,45 @@ SchemeSpec parse_scheme(const Json& obj) {
 }
 
 /// One metric spec under `ctx` ("metric" or "metrics.<name>"). A window
-/// must lie within the run and apply to a windowed metric: anything else
-/// would read 0, a truncated mean, or silently ignore the window.
+/// must lie within the run and apply to a windowed metric, and a size band
+/// must be non-empty and apply to an FCT slowdown: anything else would
+/// read 0, a truncated mean, or silently ignore the window or band.
 MetricSpec parse_metric(const Json& obj, const std::string& ctx,
                         double duration_ms) {
-  check_keys(obj, ctx, {"name", "from_ms", "to_ms"});
+  check_keys(obj, ctx, {"name", "from_ms", "to_ms", "from_kb", "to_kb"});
   MetricSpec m;
   m.name = get_string(obj, ctx, "name", m.name);
   const std::vector<std::string> metrics = {
-      "tput_mean_gbps", "rtt_mean_us", "fct_p99_slowdown",
-      "fct_mean_slowdown", "flows_finished"};
+      "tput_mean_gbps",    "rtt_mean_us",    "fct_p99_slowdown",
+      "fct_mean_slowdown", "flows_finished", "fsd_accuracy",
+      "alltoall_algbw_gbs"};
   if (std::find(metrics.begin(), metrics.end(), m.name) == metrics.end()) {
     unknown_key(ctx + ".name", m.name, metrics);
   }
   const bool windowed = m.name == "tput_mean_gbps" || m.name == "rtt_mean_us";
+  const bool banded =
+      m.name == "fct_p99_slowdown" || m.name == "fct_mean_slowdown";
   for (const char* key : {"from_ms", "to_ms"}) {
     if (!windowed && obj.has(key)) {
       throw ScenarioError(ctx + "." + key + ": " + m.name +
                           " covers the whole run and takes no window");
     }
+  }
+  for (const char* key : {"from_kb", "to_kb"}) {
+    if (!obj.has(key)) continue;
+    if (!banded) {
+      throw ScenarioError(ctx + "." + key + ": " + m.name +
+                          " takes no size band (only the FCT slowdowns do)");
+    }
+    if (get_double(obj, ctx, key, 0.0) < 0.0) {
+      throw ScenarioError(ctx + "." + key + " must not be negative");
+    }
+  }
+  m.from_kb = get_double(obj, ctx, "from_kb", 0.0);
+  m.to_kb = get_double(obj, ctx, "to_kb", -1.0);
+  if (m.to_kb >= 0.0 && m.to_kb <= m.from_kb) {
+    throw ScenarioError(ctx + ".to_kb must be > from_kb (the band is "
+                        "[from_kb, to_kb))");
   }
   m.from_ms = get_double(obj, ctx, "from_ms", 0.0);
   m.to_ms = get_double(obj, ctx, "to_ms", -1.0);
@@ -349,6 +371,30 @@ std::map<std::string, MetricSpec> parse_metrics(const Json& obj,
     out[name] = parse_metric(spec, "metrics." + name, duration_ms);
   }
   return out;
+}
+
+/// The rules a metric spec needs the rest of the scenario for: the FSD
+/// accuracy series exists only when the config tracks it, and
+/// alltoall_algbw_gbs reads the one alltoall component.
+void check_metric_inputs(const MetricSpec& m, const std::string& ctx,
+                         const Scenario& sc,
+                         const runner::ExperimentConfig& cfg) {
+  if (m.name == "fsd_accuracy" && !cfg.track_fsd_accuracy) {
+    throw ScenarioError(ctx + ".name: fsd_accuracy needs "
+                        "scheme.params.track_fsd_accuracy on, or it "
+                        "reads 0");
+  }
+  if (m.name == "alltoall_algbw_gbs") {
+    const auto alltoalls = std::count_if(
+        sc.workload.begin(), sc.workload.end(), [](const auto& c) {
+          return c.kind == WorkloadComponent::Kind::kAlltoall;
+        });
+    if (alltoalls != 1) {
+      throw ScenarioError(ctx + ".name: alltoall_algbw_gbs reads the "
+                          "workload's one alltoall component, but it has " +
+                          std::to_string(alltoalls));
+    }
+  }
 }
 
 std::vector<SweepAxis> parse_sweep(const Json& obj) {
@@ -790,6 +836,10 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
   // here, naming its key, rather than when a cell runs.
   runner::ExperimentConfig scratch;
   apply_params(sc.scheme, scratch);
+  check_metric_inputs(sc.metric, "metric", sc, scratch);
+  for (const auto& [name, metric] : sc.metrics) {
+    check_metric_inputs(metric, "metrics." + name, sc, scratch);
+  }
   sc.doc = std::move(work);
   return sc;
 }
@@ -906,10 +956,20 @@ runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
 }
 
 double evaluate_metric(const MetricSpec& metric,
-                       const runner::Experiment& exp) {
+                       const runner::Experiment& exp,
+                       const FlowScheduler& flows) {
   const Time from = milliseconds(metric.from_ms);
   const Time to = metric.to_ms < 0.0 ? exp.config().duration
                                      : milliseconds(metric.to_ms);
+  // A negative to_kb is no upper bound; a bound past INT64_MAX bytes is
+  // clamped rather than cast out of range.
+  const auto band_bytes = [](double kb) {
+    const double bytes = kb * 1024.0;
+    return kb < 0.0 || bytes >= 0x1p63 ? INT64_MAX
+                                       : static_cast<std::int64_t>(bytes);
+  };
+  const std::int64_t min_size = band_bytes(metric.from_kb);
+  const std::int64_t max_size = band_bytes(metric.to_kb);
   if (metric.name == "tput_mean_gbps") {
     return exp.throughput_series().mean_in(from, to);
   }
@@ -917,13 +977,31 @@ double evaluate_metric(const MetricSpec& metric,
     return exp.rtt_series().mean_in(from, to);
   }
   if (metric.name == "fct_p99_slowdown") {
-    return exp.fct().slowdown_stats(0, INT64_MAX).p99;
+    return exp.fct().slowdown_stats(min_size, max_size).p99;
   }
   if (metric.name == "fct_mean_slowdown") {
-    return exp.fct().slowdown_stats(0, INT64_MAX).mean;
+    return exp.fct().slowdown_stats(min_size, max_size).mean;
   }
   if (metric.name == "flows_finished") {
     return static_cast<double>(exp.fct().finished());
+  }
+  if (metric.name == "fsd_accuracy") {
+    return exp.mean_fsd_accuracy();
+  }
+  if (metric.name == "alltoall_algbw_gbs") {
+    // Mean algbw over the completed rounds, 0 when none completed.
+    for (const auto& c : flows.components()) {
+      if (c.kind != WorkloadComponent::Kind::kAlltoall) continue;
+      const auto& a2a =
+          dynamic_cast<const workload::AlltoallWorkload&>(*c.workload);
+      const int rounds = a2a.rounds_completed();
+      if (rounds == 0) return 0.0;
+      double sum = 0.0;
+      for (int r = 0; r < rounds; ++r) sum += a2a.round_algbw_gbs(r);
+      return sum / rounds;
+    }
+    throw ScenarioError("metric.name: alltoall_algbw_gbs found no alltoall "
+                        "component in the run");
   }
   throw ScenarioError("metric.name: unknown metric \"" + metric.name +
                       "\"");

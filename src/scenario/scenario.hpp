@@ -27,6 +27,8 @@
 
 namespace paraleon::scenario {
 
+class FlowScheduler;
+
 // ---------------------------------------------------------------------
 // Schema structs
 // ---------------------------------------------------------------------
@@ -116,13 +118,18 @@ struct SchemeSpec {
 
 struct MetricSpec {
   /// tput_mean_gbps | rtt_mean_us | fct_p99_slowdown | fct_mean_slowdown
-  /// | flows_finished. Only the first two take a window; the FCT and flow
-  /// counts cover the whole run.
+  /// | flows_finished | fsd_accuracy | alltoall_algbw_gbs. Only the first
+  /// two take a window; the others cover the whole run. Only the two FCT
+  /// slowdowns take a size band.
   std::string name = "tput_mean_gbps";
   /// The window, within [0, duration_ms].
   double from_ms = 0.0;
   /// < 0 = end of the run.
   double to_ms = -1.0;
+  /// The half-open flow-size band [from_kb, to_kb) of an FCT slowdown.
+  double from_kb = 0.0;
+  /// < 0 = no upper bound.
+  double to_kb = -1.0;
 };
 
 /// One sweep axis: a dotted `key` and its values. A scalar (or array)
@@ -204,8 +211,11 @@ int host_count(const TopologySpec& t);
 /// the scenario's parameter overrides, duration and seed.
 runner::ExperimentConfig to_experiment_config(const Scenario& sc);
 
-/// Evaluates one metric (the headline or a named one) on a finished run.
+/// Evaluates one metric (the headline or a named one) on a finished run
+/// and the workload `flows` installed into it (alltoall_algbw_gbs reads
+/// the one alltoall component's rounds).
 double evaluate_metric(const MetricSpec& metric,
-                       const runner::Experiment& exp);
+                       const runner::Experiment& exp,
+                       const FlowScheduler& flows);
 
 }  // namespace paraleon::scenario

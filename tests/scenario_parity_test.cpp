@@ -24,7 +24,10 @@
 // carries the cell's table value, read at the same commit as the digest
 // the way the bench reads it, as an exact hex-float literal. The influx
 // files' six phase metrics were recorded from the benches' former
-// hand-coded phase windows, before those moved into the files.
+// hand-coded phase windows, before those moved into the files. Where a
+// figure's bench is gone (fig10, fig11, fig14's RPC tail, table2), the
+// hand-written harvest stays, and the same pin must also equal the
+// metric the file names, so the file reads what the bench read.
 //
 // Runs use the --tiny shapes (16-host fig8, fig14 and most of the sweep
 // files, 60 ms fig13 and fig7 LLM, 80 ms fig7 FB_Hadoop) to stay in
@@ -90,6 +93,9 @@ constexpr Pin kFig13ParaleonAt8 = {0xcf21d41b2e7412b1ull,
                                    0x1.54d1e96c3fc43p+5};  // 42.602496
 constexpr Pin kFig14Paraleon = {0xf90b2277ce79e37dull,
                                 0x1.7f6724b5290f2p+3};  // 11.9813407...
+// fig14's RPC tail: the p99 slowdown of the flows under 128 KB (every
+// SolarRPC flow), recorded with the former bench's on_cell formula.
+constexpr double kFig14ParaleonRpcP99 = 0x1.77d2ebadd09dep+6;  // 93.955977
 // fig5 rpg_time_reset panel, 30 us (full scale: the file has no tiny
 // form): digest plus the bench's throughput and RTT columns.
 constexpr std::uint64_t kFig5Rpg30Digest = 0x6a80f14d9412a6d6ull;
@@ -148,16 +154,18 @@ using Harvest =
     std::function<double(runner::Experiment&, const FlowScheduler&)>;
 
 /// Runs the tiny cell of `file` that `pred` picks and checks its digest
-/// and the table value `harvest` reads from the finished run (through the
-/// same on_cell hook the bench uses) against `pin`.
+/// and the table value `harvest` reads from the finished run (through an
+/// on_cell hook, as the bench did) against `pin`. Returns the cell's
+/// result, so a caller can check that the file's own metric reads the
+/// same value.
 template <typename Pred>
-void expect_pinned(const std::string& file, Pred pred, const Harvest& harvest,
-                   const Pin& pin) {
+CellResult expect_pinned(const std::string& file, Pred pred,
+                         const Harvest& harvest, const Pin& pin) {
   SCOPED_TRACE(file);
   const Scenario sc = load_scenario_file(pack_path(file), /*tiny=*/true);
   const std::vector<GridCell> cells = expand_grid(sc);
   const GridCell* cell = find_cell(cells, pred);
-  ASSERT_NE(cell, nullptr);
+  if (cell == nullptr) return {};
   double value = 0.0;
   GridOptions opts;
   opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
@@ -168,6 +176,7 @@ void expect_pinned(const std::string& file, Pred pred, const Harvest& harvest,
   EXPECT_EQ(result.digest, pin.digest)
       << file << " drifted from the pinned hand-built setup";
   EXPECT_DOUBLE_EQ(value, pin.value) << "the table value moved";
+  return result;
 }
 
 bool is_paraleon(const Scenario& s) { return s.scheme.name == "paraleon"; }
@@ -242,13 +251,22 @@ TEST(Fig14Parity, ParaleonCellMatchesThePinnedSetup) {
   const GridCell* cell = find_cell(
       cells, [](const Scenario& s) { return s.scheme.name == "paraleon"; });
   ASSERT_NE(cell, nullptr);
-  const CellResult result = run_cell(*cell, {});
+  double rpc_p99 = 0.0;
+  GridOptions opts;
+  opts.on_cell = [&](const GridCell&, runner::Experiment& exp,
+                     const FlowScheduler&) {
+    rpc_p99 = stats::quantile(exp.fct().slowdowns(0, 128 << 10), 0.99);
+  };
+  const CellResult result = run_cell(*cell, opts);
   EXPECT_EQ(result.digest, kFig14Paraleon.digest)
       << "scenarios/fig14_rpc_influx.json drifted from the pinned fig14 "
       << "setup";
   EXPECT_DOUBLE_EQ(result.value, kFig14Paraleon.value)
       << "the fig14 cell value moved";
-  expect_phases(result, kFig14ParaleonPhases);
+  EXPECT_DOUBLE_EQ(rpc_p99, kFig14ParaleonRpcP99) << "the RPC tail moved";
+  PhasePins metrics = kFig14ParaleonPhases;
+  metrics["rpc_p99_slowdown"] = kFig14ParaleonRpcP99;
+  expect_phases(result, metrics);
 }
 
 TEST(Fig5Parity, RpgTimeResetCellMatchesThePinnedSetup) {
@@ -309,7 +327,8 @@ TEST(Fig7Parity, HadoopAndLlmCellsMatchThePinnedSetup) {
 }
 
 TEST(Fig10Parity, AccuracyAndFctCellsMatchThePinnedSetup) {
-  expect_pinned(
+  // Each file's named metric reads what the former bench harvested.
+  const CellResult accuracy = expect_pinned(
       "fig10_accuracy.json",
       [](const Scenario& s) {
         return is_paraleon(s) && s.workload.front().load == 0.3;
@@ -318,16 +337,21 @@ TEST(Fig10Parity, AccuracyAndFctCellsMatchThePinnedSetup) {
         return exp.mean_fsd_accuracy();
       },
       kFig10AccuracyParaleon);
-  expect_pinned(
+  ASSERT_EQ(accuracy.metrics.count("fsd_accuracy"), 1u);
+  EXPECT_DOUBLE_EQ(accuracy.metrics.at("fsd_accuracy"),
+                   kFig10AccuracyParaleon.value);
+  const CellResult fct = expect_pinned(
       "fig10_fct.json", is_paraleon,
       [](runner::Experiment& exp, const FlowScheduler&) {
         return stats::mean(exp.fct().slowdowns(0, 1 << 20));
       },
       kFig10FctParaleon);
+  ASSERT_EQ(fct.metrics.count("mice_slowdown"), 1u);
+  EXPECT_DOUBLE_EQ(fct.metrics.at("mice_slowdown"), kFig10FctParaleon.value);
 }
 
 TEST(Fig11Parity, ParaleonAtOneMillisecondMatchesThePinnedSetup) {
-  expect_pinned(
+  const CellResult result = expect_pinned(
       "fig11_interval.json",
       [](const Scenario& s) {
         return is_paraleon(s) &&
@@ -337,6 +361,9 @@ TEST(Fig11Parity, ParaleonAtOneMillisecondMatchesThePinnedSetup) {
         return exp.mean_fsd_accuracy();
       },
       kFig11ParaleonAt1ms);
+  ASSERT_EQ(result.metrics.count("fsd_accuracy"), 1u);
+  EXPECT_DOUBLE_EQ(result.metrics.at("fsd_accuracy"),
+                   kFig11ParaleonAt1ms.value);
 }
 
 TEST(Fig12Parity, UtilityTracesMatchThePinnedSetup) {
@@ -352,7 +379,7 @@ TEST(Fig12Parity, UtilityTracesMatchThePinnedSetup) {
 }
 
 TEST(Table2Parity, ExpertAt256KbMatchesThePinnedSetup) {
-  expect_pinned(
+  const CellResult result = expect_pinned(
       "table2_alltoall_presets.json",
       [](const Scenario& s) {
         return s.scheme.name == "expert" && s.workload.front().flow_kb == 256;
@@ -367,6 +394,8 @@ TEST(Table2Parity, ExpertAt256KbMatchesThePinnedSetup) {
         return sum / a2a.rounds_completed();
       },
       kTable2ExpertAt256);
+  // The file's headline is the same mean algbw.
+  EXPECT_DOUBLE_EQ(result.value, kTable2ExpertAt256.value);
 }
 
 TEST(Table4Parity, TinyRunMatchesThePinnedSetup) {

@@ -382,6 +382,98 @@ TEST(ScenarioParse, MetricWindowsAreCheckedPerCell) {
   EXPECT_TRUE(contains(msg, "metrics.tail.from_ms")) << msg;
 }
 
+TEST(ScenarioParse, SizeBandOnlyOnTheFctSlowdowns) {
+  // A metric that reads no flow sizes would silently ignore a band.
+  for (const char* name : {"tput_mean_gbps", "rtt_mean_us", "flows_finished",
+                           "fsd_accuracy", "alltoall_algbw_gbs"}) {
+    for (const char* key : {"from_kb", "to_kb"}) {
+      SCOPED_TRACE(std::string(name) + "." + key);
+      const std::string spec = std::string(R"({"name": ")") + name +
+                               R"(", ")" + key + R"(": 64})";
+      std::string msg = parse_error(minimal(R"("metric": )" + spec));
+      EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
+      msg = parse_error(minimal(R"("metrics": {"m": )" + spec + "}"));
+      EXPECT_TRUE(contains(msg, std::string("metrics.m.") + key)) << msg;
+    }
+  }
+}
+
+TEST(ScenarioParse, EmptyOrNegativeSizeBandRejected) {
+  // The band is [from_kb, to_kb): an empty one would read 0, and a
+  // negative to_kb would silently mean "no upper bound".
+  const std::pair<const char*, const char*> bad[] = {
+      {R"("from_kb": 128, "to_kb": 128)", "to_kb"},
+      {R"("from_kb": 256, "to_kb": 128)", "to_kb"},
+      {R"("from_kb": -1)", "from_kb"},
+      {R"("to_kb": -1)", "to_kb"}};
+  for (const char* name : {"fct_mean_slowdown", "fct_p99_slowdown"}) {
+    for (const auto& [band, key] : bad) {
+      SCOPED_TRACE(std::string(name) + " " + band);
+      const std::string spec =
+          std::string(R"({"name": ")") + name + R"(", )" + band + "}";
+      std::string msg = parse_error(minimal(R"("metric": )" + spec));
+      EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
+      msg = parse_error(minimal(R"("metrics": {"m": )" + spec + "}"));
+      EXPECT_TRUE(contains(msg, std::string("metrics.m.") + key)) << msg;
+    }
+  }
+  const Scenario sc = parse_scenario_text(minimal(R"("metrics": {
+      "mice": {"name": "fct_p99_slowdown", "to_kb": 128},
+      "eleph": {"name": "fct_mean_slowdown", "from_kb": 1024}})"));
+  EXPECT_DOUBLE_EQ(sc.metrics.at("mice").from_kb, 0.0);
+  EXPECT_DOUBLE_EQ(sc.metrics.at("mice").to_kb, 128.0);
+  EXPECT_DOUBLE_EQ(sc.metrics.at("eleph").from_kb, 1024.0);
+  EXPECT_DOUBLE_EQ(sc.metrics.at("eleph").to_kb, -1.0);
+}
+
+TEST(ScenarioParse, AlltoallAlgbwNeedsExactlyOneAlltoall) {
+  // The metric reads the workload's one alltoall component: with none it
+  // has nothing to read, with two it could read either.
+  const auto doc = [](const std::string& components) {
+    return R"({"name": "t", "duration_ms": 10,
+      "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+      "workload": [)" +
+           components + R"(],
+      "metrics": {"algbw": {"name": "alltoall_algbw_gbs"}}})";
+  };
+  const std::string a = R"({"name": "a", "kind": "alltoall", "workers": 4})";
+  const std::string b = R"({"name": "b", "kind": "alltoall", "workers": 4})";
+  const std::string p = R"({"name": "p", "kind": "poisson", "load": 0.3})";
+  std::string msg = parse_error(doc(p));
+  EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
+  EXPECT_TRUE(contains(msg, "has 0")) << msg;
+  msg = parse_error(doc(a + ", " + b));
+  EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
+  EXPECT_TRUE(contains(msg, "has 2")) << msg;
+  msg = parse_error(
+      minimal(R"("metric": {"name": "alltoall_algbw_gbs"})"));
+  EXPECT_TRUE(contains(msg, "metric.name")) << msg;
+  const Scenario sc = parse_scenario_text(doc(a + ", " + p));
+  EXPECT_EQ(sc.metrics.at("algbw").name, "alltoall_algbw_gbs");
+}
+
+TEST(ScenarioParse, FsdAccuracyNeedsTrackingInEveryCell) {
+  // Untracked, the accuracy series is empty and the metric would read 0.
+  std::string msg =
+      parse_error(minimal(R"("metric": {"name": "fsd_accuracy"})"));
+  EXPECT_TRUE(contains(msg, "metric.name")) << msg;
+  EXPECT_TRUE(contains(msg, "scheme.params.track_fsd_accuracy")) << msg;
+  // A sweep that turns tracking off fails that cell, naming it and the
+  // key.
+  msg = error_of([] {
+    expand_grid(parse_scenario_text(minimal(R"(
+        "scheme": {"name": "paraleon",
+                   "params": {"track_fsd_accuracy": true}},
+        "metrics": {"acc": {"name": "fsd_accuracy"}},
+        "sweep": {"axes": [{"key": "scheme.params.track_fsd_accuracy",
+                            "values": [true, false]}]})")));
+  });
+  EXPECT_TRUE(contains(msg, "cell 1 (scheme.params.track_fsd_accuracy=false)"))
+      << msg;
+  EXPECT_TRUE(contains(msg, "metrics.acc.name")) << msg;
+  EXPECT_TRUE(contains(msg, "scheme.params.track_fsd_accuracy")) << msg;
+}
+
 TEST(ScenarioParse, NamedMetricsParseAndTakeTinyPatches) {
   const std::string doc = minimal(R"("metrics": {
       "influx_rtt_us": {"name": "rtt_mean_us", "from_ms": 2, "to_ms": 8},
