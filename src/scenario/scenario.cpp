@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "scenario/flow_scheduler.hpp"
+#include "stats/percentile.hpp"
 #include "workload/alltoall_workload.hpp"
 #include "workload/size_distribution.hpp"
 
@@ -299,34 +301,51 @@ SchemeSpec parse_scheme(const Json& obj) {
   return s;
 }
 
+/// What each metric kind takes besides its name: a time window, a
+/// flow-size band, or neither (it covers the whole run).
+struct MetricKind {
+  const char* name;
+  bool windowed;
+  bool banded;
+};
+constexpr MetricKind kMetricKinds[] = {
+    {"tput_mean_gbps", true, false},     {"rtt_mean_us", true, false},
+    {"sa_utility_mean", true, false},    {"fct_mean_slowdown", false, true},
+    {"fct_p99_slowdown", false, true},   {"fct_p999_slowdown", false, true},
+    {"flows_finished", false, false},    {"fct_p50_ms", false, false},
+    {"fct_p90_ms", false, false},        {"fct_p99_ms", false, false},
+    {"fct_max_ms", false, false},        {"fsd_accuracy", false, false},
+    {"alltoall_algbw_gbs", false, false}, {"alltoall_rounds", false, false},
+    {"sa_episodes", false, false},       {"sa_reverts", false, false},
+};
+
 /// One metric spec under `ctx` ("metric" or "metrics.<name>"). A window
 /// must lie within the run and apply to a windowed metric, and a size band
-/// must be non-empty and apply to an FCT slowdown: anything else would
-/// read 0, a truncated mean, or silently ignore the window or band.
+/// must be non-empty and apply to a banded one (an FCT slowdown): anything
+/// else would read 0, a truncated mean, or silently ignore the window or
+/// band.
 MetricSpec parse_metric(const Json& obj, const std::string& ctx,
                         double duration_ms) {
   check_keys(obj, ctx, {"name", "from_ms", "to_ms", "from_kb", "to_kb"});
   MetricSpec m;
   m.name = get_string(obj, ctx, "name", m.name);
-  const std::vector<std::string> metrics = {
-      "tput_mean_gbps",    "rtt_mean_us",    "fct_p99_slowdown",
-      "fct_mean_slowdown", "flows_finished", "fsd_accuracy",
-      "alltoall_algbw_gbs"};
-  if (std::find(metrics.begin(), metrics.end(), m.name) == metrics.end()) {
-    unknown_key(ctx + ".name", m.name, metrics);
+  const auto kind =
+      std::find_if(std::begin(kMetricKinds), std::end(kMetricKinds),
+                   [&](const MetricKind& k) { return m.name == k.name; });
+  if (kind == std::end(kMetricKinds)) {
+    std::vector<std::string> names;
+    for (const MetricKind& k : kMetricKinds) names.emplace_back(k.name);
+    unknown_key(ctx + ".name", m.name, names);
   }
-  const bool windowed = m.name == "tput_mean_gbps" || m.name == "rtt_mean_us";
-  const bool banded =
-      m.name == "fct_p99_slowdown" || m.name == "fct_mean_slowdown";
   for (const char* key : {"from_ms", "to_ms"}) {
-    if (!windowed && obj.has(key)) {
+    if (!kind->windowed && obj.has(key)) {
       throw ScenarioError(ctx + "." + key + ": " + m.name +
                           " covers the whole run and takes no window");
     }
   }
   for (const char* key : {"from_kb", "to_kb"}) {
     if (!obj.has(key)) continue;
-    if (!banded) {
+    if (!kind->banded) {
       throw ScenarioError(ctx + "." + key + ": " + m.name +
                           " takes no size band (only the FCT slowdowns do)");
     }
@@ -374,8 +393,9 @@ std::map<std::string, MetricSpec> parse_metrics(const Json& obj,
 }
 
 /// The rules a metric spec needs the rest of the scenario for: the FSD
-/// accuracy series exists only when the config tracks it, and
-/// alltoall_algbw_gbs reads the one alltoall component.
+/// accuracy series exists only when the config tracks it, the alltoall_*
+/// kinds read the one alltoall component, and the sa_* kinds the one
+/// controller.
 void check_metric_inputs(const MetricSpec& m, const std::string& ctx,
                          const Scenario& sc,
                          const runner::ExperimentConfig& cfg) {
@@ -384,15 +404,27 @@ void check_metric_inputs(const MetricSpec& m, const std::string& ctx,
                         "scheme.params.track_fsd_accuracy on, or it "
                         "reads 0");
   }
-  if (m.name == "alltoall_algbw_gbs") {
+  if (m.name.rfind("alltoall_", 0) == 0) {
     const auto alltoalls = std::count_if(
         sc.workload.begin(), sc.workload.end(), [](const auto& c) {
           return c.kind == WorkloadComponent::Kind::kAlltoall;
         });
     if (alltoalls != 1) {
-      throw ScenarioError(ctx + ".name: alltoall_algbw_gbs reads the "
+      throw ScenarioError(ctx + ".name: " + m.name + " reads the "
                           "workload's one alltoall component, but it has " +
                           std::to_string(alltoalls));
+    }
+  }
+  if (m.name.rfind("sa_", 0) == 0) {
+    const runner::Scheme scheme = scheme_from_name(sc.scheme.name);
+    if (!runner::scheme_has_controller(scheme) ||
+        scheme == runner::Scheme::kParaleonPerPod) {
+      throw ScenarioError(ctx + ".name: " + m.name + " reads the run's one "
+                          "controller, but scheme \"" + sc.scheme.name +
+                          "\" runs " +
+                          (scheme == runner::Scheme::kParaleonPerPod
+                               ? "one per pod"
+                               : "none"));
     }
   }
 }
@@ -982,26 +1014,62 @@ double evaluate_metric(const MetricSpec& metric,
   if (metric.name == "fct_mean_slowdown") {
     return exp.fct().slowdown_stats(min_size, max_size).mean;
   }
+  if (metric.name == "fct_p999_slowdown") {
+    return exp.fct().slowdown_stats(min_size, max_size).p999;
+  }
   if (metric.name == "flows_finished") {
     return static_cast<double>(exp.fct().finished());
+  }
+  // FCT quantiles in ms over every finished flow.
+  constexpr std::pair<const char*, double> kFctMsQuantiles[] = {
+      {"fct_p50_ms", 0.5},
+      {"fct_p90_ms", 0.9},
+      {"fct_p99_ms", 0.99},
+      {"fct_max_ms", 1.0}};
+  for (const auto& [name, q] : kFctMsQuantiles) {
+    if (metric.name != name) continue;
+    std::vector<double> ms = exp.fct().fct_seconds(0, INT64_MAX);
+    for (double& f : ms) f *= 1e3;
+    return stats::quantile(std::move(ms), q);
   }
   if (metric.name == "fsd_accuracy") {
     return exp.mean_fsd_accuracy();
   }
-  if (metric.name == "alltoall_algbw_gbs") {
-    // Mean algbw over the completed rounds, 0 when none completed.
-    for (const auto& c : flows.components()) {
-      if (c.kind != WorkloadComponent::Kind::kAlltoall) continue;
-      const auto& a2a =
-          dynamic_cast<const workload::AlltoallWorkload&>(*c.workload);
-      const int rounds = a2a.rounds_completed();
-      if (rounds == 0) return 0.0;
-      double sum = 0.0;
-      for (int r = 0; r < rounds; ++r) sum += a2a.round_algbw_gbs(r);
-      return sum / rounds;
+  if (metric.name.rfind("alltoall_", 0) == 0) {
+    const auto c = std::find_if(
+        flows.components().begin(), flows.components().end(),
+        [](const auto& comp) {
+          return comp.kind == WorkloadComponent::Kind::kAlltoall;
+        });
+    if (c == flows.components().end()) {
+      throw ScenarioError("metric.name: " + metric.name +
+                          " found no alltoall component in the run");
     }
-    throw ScenarioError("metric.name: alltoall_algbw_gbs found no alltoall "
-                        "component in the run");
+    const auto& a2a =
+        dynamic_cast<const workload::AlltoallWorkload&>(*c->workload);
+    const int rounds = a2a.rounds_completed();
+    if (metric.name == "alltoall_rounds") return rounds;
+    // Mean algbw over the completed rounds, 0 when none completed.
+    if (rounds == 0) return 0.0;
+    double sum = 0.0;
+    for (int r = 0; r < rounds; ++r) sum += a2a.round_algbw_gbs(r);
+    return sum / rounds;
+  }
+  if (metric.name.rfind("sa_", 0) == 0) {
+    if (exp.controllers().size() != 1) {
+      throw ScenarioError("metric.name: " + metric.name +
+                          " needs exactly one controller in the run");
+    }
+    const core::ParaleonController& c = *exp.controllers().front();
+    if (metric.name == "sa_utility_mean") {
+      return c.utility_series().mean_in(from, to);
+    }
+    if (metric.name == "sa_episodes") {
+      return static_cast<double>(c.episodes());
+    }
+    if (metric.name == "sa_reverts") {
+      return static_cast<double>(c.reverts());
+    }
   }
   throw ScenarioError("metric.name: unknown metric \"" + metric.name +
                       "\"");

@@ -117,10 +117,12 @@ struct SchemeSpec {
 };
 
 struct MetricSpec {
-  /// tput_mean_gbps | rtt_mean_us | fct_p99_slowdown | fct_mean_slowdown
-  /// | flows_finished | fsd_accuracy | alltoall_algbw_gbs. Only the first
-  /// two take a window; the others cover the whole run. Only the two FCT
-  /// slowdowns take a size band.
+  /// tput_mean_gbps | rtt_mean_us | sa_utility_mean (a window) |
+  /// fct_mean_slowdown | fct_p99_slowdown | fct_p999_slowdown (a size
+  /// band) | flows_finished | fct_p50_ms | fct_p90_ms | fct_p99_ms |
+  /// fct_max_ms | fsd_accuracy | alltoall_algbw_gbs | alltoall_rounds |
+  /// sa_episodes | sa_reverts. A kind without a window covers the whole
+  /// run; the sa_* kinds read the run's one controller.
   std::string name = "tput_mean_gbps";
   /// The window, within [0, duration_ms].
   double from_ms = 0.0;
@@ -212,7 +214,7 @@ int host_count(const TopologySpec& t);
 runner::ExperimentConfig to_experiment_config(const Scenario& sc);
 
 /// Evaluates one metric (the headline or a named one) on a finished run
-/// and the workload `flows` installed into it (alltoall_algbw_gbs reads
+/// and the workload `flows` installed into it (the alltoall_* kinds read
 /// the one alltoall component's rounds).
 double evaluate_metric(const MetricSpec& metric,
                        const runner::Experiment& exp,

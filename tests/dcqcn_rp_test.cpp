@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dcqcn/params.hpp"
@@ -197,6 +200,65 @@ TEST(RpState, ParamChangesTakeEffect) {
   rp.restart_timers(microseconds(10));
   rp.advance_to(microseconds(10) + 3 * microseconds(100));
   EXPECT_EQ(rp.timer_stage(), 3);
+}
+
+TEST(RpState, HigherHaiRateRecoversFaster) {
+  // hai_rate's single-parameter impact (Fig. 5) is the ramp back to line
+  // rate once congestion clears. Two spaced cuts drop the target rate too
+  // (Rt = 5G, Rc = 2.5G), so fast recovery alone only restores 5G and
+  // reclaiming line rate needs the target growth hai_rate governs. Then
+  // the RP sends uncongested in 10 us steps to 50 ms.
+  // The ramp time and the MB sent in the first 5 ms, as the Fig. 5 table
+  // prints them (two decimals).
+  struct Row {
+    double hai_mbps;
+    const char* ramp_to_90pct_ms;
+    const char* mb_in_5ms;
+  };
+  constexpr Row kRows[] = {{5, "2.06", "5.16"},
+                           {20, "1.26", "5.54"},
+                           {50, "0.97", "5.68"},
+                           {100, "0.81", "5.75"},
+                           {200, "0.70", "5.80"}};
+  const auto two_decimals = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", v);
+    return std::string(buf);
+  };
+  const Rate line = gbps(10);
+  double prev_ramp_ms = 1e9;
+  double prev_mb = 0.0;
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(row.hai_mbps);
+    DcqcnParams p =
+        scaled_for_line_rate(default_params(), gbps(100), gbps(10));
+    p.rpg_time_reset = microseconds(100);
+    p.rpg_byte_reset = 16 << 10;
+    p.hai_rate = mbps(row.hai_mbps);
+    RpState rp(&p, line, 0);
+    rp.on_cnp(0);
+    rp.on_cnp(p.rate_reduce_monitor_period + microseconds(1));
+    Time t = p.rate_reduce_monitor_period + microseconds(1);
+    double ramp_ms = -1.0;
+    double bytes_5ms = 0.0;
+    const Time step = microseconds(10);
+    while (t < milliseconds(50)) {
+      t += step;
+      rp.advance_to(t);
+      const double bytes = rp.current_rate() * to_sec(step) / 8.0;
+      rp.on_bytes_sent(static_cast<std::int64_t>(bytes), t);
+      if (t <= milliseconds(5)) bytes_5ms += bytes;
+      if (ramp_ms < 0 && rp.current_rate() >= 0.9 * line) ramp_ms = to_ms(t);
+    }
+    ASSERT_GT(ramp_ms, 0.0) << "never got back to 90% of line rate";
+    const double mb = bytes_5ms / 1e6;
+    EXPECT_LT(ramp_ms, prev_ramp_ms);
+    EXPECT_GT(mb, prev_mb);
+    EXPECT_EQ(two_decimals(ramp_ms), row.ramp_to_90pct_ms);
+    EXPECT_EQ(two_decimals(mb), row.mb_in_5ms);
+    prev_ramp_ms = ramp_ms;
+    prev_mb = mb;
+  }
 }
 
 TEST(NpState, PacesCnps) {

@@ -25,13 +25,14 @@
 // the way the bench reads it, as an exact hex-float literal. The influx
 // files' six phase metrics were recorded from the benches' former
 // hand-coded phase windows, before those moved into the files. Where a
-// figure's bench is gone (fig10, fig11, fig14's RPC tail, table2), the
-// hand-written harvest stays, and the same pin must also equal the
-// metric the file names, so the file reads what the bench read.
+// figure's bench is gone (fig7, fig10, fig11, fig14's RPC tail, table2,
+// the engineering ablation), the hand-written harvest stays, and the
+// same pin must also equal the metric the file names, so the file reads
+// what the bench read.
 //
-// Runs use the --tiny shapes (16-host fig8, fig14 and most of the sweep
-// files, 60 ms fig13 and fig7 LLM, 80 ms fig7 FB_Hadoop) to stay in
-// unit-test budget.
+// Runs use the --tiny shapes (16-host fig8, fig14, the ablation and most
+// of the sweep files, 60 ms fig13 and fig7 LLM, 80 ms fig7 FB_Hadoop) to
+// stay in unit-test budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -110,6 +111,11 @@ constexpr Pin kFig7HadoopParaleon = {0x6b97c178a44511c7ull,
 // fig7 (c): PARALEON's p99 FCT (ms) at 8 workers.
 constexpr Pin kFig7LlmParaleonAt8 = {0x31e110c4cd7540d3ull,
                                      0x1.395520ae4b577p+3};  // 9.79164156
+// The engineering ablation's +revert cell: mean Eq. (1) utility from
+// 5 ms to the end of the tiny run, recorded by running fig8's tiny
+// PARALEON cell with the ablation's toggle axis through run_cell.
+constexpr Pin kAblationRevert = {0xb57867f9a4c25f2bull,
+                                 0x1.4313274729f5p-1};  // 0.63100550
 // fig10 (a): PARALEON's FSD accuracy at load 0.3.
 constexpr Pin kFig10AccuracyParaleon = {0x1029af39a98dd51full,
                                         0x1.f8b119528a3cfp-1};  // 0.98572616
@@ -306,13 +312,17 @@ TEST(Fig6Parity, TopLeftCellMatchesThePinnedSetup) {
 }
 
 TEST(Fig7Parity, HadoopAndLlmCellsMatchThePinnedSetup) {
-  expect_pinned(
+  // Each file's named metric reads what the former bench harvested.
+  const CellResult hadoop = expect_pinned(
       "fig7_fb_hadoop.json", is_paraleon,
       [](runner::Experiment& exp, const FlowScheduler&) {
         return stats::mean(exp.fct().slowdowns(0, 120 << 10));
       },
       kFig7HadoopParaleon);
-  expect_pinned(
+  ASSERT_EQ(hadoop.metrics.count("mice_mean_slowdown"), 1u);
+  EXPECT_DOUBLE_EQ(hadoop.metrics.at("mice_mean_slowdown"),
+                   kFig7HadoopParaleon.value);
+  const CellResult llm = expect_pinned(
       "fig7_llm_alltoall.json",
       [](const Scenario& s) {
         return is_paraleon(s) && s.workload.front().workers == 8;
@@ -324,6 +334,30 @@ TEST(Fig7Parity, HadoopAndLlmCellsMatchThePinnedSetup) {
         return stats::quantile(fcts, 0.99);
       },
       kFig7LlmParaleonAt8);
+  ASSERT_EQ(llm.metrics.count("fct_p99_ms"), 1u);
+  EXPECT_DOUBLE_EQ(llm.metrics.at("fct_p99_ms"), kFig7LlmParaleonAt8.value);
+}
+
+TEST(AblationParity, RevertCellMatchesThePinnedSetup) {
+  // The +revert toggle set (cell 2): 2 MIs per candidate and a 10-MI
+  // post-episode check window, no kick and no ratchet.
+  const CellResult result = expect_pinned(
+      "ablation_engineering.json",
+      [](const Scenario& s) {
+        const runner::ExperimentConfig cfg = to_experiment_config(s);
+        return cfg.controller.eval_mi_per_candidate == 2 &&
+               cfg.controller.post_check_window_mi == 10 &&
+               cfg.controller.trigger_kick_steps == 0;
+      },
+      [](runner::Experiment& exp, const FlowScheduler&) {
+        return exp.controller()->utility_series().mean_in(
+            milliseconds(5), exp.config().duration);
+      },
+      kAblationRevert);
+  ASSERT_EQ(result.metrics.count("utility"), 1u);
+  EXPECT_DOUBLE_EQ(result.metrics.at("utility"), kAblationRevert.value);
+  EXPECT_EQ(result.metrics.at("episodes"), 2.0);
+  EXPECT_EQ(result.metrics.at("reverts"), 1.0);
 }
 
 TEST(Fig10Parity, AccuracyAndFctCellsMatchThePinnedSetup) {

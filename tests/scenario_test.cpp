@@ -327,10 +327,12 @@ TEST(ScenarioParse, EmptyMetricWindowRejected) {
 }
 
 TEST(ScenarioParse, WholeRunMetricsRejectAWindow) {
-  // The FCT and flow-count metrics cover the whole run: a window on them
-  // would be silently ignored.
+  // The FCT, flow-count, alltoall and SA-count metrics cover the whole
+  // run: a window on them would be silently ignored.
   for (const char* name :
-       {"fct_p99_slowdown", "fct_mean_slowdown", "flows_finished"}) {
+       {"fct_p99_slowdown", "fct_mean_slowdown", "fct_p999_slowdown",
+        "flows_finished", "fct_p50_ms", "fct_p90_ms", "fct_p99_ms",
+        "fct_max_ms", "alltoall_rounds", "sa_episodes", "sa_reverts"}) {
     for (const char* key : {"from_ms", "to_ms"}) {
       SCOPED_TRACE(std::string(name) + "." + key);
       const std::string spec = std::string(R"({"name": ")") + name +
@@ -354,20 +356,24 @@ TEST(ScenarioParse, MetricWindowOutsideTheRunRejected) {
       {R"("from_ms": 12, "to_ms": 14)", "from_ms"},
       {R"("to_ms": 11)", "to_ms"},
       {R"("from_ms": 5, "to_ms": 10.5)", "to_ms"}};
-  for (const auto& [window, key] : bad) {
-    SCOPED_TRACE(window);
-    const std::string spec =
-        std::string(R"({"name": "rtt_mean_us", )") + window + "}";
-    std::string msg = parse_error(minimal(R"("metric": )" + spec));
-    EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
-    msg = parse_error(minimal(R"("metrics": {"late": )" + spec + "}"));
-    EXPECT_TRUE(contains(msg, std::string("metrics.late.") + key)) << msg;
+  for (const char* name : {"rtt_mean_us", "sa_utility_mean"}) {
+    for (const auto& [window, key] : bad) {
+      SCOPED_TRACE(std::string(name) + " " + window);
+      const std::string spec =
+          std::string(R"({"name": ")") + name + R"(", )" + window + "}";
+      std::string msg = parse_error(minimal(R"("metric": )" + spec));
+      EXPECT_TRUE(contains(msg, std::string("metric.") + key)) << msg;
+      msg = parse_error(minimal(R"("metrics": {"late": )" + spec + "}"));
+      EXPECT_TRUE(contains(msg, std::string("metrics.late.") + key)) << msg;
+    }
   }
   // A window may end exactly at the end of the run.
   const Scenario sc = parse_scenario_text(minimal(
       R"("metrics": {"tail": {"name": "rtt_mean_us", "from_ms": 9.5,
-                              "to_ms": 10}})"));
+                              "to_ms": 10},
+                     "util": {"name": "sa_utility_mean", "from_ms": 2}})"));
   EXPECT_DOUBLE_EQ(sc.metrics.at("tail").to_ms, 10.0);
+  EXPECT_DOUBLE_EQ(sc.metrics.at("util").from_ms, 2.0);
 }
 
 TEST(ScenarioParse, MetricWindowsAreCheckedPerCell) {
@@ -384,8 +390,11 @@ TEST(ScenarioParse, MetricWindowsAreCheckedPerCell) {
 
 TEST(ScenarioParse, SizeBandOnlyOnTheFctSlowdowns) {
   // A metric that reads no flow sizes would silently ignore a band.
-  for (const char* name : {"tput_mean_gbps", "rtt_mean_us", "flows_finished",
-                           "fsd_accuracy", "alltoall_algbw_gbs"}) {
+  for (const char* name :
+       {"tput_mean_gbps", "rtt_mean_us", "flows_finished", "fsd_accuracy",
+        "alltoall_algbw_gbs", "fct_p50_ms", "fct_p90_ms", "fct_p99_ms",
+        "fct_max_ms", "alltoall_rounds", "sa_utility_mean", "sa_episodes",
+        "sa_reverts"}) {
     for (const char* key : {"from_kb", "to_kb"}) {
       SCOPED_TRACE(std::string(name) + "." + key);
       const std::string spec = std::string(R"({"name": ")") + name +
@@ -406,7 +415,8 @@ TEST(ScenarioParse, EmptyOrNegativeSizeBandRejected) {
       {R"("from_kb": 256, "to_kb": 128)", "to_kb"},
       {R"("from_kb": -1)", "from_kb"},
       {R"("to_kb": -1)", "to_kb"}};
-  for (const char* name : {"fct_mean_slowdown", "fct_p99_slowdown"}) {
+  for (const char* name :
+       {"fct_mean_slowdown", "fct_p99_slowdown", "fct_p999_slowdown"}) {
     for (const auto& [band, key] : bad) {
       SCOPED_TRACE(std::string(name) + " " + band);
       const std::string spec =
@@ -419,7 +429,9 @@ TEST(ScenarioParse, EmptyOrNegativeSizeBandRejected) {
   }
   const Scenario sc = parse_scenario_text(minimal(R"("metrics": {
       "mice": {"name": "fct_p99_slowdown", "to_kb": 128},
+      "mid": {"name": "fct_p999_slowdown", "from_kb": 128, "to_kb": 1024},
       "eleph": {"name": "fct_mean_slowdown", "from_kb": 1024}})"));
+  EXPECT_DOUBLE_EQ(sc.metrics.at("mid").from_kb, 128.0);
   EXPECT_DOUBLE_EQ(sc.metrics.at("mice").from_kb, 0.0);
   EXPECT_DOUBLE_EQ(sc.metrics.at("mice").to_kb, 128.0);
   EXPECT_DOUBLE_EQ(sc.metrics.at("eleph").from_kb, 1024.0);
@@ -427,29 +439,67 @@ TEST(ScenarioParse, EmptyOrNegativeSizeBandRejected) {
 }
 
 TEST(ScenarioParse, AlltoallAlgbwNeedsExactlyOneAlltoall) {
-  // The metric reads the workload's one alltoall component: with none it
-  // has nothing to read, with two it could read either.
-  const auto doc = [](const std::string& components) {
-    return R"({"name": "t", "duration_ms": 10,
-      "topology": {"kind": "dumbbell", "hosts_per_side": 4},
-      "workload": [)" +
-           components + R"(],
-      "metrics": {"algbw": {"name": "alltoall_algbw_gbs"}}})";
-  };
-  const std::string a = R"({"name": "a", "kind": "alltoall", "workers": 4})";
-  const std::string b = R"({"name": "b", "kind": "alltoall", "workers": 4})";
-  const std::string p = R"({"name": "p", "kind": "poisson", "load": 0.3})";
-  std::string msg = parse_error(doc(p));
-  EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
-  EXPECT_TRUE(contains(msg, "has 0")) << msg;
-  msg = parse_error(doc(a + ", " + b));
-  EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
-  EXPECT_TRUE(contains(msg, "has 2")) << msg;
-  msg = parse_error(
-      minimal(R"("metric": {"name": "alltoall_algbw_gbs"})"));
-  EXPECT_TRUE(contains(msg, "metric.name")) << msg;
-  const Scenario sc = parse_scenario_text(doc(a + ", " + p));
-  EXPECT_EQ(sc.metrics.at("algbw").name, "alltoall_algbw_gbs");
+  // alltoall_algbw_gbs and alltoall_rounds read the workload's one
+  // alltoall component: with none they have nothing to read, with two
+  // they could read either.
+  for (const std::string kind : {"alltoall_algbw_gbs", "alltoall_rounds"}) {
+    SCOPED_TRACE(kind);
+    const auto doc = [&](const std::string& components) {
+      return R"({"name": "t", "duration_ms": 10,
+        "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+        "workload": [)" +
+             components + R"(],
+        "metrics": {"algbw": {"name": ")" + kind + R"("}}})";
+    };
+    const std::string a =
+        R"({"name": "a", "kind": "alltoall", "workers": 4})";
+    const std::string b =
+        R"({"name": "b", "kind": "alltoall", "workers": 4})";
+    const std::string p = R"({"name": "p", "kind": "poisson", "load": 0.3})";
+    std::string msg = parse_error(doc(p));
+    EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
+    EXPECT_TRUE(contains(msg, "has 0")) << msg;
+    msg = parse_error(doc(a + ", " + b));
+    EXPECT_TRUE(contains(msg, "metrics.algbw.name")) << msg;
+    EXPECT_TRUE(contains(msg, "has 2")) << msg;
+    msg = parse_error(minimal(R"("metric": {"name": ")" + kind + R"("})"));
+    EXPECT_TRUE(contains(msg, "metric.name")) << msg;
+    const Scenario sc = parse_scenario_text(doc(a + ", " + p));
+    EXPECT_EQ(sc.metrics.at("algbw").name, kind);
+  }
+}
+
+TEST(ScenarioParse, SaMetricsNeedExactlyOneController) {
+  // The sa_* kinds read the run's one controller: a static scheme has
+  // none and the per-pod scheme one per pod.
+  for (const char* kind : {"sa_utility_mean", "sa_episodes", "sa_reverts"}) {
+    const std::string spec = std::string(R"({"name": ")") + kind + R"("})";
+    for (const char* scheme : {"default", "acc", "paraleon_per_pod"}) {
+      SCOPED_TRACE(std::string(kind) + " " + scheme);
+      const std::string section =
+          std::string(R"("scheme": {"name": ")") + scheme + R"("}, )";
+      std::string msg = parse_error(minimal(section + R"("metric": )" + spec));
+      EXPECT_TRUE(contains(msg, "metric.name")) << msg;
+      EXPECT_TRUE(contains(msg, scheme)) << msg;
+      msg = parse_error(
+          minimal(section + R"("metrics": {"sa": )" + spec + "}"));
+      EXPECT_TRUE(contains(msg, "metrics.sa.name")) << msg;
+    }
+    const Scenario sc =
+        parse_scenario_text(minimal(R"("metrics": {"sa": )" + spec + "}"));
+    EXPECT_EQ(sc.metrics.at("sa").name, kind);
+  }
+  // A scheme axis that reaches a static scheme fails that cell, naming it
+  // and the key.
+  const std::string msg = error_of([] {
+    expand_grid(parse_scenario_text(minimal(R"(
+        "scheme": {"name": "paraleon"},
+        "metrics": {"eps": {"name": "sa_episodes"}},
+        "sweep": {"axes": [{"key": "scheme.name",
+                            "values": ["paraleon", "expert"]}]})")));
+  });
+  EXPECT_TRUE(contains(msg, "cell 1 (scheme.name=expert)")) << msg;
+  EXPECT_TRUE(contains(msg, "metrics.eps.name")) << msg;
 }
 
 TEST(ScenarioParse, FsdAccuracyNeedsTrackingInEveryCell) {
